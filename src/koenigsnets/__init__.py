@@ -57,4 +57,4 @@ from .koenigs import (
 from .netio import NetDocument, export_obj, load, save
 from .qnet import EdgeLabelling, QNet, VertexScalar, check_qnet
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"  # the version in pyproject.toml

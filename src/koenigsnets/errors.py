@@ -119,10 +119,6 @@ class NullDiagonalDifference(DegeneracyError):
     """The diagonal difference is isotropic; the light-cone step is singular."""
 
 
-class PlanarVertex(DegeneracyError):
-    """A vertex and its four neighbours are coplanar."""
-
-
 # --- check failures ---------------------------------------------------------
 
 class NotKoenigs(CheckFailure):
@@ -130,10 +126,6 @@ class NotKoenigs(CheckFailure):
 
 
 class NotCircular(CheckFailure):
-    pass
-
-
-class NotIsothermic(CheckFailure):
     pass
 
 

@@ -13,7 +13,7 @@ from .errors import DegenerateQuad, VanishingLastComponent
 from .geom import DEFAULT_TOL, Tolerances, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import EdgeLabelling, QNet, VertexScalar, quad_points
+from .qnet import EdgeLabelling, QNet, VertexScalar, _crop, quad_points
 
 __all__ = [
     "grid",
@@ -152,16 +152,8 @@ def _intersect_lines(p, d1, q, d2) -> np.ndarray:
 
 def _fit_moutard_coeffs(y: np.ndarray, i: int, j: int) -> np.ndarray:
     """Per-quad least-squares coefficient of y_ij - y = a (y_j - y_i)."""
-    sl0 = [slice(0, -1) if ax in (i, j) else slice(None) for ax in range(y.ndim - 1)]
-
-    def crop(oi, oj):
-        sl = list(sl0)
-        sl[i] = slice(1, None) if oi else slice(0, -1)
-        sl[j] = slice(1, None) if oj else slice(0, -1)
-        return y[tuple(sl)]
-
-    d = crop(0, 1) - crop(1, 0)
-    lhs = crop(1, 1) - crop(0, 0)
+    d = _crop(y, (i, j), (0, 1)) - _crop(y, (i, j), (1, 0))
+    lhs = _crop(y, (i, j), (1, 1)) - _crop(y, (i, j), (0, 0))
     return (lhs * d).sum(axis=-1) / (d * d).sum(axis=-1)
 
 
@@ -349,12 +341,6 @@ def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
     d_old = pts[2] - pts[1]
     s[corner] *= float((d_new * d_new).sum() / (d_old * d_old).sum())
     return QNet(verts), VertexScalar(s)
-
-
-def _plus(u, axis):
-    v = list(u)
-    v[axis] += 1
-    return tuple(v)
 
 
 def _circumcircle(z1: complex, z2: complex, z3: complex):

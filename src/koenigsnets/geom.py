@@ -7,6 +7,7 @@ in :class:`Tolerances`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,10 @@ __all__ = [
     "menelaus_product",
     "circularity_residual",
     "cross_ratio",
+    "QuadCircles",
+    "quad_circles",
+    "raise_quad_error",
+    "rank_residual",
     "is_convex",
     "minkowski_dot",
     "lift_to_lightcone",
@@ -75,11 +80,7 @@ def planarity_residual(points: np.ndarray) -> float:
     Zero iff the points lie in a common 2-plane; scale invariant.
     """
     pts = np.asarray(points, dtype=float)
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[2] / sv[0]) if len(sv) > 2 else 0.0
+    return float(rank_residual(pts - pts.mean(axis=0), 2))
 
 
 def affine_rank(points, tol: float = 1e-9) -> int:
@@ -268,24 +269,91 @@ def to_plane_coords(points: np.ndarray, frame) -> np.ndarray:
     return np.stack([rel @ u, rel @ v], axis=-1)
 
 
+class QuadCircles(NamedTuple):
+    """Per-quad output of :func:`quad_circles`, each an array of shape (Q,)."""
+
+    residual: np.ndarray  # concircularity residual
+    cross_ratio: np.ndarray  # real part of the cross-ratio
+    error: np.ndarray  # key in _QUAD_ERRORS of the first predicate the quad fails, 0 if none
+    detail: np.ndarray  # the value that failed it
+
+
+# the predicates of circularity_residual (1-3) and cross_ratio (1-6), in test order
+_QUAD_ERRORS = {
+    1: (NotPlanar, "points are not coplanar (residual {:.3e})"),
+    2: (CoincidentPoints, "cannot build a frame from coincident points"),
+    3: (CollinearTriple, "all points are collinear; no plane frame"),
+    4: (NotConcircular, "points are not concircular (residual {:.3e})"),
+    5: (CoincidentPoints, "consecutive points coincide"),
+    6: (NotConcircular, "cross-ratio has imaginary residual {:.3e}"),
+}
+
+
+def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
+    """Plane frame, circularity residual and cross-ratio of stacked quads
+    (Q, 4, N), each (a, b, c, d) in cyclic order, computed as by
+    :func:`plane_frame`, :func:`circularity_residual` and :func:`cross_ratio`.
+    Nothing is raised: ``error`` holds the first predicate each quad fails,
+    and :func:`raise_quad_error` raises its typed error.
+    """
+    pts = np.asarray(pts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        planar = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
+        rel = pts - pts[:, :1]
+        nu = np.linalg.norm(rel[:, 1], axis=-1)
+        u = rel[:, 1] / nu[:, None]
+        w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
+        nw = np.linalg.norm(w, axis=-1)
+        spans = nw > 1e-13 * np.maximum(nu[:, None], np.linalg.norm(rel[:, 2:], axis=-1))
+        pick = np.where(spans[:, 0], 0, 1)[:, None]
+        v = np.take_along_axis(w, pick[..., None], axis=1)[:, 0] / np.take_along_axis(nw, pick, axis=1)
+        z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
+        x, y = z[..., 0], z[..., 1]
+        diam = np.linalg.norm(z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]], axis=-1).max(axis=1)
+        rows = np.stack([x, y, x * x + y * y, np.ones_like(x)], axis=-1)
+        residual = np.abs(np.linalg.det(rows)) / diam**4
+        za, zb, zc, zd = np.moveaxis(z.view(complex)[..., 0], 1, 0)
+        cr = (za - zb) / (zb - zc) * (zc - zd) / (zd - za)
+    failed = [
+        planar > tol.incidence,
+        nu == 0.0,
+        ~spans.any(axis=1),
+        residual > tol.incidence,
+        (za == zb) | (zb == zc) | (zc == zd) | (zd == za),
+        np.abs(cr.imag) > tol.product * (np.abs(cr) + 1.0),
+    ]
+    error = np.select(failed, [1, 2, 3, 4, 5, 6], 0)  # the first predicate that fails
+    detail = np.select(failed, [planar, nu, nu, residual, nu, cr.imag], 0.0)
+    return QuadCircles(residual, cr.real.copy(), error, detail)
+
+
+def raise_quad_error(circles: QuadCircles, upto: int, where=lambda k: "") -> None:
+    """Raise the typed error of the first quad that fails one of the
+    predicates 1..``upto`` of ``_QUAD_ERRORS``; ``where(k)`` prefixes the
+    message with the position of quad k."""
+    failed = (circles.error > 0) & (circles.error <= upto)
+    if failed.any():
+        k = int(np.argmax(failed))
+        cls, message = _QUAD_ERRORS[int(circles.error[k])]
+        raise cls(where(k) + message.format(circles.detail[k]))
+
+
+def _one_quad(a, b, c, d, tol: Tolerances, upto: int) -> QuadCircles:
+    pts = np.stack([_as_point(a), _as_point(b), _as_point(c), _as_point(d)])
+    circles = quad_circles(pts[None], tol)
+    raise_quad_error(circles, upto)
+    return circles
+
+
 def circularity_residual(a, b, c, d, tol: Tolerances = DEFAULT_TOL) -> float:
     """Scale-invariant residual, zero iff the four points are concircular.
 
     Determinant test on rows (x, y, x^2 + y^2, 1) in plane coordinates;
     the determinant scales with the fourth power of length, so it is
-    normalized by the fourth power of the diameter.
+    normalized by the fourth power of the diameter.  A batch of one in
+    :func:`quad_circles`.
     """
-    pts = np.stack([_as_point(a), _as_point(b), _as_point(c), _as_point(d)])
-    res = planarity_residual(pts)
-    if res > tol.incidence:
-        raise NotPlanar(f"points are not coplanar (residual {res:.3e})")
-    frame = plane_frame(pts)  # raises CollinearTriple if a, b, c collinear
-    z = to_plane_coords(pts, frame)
-    diam = max(np.linalg.norm(z[i] - z[j]) for i in range(4) for j in range(i + 1, 4))
-    if diam == 0.0:
-        raise CoincidentPoints("all four points coincide")
-    rows = np.column_stack([z[:, 0], z[:, 1], (z ** 2).sum(axis=1), np.ones(4)])
-    return float(abs(np.linalg.det(rows)) / diam ** 4)
+    return float(_one_quad(a, b, c, d, tol, 3).residual[0])
 
 
 def cross_ratio(a, b, c, d, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -293,22 +361,22 @@ def cross_ratio(a, b, c, d, tol: Tolerances = DEFAULT_TOL) -> float:
 
     The quad's plane is identified with the complex plane via an orthonormal
     in-plane frame; for concircular points the value is real and independent
-    of the frame.  Negative exactly for embedded quadrilaterals.
+    of the frame.  Negative exactly for embedded quadrilaterals.  A batch of
+    one in :func:`quad_circles`.
     """
-    pts = np.stack([_as_point(a), _as_point(b), _as_point(c), _as_point(d)])
-    res = circularity_residual(a, b, c, d, tol)
-    if res > tol.incidence:
-        raise NotConcircular(f"points are not concircular (residual {res:.3e})")
-    frame = plane_frame(pts)
-    z = to_plane_coords(pts, frame)
-    za, zb, zc, zd = (complex(p[0], p[1]) for p in z)
-    for x, y in ((za, zb), (zb, zc), (zc, zd), (zd, za)):
-        if x == y:
-            raise CoincidentPoints("consecutive points coincide")
-    cr = (za - zb) / (zb - zc) * (zc - zd) / (zd - za)
-    if abs(cr.imag) > tol.product * (abs(cr) + 1.0):
-        raise NotConcircular(f"cross-ratio has imaginary residual {cr.imag:.3e}")
-    return float(cr.real)
+    return float(_one_quad(a, b, c, d, tol, 6).cross_ratio[0])
+
+
+def rank_residual(vectors: np.ndarray, rank: int) -> np.ndarray:
+    """sigma_rank / sigma_0 of each matrix in a stack (..., k, n): zero iff
+    its rows span at most ``rank`` linear dimensions; 0 where the matrix has
+    no such singular value or is zero.  Center the rows first to test the
+    affine span."""
+    sv = np.linalg.svd(vectors, compute_uv=False)
+    if sv.shape[-1] <= rank:
+        return np.zeros(sv.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sv[..., 0] == 0.0, 0.0, sv[..., rank] / sv[..., 0])
 
 
 # --- Minkowski space R^{N+1,1} ----------------------------------------------

@@ -7,7 +7,7 @@ in the Minkowski light cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -25,21 +25,21 @@ from .errors import (
 from .geom import (
     DEFAULT_TOL,
     Tolerances,
-    circularity_residual,
-    cross_ratio,
     minkowski_dot_arrays,
     plane_frame,
+    quad_circles,
+    raise_quad_error,
+    rank_residual,
     to_plane_coords,
 )
 from .koenigs import (
     MoutardNet,
-    _crop,
     _integrate_one_form,
     _one_form_closure_residual,
     _shift,
     integrate_nu,
 )
-from .qnet import EdgeLabelling, QNet, VertexScalar, quad_points
+from .qnet import EdgeLabelling, QNet, VertexScalar, _crop, _cubes, _gather_quads, _star
 
 __all__ = [
     "IsothermicNet",
@@ -76,32 +76,48 @@ class CircularityReport:
     offenders: list
 
 
+def _circles(net: QNet, tol: Tolerances) -> list:
+    """:func:`quad_circles` on the quads of every axis pair, one pair at a
+    time: [(i, j, bases, QuadCircles)], cross-ratios shaped like the base grid."""
+    out = []
+    for i, j in combinations(range(net.m), 2):
+        pts, bases = _gather_quads(net, i, j)
+        qc = quad_circles(pts, tol)
+        shape = tuple(e - 1 if ax in (i, j) else e for ax, e in enumerate(net.extents))
+        out.append((i, j, bases, qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))))
+    return out
+
+
+def _raise_first(circles: list, upto: int) -> None:
+    """Raise the error of the first quad, in axis-pair and base order, that
+    fails one of the predicates 1..``upto`` of the kernel."""
+    for i, j, bases, qc in circles:
+        raise_quad_error(qc, upto, lambda k: f"quad base {bases[k]} (axes {i},{j}): ")
+
+
+def _max_residual(circles: list) -> float:
+    return max(float(qc.residual.max(initial=0.0)) for _, _, _, qc in circles)
+
+
 def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CircularityReport:
     """Per-quad concircularity residuals; passes iff all <= tol.incidence."""
-    max_res = 0.0
-    offenders = []
-    for i, j in combinations(range(net.m), 2):
-        for u in net.base_indices(i, j):
-            pts = quad_points(net, u, i, j)
-            res = circularity_residual(*pts, tol=tol)
-            max_res = max(max_res, res)
-            if res > tol.incidence:
-                offenders.append((u, i, j, res))
+    circles = _circles(net, tol)
+    _raise_first(circles, 3)
+    max_res = _max_residual(circles)
+    offenders = [
+        (bases[k], i, j, float(qc.residual[k]))
+        for i, j, bases, qc in circles
+        for k in np.flatnonzero(qc.residual > tol.incidence)
+    ]
     return CircularityReport(passed=max_res <= tol.incidence, max_residual=max_res, offenders=offenders)
 
 
 def quad_cross_ratios(net: QNet, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Cross-ratio q(f, f_i, f_ij, f_j) of every elementary quad, keyed by
     axis pair, as arrays over the quad base grid."""
-    out = {}
-    for i, j in combinations(range(net.m), 2):
-        shape = tuple(e - 1 if ax in (i, j) else e for ax, e in enumerate(net.extents))
-        arr = np.empty(shape)
-        for u in net.base_indices(i, j):
-            pts = quad_points(net, u, i, j)
-            arr[u] = cross_ratio(*pts, tol=tol)
-        out[(i, j)] = arr
-    return out
+    circles = _circles(net, tol)
+    _raise_first(circles, 6)
+    return {(i, j): qc.cross_ratio for i, j, _, qc in circles}
 
 
 @dataclass
@@ -119,11 +135,14 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dic
     vertex; for m >= 3 the triple product over the three forward faces at
     every vertex equals 1.  Requires a circular net.
     """
-    circ = check_circular(net, tol)
-    if not circ.passed:
-        raise NotCircular(f"net is not circular (max residual {circ.max_residual:.3e})")
+    circles = _circles(net, tol)
+    _raise_first(circles, 3)
+    max_circ = _max_residual(circles)
+    if max_circ > tol.incidence:
+        raise NotCircular(f"net is not circular (max residual {max_circ:.3e})")
     if cross_ratios is None:
-        cross_ratios = quad_cross_ratios(net, tol)
+        _raise_first(circles, 6)
+        cross_ratios = {(i, j): qc.cross_ratio for i, j, _, qc in circles}
     failures = []
     max_res = 0.0
     if net.m == 2:
@@ -136,19 +155,15 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dic
             failures.append((f"interior vertex {tuple(x + 1 for x in idx)}", float(res[idx])))
     else:
         for i, j, k in combinations(range(net.m), 3):
-            qij = cross_ratios[(i, j)]
-            qjk = cross_ratios[(j, k)]
-            qik = cross_ratios[(i, k)]
-            ranges = [
-                range(e - 1) if ax in (i, j, k) else range(e)
-                for ax, e in enumerate(net.extents)
-            ]
-            for u in product(*ranges):
-                prod = qij[u] * qjk[u] / qik[u]
-                res = abs(prod - 1.0)
-                max_res = max(max_res, res)
-                if res > tol.product:
-                    failures.append((f"corner {u} axes ({i},{j},{k})", res))
+            prod = (
+                _crop(cross_ratios[(i, j)], (k,), (0,))
+                * _crop(cross_ratios[(j, k)], (i,), (0,))
+                / _crop(cross_ratios[(i, k)], (j,), (0,))
+            )
+            res = np.abs(prod - 1.0)
+            max_res = max(max_res, float(res.max()))
+            for u in zip(*np.nonzero(res > tol.product)):
+                failures.append((f"corner {tuple(int(x) for x in u)} axes ({i},{j},{k})", float(res[u])))
     return IsothermicReport(
         passed=max_res <= tol.product,
         max_residual=max_res,
@@ -185,12 +200,17 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dict 
     labels = EdgeLabelling(tuple(per_axis))
     # consistency: every quad's cross-ratio must factor as alpha_i / alpha_j
     for (i, j), cr in cross_ratios.items():
-        for u in net.base_indices(i, j):
-            expected = labels.label(i, u[i]) / labels.label(j, u[j])
-            if abs(cr[u] - expected) > tol.product * max(abs(cr[u]), abs(expected)):
-                raise InconsistentCrossRatios(
-                    f"quad {u} axes ({i},{j}): cross-ratio {cr[u]:.6g} != {expected:.6g}"
-                )
+        layer = [1] * net.m
+        layer[i] = -1
+        expected = labels.per_axis[i].reshape(layer)
+        layer[i], layer[j] = 1, -1
+        expected = np.broadcast_to(expected / labels.per_axis[j].reshape(layer), cr.shape)
+        bad = np.abs(cr - expected) > tol.product * np.maximum(np.abs(cr), np.abs(expected))
+        if bad.any():
+            u = tuple(int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+            raise InconsistentCrossRatios(
+                f"quad {u} axes ({i},{j}): cross-ratio {cr[u]:.6g} != {expected[u]:.6g}"
+            )
     return labels
 
 
@@ -362,8 +382,8 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: boo
     coeffs = {}
     for i, j in combinations(range(iso.net.m), 2):
         w = 1.0 / s
-        denom = _crop(w, i, j, 0, 1) - _crop(w, i, j, 1, 0)
-        coeffs[(i, j)] = (_crop(w, i, j, 1, 1) - _crop(w, i, j, 0, 0)) / denom
+        denom = _crop(w, (i, j), (0, 1)) - _crop(w, (i, j), (1, 0))
+        coeffs[(i, j)] = (_crop(w, (i, j), (1, 1)) - _crop(w, (i, j), (0, 0))) / denom
     mn = MoutardNet(points=y, coeffs=coeffs, lightcone=True)
     if check:
         res = mn.moutard_residual()
@@ -516,11 +536,11 @@ class MoebiusReport:
     records: list
 
 
-def _linear_rank_residual(vectors: np.ndarray, rank: int) -> float:
-    sv = np.linalg.svd(np.asarray(vectors), compute_uv=False)
-    if len(sv) <= rank or sv[0] == 0.0:
-        return 0.0
-    return float(sv[rank] / sv[0])
+def _similar_lift(points: np.ndarray, origin, scale: np.ndarray) -> np.ndarray:
+    """Light-cone lift of (points - origin) / scale.  The similarity keeps
+    every Moebius incidence, and keeps |f|^2 from swamping the other
+    components; a zero scale (all points at the origin) is taken as 1."""
+    return _lift_array((points - origin) / np.where(scale > 0.0, scale, 1.0))
 
 
 def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) -> MoebiusReport:
@@ -531,78 +551,54 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     common 2-sphere) that contains none of the four neighbours.  m = 2, net
     in a 2-sphere or plane: the three circles through f share a second point.
     m = 3: per hexahedron, the four white lifts are concircular iff the four
-    black ones are.
+    black ones are.  Each stencil is lifted after a similarity that puts f
+    (or the cube's base vertex) at the origin and its farthest neighbour (or
+    the cube's diameter) at distance 1; the whole net, for the 2-sphere test,
+    is centred at its centroid and scaled by its diameter.
     """
-    lifted = _lift_array(net.vertices)
     if net.m >= 3:
-        return _moebius_hexahedra(net, lifted, tol)
+        return _moebius_hexahedra(net, tol)
     if net.m != 2:
         raise DimensionTooLow("Moebius characterizations need m >= 2")
-    flat = lifted.reshape(-1, lifted.shape[-1])
-    in_sphere = _linear_rank_residual(flat, net.ambient_dim + 1) <= tol.incidence
-    records = []
-    max_res = 0.0
+    flat = net.vertices.reshape(-1, net.ambient_dim)
+    whole = _similar_lift(flat, flat.mean(axis=0), np.float64(net.diameter()))
+    in_sphere = rank_residual(whole, net.ambient_dim + 1) <= tol.incidence
+    legs = _star(net.vertices)
+    legs = legs - legs[:, :1]
+    lifted = _similar_lift(legs, 0.0, np.linalg.norm(legs, axis=-1).max(axis=1)[:, None, None])
+    n, dim = lifted.shape[0], lifted.shape[-1]
     if not in_sphere:
-        for u1, u2 in net.interior_indices():
-            five = np.stack([
-                lifted[u1, u2],
-                lifted[u1 + 1, u2 + 1], lifted[u1 + 1, u2 - 1],
-                lifted[u1 - 1, u2 + 1], lifted[u1 - 1, u2 - 1],
-            ])
-            res = _linear_rank_residual(five, 4)
-            # the sphere must not contain the four neighbours
-            contained = []
-            for nb in ((u1 + 1, u2), (u1 - 1, u2), (u1, u2 + 1), (u1, u2 - 1)):
-                with_nb = np.vstack([five, lifted[nb][None]])
-                contained.append(_linear_rank_residual(with_nb, 4) <= tol.incidence)
-            records.append(((u1, u2), res, contained))
-            max_res = max(max_res, res)
-        passed = all(r <= tol.product and not any(c) for _, r, c in records)
-        return MoebiusReport(passed=passed, max_residual=max_res, mode="sphere", records=records)
-    # part 2: three circles through f have a second common point
-    for u1, u2 in net.interior_indices():
-        f = lifted[u1, u2]
-        circles = [
-            np.stack([f, lifted[u1 + 1, u2 + 1], lifted[u1 - 1, u2 + 1]]),
-            np.stack([f, lifted[u1 + 1, u2 - 1], lifted[u1 - 1, u2 - 1]]),
-            np.stack([f, lifted[u1 + 1, u2], lifted[u1 - 1, u2]]),
-        ]
-        # intersection of the three circle 3-spaces has dimension >= 2
-        complements = []
-        for c in circles:
-            _, _, vt = np.linalg.svd(c)
-            complements.append(vt[3:])
-        stacked = np.vstack(complements)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        dim = lifted.shape[-1]
-        n_keep = dim - 2  # rank must be at most dim - 2 for a pencil of solutions
-        res = float(sv[n_keep] / sv[0]) if len(sv) > n_keep else 0.0
-        records.append(((u1, u2), res, None))
-        max_res = max(max_res, res)
-    passed = all(r <= tol.product for _, r, _ in records)
-    return MoebiusReport(passed=passed, max_residual=max_res, mode="in_sphere", records=records)
+        five = lifted[:, [0, 5, 6, 7, 8]]  # f and its diagonal neighbours
+        res = rank_residual(five, 4)
+        # the sphere must not contain the four neighbours
+        six = [rank_residual(np.concatenate([five, lifted[:, k:k + 1]], axis=1), 4) for k in range(1, 5)]
+        contained = np.stack(six, axis=1) <= tol.incidence
+        records = list(zip(net.interior_indices(), res.tolist(), contained.tolist()))
+        passed = bool(np.all(res <= tol.product)) and not contained.any()
+        return MoebiusReport(passed=passed, max_residual=float(res.max(initial=0.0)), mode="sphere", records=records)
+    # part 2: three circles through f have a second common point; the
+    # intersection of the three circle 3-spaces has dimension >= 2, so the
+    # stacked complements have rank at most dim - 2
+    circles = lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]]
+    _, _, vt = np.linalg.svd(circles)
+    res = rank_residual(vt[..., 3:, :].reshape(n, 3 * (dim - 3), dim), dim - 2)
+    records = list(zip(net.interior_indices(), res.tolist(), repeat(None)))
+    passed = bool(np.all(res <= tol.product))
+    return MoebiusReport(passed=passed, max_residual=float(res.max(initial=0.0)), mode="in_sphere", records=records)
 
 
-def _moebius_hexahedra(net: QNet, lifted: np.ndarray, tol: Tolerances) -> MoebiusReport:
-    from .qnet import hexahedra
-
+def _moebius_hexahedra(net: QNet, tol: Tolerances) -> MoebiusReport:
     records = []
     max_res = 0.0
-    for w, axes, _ in hexahedra(net):
-        i, j, k = axes
-        black = np.stack([
-            lifted[w], lifted[_shift(w, i, j)], lifted[_shift(w, i, k)], lifted[_shift(w, j, k)],
-        ])
-        white = np.stack([
-            lifted[_shift(w, i)], lifted[_shift(w, j)], lifted[_shift(w, k)],
-            lifted[_shift(w, i, j, k)],
-        ])
-        res_b = _linear_rank_residual(black, 3)
-        res_w = _linear_rank_residual(white, 3)
-        records.append((w, axes, res_b, res_w))
-        max_res = max(max_res, res_b, res_w)
-    passed = max_res <= tol.product
-    return MoebiusReport(passed=passed, max_residual=max_res, mode="hexahedra", records=records)
+    for axes in combinations(range(net.m), 3):
+        cube = _cubes(net, axes)
+        diam = np.linalg.norm(cube[:, :, None] - cube[:, None], axis=-1).max(axis=(1, 2))
+        lifted = _similar_lift(cube, cube[:, :1], diam[:, None, None])
+        res_b = rank_residual(lifted[:, [0, 4, 5, 6]], 3)  # f, f_ij, f_ik, f_jk
+        res_w = rank_residual(lifted[:, [1, 2, 3, 7]], 3)  # f_i, f_j, f_k, f_ijk
+        max_res = max(max_res, float(res_b.max()), float(res_w.max()))
+        records += zip(net.base_indices(*axes), repeat(axes), res_b.tolist(), res_w.tolist())
+    return MoebiusReport(passed=max_res <= tol.product, max_residual=max_res, mode="hexahedra", records=records)
 
 
 def central_sphere(net: QNet, u, tol: Tolerances = DEFAULT_TOL):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from .geom import (
     DEFAULT_TOL,
     PlanarQuad,
     Tolerances,
-    affine_rank,
     intersect_diagonals,
+    rank_residual,
 )
-from .qnet import QNet, VertexScalar, _gather_quads
+from .qnet import QNet, VertexScalar, _crop, _cubes, _gather_quads, _star
 
 __all__ = [
     "DiagonalForm",
@@ -151,14 +151,6 @@ class ClosednessReport:
     failures: list  # (description, residual)
 
 
-def _slice2(arr, i, j, lo_i, hi_i, lo_j, hi_j):
-    """arr[..., lo_i:hi_i along axis i, lo_j:hi_j along axis j, ...]."""
-    sl = [slice(None)] * arr.ndim
-    sl[i] = slice(lo_i, hi_i)
-    sl[j] = slice(lo_j, hi_j)
-    return arr[tuple(sl)]
-
-
 def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalForm | None = None) -> ClosednessReport:
     """Closedness of the diagonal one-form on the black and white graphs.
 
@@ -181,10 +173,10 @@ def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalFor
         if hi < 2 or hj < 2:
             continue
         prod = (
-            _slice2(qc, i, j, 1, None, 1, None)
-            * _slice2(qm, i, j, 1, None, 0, -1)
-            / _slice2(qm, i, j, 0, -1, 1, None)
-            / _slice2(qc, i, j, 0, -1, 0, -1)
+            _crop(qc, (i, j), (1, 1))
+            * _crop(qm, (i, j), (1, 0))
+            / _crop(qm, (i, j), (0, 1))
+            / _crop(qc, (i, j), (0, 0))
         )
         res = np.abs(prod - 1.0)
         n_cycles += res.size
@@ -193,11 +185,13 @@ def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalFor
             failures.append((f"vertex cycle axes ({i},{j}) at base {idx}", float(res[idx])))
     # triangle cycles at hexahedron corners
     if net.m >= 3:
-        for desc, res in _corner_triangle_products(net, form):
-            n_cycles += 1
-            max_res = max(max_res, res)
-            if res > tol.product:
-                failures.append((desc, res))
+        for axes, res in _corner_triangle_products(net, form):
+            n_cycles += res.size
+            max_res = max(max_res, float(res.max()))
+            for *w, c in zip(*np.nonzero(res > tol.product)):
+                w = tuple(int(x) for x in w)
+                corner = _shift(w, *(ax for ax, bit in zip(axes, _CORNERS[c]) if bit))
+                failures.append((f"corner {corner} of cube {w} axes {axes}", float(res[w][c])))
     return ClosednessReport(
         is_koenigs=max_res <= tol.product,
         max_residual=max_res,
@@ -206,36 +200,35 @@ def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalFor
     )
 
 
+_CORNERS = tuple(product((0, 1), repeat=3))  # corner offsets of a cube along its axes (i, j, k)
+
+
 def _corner_triangle_products(net: QNet, form: DiagonalForm):
-    """Yield (description, |product - 1|) for every hexahedron corner."""
+    """Yield (axes, |product - 1|) per axis triple: q around the triangle of
+    face diagonals between the three neighbours of each cube corner, over
+    the cube base grid plus a last axis of corners in ``_CORNERS`` order."""
     for axes in combinations(range(net.m), 3):
-        ranges = [
-            range(e - 1) if ax in axes else range(e)
-            for ax, e in enumerate(net.extents)
+        i, j, k = axes
+        res = [
+            np.abs(
+                _opposite_diagonal(form, (i, j), k, bi, bj, bk, True)
+                * _opposite_diagonal(form, (j, k), i, bj, bk, bi, True)
+                * _opposite_diagonal(form, (i, k), j, bi, bk, bj, False)
+                - 1.0
+            )
+            for bi, bj, bk in _CORNERS
         ]
-        for w in product(*ranges):
-            for bits in product((0, 1), repeat=3):
-                corner = list(w)
-                for ax, bval in zip(axes, bits):
-                    corner[ax] += bval
-                corner = tuple(corner)
-                # neighbours of the corner inside the cube
-                nb = {}
-                for ax in axes:
-                    n = list(corner)
-                    n[ax] = w[ax] + (1 - (corner[ax] - w[ax]))
-                    nb[ax] = tuple(n)
-                i, j, k = axes
-                prod = 1.0
-                for (p, q), (frm, to) in (((i, j), (nb[i], nb[j])),
-                                          ((j, k), (nb[j], nb[k])),
-                                          ((i, k), (nb[k], nb[i]))):
-                    r = next(ax for ax in axes if ax not in (p, q))
-                    base = list(w)
-                    if corner[r] != w[r]:
-                        base[r] += 1
-                    prod *= form.directed(tuple(base), p, q, frm, to)
-                yield (f"corner {corner} of cube {w} axes {axes}", abs(prod - 1.0))
+        yield axes, np.stack(res, axis=-1)
+
+
+def _opposite_diagonal(form: DiagonalForm, pair, r, bp, bq, br, forward):
+    """q on the faces of plane ``pair`` at offset ``br`` along axis r, on the
+    diagonal that misses the corner (bp, bq), from the corner's neighbour
+    along p to the one along q (or backwards).  That is the canonical
+    orientation, f -> f_ij or f_i -> f_j, exactly when bq == 0."""
+    q = (form.q_cross if bp == bq else form.q_main)[pair]
+    val = _crop(q, (r,), (br,))
+    return val if forward == (bq == 0) else 1.0 / val
 
 
 @dataclass
@@ -325,22 +318,14 @@ def _nu_residual(net: QNet, form: DiagonalForm, nu: np.ndarray) -> float:
     for i, j in combinations(range(net.m), 2):
         qm = form.q_main[(i, j)]
         qc = form.q_cross[(i, j)]
-        n00 = _crop(nu, i, j, 0, 0)
-        n10 = _crop(nu, i, j, 1, 0)
-        n01 = _crop(nu, i, j, 0, 1)
-        n11 = _crop(nu, i, j, 1, 1)
+        n00 = _crop(nu, (i, j), (0, 0))
+        n10 = _crop(nu, (i, j), (1, 0))
+        n01 = _crop(nu, (i, j), (0, 1))
+        n11 = _crop(nu, (i, j), (1, 1))
         r1 = np.abs(n11 / n00 - qm) / np.abs(qm)
         r2 = np.abs(n01 / n10 - qc) / np.abs(qc)
         worst = max(worst, float(r1.max()), float(r2.max()))
     return worst
-
-
-def _crop(arr, i, j, oi, oj):
-    """Array of vertex values at the (oi, oj) corner of every (i, j) quad."""
-    sl = [slice(None)] * arr.ndim
-    sl[i] = slice(1, None) if oi else slice(0, -1)
-    sl[j] = slice(1, None) if oj else slice(0, -1)
-    return arr[tuple(sl)]
 
 
 # --- dual quadrilaterals and dual nets ---------------------------------------
@@ -445,10 +430,10 @@ def _one_form_closure_residual(net: QNet, forms) -> float:
     for i, j in combinations(range(net.m), 2):
         gi = forms[i]
         gj = forms[j]
-        gi_lo = _edge_crop(gi, j, 0)
-        gi_hi = _edge_crop(gi, j, 1)
-        gj_lo = _edge_crop(gj, i, 0)
-        gj_hi = _edge_crop(gj, i, 1)
+        gi_lo = _crop(gi, (j,), (0,))
+        gi_hi = _crop(gi, (j,), (1,))
+        gj_lo = _crop(gj, (i,), (0,))
+        gj_hi = _crop(gj, (i,), (1,))
         defect = gi_lo + gj_hi - gj_lo - gi_hi
         scale = np.maximum.reduce([
             np.linalg.norm(gi_lo, axis=-1),
@@ -459,13 +444,6 @@ def _one_form_closure_residual(net: QNet, forms) -> float:
         rel = np.linalg.norm(defect, axis=-1) / np.maximum(scale, 1e-300)
         worst = max(worst, float(rel.max()))
     return worst
-
-
-def _edge_crop(g: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """Drop the last (offset=0) or first (offset=1) layer along ``axis``."""
-    sl = [slice(None)] * (g.ndim - 1)
-    sl[axis] = slice(0, -1) if offset == 0 else slice(1, None)
-    return g[tuple(sl)]
 
 
 def _integrate_one_form(net: QNet, forms, base) -> QNet:
@@ -508,14 +486,14 @@ def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) 
     singular = []
     diam = net.diameter()
     for i, j in combinations(range(net.m), 2):
-        n = _crop(nu, i, j, 0, 0)
-        ni = _crop(nu, i, j, 1, 0)
-        nj = _crop(nu, i, j, 0, 1)
-        nij = _crop(nu, i, j, 1, 1)
-        f = _crop(net.vertices, i, j, 0, 0)
-        fi = _crop(net.vertices, i, j, 1, 0)
-        fj = _crop(net.vertices, i, j, 0, 1)
-        fij = _crop(net.vertices, i, j, 1, 1)
+        n = _crop(nu, (i, j), (0, 0))
+        ni = _crop(nu, (i, j), (1, 0))
+        nj = _crop(nu, (i, j), (0, 1))
+        nij = _crop(nu, (i, j), (1, 1))
+        f = _crop(net.vertices, (i, j), (0, 0))
+        fi = _crop(net.vertices, (i, j), (1, 0))
+        fj = _crop(net.vertices, (i, j), (0, 1))
+        fij = _crop(net.vertices, (i, j), (1, 1))
         sing = np.abs(ni - nj) <= tol.incidence * (np.abs(ni) + np.abs(nj))
         denom = np.where(sing, 1.0, n * (ni - nj))
         c1 = (nj * nij - n * ni) / denom
@@ -560,10 +538,10 @@ class MoutardNet:
         quads (for m >= 3 this includes the cross-face consistency)."""
         worst = 0.0
         for (i, j), a in self.coeffs.items():
-            y = _crop(self.points, i, j, 0, 0)
-            yi = _crop(self.points, i, j, 1, 0)
-            yj = _crop(self.points, i, j, 0, 1)
-            yij = _crop(self.points, i, j, 1, 1)
+            y = _crop(self.points, (i, j), (0, 0))
+            yi = _crop(self.points, (i, j), (1, 0))
+            yj = _crop(self.points, (i, j), (0, 1))
+            yij = _crop(self.points, (i, j), (1, 1))
             lhs = yij - y
             rhs = a[..., None] * (yj - yi)
             scale = np.maximum(
@@ -596,10 +574,10 @@ def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL, chec
     coeffs = {}
     for i, j in combinations(range(net.m), 2):
         w = 1.0 / nu
-        winv = _crop(w, i, j, 0, 0)
-        wi = _crop(w, i, j, 1, 0)
-        wj = _crop(w, i, j, 0, 1)
-        wij = _crop(w, i, j, 1, 1)
+        winv = _crop(w, (i, j), (0, 0))
+        wi = _crop(w, (i, j), (1, 0))
+        wj = _crop(w, (i, j), (0, 1))
+        wij = _crop(w, (i, j), (1, 1))
         denom = wj - wi
         if np.any(np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))):
             raise EqualNuOnWhiteDiagonal("nu_i == nu_j on a quad; Moutard coefficient singular")
@@ -685,14 +663,10 @@ class Geometric2DReport:
     max_residual: float
 
 
-def _rank_residual(points: np.ndarray, rank: int) -> float:
-    """Relative size of the first singular value beyond the target affine rank."""
-    pts = np.asarray(points, dtype=float)
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if len(sv) <= rank or sv[0] == 0.0:
-        return 0.0
-    return float(sv[rank] / sv[0])
+def _rank_residual(points: np.ndarray, rank: int) -> np.ndarray:
+    """Relative size of the first singular value beyond the target affine
+    rank, for each point set in a stack (..., k, N)."""
+    return rank_residual(points - points.mean(axis=-2, keepdims=True), rank)
 
 
 def check_koenigs_2d_geometric(
@@ -715,39 +689,28 @@ def check_koenigs_2d_geometric(
         raise DimensionTooLow("vertex characterizations need N >= 3")
     if form is None:
         form = build_q_form(net, tol)
+    star = _star(net.vertices)
+    excluded = _rank_residual(star[:, :5], 2) <= tol.incidence  # f and its neighbours span a plane
     mpts = form.m_points[(0, 1)]
-    v = net.vertices
-    records = []
-    max_res = 0.0
-    passed = True
-    for u1, u2 in net.interior_indices():
-        f = v[u1, u2]
-        neighbours = [v[u1 + 1, u2], v[u1 - 1, u2], v[u1, u2 + 1], v[u1, u2 - 1]]
-        if affine_rank([f] + neighbours, tol.incidence) <= 2:
-            records.append(Vertex2DRecord((u1, u2), True, None, None, None))
-            continue
-        ms = [mpts[u1 - 1, u2 - 1], mpts[u1, u2 - 1], mpts[u1 - 1, u2], mpts[u1, u2]]
-        res_a = _rank_residual(np.stack(ms), 2)
-        res_b = None
-        res_c = None
-        corners = [v[u1 + 1, u2 + 1], v[u1 + 1, u2 - 1], v[u1 - 1, u2 + 1], v[u1 - 1, u2 - 1]]
-        if net.ambient_dim >= 4:
-            res_b = _rank_residual(np.stack([f] + corners), 3)
-        if net.ambient_dim == 3:
-            n_up = np.cross(v[u1 + 1, u2 + 1] - f, v[u1 - 1, u2 + 1] - f)
-            n_down = np.cross(v[u1 + 1, u2 - 1] - f, v[u1 - 1, u2 - 1] - f)
-            n_1 = np.cross(v[u1 + 1, u2] - f, v[u1 - 1, u2] - f)
-            normals = np.stack([
-                n_up / np.linalg.norm(n_up),
-                n_down / np.linalg.norm(n_down),
-                n_1 / np.linalg.norm(n_1),
-            ])
-            res_c = float(abs(np.linalg.det(normals)))
-        records.append(Vertex2DRecord((u1, u2), False, res_a, res_b, res_c))
-        max_res = max(max_res, res_a)
-        if res_a > tol.product:
-            passed = False
-    return Geometric2DReport(passed=passed, records=records, max_residual=max_res)
+    ms = np.stack([mpts[:-1, :-1], mpts[1:, :-1], mpts[:-1, 1:], mpts[1:, 1:]], axis=2)
+    res_a = _rank_residual(ms.reshape(len(star), 4, -1), 2)
+    res_b = res_c = [None] * len(star)
+    if net.ambient_dim >= 4:
+        res_b = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3).tolist()
+    if net.ambient_dim == 3:
+        legs = star[:, 1:] - star[:, :1]
+        normals = np.cross(legs[:, [4, 5, 0]], legs[:, [6, 7, 1]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+            res_c = np.abs(np.linalg.det(normals)).tolist()
+    records = [
+        Vertex2DRecord(u, True, None, None, None) if ex else Vertex2DRecord(u, False, ra, rb, rc)
+        for u, ex, ra, rb, rc in zip(net.interior_indices(), excluded.tolist(), res_a.tolist(), res_b, res_c)
+    ]
+    kept = res_a[~excluded]
+    return Geometric2DReport(
+        passed=bool(np.all(kept <= tol.product)), records=records, max_residual=float(kept.max(initial=0.0))
+    )
 
 
 @dataclass
@@ -780,36 +743,21 @@ def check_koenigs_3d_geometric(
         form = build_q_form(net, tol)
     records = []
     max_res = 0.0
-    passed = True
     for axes in combinations(range(net.m), 3):
         i, j, k = axes
-        ranges = [
-            range(e - 1) if ax in axes else range(e)
-            for ax, e in enumerate(net.extents)
-        ]
-        for w in product(*ranges):
-            black = [net.vertex(w), net.vertex(_shift(w, i, j)),
-                     net.vertex(_shift(w, i, k)), net.vertex(_shift(w, j, k))]
-            white = [net.vertex(_shift(w, i)), net.vertex(_shift(w, j)),
-                     net.vertex(_shift(w, k)), net.vertex(_shift(w, i, j, k))]
-            res_black = _rank_residual(np.stack(black), 2)
-            res_white = _rank_residual(np.stack(white), 2)
-            corner_res = []
-            for bits in product((0, 1), repeat=3):
-                ms = []
-                for p, q in combinations(axes, 2):
-                    r = next(ax for ax in axes if ax not in (p, q))
-                    base = list(w)
-                    base[r] += bits[axes.index(r)]
-                    ms.append(form.m_points[(p, q)][tuple(base)])
-                corner_res.append(_rank_residual(np.stack(ms), 1))
-            rec = Hexahedron3DRecord(w, axes, res_black, res_white, corner_res)
-            records.append(rec)
-            worst = max(res_black, res_white, max(corner_res))
-            max_res = max(max_res, worst)
-            if worst > tol.product:
-                passed = False
-    return Geometric3DReport(passed=passed, records=records, max_residual=max_res)
+        cube = _cubes(net, axes)
+        res_black = _rank_residual(cube[:, [0, 4, 5, 6]], 2)  # f, f_ij, f_ik, f_jk
+        res_white = _rank_residual(cube[:, [1, 2, 3, 7]], 2)  # f_i, f_j, f_k, f_ijk
+        # the diagonal intersections of the three faces through each corner
+        faces = (((i, j), k, 2), ((i, k), j, 1), ((j, k), i, 0))  # (plane, normal axis, its bit)
+        ms = [[_crop(form.m_points[pair], (r,), (bits[b],)) for pair, r, b in faces] for bits in _CORNERS]
+        ms = np.array(ms).reshape(8, 3, -1, net.ambient_dim).transpose(2, 0, 1, 3)
+        res_corner = _rank_residual(ms, 1)
+        worst = np.maximum(np.maximum(res_black, res_white), res_corner.max(axis=1))
+        max_res = max(max_res, float(worst.max()))
+        rows = zip(net.base_indices(*axes), repeat(axes), res_black.tolist(), res_white.tolist(), res_corner.tolist())
+        records += [Hexahedron3DRecord(*row) for row in rows]
+    return Geometric3DReport(passed=max_res <= tol.product, records=records, max_residual=max_res)
 
 
 def normalize_nu_for_limit(kd: KoenigsData, axis: int, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:

@@ -67,19 +67,17 @@ class QNet:
         flat = self._vertices.reshape(-1, self.ambient_dim)
         return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
 
-    def base_indices(self, i: int, j: int) -> Iterator[tuple]:
-        """Base multi-indices of all elementary quads in the (i, j) plane."""
+    def base_indices(self, *axes: int) -> Iterator[tuple]:
+        """Base multi-indices of all elementary cells spanned by ``axes``
+        (quads for an axis pair, hexahedra for a triple), in C order."""
         ranges = [
-            range(e - 1) if ax in (i, j) else range(e)
+            range(e - 1) if ax in axes else range(e)
             for ax, e in enumerate(self.extents)
         ]
         return product(*ranges)
 
     def interior_indices(self) -> Iterator[tuple]:
         return product(*(range(1, e - 1) for e in self.extents))
-
-    def with_vertices(self, vertices) -> "QNet":
-        return QNet(vertices)
 
 
 def quad_points(net: QNet, u, i: int, j: int) -> np.ndarray:
@@ -107,23 +105,7 @@ def hexahedra(net: QNet) -> Iterator[tuple]:
     if net.m < 3:
         raise DimensionTooLow("hexahedra need lattice dimension m >= 3")
     for axes in combinations(range(net.m), 3):
-        i, j, k = axes
-        ranges = [
-            range(e - 1) if ax in axes else range(e)
-            for ax, e in enumerate(net.extents)
-        ]
-        for u in product(*ranges):
-            def at(*shift):
-                v = list(u)
-                for ax in shift:
-                    v[ax] += 1
-                return net.vertex(v)
-
-            pts = np.stack([
-                at(), at(i), at(j), at(k),
-                at(i, j), at(i, k), at(j, k), at(i, j, k),
-            ])
-            yield u, axes, pts
+        yield from ((u, axes, pts) for u, pts in zip(net.base_indices(*axes), _cubes(net, axes)))
 
 
 @dataclass
@@ -154,18 +136,40 @@ def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> PlanarityReport:
 
 def _gather_quads(net: QNet, i: int, j: int):
     """Stacked quad vertex arrays (Q, 4, N) plus the list of base indices."""
-    bases = list(net.base_indices(i, j))
-    v = net.vertices
-    ei = np.zeros(net.m, dtype=int)
-    ei[i] = 1
-    ej = np.zeros(net.m, dtype=int)
-    ej[j] = 1
-    idx = np.array(bases)
-    p00 = v[tuple(idx.T)]
-    p10 = v[tuple((idx + ei).T)]
-    p11 = v[tuple((idx + ei + ej).T)]
-    p01 = v[tuple((idx + ej).T)]
-    return np.stack([p00, p10, p11, p01], axis=1), bases
+    corners = [_crop(net.vertices, (i, j), c) for c in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    pts = np.stack(corners, axis=net.m).reshape(-1, 4, net.ambient_dim)
+    return pts, list(net.base_indices(i, j))
+
+
+def _crop(arr, axes, offsets):
+    """Values at the corner ``offsets`` of every cell spanned by ``axes``:
+    along each of these axes, drop the last (offset 0) or the first
+    (offset 1) layer."""
+    sl = [slice(None)] * arr.ndim
+    for ax, off in zip(axes, offsets):
+        sl[ax] = slice(1, None) if off else slice(0, -1)
+    return arr[tuple(sl)]
+
+
+# vertex offsets of a cube along its axes (i, j, k), in hexahedra() order
+_CUBE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+
+def _cubes(net: QNet, axes) -> np.ndarray:
+    """The vertices of every cube spanned by ``axes``, as (W, 8, N) in
+    base_indices order, each cube in hexahedra() order."""
+    cube = np.stack([_crop(net.vertices, axes, bits) for bits in _CUBE], axis=net.m)
+    return cube.reshape(-1, 8, net.ambient_dim)
+
+
+def _star(values: np.ndarray) -> np.ndarray:
+    """The star of every interior vertex of a 2d lattice array, as (V, 9, ...)
+    in interior_indices order: f; f_{+1}, f_{-1}, f_{+2}, f_{-2}; then
+    f_{+1+2}, f_{+1-2}, f_{-1+2}, f_{-1-2}."""
+    n1, n2 = values.shape[:2]
+    offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+    cols = [values[1 + a:n1 - 1 + a, 1 + b:n2 - 1 + b] for a, b in offsets]
+    return np.stack(cols, axis=2).reshape((n1 - 2) * (n2 - 2), 9, *values.shape[2:])
 
 
 @dataclass

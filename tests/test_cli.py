@@ -1,9 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import koenigsnets
 from koenigsnets import netio
 from koenigsnets.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cli(tmp_path, *argv, infile=None, outname="out.json"):
@@ -163,3 +171,21 @@ class TestPipelines:
         assert report["qnet"]["passed"]
         assert not report["circular"]["passed"]
         assert "isothermic" not in report
+
+
+class TestPackaging:
+    def test_version_matches_pyproject(self):
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+        assert declared and koenigsnets.__version__ == declared.group(1)
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        src = str(Path(koenigsnets.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "koenigsnets", "--help"], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: koenigsnets" in proc.stdout and "report" in proc.stdout
+        _, net = cli(tmp_path, "generate", "grid", "--extents", "3", "3", outname="net.json")
+        proc = subprocess.run([sys.executable, "-m", "koenigsnets", "report", "--input", str(net)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["circular"]["passed"]

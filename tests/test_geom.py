@@ -28,6 +28,7 @@ from koenigsnets.geom import (
     menelaus_product,
     minkowski_dot,
     project_from_lightcone,
+    quad_circles,
 )
 
 UNIT_SQUARE = PlanarQuad([0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0])
@@ -234,6 +235,68 @@ class TestCrossRatio:
     def test_rejects_non_concircular(self):
         with pytest.raises(NotConcircular):
             cross_ratio([0, 0], [1, 0], [1, 1], [0, 2])
+
+
+def _mp_circle(quad):
+    """50-digit reference: (circularity residual, real cross-ratio) of one
+    planar quad, from the same double inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        pts = [[mpmath.mpf(float(x)) for x in p] for p in quad]
+        rel = [[x - o for x, o in zip(p, pts[0])] for p in pts]
+
+        def dot(a, b):
+            return mpmath.fsum(x * y for x, y in zip(a, b))
+
+        u = [x / mpmath.sqrt(dot(rel[1], rel[1])) for x in rel[1]]
+        w = [x - dot(rel[2], u) * y for x, y in zip(rel[2], u)]
+        v = [x / mpmath.sqrt(dot(w, w)) for x in w]
+        z = [mpmath.mpc(dot(p, u), dot(p, v)) for p in rel]
+        rows = mpmath.matrix([[c.real, c.imag, abs(c) ** 2, 1] for c in z])
+        diam = max(abs(z[a] - z[b]) for a in range(4) for b in range(a + 1, 4))
+        cr = (z[0] - z[1]) / (z[1] - z[2]) * (z[2] - z[3]) / (z[3] - z[0])
+        return float(abs(mpmath.det(rows)) / diam**4), float(cr.real)
+
+
+def _random_circle_quads(rng, n, concircular):
+    """Quads on (or, with random radii, off) random circles in R^3, corners
+    at least 0.3 rad apart."""
+    quads = []
+    while len(quads) < n:
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, 4))
+        if np.min(np.diff(angles, append=angles[0] + 2 * np.pi)) < 0.3:
+            continue
+        frame, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        radii = rng.uniform(0.5, 2.0) * (np.ones(4) if concircular else rng.uniform(0.5, 1.5, 4))
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=1) * radii[:, None]
+        quads.append(rng.standard_normal(3) + circle @ frame.T)
+    return np.stack(quads)
+
+
+class TestQuadCircles:
+    def test_cross_ratios_match_high_precision(self, rng):
+        quads = _random_circle_quads(rng, 40, concircular=True)
+        out = quad_circles(quads)
+        assert np.all(out.error == 0)
+        ref = np.array([_mp_circle(q) for q in quads])
+        # the residual is dimensionless, and both read rounding noise here
+        assert np.abs(out.residual).max() <= 1e-12 and np.abs(ref[:, 0]).max() <= 1e-12
+        assert np.all(np.abs(out.cross_ratio - ref[:, 1]) <= 1e-12 * np.abs(ref[:, 1]))
+
+    def test_residuals_match_high_precision(self, rng):
+        quads = _random_circle_quads(rng, 40, concircular=False)
+        out = quad_circles(quads)
+        ref = np.array([_mp_circle(q)[0] for q in quads])
+        assert np.all(ref > 1e-6)
+        assert np.all(np.abs(out.residual - ref) <= 1e-12 * ref)
+        assert np.all(out.error == 4)  # not concircular
+
+    def test_scalar_wrappers_are_a_batch_of_one(self, rng):
+        quads = _random_circle_quads(rng, 5, concircular=True)
+        out = quad_circles(quads)
+        for q, res, cr in zip(quads, out.residual, out.cross_ratio):
+            assert circularity_residual(*q) == pytest.approx(res, rel=1e-12, abs=1e-15)
+            assert cross_ratio(*q) == pytest.approx(cr, rel=1e-12)
 
 
 class TestMinkowski:

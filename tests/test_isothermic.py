@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from koenigsnets import generate
 from koenigsnets.errors import (
+    CoincidentPoints,
+    CollinearTriple,
     DimensionTooLow,
     EqualLabels,
     FormNotClosed,
     InconsistentCrossRatios,
     NotCircular,
+    NotConcircular,
+    NotPlanar,
     NullDiagonalDifference,
 )
 from koenigsnets.isothermic import (
@@ -65,6 +71,53 @@ class TestCircularity:
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         moved = QNet(3.0 * iso_net.net.vertices @ rot.T + 1.0)
         assert check_circular(moved).passed
+
+
+def _grid_with(extents, changes):
+    """Unit grid in R^3 with some vertices moved: {lattice index: new point}."""
+    v = generate.grid(extents).vertices.copy()
+    for u, p in changes.items():
+        v[u] = p
+    return QNet(v)
+
+
+class TestDegenerateQuads:
+    """One bad quad inside a net: the error class of its first failing
+    predicate, and the base of the first failing quad in the message."""
+
+    # moved vertices, then (error, base) from check_circular and from quad_cross_ratios
+    CASES = {
+        "not planar": ({(2, 2): (2.0, 2.0, 0.3)}, (NotPlanar, "(1, 1)"), (NotPlanar, "(1, 1)")),
+        # the quad at (1, 1) lies on a line; the one at (0, 1) only has three collinear corners
+        "collinear": (
+            {(2, 2): (3.0, 1.0, 0.0), (1, 2): (1.5, 1.0, 0.0)},
+            (CollinearTriple, "(1, 1)"),
+            (NotConcircular, "(0, 1)"),
+        ),
+        # f_i == f at (1, 1); at (1, 0) the last two corners coincide, which is still concircular
+        "coincident": ({(2, 1): (1.0, 1.0, 0.0)}, (CoincidentPoints, "(1, 1)"), (CoincidentPoints, "(1, 0)")),
+        "not concircular": ({(2, 2): (2.2, 2.0, 0.0)}, None, (NotConcircular, "(1, 1)")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_failing_quad(self, case):
+        changes, circ, cross = self.CASES[case]
+        net = _grid_with((5, 5), changes)
+        if circ is None:
+            assert not check_circular(net).passed
+        else:
+            with pytest.raises(circ[0], match=re.escape(f"quad base {circ[1]}")):
+                check_circular(net)
+        with pytest.raises(cross[0], match=re.escape(f"quad base {cross[1]}")):
+            quad_cross_ratios(net)
+        # circularity is tested on every quad before any cross-ratio
+        with pytest.raises(circ[0] if circ else NotCircular):
+            check_isothermic(net)
+
+    def test_offenders_name_every_bad_quad(self):
+        net = _grid_with((5, 5), {(2, 2): (2.2, 2.0, 0.0)})
+        rep = check_circular(net)
+        assert [o[0] for o in rep.offenders] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 class TestCrossRatios:
@@ -332,6 +385,32 @@ class TestMoebiusCharacterizations:
         pts = [v[2, 2], v[3, 3], v[3, 1], v[1, 3], v[1, 1]]
         for p in pts:
             assert np.linalg.norm(p - center) == pytest.approx(radius, rel=1e-8)
+
+
+def _symmetries(net, rng):
+    """The net under the similarities and lattice symmetries every verdict must survive."""
+    v = net.vertices
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return {
+        "as generated": v,
+        "translated by 100": v + 100.0,
+        "scaled by 1e-4": 1e-4 * v,
+        "scaled by 1e4": 1e4 * v,
+        "rotated": v @ rot.T,
+        "lattice axes swapped": v.transpose(1, 0, 2),
+        "lattice axis reversed": v[::-1],
+    }
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("n", [10, 48])
+    def test_verdicts_survive_symmetries(self, n):
+        net = generate.random_isothermic_2d((n, n), rng=np.random.default_rng(n)).net
+        for name, v in _symmetries(net, np.random.default_rng(7)).items():
+            moved = QNet(v)
+            assert check_circular(moved).passed, name
+            assert check_isothermic(moved).passed, name
+            assert check_moebius_characterizations(moved).passed, name
 
 
 class TestMoebiusInvariance:

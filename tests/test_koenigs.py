@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,52 @@ class TestClosedness:
         # triangle products on a translational net are (-1)^3
         rep = check_closedness(generate.grid((3, 3, 3)))
         assert not rep.is_koenigs
+
+
+def _corner_products_reference(net, form):
+    """Loop reference for the triangle cycles: (description, |product - 1|)
+    at every hexahedron corner, from one directed q per face diagonal."""
+    out = []
+    for axes in combinations(range(net.m), 3):
+        i, j, k = axes
+        for w in product(*(range(e - 1) if ax in axes else range(e) for ax, e in enumerate(net.extents))):
+            for bits in product((0, 1), repeat=3):
+                corner = list(w)
+                for ax, bit in zip(axes, bits):
+                    corner[ax] += bit
+                corner = tuple(corner)
+                nb = {}  # the corner's neighbours inside the cube
+                for ax in axes:
+                    n = list(corner)
+                    n[ax] = 2 * w[ax] + 1 - corner[ax]
+                    nb[ax] = tuple(n)
+                prod = 1.0
+                for (p, q), (frm, to) in (((i, j), (nb[i], nb[j])), ((j, k), (nb[j], nb[k])), ((i, k), (nb[k], nb[i]))):
+                    r = next(ax for ax in axes if ax not in (p, q))
+                    base = list(w)
+                    base[r] = corner[r]
+                    prod *= form.directed(tuple(base), p, q, frm, to)
+                out.append((f"corner {corner} of cube {w} axes {axes}", abs(prod - 1.0)))
+    return out
+
+
+class TestTriangleCycles:
+    def test_perturbed_vertex_matches_loop_reference(self):
+        # in R^2 every quad stays planar when a vertex moves
+        net, _, _ = generate.random_koenigs_3d((4, 4, 4), ambient_dim=2, rng=np.random.default_rng(102))
+        assert check_closedness(net).is_koenigs
+        v = net.vertices.copy()
+        v[2, 2, 2] += (0.01, 0.02)
+        bad = QNet(v)
+        rep = check_closedness(bad)
+        ref = [(d, r) for d, r in _corner_products_reference(bad, build_q_form(bad)) if r > 1e-8]
+        got = [(d, r) for d, r in rep.failures if d.startswith("corner")]
+        assert len(ref) > 0
+        assert [d for d, _ in got] == [d for d, _ in ref]
+        assert np.allclose([r for _, r in got], [r for _, r in ref], rtol=1e-12, atol=0.0)
+        # every broken triangle lies in a cube around the moved vertex
+        cubes = {tuple(int(x) for x in d.split("cube (")[1].split(")")[0].split(",")) for d, _ in got}
+        assert cubes <= set(product((1, 2), repeat=3))
 
 
 class TestIntegrateNu:
