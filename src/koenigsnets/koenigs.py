@@ -182,7 +182,7 @@ def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalFor
         n_cycles += res.size
         max_res = max(max_res, float(res.max()))
         for idx in zip(*np.nonzero(res > tol.product)):
-            failures.append((f"vertex cycle axes ({i},{j}) at base {idx}", float(res[idx])))
+            failures.append((f"vertex cycle axes ({i},{j}) at base {tuple(map(int, idx))}", float(res[idx])))
     # triangle cycles at hexahedron corners
     if net.m >= 3:
         for axes, res in _corner_triangle_products(net, form):
@@ -693,7 +693,7 @@ def check_koenigs_2d_geometric(
     excluded = _rank_residual(star[:, :5], 2) <= tol.incidence  # f and its neighbours span a plane
     mpts = form.m_points[(0, 1)]
     ms = np.stack([mpts[:-1, :-1], mpts[1:, :-1], mpts[:-1, 1:], mpts[1:, 1:]], axis=2)
-    res_a = _rank_residual(ms.reshape(len(star), 4, -1), 2)
+    res_a = _rank_residual(ms.reshape(len(star), 4, net.ambient_dim), 2)
     res_b = res_c = [None] * len(star)
     if net.ambient_dim >= 4:
         res_b = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3).tolist()

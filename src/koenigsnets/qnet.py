@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionTooLow
-from .geom import DEFAULT_TOL, PlanarQuad, Tolerances
+from .geom import DEFAULT_TOL, PlanarQuad, Tolerances, rank_residual
 
 __all__ = [
     "QNet",
@@ -122,12 +122,7 @@ def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> PlanarityReport:
     offenders = []
     for i, j in combinations(range(net.m), 2):
         pts, bases = _gather_quads(net, i, j)
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        sv = np.linalg.svd(centered, compute_uv=False)
-        if sv.shape[1] > 2:
-            res = np.where(sv[:, 0] > 0, sv[:, 2] / np.maximum(sv[:, 0], 1e-300), 0.0)
-        else:
-            res = np.zeros(len(pts))
+        res = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
         max_res = max(max_res, float(res.max(initial=0.0)))
         for idx in np.nonzero(res > tol.incidence)[0]:
             offenders.append((bases[idx], i, j, float(res[idx])))

@@ -162,6 +162,13 @@ class TestPipelines:
                     "circular", "isothermic", "moebius"):
             assert report[key]["passed"]
 
+    def test_report_on_net_without_interior_vertices(self, tmp_path):
+        _, net = cli(tmp_path, "generate", "grid", "--extents", "2", "5", outname="net.json")
+        code, out = cli(tmp_path, "report", infile=net, outname="report.json")
+        assert code == 0
+        assert all(entry["passed"] for entry in json.loads(out.read_text()).values())
+        assert cli(tmp_path, "check", "geometric", infile=net)[0] == 0
+
     def test_report_records_failure_category(self, tmp_path):
         _, net = cli(tmp_path, "generate", "moutard", "--extents", "5", "5",
                      "--seed", "3", outname="net.json")

@@ -162,6 +162,10 @@ class TestCheckIsothermic:
         rep = check_isothermic(net)
         assert not rep.passed and len(rep.failures) > 0
 
+    def test_failures_name_plain_indices(self, flipped):
+        rep = check_isothermic(flipped[0])
+        assert all(re.fullmatch(r"interior vertex \(\d+, \d+\)", d) for d, _ in rep.failures)
+
     def test_isothermic_nets_are_koenigs(self, iso_net):
         assert check_closedness(iso_net.net).is_koenigs
 
@@ -378,6 +382,38 @@ class TestMoebiusCharacterizations:
         net, _ = flipped
         assert not check_moebius_characterizations(net).passed
         assert not check_isothermic(net).passed
+
+    @pytest.mark.parametrize("extents", [(2, 5), (5, 2)])
+    def test_net_without_interior_vertices(self, extents):
+        net = QNet(generate.grid(extents).vertices + np.array([0.0, 0.0, 1.0]) * np.arange(extents[1])[:, None] ** 2)
+        rep = check_moebius_characterizations(net)
+        assert rep.passed and rep.records == [] and rep.max_residual == 0.0
+        assert check_isothermic(net).passed
+
+    def test_star_in_its_central_sphere(self):
+        # at vertex (29, 42) the five-point sphere passes within 2e-10 of f_{+1},
+        # so the whole star lies in it and the in-sphere test judges that star
+        net = generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(47)).net
+        rep = check_moebius_characterizations(net)
+        assert rep.mode == "sphere" and rep.passed
+        assert [u for u, _, contained in rep.records if any(contained)] == [(29, 42)]
+
+    def test_planar_net(self):
+        iso = generate.random_isothermic_2d((6, 6), ambient_dim=2, rng=np.random.default_rng(3))
+        rep = check_moebius_characterizations(iso.net)
+        assert rep.mode == "in_sphere" and rep.passed
+        assert not check_moebius_characterizations(generate.flip_corner_cross_ratio(iso)[0]).passed
+
+    def test_net_in_a_3_sphere(self, iso_net, flipped):
+        # inverse stereographic projection into S^3 in R^4 is a Moebius map;
+        # the net is in a 3-sphere, not a 2-sphere, so the five-point test applies
+        def to_s3(v):
+            n2 = (v * v).sum(axis=-1, keepdims=True)
+            return QNet(np.concatenate([2 * v, n2 - 1], axis=-1) / (n2 + 1))
+
+        rep = check_moebius_characterizations(to_s3(iso_net.net.vertices))
+        assert rep.mode == "sphere" and rep.passed
+        assert not check_moebius_characterizations(to_s3(flipped[0].vertices)).passed
 
     def test_central_sphere(self, iso_net):
         v = iso_net.net.vertices

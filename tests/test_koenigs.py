@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -143,6 +144,9 @@ class TestTriangleCycles:
         # every broken triangle lies in a cube around the moved vertex
         cubes = {tuple(int(x) for x in d.split("cube (")[1].split(")")[0].split(",")) for d, _ in got}
         assert cubes <= set(product((1, 2), repeat=3))
+        # the 4-cycle descriptions print plain ints, not numpy scalars
+        cycles = [d for d, _ in rep.failures if d.startswith("vertex cycle")]
+        assert cycles and all(re.fullmatch(r"vertex cycle axes \(\d,\d\) at base \(\d+, \d+, \d+\)", d) for d in cycles)
 
 
 class TestIntegrateNu:
@@ -356,6 +360,11 @@ class TestGeometric2D:
         # every interior vertex of a flat grid violates the precondition
         assert sum(1 for r in rep.records if r.excluded) == 4
         assert rep.passed
+
+    @pytest.mark.parametrize("extents", [(2, 5), (5, 2)])
+    def test_net_without_interior_vertices(self, extents):
+        rep = check_koenigs_2d_geometric(generate.grid(extents))
+        assert rep.passed and rep.records == [] and rep.max_residual == 0.0
 
 
 class TestGeometric3D:
