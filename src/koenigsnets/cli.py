@@ -241,11 +241,15 @@ def _cmd_report(args) -> int:
             report[name] = {"passed": None, "category": type(exc).__name__, "message": str(exc)}
 
     record("qnet", lambda: _pack(qnet.check_qnet(net, tol)))
-    record("koenigs_closedness", lambda: _pack(koenigs.check_closedness(net, tol)))
-    if net.m == 2:
-        record("koenigs_geometric", lambda: _pack(koenigs.check_koenigs_2d_geometric(net, tol)))
-    else:
-        record("koenigs_geometric", lambda: _pack(koenigs.check_koenigs_3d_geometric(net, tol)))
+    forms = []  # the diagonal form, built once for both Koenigs checks
+
+    def closedness():
+        forms.append(koenigs.build_q_form(net, tol))
+        return koenigs.check_closedness(net, tol, form=forms[0])
+
+    record("koenigs_closedness", lambda: _pack(closedness()))
+    geometric = koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric
+    record("koenigs_geometric", lambda: _pack(geometric(net, tol, form=forms[0] if forms else None)))
     record("circular", lambda: _pack(iso_mod.check_circular(net, tol)))
     if report["circular"].get("passed"):
         record("isothermic", lambda: _pack(iso_mod.check_isothermic(net, tol)))

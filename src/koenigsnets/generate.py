@@ -5,7 +5,7 @@ every construction is reproducible from a seed.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -13,7 +13,17 @@ from .errors import DegenerateQuad, VanishingLastComponent
 from .geom import DEFAULT_TOL, Tolerances, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import EdgeLabelling, QNet, VertexScalar, _crop, quad_points
+from .qnet import (
+    EdgeLabelling,
+    QNet,
+    VertexScalar,
+    _back,
+    _crop,
+    _first_positive_axes,
+    _raise_first_row,
+    _wavefront,
+    quad_points,
+)
 
 __all__ = [
     "grid",
@@ -102,52 +112,32 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     axes = [_homogeneous_axis(n, ax, ambient_dim, rng, noise) for ax, n in enumerate(extents)]
     for ax in range(1, m):
         axes[ax][0] = axes[0][0]
-    dim = ambient_dim + 1
-    y = np.full(tuple(extents) + (dim,), np.nan)
     # coordinate planes by independent 2d evolutions
-    planes = list(combinations(range(m), 2))
-    for i, j in planes:
-        ni, nj = y.shape[i], y.shape[j]
-        a = _base_coeff(i, j) + noise * rng.standard_normal((ni - 1, nj - 1))
-        mn2 = moutard_evolve((axes[i], axes[j]), {(0, 1): a})
-        sl = [0] * m + [slice(None)]
-        sl[i] = slice(None)
-        sl[j] = slice(None)
-        y[tuple(sl)] = mn2.points
-    # remaining points in order of |u|, each from the hexahedron spanned by
-    # its first three positive axes
-    order = sorted(product(*(range(n) for n in extents)), key=sum)
-    for u in order:
-        if not np.any(np.isnan(y[u])):
-            continue
-        i, j, k = [ax for ax in range(m) if u[ax] > 0][:3]
-        b = list(u)
-        b[i] -= 1
-        b[j] -= 1
-        b[k] -= 1
-        b = tuple(b)
-
-        def at(*shift, b=b):
-            v = list(b)
-            for ax in shift:
-                v[ax] += 1
-            return y[tuple(v)]
-
-        # y_ijk - y_k || y_jk - y_ik and y_ijk - y_i || y_ik - y_ij
-        y[u] = _intersect_lines(at(k), at(j, k) - at(i, k), at(i), at(i, k) - at(i, j))
+    planes = {}
+    for i, j in combinations(range(m), 2):
+        a = _base_coeff(i, j) + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1))
+        planes[(i, j)] = moutard_evolve((axes[i], axes[j]), {(0, 1): a}).points
+    # every other point, in order of |u|, from the hexahedron spanned by its
+    # first three positive axes
+    y = _wavefront(planes, _hexahedron_steps)
     coeffs = {pair: _fit_moutard_coeffs(y, *pair) for pair in planes}
     mn = MoutardNet(points=y, coeffs=coeffs, lightcone=False)
     net, nu = mn.project_homogeneous()
     return net, nu, mn
 
 
-def _intersect_lines(p, d1, q, d2) -> np.ndarray:
-    """Least-squares intersection of p + t d1 and q + s d2 in R^n."""
-    A = np.stack([d1, -d2], axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(A, q - p, rcond=None)
-    if rank < 2:
-        raise DegenerateQuad("parallel Moutard lines in hexahedron fill")
-    return p + sol[0] * d1
+def _hexahedron_steps(y, u):
+    """y_ijk at u on the hexahedron (i, j, k) below it, as the common point
+    of the lines y_ijk - y_k || y_jk - y_ik and y_ijk - y_i || y_ik - y_ij,
+    by least squares (SVD, with the rank numpy.linalg.lstsq would find)."""
+    i, j, k = _first_positive_axes(u, 3)
+    p, q, yik = y[_back(u, i, j)], y[_back(u, j, k)], y[_back(u, j)]
+    d1, d2 = y[_back(u, i)] - yik, yik - y[_back(u, k)]
+    w, sv, vt = np.linalg.svd(np.stack([d1, -d2], axis=-1), full_matrices=False)
+    rank1 = sv[:, 1] <= np.finfo(float).eps * max(d1.shape[1], 2) * sv[:, 0]
+    _raise_first_row(u, [(rank1, DegenerateQuad, "parallel Moutard lines in hexahedron fill")])
+    t = (vt[:, :, 0] * np.einsum("nik,ni->nk", w, q - p) / sv).sum(axis=-1)
+    return p + t[:, None] * d1
 
 
 def _fit_moutard_coeffs(y: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -165,48 +155,31 @@ def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
     hexahedron (Q-nets propagate this way in R^3).
     """
     rng = np.random.default_rng(rng)
-    n1, n2, n3 = extents
-    f = np.full((n1, n2, n3, 3), np.nan)
     axis_curves = [_random_axis_curve(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
-    # coordinate planes: random fourth vertices inside each quad plane
+    # coordinate planes: random fourth vertices inside each quad plane, lam
+    # and mu drawn quad by quad
+    planes = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        ni, nj = f.shape[i], f.shape[j]
-        plane = np.zeros((ni, nj, 3))
-        plane[:, 0] = axis_curves[i]
-        plane[0, :] = axis_curves[j]
-        for a in range(1, ni):
-            for b in range(1, nj):
-                p, pi, pj = plane[a - 1, b - 1], plane[a, b - 1], plane[a - 1, b]
-                lam = 1.0 + noise * rng.standard_normal()
-                mu = 1.0 + noise * rng.standard_normal()
-                plane[a, b] = p + lam * (pi - p) + mu * (pj - p)
-        sl = [0, 0, 0, slice(None)]
-        sl[i] = slice(None)
-        sl[j] = slice(None)
-        f[tuple(sl)] = plane
-    for u in product(range(1, n1), range(1, n2), range(1, n3)):
-        u1, u2, u3 = u
-        corners = {
-            (1, 1, 0): f[u1, u2, u3 - 1],
-            (1, 0, 1): f[u1, u2 - 1, u3],
-            (0, 1, 1): f[u1 - 1, u2, u3],
-            (1, 0, 0): f[u1, u2 - 1, u3 - 1],
-            (0, 1, 0): f[u1 - 1, u2, u3 - 1],
-            (0, 0, 1): f[u1 - 1, u2 - 1, u3],
-        }
-        # face planes through (f_i, f_ij, f_ik) for each axis i of the cube top
-        normals, offsets = [], []
-        for triple in (
-            ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
-            ((0, 1, 0), (1, 1, 0), (0, 1, 1)),
-            ((0, 0, 1), (1, 0, 1), (0, 1, 1)),
-        ):
-            p0, p1, p2 = (corners[t] for t in triple)
-            n = np.cross(p1 - p0, p2 - p0)
-            normals.append(n)
-            offsets.append(np.dot(n, p0))
-        f[u] = np.linalg.solve(np.stack(normals), np.array(offsets))
-    return QNet(f)
+        lam, mu = np.moveaxis(1.0 + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1, 2)), -1, 0)
+
+        def step(p, u, lam=lam, mu=mu):
+            b = _back(u, 0, 1)
+            return p[b] + lam[b][:, None] * (p[_back(u, 1)] - p[b]) + mu[b][:, None] * (p[_back(u, 0)] - p[b])
+
+        planes[(i, j)] = _wavefront({(0,): axis_curves[i], (1,): axis_curves[j]}, step)
+    return QNet(_wavefront(planes, _q_cube_steps))
+
+
+def _q_cube_steps(f, u):
+    """f_ijk at u: the common point of the face planes through (f_i, f_ij,
+    f_ik) for each axis i of the cube below u."""
+    normals, offsets = [], []
+    for b, c in ((1, 2), (0, 2), (0, 1)):
+        p0, p1, p2 = f[_back(u, b, c)], f[_back(u, c)], f[_back(u, b)]
+        n = np.cross(p1 - p0, p2 - p0)
+        normals.append(n)
+        offsets.append((n * p0).sum(axis=-1))
+    return np.linalg.solve(np.stack(normals, axis=1), np.stack(offsets, axis=1)[..., None])[..., 0]
 
 
 def random_isothermic_2d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.05) -> IsothermicNet:

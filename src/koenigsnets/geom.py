@@ -241,27 +241,47 @@ def plane_frame(points: np.ndarray):
     """Orthonormal in-plane basis (origin, u, v) for nearly-coplanar points.
 
     u points along ``points[1] - points[0]``; v spans the remaining in-plane
-    direction.  Batched in :func:`quad_circles`; kept scalar for the per-quad
-    calls of ``three_leg_evolve``: 22 us a call against 101 us as a batch of one.
+    direction.  A batch of one in :func:`_plane_frames`.
     """
     pts = np.asarray(points, dtype=float)
-    origin = pts[0]
-    u = pts[1] - origin
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise CoincidentPoints("cannot build a frame from coincident points")
-    u = u / nu
-    v = None
-    for p in pts[2:]:
-        w = p - origin
-        w = w - np.dot(w, u) * u
-        nw = np.linalg.norm(w)
-        if nw > 1e-13 * max(nu, np.linalg.norm(p - origin)):
-            v = w / nw
-            break
-    if v is None:
+    if len(pts) < 3:
         raise CollinearTriple("all points are collinear; no plane frame")
-    return origin, u, v
+    u, v, _, nu, spans = _plane_frames(pts[None])
+    if nu[0] == 0.0:
+        raise CoincidentPoints("cannot build a frame from coincident points")
+    if not spans[0].any():
+        raise CollinearTriple("all points are collinear; no plane frame")
+    return pts[0], u[0], v[0]
+
+
+def _plane_frames(pts: np.ndarray):
+    """The frame of :func:`plane_frame` for each point set of a stack
+    (Q, k, N), k >= 3: u along points[1] - points[0], v from the first later
+    point that leaves the line by more than 1e-13 of its distance.
+
+    Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane
+    coordinates z (Q, k, 2) of every point relative to points[0], the length
+    nu (Q,) of points[1] - points[0], and whether each later point spans the
+    plane (Q, k - 2).  A set with nu == 0 or no spanning point has no frame;
+    its u, v and z are then not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = pts - pts[:, :1]
+        nu = _length(rel[:, 1])
+        u = rel[:, 1] / nu[:, None]
+        w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
+        nw = _length(w)
+        spans = nw > 1e-13 * np.maximum(nu[:, None], _length(rel[:, 2:]))
+        pick = np.argmax(spans, axis=1)[:, None]
+        v = np.take_along_axis(w, pick[..., None], axis=1)[:, 0] / np.take_along_axis(nw, pick, axis=1)
+        z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
+    return u, v, z, nu, spans
+
+
+def _length(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis, each the square root of a dot
+    product, as numpy.linalg.norm computes the length of one vector."""
+    return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
 
 
 def to_plane_coords(points: np.ndarray, frame) -> np.ndarray:
@@ -298,17 +318,9 @@ def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
     and :func:`raise_quad_error` raises its typed error.
     """
     pts = np.asarray(pts, dtype=float)
+    _, _, z, nu, spans = _plane_frames(pts)
     with np.errstate(divide="ignore", invalid="ignore"):
         planar = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
-        rel = pts - pts[:, :1]  # the frame of plane_frame: u along b - a, v from c or else d
-        nu = np.linalg.norm(rel[:, 1], axis=-1)
-        u = rel[:, 1] / nu[:, None]
-        w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
-        nw = np.linalg.norm(w, axis=-1)
-        spans = nw > 1e-13 * np.maximum(nu[:, None], np.linalg.norm(rel[:, 2:], axis=-1))
-        pick = np.where(spans[:, 0], 0, 1)[:, None]
-        v = np.take_along_axis(w, pick[..., None], axis=1)[:, 0] / np.take_along_axis(nw, pick, axis=1)
-        z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
         x, y = z[..., 0], z[..., 1]
         diam = np.linalg.norm(z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]], axis=-1).max(axis=1)
         rows = np.stack([x, y, x * x + y * y, np.ones_like(x)], axis=-1)

@@ -7,11 +7,13 @@ in the Minkowski light cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .errors import (
+    CoincidentPoints,
+    CollinearTriple,
     DimensionTooLow,
     EqualLabels,
     FormNotClosed,
@@ -25,21 +27,31 @@ from .errors import (
 from .geom import (
     DEFAULT_TOL,
     Tolerances,
+    _plane_frames,
     minkowski_dot_arrays,
-    plane_frame,
     quad_circles,
     raise_quad_error,
     rank_residual,
-    to_plane_coords,
 )
 from .koenigs import (
     MoutardNet,
     _integrate_one_form,
     _one_form_closure_residual,
-    _shift,
     integrate_nu,
 )
-from .qnet import EdgeLabelling, QNet, VertexScalar, _crop, _cubes, _gather_quads, _star
+from .qnet import (
+    EdgeLabelling,
+    QNet,
+    VertexScalar,
+    _back,
+    _crop,
+    _cubes,
+    _first_positive_axes,
+    _gather_quads,
+    _raise_first_row,
+    _star,
+    _wavefront,
+)
 
 __all__ = [
     "IsothermicNet",
@@ -330,39 +342,29 @@ def three_leg_evolve(axes_data, labels: EdgeLabelling, tol: Tolerances = DEFAULT
     complex arithmetic; every produced quad is concircular with cross-ratio
     alpha_i / alpha_j.
     """
-    f1, f2 = (np.asarray(a, dtype=float) for a in axes_data)
-    if not np.allclose(f1[0], f2[0]):
-        raise ValueError("axis data disagree at the origin")
     a1, a2 = labels.per_axis
-    n1, n2, dim = f1.shape[0], f2.shape[0], f1.shape[1]
-    f = np.empty((n1, n2, dim))
-    f[:, 0] = f1
-    f[0, :] = f2
-    for u1 in range(1, n1):
-        for u2 in range(1, n2):
-            f[u1, u2] = _three_leg_point(
-                f[u1 - 1, u2 - 1], f[u1, u2 - 1], f[u1 - 1, u2],
-                a1[u1 - 1], a2[u2 - 1],
-            )
+    pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
+    f = _wavefront(pieces, lambda f, u: _three_leg_steps(f, u, a1[u[:, 0] - 1], a2[u[:, 1] - 1]), tol)
     net = QNet(f)
     metric = recover_metric(net, tol=tol)
     return IsothermicNet(net=net, labels=labels, metric=metric)
 
 
-def _three_leg_point(f, fi, fj, alpha_i, alpha_j):
-    """Fourth vertex of the quad (f, f_i, f_ij, f_j) from the three-leg form."""
-    if alpha_i == alpha_j:
-        raise EqualLabels(f"alpha_i == alpha_j == {alpha_i}: fourth vertex at infinity")
-    frame = plane_frame(np.stack([f, fi, fj]))
-    zi, zj = (complex(p[0], p[1]) for p in to_plane_coords(np.stack([fi, fj]), frame))
-    if zi == 0 or zj == 0:
-        raise ZeroLeg("coincident points in three-leg step")
-    w = alpha_i / zi - alpha_j / zj
-    if w == 0:
-        raise ZeroLeg("degenerate three-leg step: fourth vertex at infinity")
-    zij = (alpha_i - alpha_j) / w
-    origin, u, v = frame
-    return origin + zij.real * u + zij.imag * v
+def _three_leg_steps(f, u, alpha_i, alpha_j):
+    """Fourth vertices f_ij at u of the quads (f, f_i, f_ij, f_j) below u."""
+    pts = np.stack([f[_back(u, 0, 1)], f[_back(u, 1)], f[_back(u, 0)]], axis=1)
+    e1, e2, z, nu, spans = _plane_frames(pts)
+    zi, zj = np.moveaxis(z.view(complex)[:, 1:, 0], 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = alpha_i / zi - alpha_j / zj
+        zij = (alpha_i - alpha_j) / w
+    _raise_first_row(u, [
+        (alpha_i == alpha_j, EqualLabels, "alpha_i == alpha_j: fourth vertex at infinity"),
+        (nu == 0.0, CoincidentPoints, "cannot build a frame from coincident points"),
+        (~spans[:, 0], CollinearTriple, "all points are collinear; no plane frame"),
+        ((zi == 0) | (zj == 0) | (w == 0), ZeroLeg, "degenerate three-leg step: fourth vertex at infinity"),
+    ])
+    return pts[:, 0] + zij.real[:, None] * e1 + zij.imag[:, None] * e2
 
 
 # --- light-cone Moutard representatives ---------------------------------------
@@ -428,82 +430,44 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
         scale = (arr * arr).sum(axis=-1)
         if np.any(iso_res > tol.incidence * np.maximum(scale, 1e-300)):
             raise ValueError("axis data must be isotropic")
-    if len(axes_data) == 2:
-        mn = _lightcone_fill_2d(axes_data[0], axes_data[1], tol)
-    elif len(axes_data) == 3:
-        mn = _lightcone_fill_3d(axes_data, tol)
-    else:
+    if len(axes_data) not in (2, 3):
         raise DimensionTooLow("lightcone_evolve supports m = 2 or 3")
+    mn = _lightcone_fill(axes_data, tol)
     iso = project_lightcone_net(mn, tol)
     return mn, iso
 
 
-def _lightcone_step(y, yi, yj):
-    d = yj - yi
-    dd = minkowski_dot_arrays(d, d)
-    if abs(dd) <= 1e-300:
-        raise NullDiagonalDifference("diagonal difference is isotropic")
-    a = -2.0 * minkowski_dot_arrays(y, d) / dd
-    return y + a * d, float(a)
+def _lightcone_fill(axes, tol: Tolerances) -> MoutardNet:
+    """Fill from the axis data one hyperplane at a time, each vertex through
+    the quad of its first two positive axes; then the coefficients of every
+    face, those the fill did not use included."""
+    m = len(axes)
 
+    def step(y, u):
+        i, j = _first_positive_axes(u, 2)
+        yb, d = y[_back(u, i, j)], y[_back(u, i)] - y[_back(u, j)]
+        a, null = _lightcone_coeff(yb, d, tol)
+        _raise_first_row(u, [(null, NullDiagonalDifference, "diagonal difference is isotropic")])
+        return yb + a[:, None] * d
 
-def _lightcone_fill_2d(y1, y2, tol: Tolerances) -> MoutardNet:
-    if not np.allclose(y1[0], y2[0]):
-        raise ValueError("axis data disagree at the origin")
-    n1, n2, d = y1.shape[0], y2.shape[0], y1.shape[1]
-    y = np.empty((n1, n2, d))
-    y[:, 0] = y1
-    y[0, :] = y2
-    a = np.empty((n1 - 1, n2 - 1))
-    for u1 in range(1, n1):
-        for u2 in range(1, n2):
-            y[u1, u2], a[u1 - 1, u2 - 1] = _lightcone_step(
-                y[u1 - 1, u2 - 1], y[u1, u2 - 1], y[u1 - 1, u2]
-            )
-    return MoutardNet(points=y, coeffs={(0, 1): a}, lightcone=True)
-
-
-def _lightcone_fill_3d(axes, tol: Tolerances) -> MoutardNet:
-    y1, y2, y3 = axes
-    n1, n2, n3 = y1.shape[0], y2.shape[0], y3.shape[0]
-    d = y1.shape[1]
-    y = np.full((n1, n2, n3, d), np.nan)
-    y[:, 0, 0] = y1
-    y[0, :, 0] = y2
-    y[0, 0, :] = y3
-    coeffs = {
-        (0, 1): np.empty((n1 - 1, n2 - 1, n3)),
-        (0, 2): np.empty((n1 - 1, n2, n3 - 1)),
-        (1, 2): np.empty((n1, n2 - 1, n3 - 1)),
-    }
-    for u in product(range(n1), range(n2), range(n3)):
-        if not np.any(np.isnan(y[u])):
-            continue
-        positive = [ax for ax in range(3) if u[ax] > 0]
-        i, j = positive[0], positive[1] if len(positive) > 1 else None
-        if j is None:
-            raise ValueError("axis data missing")
-        base = list(u)
-        base[i] -= 1
-        base[j] -= 1
-        base = tuple(base)
-        yb = y[base]
-        ybi = y[_shift(base, i)]
-        ybj = y[_shift(base, j)]
-        y[u], a = _lightcone_step(yb, ybi, ybj)
-        coeffs[(i, j)][base] = a
-    # record the remaining face coefficients for the consistency report
-    for (i, j), arr in coeffs.items():
-        it = np.nditer(arr, flags=["multi_index"], op_flags=["writeonly"])
-        for val in it:
-            base = it.multi_index
-            yb = y[base]
-            dvec = y[_shift(base, j)] - y[_shift(base, i)]
-            dd = minkowski_dot_arrays(dvec, dvec)
-            if abs(dd) <= 1e-300:
-                raise NullDiagonalDifference("diagonal difference is isotropic")
-            val[...] = -2.0 * minkowski_dot_arrays(yb, dvec) / dd
+    y = _wavefront({(k,): a for k, a in enumerate(axes)}, step, tol)
+    coeffs = {}
+    for i, j in combinations(range(m), 2):
+        d = _crop(y, (i, j), (0, 1)) - _crop(y, (i, j), (1, 0))
+        coeffs[(i, j)], null = _lightcone_coeff(_crop(y, (i, j), (0, 0)), d, tol)
+        if null.any():
+            base = tuple(int(x) for x in np.unravel_index(np.argmax(null), null.shape))
+            raise NullDiagonalDifference(f"quad base {base} (axes {i},{j}): diagonal difference is isotropic")
     return MoutardNet(points=y, coeffs=coeffs, lightcone=True)
+
+
+def _lightcone_coeff(y, d, tol: Tolerances):
+    """a = -2 <y, d> / <d, d> of the step y + a d along diagonal differences
+    d, and where d is isotropic: |<d, d>| <= tol.incidence |d|^2."""
+    dd = minkowski_dot_arrays(d, d)
+    null = np.abs(dd) <= tol.incidence * (d * d).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -2.0 * minkowski_dot_arrays(y, d) / dd, null
 
 
 def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> IsothermicNet:

@@ -6,7 +6,6 @@ the geometric characterizations for m = 2 and m = 3.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
 
@@ -29,7 +28,7 @@ from .geom import (
     intersect_diagonals,
     rank_residual,
 )
-from .qnet import QNet, VertexScalar, _crop, _cubes, _gather_quads, _star
+from .qnet import QNet, VertexScalar, _back, _crop, _cubes, _gather_quads, _star, _wavefront
 
 __all__ = [
     "DiagonalForm",
@@ -249,10 +248,14 @@ def integrate_nu(
 ) -> KoenigsData:
     """Propagate nu along diagonals from one black and one white base value.
 
-    Uses breadth-first traversal with nu_ij/nu = q(f -> f_ij) and
-    nu_j/nu_i = q(f_i -> f_j), then re-verifies every diagonal relation.
-    Raises NotKoenigs if the residual exceeds tol.product (unless ``check``
-    is disabled, in which case the residual is reported in the result).
+    Integrates nu_ij/nu = q(f -> f_ij) and nu_j/nu_i = q(f_i -> f_j) one
+    layer at a time: cumulative products along the axis-0 line, each colour
+    through the (0, 1) quads, then one step per layer along every further
+    axis k through the (0, k) diagonals.  Each colour is rescaled to its base
+    value, and every diagonal relation is re-verified.  Raises NotKoenigs if
+    nu is not finite and nonzero, or if the residual exceeds tol.product
+    (unless ``check`` is disabled, in which case the residual is reported in
+    the result).
     """
     if form is None:
         form = build_q_form(net, tol)
@@ -260,56 +263,33 @@ def integrate_nu(
         base_black = (tuple(0 for _ in range(net.m)), 1.0)
     if base_white is None:
         base_white = (tuple(1 if ax == 0 else 0 for ax in range(net.m)), 1.0)
-    nu = np.full(net.extents, np.nan)
     for (u, value), color in ((base_black, 0), (base_white, 1)):
-        u = tuple(u)
         if sum(u) % 2 != color:
-            raise ValueError(f"base vertex {u} has the wrong parity")
+            raise ValueError(f"base vertex {tuple(u)} has the wrong parity")
         if value == 0.0:
             raise ZeroNu("base value of nu must be nonzero")
-        nu[u] = value
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            for w, factor in _diagonal_neighbours(net, form, v):
-                if np.isnan(nu[w]):
-                    nu[w] = nu[v] * factor
-                    queue.append(w)
-    if np.any(np.isnan(nu)):
-        raise NotKoenigs("diagonal graph does not reach every vertex")
+    nu = np.empty(net.extents)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # nu(t + 2) = nu(t) q(t -> t + e_0 + e_1) / q(t + e_0 -> t + e_1) on the axis-0 line
+        line = (slice(None),) + (0,) * (net.m - 1)
+        steps = form.q_main[(0, 1)][line][:-1] / form.q_cross[(0, 1)][line][1:]
+        nu[line][0::2] = np.cumprod(np.concatenate([[1.0], steps[0::2]]))
+        nu[line][1::2] = np.cumprod(np.concatenate([[1.0], steps[1::2]]))
+        for k in range(1, net.m):
+            qm, qc = form.q_main[(0, k)], form.q_cross[(0, k)]
+            for s in range(net.extents[k] - 1):
+                at = (slice(None),) * k + (s,) + (0,) * (net.m - k - 1)
+                nxt = at[:k] + (s + 1,) + at[k + 1:]
+                nu[nxt][1:] = nu[at][:-1] * qm[at]  # nu(u + e_0 + e_k) = nu(u) q(u -> u + e_0 + e_k)
+                nu[nxt][0] = nu[at][1] * qc[at][0]  # nu(u + e_k) = nu(u + e_0) q(u + e_0 -> u + e_k)
+        black = np.indices(net.extents).sum(axis=0) % 2 == 0
+        nu *= np.where(black, base_black[1] / nu[tuple(base_black[0])], base_white[1] / nu[tuple(base_white[0])])
+    if not np.all(np.isfinite(nu) & (nu != 0.0)):
+        raise NotKoenigs("nu propagation leaves the finite nonzero numbers")
     residual = _nu_residual(net, form, nu)
-    if check and residual > tol.product:
+    if check and not residual <= tol.product:
         raise NotKoenigs(f"nu propagation inconsistent: residual {residual:.3e}")
     return KoenigsData(nu=VertexScalar(nu), closedness_residual=residual)
-
-
-def _diagonal_neighbours(net: QNet, form: DiagonalForm, v):
-    """(neighbour, multiplicative factor) over all diagonals through v."""
-    for i, j in combinations(range(net.m), 2):
-        qm = form.q_main[(i, j)]
-        qc = form.q_cross[(i, j)]
-        # v as the base corner f: partner f_ij
-        if v[i] + 1 < net.extents[i] and v[j] + 1 < net.extents[j]:
-            yield _shift(v, i, j), qm[v]
-        # v as f_ij: partner f
-        if v[i] >= 1 and v[j] >= 1:
-            b = _unshift(v, i, j)
-            yield b, 1.0 / qm[b]
-        # v as f_i: partner f_j
-        if v[i] >= 1 and v[j] + 1 < net.extents[j]:
-            b = _unshift(v, i)
-            yield _shift(b, j), qc[b]
-        # v as f_j: partner f_i
-        if v[j] >= 1 and v[i] + 1 < net.extents[i]:
-            b = _unshift(v, j)
-            yield _shift(b, i), 1.0 / qc[b]
-
-
-def _unshift(u, *axes):
-    v = list(u)
-    for ax in axes:
-        v[ax] -= 1
-    return tuple(v)
 
 
 def _nu_residual(net: QNet, form: DiagonalForm, nu: np.ndarray) -> float:
@@ -447,19 +427,16 @@ def _one_form_closure_residual(net: QNet, forms) -> float:
 
 
 def _integrate_one_form(net: QNet, forms, base) -> QNet:
-    """Sum an edge one-form along lexicographic paths, then translate so the
-    base vertex lands on its prescribed value."""
+    """Sum an edge one-form along lexicographic paths (first along the last
+    axis, then along each earlier one), one cumulative sum per axis, then
+    translate so the base vertex lands on its prescribed value."""
     u0, f0 = base
-    u0 = tuple(u0)
-    out = np.empty(net.extents + (net.ambient_dim,))
-    out[tuple(0 for _ in range(net.m))] = 0.0
-    for u in product(*(range(e) for e in net.extents)):
-        for ax in range(net.m):
-            if u[ax] > 0:
-                prev = _unshift(u, ax)
-                out[u] = out[prev] + forms[ax][prev]
-                break
-    out += np.asarray(f0, dtype=float) - out[u0]
+    out = np.zeros(net.extents + (net.ambient_dim,))
+    for ax in reversed(range(net.m)):
+        lead = (0,) * ax  # the earlier axes are still at 0
+        col = out[lead]
+        np.cumsum(np.concatenate([col[:1], forms[ax][lead]]), axis=0, out=col)
+    out += np.asarray(f0, dtype=float) - out[tuple(u0)]
     return QNet(out)
 
 
@@ -601,46 +578,20 @@ def moutard_evolve(axes_data, coeffs, lightcone: bool = False) -> MoutardNet:
     is the caller's responsibility and is reported by
     :meth:`MoutardNet.moutard_residual`.
     """
-    if isinstance(axes_data, dict):
-        return _moutard_evolve_3d(axes_data, coeffs, lightcone)
-    y1, y2 = (np.asarray(a, dtype=float) for a in axes_data)
-    if not np.allclose(y1[0], y2[0]):
-        raise ValueError("axis data disagree at the origin")
     a01 = np.asarray(coeffs[(0, 1)], dtype=float)
-    n1, n2 = y1.shape[0], y2.shape[0]
-    d = y1.shape[1]
-    y = np.empty((n1, n2, d))
-    y[:, 0] = y1
-    y[0, :] = y2
-    for u1 in range(1, n1):
-        for u2 in range(1, n2):
-            y[u1, u2] = y[u1 - 1, u2 - 1] + a01[u1 - 1, u2 - 1] * (y[u1 - 1, u2] - y[u1, u2 - 1])
+    full = {(0, 1): a01}
+    if isinstance(axes_data, dict):
+        pieces = {axes: np.asarray(axes_data[axes], dtype=float) for axes in ((0, 1), (0, 2), (1, 2))}
+        full.update((key, np.asarray(coeffs[key], dtype=float)) for key in ((0, 2), (1, 2)) if key in coeffs)
+    else:
+        pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
+
+    def step(y, u):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below u
+        return y[_back(u, 0, 1)] + a01[_back(u, 0, 1)][:, None] * (y[_back(u, 0)] - y[_back(u, 1)])
+
+    y = _wavefront(pieces, step)
     if not np.all(np.isfinite(y)):
         raise ValueError("Moutard evolution produced non-finite values")
-    return MoutardNet(points=y, coeffs={(0, 1): a01}, lightcone=lightcone)
-
-
-def _moutard_evolve_3d(planes, coeffs, lightcone: bool) -> MoutardNet:
-    p01 = np.asarray(planes[(0, 1)], dtype=float)
-    p02 = np.asarray(planes[(0, 2)], dtype=float)
-    p12 = np.asarray(planes[(1, 2)], dtype=float)
-    n1, n2, d = p01.shape
-    n3 = p02.shape[1]
-    y = np.empty((n1, n2, n3, d))
-    y[:, :, 0] = p01
-    y[:, 0, :] = p02
-    y[0, :, :] = p12
-    a01 = np.asarray(coeffs[(0, 1)], dtype=float)  # shape (n1-1, n2-1, n3)
-    for u3 in range(1, n3):
-        for u1 in range(1, n1):
-            for u2 in range(1, n2):
-                y[u1, u2, u3] = y[u1 - 1, u2 - 1, u3] + a01[u1 - 1, u2 - 1, u3] * (
-                    y[u1 - 1, u2, u3] - y[u1, u2 - 1, u3]
-                )
-    full = {(0, 1): a01}
-    for key in ((0, 2), (1, 2)):
-        if key in coeffs:
-            full[key] = np.asarray(coeffs[key], dtype=float)
     return MoutardNet(points=y, coeffs=full, lightcone=lightcone)
 
 

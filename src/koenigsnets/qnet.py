@@ -167,6 +167,68 @@ def _star(values: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2).reshape((n1 - 2) * (n2 - 2), 9, *values.shape[2:])
 
 
+def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Solve a Cauchy problem on a lattice block one hyperplane
+    u_1 + ... + u_m = k at a time, in increasing k.
+
+    ``pieces`` maps axis tuples to the initial data on the coordinate
+    subspaces they span (every other coordinate 0), written in order; where
+    two pieces meet they must agree within tol.incidence times the largest
+    norm in the data, else ValueError.  Every other vertex is computed by
+    ``step(y, u)``, which gets the vertices u (n, m) of one hyperplane in C
+    order and returns their values from those on lower hyperplanes, raising
+    the typed error of its first degenerate vertex (:func:`_raise_first_row`).
+    """
+    m = 1 + max(ax for axes in pieces for ax in axes)
+    extents = [0] * m
+    for axes, values in pieces.items():
+        for ax, n in zip(axes, values.shape):
+            extents[ax] = n
+        tail = values.shape[len(axes):]
+    y = np.empty(tuple(extents) + tail)
+    known = np.zeros(extents, dtype=bool)
+    scale = max(float(np.linalg.norm(values, axis=-1).max()) for values in pieces.values())
+    gap = 0.0
+    for axes, values in pieces.items():
+        idx = tuple(slice(None) if ax in axes else 0 for ax in range(m))
+        meet = known[idx]
+        if meet.any():
+            gap = max(gap, float(np.linalg.norm(y[idx][meet] - values[meet], axis=-1).max()))
+        y[idx] = values
+        known[idx] = True
+    if not gap <= tol.incidence * scale:
+        raise ValueError(f"initial data disagree where they meet (by {gap:.3e} at scale {scale:.3e})")
+    todo = np.argwhere(~known)
+    level = todo.sum(axis=1)
+    order = np.argsort(level, kind="stable")  # by hyperplane, C order within one
+    if len(todo):
+        for u in np.split(todo[order], np.flatnonzero(np.diff(level[order])) + 1):
+            y[tuple(u.T)] = step(y, u)
+    return y
+
+
+def _back(u: np.ndarray, *axes) -> tuple:
+    """Index tuple of the vertices u (n, m) moved back by one along each of
+    ``axes`` (ints, or arrays with one axis per vertex)."""
+    eye = np.eye(u.shape[1], dtype=int)
+    return tuple((u - sum(eye[ax] for ax in axes)).T)
+
+
+def _first_positive_axes(u: np.ndarray, n: int) -> np.ndarray:
+    """The first n axes along which each vertex u (k, m) is positive, (n, k)."""
+    return np.argsort(u <= 0, axis=1, kind="stable")[:, :n].T
+
+
+def _raise_first_row(u: np.ndarray, checks) -> None:
+    """Raise the error of the first vertex u[k] that fails one of ``checks``,
+    (failed (n,), error class, message) in the order a vertex is tested."""
+    failed = np.logical_or.reduce([bad for bad, _, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        _, cls, message = next(check for check in checks if check[0][k])
+        raise cls(f"vertex {tuple(int(x) for x in u[k])}: {message}")
+
+
 @dataclass
 class VertexScalar:
     """Real-valued function on the vertices of a net."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import koenigsnets
-from koenigsnets import netio
+from koenigsnets import koenigs, netio
 from koenigsnets.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +168,15 @@ class TestPipelines:
         assert code == 0
         assert all(entry["passed"] for entry in json.loads(out.read_text()).values())
         assert cli(tmp_path, "check", "geometric", infile=net)[0] == 0
+
+    def test_report_builds_the_diagonal_form_once(self, tmp_path, monkeypatch):
+        _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
+                     "--seed", "3", outname="net.json")
+        calls = []
+        build = koenigs.build_q_form
+        monkeypatch.setattr(koenigs, "build_q_form", lambda *args: calls.append(args) or build(*args))
+        assert cli(tmp_path, "report", infile=net, outname="report.json")[0] == 0
+        assert len(calls) == 1
 
     def test_report_records_failure_category(self, tmp_path):
         _, net = cli(tmp_path, "generate", "moutard", "--extents", "5", "5",

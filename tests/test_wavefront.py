@@ -1,0 +1,469 @@
+"""The layer-sweep integrators and the wavefront fills against the
+vertex-by-vertex loops they replace, kept here as references."""
+from collections import deque
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+
+from koenigsnets import generate
+from koenigsnets.errors import (
+    CoincidentPoints,
+    CollinearTriple,
+    DegenerateQuad,
+    EqualLabels,
+    NotKoenigs,
+    NullDiagonalDifference,
+    ZeroLeg,
+)
+from koenigsnets.generate import _hexahedron_steps
+from koenigsnets.geom import minkowski_dot_arrays
+from koenigsnets.isothermic import _lift_array, lightcone_evolve, three_leg_evolve
+from koenigsnets.koenigs import (
+    DiagonalForm,
+    _integrate_one_form,
+    build_q_form,
+    check_closedness,
+    integrate_nu,
+    moutard_evolve,
+)
+from koenigsnets.qnet import EdgeLabelling, QNet, _wavefront
+
+# --- loop references ------------------------------------------------------------
+
+
+def _shift(u, *axes, by=1):
+    v = list(u)
+    for ax in axes:
+        v[ax] += by
+    return tuple(v)
+
+
+def loop_one_form(net, forms, base):
+    u0, f0 = base
+    out = np.empty(net.extents + (net.ambient_dim,))
+    out[(0,) * net.m] = 0.0
+    for u in product(*(range(e) for e in net.extents)):
+        for ax in range(net.m):
+            if u[ax] > 0:
+                prev = _shift(u, ax, by=-1)
+                out[u] = out[prev] + forms[ax][prev]
+                break
+    out += np.asarray(f0, dtype=float) - out[tuple(u0)]
+    return out
+
+
+def bfs_nu(net, form, base_black, base_white):
+    nu = np.full(net.extents, np.nan)
+    for u, value in (base_black, base_white):
+        nu[tuple(u)] = value
+        queue = deque([tuple(u)])
+        while queue:
+            v = queue.popleft()
+            for i, j in combinations(range(net.m), 2):
+                qm, qc = form.q_main[(i, j)], form.q_cross[(i, j)]
+                steps = []
+                if v[i] + 1 < net.extents[i] and v[j] + 1 < net.extents[j]:
+                    steps.append((_shift(v, i, j), qm[v]))
+                if v[i] >= 1 and v[j] >= 1:
+                    b = _shift(v, i, j, by=-1)
+                    steps.append((b, 1.0 / qm[b]))
+                if v[i] >= 1 and v[j] + 1 < net.extents[j]:
+                    b = _shift(v, i, by=-1)
+                    steps.append((_shift(b, j), qc[b]))
+                if v[j] >= 1 and v[i] + 1 < net.extents[i]:
+                    b = _shift(v, j, by=-1)
+                    steps.append((_shift(b, i), 1.0 / qc[b]))
+                for w, factor in steps:
+                    if np.isnan(nu[w]):
+                        nu[w] = nu[v] * factor
+                        queue.append(w)
+    return nu
+
+
+def loop_moutard(axes_data, a01):
+    if isinstance(axes_data, dict):
+        p01, p02, p12 = (np.asarray(axes_data[k], dtype=float) for k in ((0, 1), (0, 2), (1, 2)))
+        n1, n2, d = p01.shape
+        y = np.empty((n1, n2, p02.shape[1], d))
+        y[:, :, 0], y[:, 0, :], y[0, :, :] = p01, p02, p12
+        for u3, u1, u2 in product(range(1, y.shape[2]), range(1, n1), range(1, n2)):
+            y[u1, u2, u3] = y[u1 - 1, u2 - 1, u3] + a01[u1 - 1, u2 - 1, u3] * (
+                y[u1 - 1, u2, u3] - y[u1, u2 - 1, u3]
+            )
+        return y
+    y1, y2 = axes_data
+    y = np.empty((len(y1), len(y2), y1.shape[1]))
+    y[:, 0], y[0, :] = y1, y2
+    for u1, u2 in product(range(1, len(y1)), range(1, len(y2))):
+        y[u1, u2] = y[u1 - 1, u2 - 1] + a01[u1 - 1, u2 - 1] * (y[u1 - 1, u2] - y[u1, u2 - 1])
+    return y
+
+
+def _scalar_frame(pts):
+    origin = pts[0]
+    u = pts[1] - origin
+    nu = np.linalg.norm(u)
+    if nu == 0.0:
+        raise CoincidentPoints("coincident")
+    u = u / nu
+    for p in pts[2:]:
+        w = p - origin
+        w = w - np.dot(w, u) * u
+        nw = np.linalg.norm(w)
+        if nw > 1e-13 * max(nu, np.linalg.norm(p - origin)):
+            return origin, u, w / nw
+    raise CollinearTriple("collinear")
+
+
+def loop_three_leg(f1, f2, labels):
+    a1, a2 = labels.per_axis
+    f = np.empty((len(f1), len(f2), f1.shape[1]))
+    f[:, 0], f[0, :] = f1, f2
+    for u1, u2 in product(range(1, len(f1)), range(1, len(f2))):
+        ai, aj = a1[u1 - 1], a2[u2 - 1]
+        if ai == aj:
+            raise EqualLabels("equal labels")
+        base, fi, fj = f[u1 - 1, u2 - 1], f[u1, u2 - 1], f[u1 - 1, u2]
+        origin, eu, ev = _scalar_frame(np.stack([base, fi, fj]))
+        rel = np.stack([fi, fj]) - origin
+        zi, zj = (complex(p[0], p[1]) for p in np.stack([rel @ eu, rel @ ev], axis=-1))
+        if zi == 0 or zj == 0:
+            raise ZeroLeg("zero leg")
+        w = ai / zi - aj / zj
+        if w == 0:
+            raise ZeroLeg("fourth vertex at infinity")
+        zij = (ai - aj) / w
+        f[u1, u2] = origin + zij.real * eu + zij.imag * ev
+    return f
+
+
+def _loop_lightcone_step(y, yi, yj):
+    d = yj - yi
+    dd = minkowski_dot_arrays(d, d)
+    if abs(dd) <= 1e-300:
+        raise NullDiagonalDifference("isotropic")
+    a = -2.0 * minkowski_dot_arrays(y, d) / dd
+    return y + a * d, float(a)
+
+
+def loop_lightcone(axes):
+    m = len(axes)
+    y = np.full(tuple(len(a) for a in axes) + (axes[0].shape[1],), np.nan)
+    for k, a in enumerate(axes):
+        y[tuple(slice(None) if ax == k else 0 for ax in range(m))] = a
+    coeffs = {(i, j): np.empty(tuple(e - 1 if ax in (i, j) else e for ax, e in enumerate(y.shape[:-1])))
+              for i, j in combinations(range(m), 2)}
+    for u in product(*(range(e) for e in y.shape[:-1])):
+        if not np.any(np.isnan(y[u])):
+            continue
+        i, j = [ax for ax in range(m) if u[ax] > 0][:2]
+        b = _shift(u, i, j, by=-1)
+        y[u], coeffs[(i, j)][b] = _loop_lightcone_step(y[b], y[_shift(b, i)], y[_shift(b, j)])
+    for (i, j), arr in coeffs.items():
+        for b in product(*(range(e) for e in arr.shape)):
+            dvec = y[_shift(b, j)] - y[_shift(b, i)]
+            arr[b] = -2.0 * minkowski_dot_arrays(y[b], dvec) / minkowski_dot_arrays(dvec, dvec)
+    return y, coeffs
+
+
+def loop_hexahedra(y):
+    """Fill the NaN points of y from the hexahedra of their first three
+    positive axes, in order of |u|."""
+    for u in sorted(product(*(range(n) for n in y.shape[:-1])), key=sum):
+        if not np.any(np.isnan(y[u])):
+            continue
+        i, j, k = [ax for ax in range(len(u)) if u[ax] > 0][:3]
+        b = _shift(u, i, j, k, by=-1)
+        yk, yjk, yik, yi, yij = (y[_shift(b, *s)] for s in ((k,), (j, k), (i, k), (i,), (i, j)))
+        a = np.stack([yjk - yik, -(yik - yij)], axis=1)
+        sol, _, rank, _ = np.linalg.lstsq(a, yi - yk, rcond=None)
+        if rank < 2:
+            raise DegenerateQuad("parallel Moutard lines in hexahedron fill")
+        y[u] = yk + sol[0] * (yjk - yik)
+    return y
+
+
+def loop_random_koenigs_nd(extents, rng, noise=0.04):
+    rng = np.random.default_rng(rng)
+    m = len(extents)
+    axes = [generate._homogeneous_axis(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
+    for ax in range(1, m):
+        axes[ax][0] = axes[0][0]
+    y = np.full(tuple(extents) + (4,), np.nan)
+    for i, j in combinations(range(m), 2):
+        a = generate._base_coeff(i, j) + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1))
+        sl = [0] * m + [slice(None)]
+        sl[i] = sl[j] = slice(None)
+        y[tuple(sl)] = loop_moutard((axes[i], axes[j]), a)
+    return loop_hexahedra(y), rng
+
+
+def loop_random_qnet_3d(extents, rng, noise=0.08):
+    rng = np.random.default_rng(rng)
+    f = np.full(tuple(extents) + (3,), np.nan)
+    curves = [generate._random_axis_curve(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        plane = np.zeros((extents[i], extents[j], 3))
+        plane[:, 0], plane[0, :] = curves[i], curves[j]
+        for a, b in product(range(1, extents[i]), range(1, extents[j])):
+            p, pi, pj = plane[a - 1, b - 1], plane[a, b - 1], plane[a - 1, b]
+            lam = 1.0 + noise * rng.standard_normal()
+            mu = 1.0 + noise * rng.standard_normal()
+            plane[a, b] = p + lam * (pi - p) + mu * (pj - p)
+        sl = [0, 0, 0, slice(None)]
+        sl[i] = sl[j] = slice(None)
+        f[tuple(sl)] = plane
+    for u1, u2, u3 in product(*(range(1, n) for n in extents)):
+        c = lambda *s: f[u1 - 1 + s[0], u2 - 1 + s[1], u3 - 1 + s[2]]  # noqa: E731
+        normals, offsets = [], []
+        for t0, t1, t2 in (((1, 0, 0), (1, 1, 0), (1, 0, 1)), ((0, 1, 0), (1, 1, 0), (0, 1, 1)),
+                           ((0, 0, 1), (1, 0, 1), (0, 1, 1))):
+            p0, p1, p2 = c(*t0), c(*t1), c(*t2)
+            n = np.cross(p1 - p0, p2 - p0)
+            normals.append(n)
+            offsets.append(np.dot(n, p0))
+        f[u1, u2, u3] = np.linalg.solve(np.stack(normals), np.array(offsets))
+    return f, rng
+
+
+def _lightcone_axes(extents, rng, noise=0.05, scale=1.0):
+    """The axis data of generate.random_isothermic_lightcone."""
+    axes = []
+    for ax, n in enumerate(extents):
+        f = generate._random_axis_curve(n, ax, 3, rng, noise)
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if ax == 1 else np.ones(n)
+        axes.append(scale * _lift_array(f) / (sign * (1.0 + noise * rng.standard_normal(n)))[:, None])
+    for ax in range(1, len(axes)):
+        axes[ax][0] = axes[0][0]
+    return axes
+
+
+def _grid_axes(scale=1.0):
+    """Axis data of a slightly bent 4 x 4 grid."""
+    f1 = scale * np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [2.0, 0.0, 0.1], [3.0, 0.1, 0.0]])
+    f2 = scale * np.array([[0.0, 0.0, 0.0], [0.1, 1.0, 0.0], [0.0, 2.0, 0.1], [0.1, 3.0, 0.0]])
+    return f1, f2
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+# --- integrators ----------------------------------------------------------------
+
+
+class TestIntegrators:
+    @pytest.mark.parametrize("extents", [(5, 7), (4, 3, 5)])
+    def test_one_form_matches_lexicographic_loop(self, rng, extents):
+        net = QNet(rng.standard_normal(extents + (3,)))
+        forms = {ax: rng.standard_normal(tuple(e - (a == ax) for a, e in enumerate(extents)) + (3,))
+                 for ax in range(len(extents))}
+        base = (tuple(e // 2 for e in extents), rng.standard_normal(3))
+        assert np.array_equal(_integrate_one_form(net, forms, base).vertices, loop_one_form(net, forms, base))
+
+    @pytest.mark.parametrize("bases", [(None, None), (((2, 2), 3.0), ((1, 2), -0.5))])
+    def test_nu_matches_bfs_2d(self, koenigs_net_2d, bases):
+        self._check_nu(koenigs_net_2d, *bases)
+
+    @pytest.mark.parametrize("bases", [(None, None), (((1, 2, 1), -2.0), ((3, 1, 3), 0.25))])
+    def test_nu_matches_bfs_3d(self, koenigs_net_3d, bases):
+        self._check_nu(koenigs_net_3d[0], *bases)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("bases", [(None, None), (((10, 20), 0.5), ((47, 0), 7.0))])
+    def test_nu_matches_bfs_three_leg_48(self, seed, bases):
+        # the sweep and the BFS take different paths, so they differ by the
+        # net's own path dependence, which the closedness residual measures:
+        # over seeds 0-9 they differ by 0.97-1.96 times it (seed 5: 1.6e-12 at
+        # 1.3e-12; seed 6, the largest: 4.3e-10 at 3.2e-10)
+        net = generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(seed)).net
+        self._check_nu(net, *bases, slack=4.0 * check_closedness(net).max_residual)
+
+    @staticmethod
+    def _check_nu(net, black, white, slack=0.0):
+        black = black or ((0,) * net.m, 1.0)
+        white = white or ((1,) + (0,) * (net.m - 1), 1.0)
+        got = integrate_nu(net, black, white).nu.values
+        ref = bfs_nu(net, build_q_form(net), black, white)
+        assert np.abs(got / ref - 1.0).max() <= 1e-12 + slack
+
+    def test_non_finite_nu_is_not_koenigs(self):
+        # a closed form whose products overflow along the diagonals
+        big = np.full((4, 4), 1e200)
+        form = DiagonalForm(q_main={(0, 1): big}, q_cross={(0, 1): big}, m_points={})
+        with pytest.raises(NotKoenigs, match="finite"):
+            integrate_nu(generate.grid((5, 5)), form=form)
+
+
+# --- wavefront fills --------------------------------------------------------------
+
+
+class TestFills:
+    def test_moutard_2d_bit_identical(self, rng):
+        y1, y2 = rng.standard_normal((9, 4)), rng.standard_normal((7, 4))
+        y2[0] = y1[0]
+        a = -1.0 + 0.1 * rng.standard_normal((8, 6))
+        assert np.array_equal(moutard_evolve((y1, y2), {(0, 1): a}).points, loop_moutard((y1, y2), a))
+
+    def test_moutard_3d_bit_identical(self, rng):
+        y = rng.standard_normal((5, 6, 4, 4))
+        planes = {(0, 1): y[:, :, 0], (0, 2): y[:, 0, :], (1, 2): y[0, :, :]}
+        a = -1.0 + 0.1 * rng.standard_normal((4, 5, 4))
+        assert np.array_equal(moutard_evolve(planes, {(0, 1): a}).points, loop_moutard(planes, a))
+
+    def test_three_leg_48(self):
+        rng = np.random.default_rng(7)
+        f1 = generate._random_axis_curve(48, 0, 3, rng, 0.05)
+        f2 = generate._random_axis_curve(48, 1, 3, rng, 0.05)
+        labels = EdgeLabelling((1.0 + 0.05 * rng.standard_normal(47), -1.0 + 0.05 * rng.standard_normal(47)))
+        got = three_leg_evolve((f1, f2), labels).net
+        assert np.abs(got.vertices - loop_three_leg(f1, f2, labels)).max() <= 1e-11 * got.diameter()
+
+    @pytest.mark.parametrize("extents", [(6, 7), (4, 5, 4)])
+    def test_lightcone(self, extents):
+        axes = _lightcone_axes(extents, np.random.default_rng(11))
+        mn, _ = lightcone_evolve(axes)
+        y, coeffs = loop_lightcone(axes)
+        assert _rel(mn.points, y) <= 1e-12
+        assert mn.coeffs.keys() == coeffs.keys()
+        for key, a in coeffs.items():
+            assert _rel(mn.coeffs[key], a) <= 1e-12
+
+    @pytest.mark.parametrize("extents", [(5, 5, 5), (3, 4, 3, 3)])
+    def test_random_koenigs_nd(self, extents):
+        rng = np.random.default_rng(3)
+        _, _, mn = generate.random_koenigs_nd(extents, rng=rng)
+        y, ref_rng = loop_random_koenigs_nd(extents, np.random.default_rng(3))
+        assert _rel(mn.points, y) <= 1e-12
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_random_qnet_3d(self):
+        rng = np.random.default_rng(4)
+        net = generate.random_qnet_3d((5, 4, 6), rng=rng)
+        f, ref_rng = loop_random_qnet_3d((5, 4, 6), np.random.default_rng(4))
+        assert _rel(net.vertices, f) <= 1e-12
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_array_draws_equal_scalar_draws(self):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(a.standard_normal((3, 4, 2)).ravel(), [b.standard_normal() for _ in range(24)])
+        assert a.standard_normal() == b.standard_normal()
+
+    # the draws of the generators whose fills draw nothing, at extents (5, 6)
+    DRAWS = {
+        "random_isothermic_2d": lambda r: [
+            generate._random_axis_curve(5, 0, 3, r, 0.05),
+            generate._random_axis_curve(6, 1, 3, r, 0.05),
+            r.standard_normal(4),
+            r.standard_normal(5),
+        ],
+        "random_isothermic_lightcone": lambda r: _lightcone_axes((5, 6), r),
+        "random_koenigs_2d": lambda r: [
+            generate._homogeneous_axis(5, 0, 3, r, 0.05),
+            generate._homogeneous_axis(6, 1, 3, r, 0.05),
+            r.standard_normal((4, 5)),
+        ],
+    }
+
+    @pytest.mark.parametrize("make", sorted(DRAWS))
+    def test_generators_leave_rng_as_the_loop(self, make):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        getattr(generate, make)((5, 6), rng=rng)
+        self.DRAWS[make](ref)
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+# --- degenerate steps -------------------------------------------------------------
+
+
+def _same_error(new, loop):
+    with pytest.raises(Exception) as got:
+        new()
+    with pytest.raises(Exception) as want:
+        loop()
+    assert type(got.value) is type(want.value)
+    return got.value
+
+
+class TestDegenerateSteps:
+    @staticmethod
+    def _three_leg(f1, f2, a1, a2):
+        labels = EdgeLabelling((np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)))
+        return (lambda: three_leg_evolve((f1, f2), labels)), (lambda: loop_three_leg(f1, f2, labels))
+
+    def test_equal_labels(self):
+        f1, f2 = _grid_axes()
+        err = _same_error(*self._three_leg(f1, f2, [1.0, 1.1, 0.9], [-1.0, 1.1, -0.9]))
+        assert isinstance(err, EqualLabels) and "(2, 2)" in str(err)
+
+    def test_coincident_points(self):
+        f1, f2 = _grid_axes()
+        f1[2] = f1[1]
+        assert isinstance(_same_error(*self._three_leg(f1, f2, [1.0] * 3, [-1.0] * 3)), CoincidentPoints)
+
+    def test_collinear_triple(self):
+        f1, f2 = _grid_axes()
+        f2[1] = -f1[1]
+        assert isinstance(_same_error(*self._three_leg(f1, f2, [1.0] * 3, [-1.0] * 3)), CollinearTriple)
+
+    def test_zero_leg(self):
+        # both terms of alpha_i / z_i - alpha_j / z_j underflow to 0
+        f1, f2 = _grid_axes(1e150)
+        assert isinstance(_same_error(*self._three_leg(f1, f2, [1e-200] * 3, [-1e-200] * 3)), ZeroLeg)
+
+    def test_null_diagonal_difference(self):
+        y = np.stack([_lift_array(np.array([u1, u2, 0.0])) for u1, u2 in product(range(3), range(3))])
+        y = y.reshape(3, 3, 5) * np.array([1.0, 2.0, 3.0])[None, :, None]
+        y[1, 0], y[0, 1] = _lift_array(np.ones(3)) / 2.0, _lift_array(np.ones(3)) / 3.0  # null first diagonal
+        axes = (y[:, 0], y[0, :])
+        assert isinstance(_same_error(lambda: lightcone_evolve(axes), lambda: loop_lightcone(axes)),
+                          NullDiagonalDifference)
+
+    def test_parallel_hexahedron_lines(self):
+        # y(u) = |u| v + c: every hexahedron's lines are degenerate
+        n = 3
+        v, c = np.array([1.0, 2.0, 0.5, 1.0]), np.array([0.0, 0.0, 0.0, 1.0])
+        planes = {pair: np.add.outer(np.add.outer(np.arange(n), np.arange(n)), 0.0)[..., None] * v + c
+                  for pair in combinations(range(3), 2)}
+        y = np.full((n, n, n, 4), np.nan)
+        for (i, j), p in planes.items():
+            sl = [0, 0, 0, slice(None)]
+            sl[i] = sl[j] = slice(None)
+            y[tuple(sl)] = p
+        err = _same_error(lambda: _wavefront(planes, _hexahedron_steps), lambda: loop_hexahedra(y.copy()))
+        assert isinstance(err, DegenerateQuad) and "(1, 1, 1)" in str(err)
+
+
+# --- relative guards ----------------------------------------------------------------
+
+
+class TestRelativeGuards:
+    def test_disagreeing_origin_at_small_scale(self):
+        f1, f2 = _grid_axes(1e-12)
+        f2 = f2 + 0.5e-12  # passes np.allclose, whose tolerance is absolute
+        with pytest.raises(ValueError, match="disagree"):
+            moutard_evolve((f1, f2), {(0, 1): np.full((3, 3), -1.0)})
+        with pytest.raises(ValueError, match="disagree"):
+            three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_fill(self, scale):
+        rng = np.random.default_rng(21)
+        y1, y2 = rng.standard_normal((5, 4)), rng.standard_normal((6, 4))
+        y2[0] = y1[0]
+        a = -1.0 + 0.1 * rng.standard_normal((4, 5))
+        ref = moutard_evolve((y1, y2), {(0, 1): a}).points
+        got = moutard_evolve((scale * y1, scale * y2), {(0, 1): a}).points
+        assert _rel(got / scale, ref) <= 1e-12
+
+        f1, f2 = _grid_axes()
+        labels = EdgeLabelling((np.array([1.0, 1.1, 0.9]), np.array([-1.0, -1.1, -0.9])))
+        ref = three_leg_evolve((f1, f2), labels).net.vertices
+        got = three_leg_evolve((scale * f1, scale * f2), labels).net.vertices
+        assert _rel(got / scale, ref) <= 1e-12
+
+        axes = _lightcone_axes((4, 5), np.random.default_rng(22))
+        mn, _ = lightcone_evolve(axes)
+        scaled, _ = lightcone_evolve([scale * a for a in axes])
+        assert _rel(scaled.points / scale, mn.points) <= 1e-12
