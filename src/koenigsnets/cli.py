@@ -125,16 +125,8 @@ def _cmd_generate(args) -> int:
         if len(extents) not in (2, 3):
             raise InputError("lightcone generation supports m = 2 or 3")
         mn, iso = gen.random_isothermic_lightcone(extents, args.ambient_dim, rng, args.noise)
-        doc = netio.NetDocument.from_net(
-            iso.net,
-            s=iso.metric.values,
-            labels=iso.labels.per_axis,
-            moutard={
-                "dim": mn.points.shape[-1],
-                "points": mn.points.reshape(-1),
-                "coeffs": {k: v.reshape(-1) for k, v in mn.coeffs.items()},
-            },
-        )
+        doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis,
+                                         moutard=_moutard_doc(mn))
     _write_doc(args, doc)
     return EXIT_PASS
 
@@ -142,28 +134,17 @@ def _cmd_generate(args) -> int:
 def _cmd_check(args) -> int:
     tol = _tol(args)
     net = _read_doc(args).to_net()
-    if args.kind == "qnet":
-        rep = qnet.check_qnet(net, tol)
-        payload = {"passed": rep.passed, "max_residual": rep.max_residual}
-    elif args.kind == "koenigs":
-        rep = koenigs.check_closedness(net, tol)
-        payload = {
-            "passed": rep.is_koenigs,
-            "max_residual": rep.max_residual,
-            "n_cycles": rep.n_cycles,
-        }
-    elif args.kind == "circular":
-        rep = iso_mod.check_circular(net, tol)
-        payload = {"passed": rep.passed, "max_residual": rep.max_residual}
-    elif args.kind == "isothermic":
-        rep = iso_mod.check_isothermic(net, tol)
-        payload = {"passed": rep.passed, "max_residual": rep.max_residual}
-    else:  # geometric
-        if net.m == 2:
-            rep = koenigs.check_koenigs_2d_geometric(net, tol)
-        else:
-            rep = koenigs.check_koenigs_3d_geometric(net, tol)
-        payload = {"passed": rep.passed, "max_residual": rep.max_residual}
+    checks = {
+        "qnet": qnet.check_qnet,
+        "koenigs": koenigs.check_closedness,
+        "circular": iso_mod.check_circular,
+        "isothermic": iso_mod.check_isothermic,
+        "geometric": koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric,
+    }
+    rep = checks[args.kind](net, tol)
+    payload = _pack(rep)
+    if args.kind == "koenigs":
+        payload["n_cycles"] = rep.n_cycles
     _emit_report(args, f"check_{args.kind}", payload)
     return EXIT_PASS if payload["passed"] else EXIT_CHECK_FAILED
 
@@ -218,13 +199,17 @@ def _cmd_lift(args) -> int:
         mn = iso_mod.lightcone_lift(iso, tol)
         doc.s = iso.metric.values.reshape(-1)
         doc.labels = iso.labels.per_axis
-    doc.moutard = {
+    doc.moutard = _moutard_doc(mn)
+    _write_doc(args, doc)
+    return EXIT_PASS
+
+
+def _moutard_doc(mn) -> dict:
+    return {
         "dim": mn.points.shape[-1],
         "points": mn.points.reshape(-1),
         "coeffs": {k: v.reshape(-1) for k, v in mn.coeffs.items()},
     }
-    _write_doc(args, doc)
-    return EXIT_PASS
 
 
 def _cmd_report(args) -> int:
@@ -241,15 +226,9 @@ def _cmd_report(args) -> int:
             report[name] = {"passed": None, "category": type(exc).__name__, "message": str(exc)}
 
     record("qnet", lambda: _pack(qnet.check_qnet(net, tol)))
-    forms = []  # the diagonal form, built once for both Koenigs checks
-
-    def closedness():
-        forms.append(koenigs.build_q_form(net, tol))
-        return koenigs.check_closedness(net, tol, form=forms[0])
-
-    record("koenigs_closedness", lambda: _pack(closedness()))
+    record("koenigs_closedness", lambda: _pack(koenigs.check_closedness(net, tol)))
     geometric = koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric
-    record("koenigs_geometric", lambda: _pack(geometric(net, tol, form=forms[0] if forms else None)))
+    record("koenigs_geometric", lambda: _pack(geometric(net, tol)))
     record("circular", lambda: _pack(iso_mod.check_circular(net, tol)))
     if report["circular"].get("passed"):
         record("isothermic", lambda: _pack(iso_mod.check_isothermic(net, tol)))

@@ -147,36 +147,146 @@ def _cross_norm(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(g, 0.0)))
 
 
-def _intersect_lines(a, u, b, v, tol_rel, scale):
-    """Least-squares intersection of lines a + t*u and b + s*v.
+class Diagonals(NamedTuple):
+    """Per-quad output of :func:`quad_diagonals`."""
 
-    Returns (point, t, s).  Raises DegenerateQuad if the lines are parallel
-    within ``tol_rel`` or the residual exceeds ``tol_rel * scale``.
+    point: np.ndarray  # (Q, N) intersection M of the diagonals AC and BD
+    t: np.ndarray  # (Q,) M = A + t (C - A)
+    s: np.ndarray  # (Q,) M = B + s (D - B)
+    q_ac: np.ndarray  # (Q,) l(M,C)/l(M,A)
+    q_bd: np.ndarray  # (Q,) l(M,D)/l(M,B)
+
+
+_ONE_QUAD = (  # messages(k, value) of the guards of quad_diagonals for a single quad
+    lambda k, value: "diagonals are parallel (intersection at infinity)",
+    lambda k, value: f"skew diagonals: residual {value:.3e} exceeds tolerance",
+    lambda k, value: "diagonal intersection coincides with a vertex",
+)
+_EXACT_BELOW = 1e-4
+
+
+def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, messages=_ONE_QUAD,
+                   guards: int = 3) -> Diagonals:
+    """Intersection of the diagonals AC and BD of stacked quads (Q, 4, N),
+    each (A, B, C, D) in cyclic order, in float64.
+
+    With h_X the signed distance of vertex X from the other diagonal,
+    q_ac = h_C/h_A, q_bd = h_D/h_B, t = h_A/(h_A - h_C), s = h_B/(h_B - h_D),
+    read in an orthonormal frame of the diagonals' plane found by
+    Gram-Schmidt applied twice.  Quads with a height below ``_EXACT_BELOW``
+    of the terms it sums (digits lost to cancellation) get their heights
+    from :func:`_exact_heights`.  Guards, each over the whole stack before
+    the next (``guards`` limits them to the first ones): DegenerateQuad for
+    parallel diagonals (sin^2 of their angle <= tol.incidence) and for
+    diagonal lines more than tol.incidence * ``scale`` apart (default: the
+    longer diagonal), VertexOnDiagonal for t or s within tol.incidence of 0
+    or 1; ``messages[g](k, value)`` words the error of guard g at quad k.
     """
-    uu, vv, uv = np.dot(u, u), np.dot(v, v), np.dot(u, v)
-    det = uu * vv - uv * uv
-    if det <= tol_rel * uu * vv:
-        raise DegenerateQuad("diagonals are parallel (intersection at infinity)")
-    w = b - a
-    t = (vv * np.dot(w, u) - uv * np.dot(w, v)) / det
-    s = (uv * np.dot(w, u) - uu * np.dot(w, v)) / det
-    p1 = a + t * u
-    p2 = b + s * v
-    resid = np.linalg.norm(p1 - p2)
-    if resid > tol_rel * scale:
-        raise DegenerateQuad(f"skew diagonals: residual {resid:.3e} exceeds tolerance")
-    return 0.5 * (p1 + p2), float(t), float(s)
+    abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
+    # far from 1, the stack is scaled by a power of two (exactly) to coordinates
+    # below 1, so that no fourth power of a length overflows or underflows
+    big = max(abcd.max(initial=0.0), -abcd.min(initial=0.0))
+    unit = 1.0 if 2.0**-200 < big < 2.0**200 else 0.5 ** np.frexp(big)[1]
+    abcd = np.ascontiguousarray(abcd if unit == 1.0 else abcd * unit)
+    a, b, c, d = abcd  # (N, Q) each
+    u, v, w = c - a, d - b, b - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uu, vv = _dot(u, u), _dot(v, v)
+        lu = np.sqrt(uu)
+        e1 = u / lu
+        (v1,), v_perp = _reject(v, e1)
+        v2 = np.sqrt(_dot(v_perp, v_perp))  # v = v1 e1 + v2 e2
+        (w1, w2), off = _reject(w, e1, v_perp / v2)  # off: from the line AC to the line BD
+        gap = np.sqrt(_dot(off, off))
+        scale = np.sqrt(np.maximum(uu, vv)) if scale is None else scale * unit
+        _raise_first([(DegenerateQuad, ~(v2 * v2 > tol.incidence * vv), None),
+                      (DegenerateQuad, gap > tol.incidence * scale, gap / unit)], messages)
+        # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
+        # and the squared sizes of the terms each one sums
+        h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
+        h = np.stack([h_a, h_a - h_ac, h_ac, w2, w2 + v2, -v2])
+        sizes2 = np.stack([ww * vv, (ww + uu) * vv, uu * vv, ww, ww + vv, vv])
+        rough = np.flatnonzero((h * h < _EXACT_BELOW**2 * sizes2).any(axis=0))
+        if len(rough):
+            h[:, rough] = _exact_heights(*abcd[:, :, rough])
+        h_a, h_c, h_ac, h_b, h_d, h_bd = h
+        t, s = h_a / h_ac, h_b / h_bd
+        near = np.minimum.reduce([np.abs(t), np.abs(h_c / h_ac), np.abs(s), np.abs(h_d / h_bd)])
+        diag = Diagonals(((a + t * u + 0.5 * off) / unit).T, t, s, h_c / h_a, h_d / h_b)
+    if guards >= 3:
+        _raise_first([(VertexOnDiagonal, near <= tol.incidence, near)], messages[2:])
+    return diag
+
+
+def _raise_first(checks, messages) -> None:
+    """Raise the error of the first quad failing the first failing check,
+    ((error class, failed (Q,), values (Q,) or None), ...)."""
+    for (cls, failed, values), message in zip(checks, messages):
+        if failed.any():
+            k = int(np.argmax(failed))
+            raise cls(message(k, None if values is None else float(values[k])))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of vectors stored along the first axis."""
+    return np.einsum("i...,i...->...", x, y)
+
+
+def _reject(x: np.ndarray, *frame):
+    """The coordinates of x along the orthonormal ``frame``, and the rest of
+    x, by Gram-Schmidt applied twice (once leaves the rest far from
+    orthogonal to the frame when x nearly lies in its span)."""
+    coords = [0.0] * len(frame)
+    for _ in range(2):
+        for k, e in enumerate(frame):
+            xe = _dot(x, e)
+            coords[k], x = coords[k] + xe, x - xe * e
+    return coords, x
+
+
+def _exact_heights(a, b, c, d) -> np.ndarray:
+    """The heights (A, C, A - C, B, D, B - D) of :func:`quad_diagonals` of the
+    quads a, b, c, d (N, F), each triple up to a common factor, as
+    <v ^ (A - B), u ^ v>, ..., <u ^ (B - D), u ^ v> with u = C - A, v = D - B:
+    error-free (Dekker) until each wedge component is rounded once, and the
+    bivectors of a planar quad are parallel, so the sums do not cancel."""
+    i, j = np.triu_indices(len(a), 1)
+    (uh, vh), (ul, vl) = _two_sum(np.stack([c, d]), -np.stack([a, b]))
+    ref = uh[i] * vh[j] - uh[j] * vh[i]
+    xh, xl = np.stack([vh] * 3 + [uh] * 3), np.stack([vl] * 3 + [ul] * 3)
+    yh, yl = _two_sum(np.stack([a, c, a, b, d, b]), -np.stack([b, b, c, a, a, d]))
+    p, p_lo = _two_prod(xh[:, i], yh[:, j])
+    q, q_lo = _two_prod(xh[:, j], yh[:, i])
+    wedge, lo = _two_sum(p, -q)
+    lo += (p_lo + xh[:, i] * yl[:, j] + xl[:, i] * yh[:, j]) - (q_lo + xh[:, j] * yl[:, i] + xl[:, j] * yh[:, i])
+    return ((wedge + lo) * ref).sum(axis=1)
+
+
+def _two_sum(x, y):
+    """x + y as an unevaluated sum (hi, lo) of two doubles, exactly."""
+    s = x + y
+    yv = s - x
+    return s, (x - (s - yv)) + (y - yv)
+
+
+def _two_prod(x, y):
+    """x * y as an unevaluated sum (hi, lo) of two doubles, exactly: each
+    factor splits into 26 leading bits and the rest by 2**27 + 1."""
+    p = x * y
+    xh, yh = (134217729.0 * z - (134217729.0 * z - z) for z in (x, y))
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
 def intersect_diagonals(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL):
     """Intersection M of the diagonals (AC) and (BD).
 
     Returns ``(m, t_ac, t_bd)`` where ``t_ac`` and ``t_bd`` are the affine
-    parameters of M on each diagonal (A at 0, C at 1; B at 0, D at 1).
+    parameters of M on each diagonal (A at 0, C at 1; B at 0, D at 1).  A
+    batch of one in :func:`quad_diagonals` without its vertex guard.
     """
-    u = q.c - q.a
-    v = q.d - q.b
-    return _intersect_lines(q.a, u, q.b, v, tol.incidence, q.diameter)
+    diag = quad_diagonals(q.points[None], tol, scale=np.array([q.diameter]), guards=2)
+    return diag.point[0], float(diag.t[0]), float(diag.s[0])
 
 
 def diagonal_ratios(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL):
@@ -184,13 +294,11 @@ def diagonal_ratios(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL):
     q_bd = l(M,D)/l(M,B).
 
     Reversing a diagonal direction inverts the value; both values are
-    negative exactly for a convex quadrilateral.
+    negative exactly for a convex quadrilateral.  A batch of one in
+    :func:`quad_diagonals`.
     """
-    _, t_ac, t_bd = intersect_diagonals(q, tol)
-    for t in (t_ac, t_bd):
-        if abs(t) <= tol.incidence or abs(1.0 - t) <= tol.incidence:
-            raise VertexOnDiagonal("diagonal intersection coincides with a vertex")
-    return (1.0 - t_ac) / (-t_ac), (1.0 - t_bd) / (-t_bd)
+    diag = quad_diagonals(q.points[None], tol, scale=np.array([q.diameter]))
+    return float(diag.q_ac[0]), float(diag.q_bd[0])
 
 
 def is_convex(q: PlanarQuad) -> bool:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .geom import (
     DEFAULT_TOL,
+    QuadCircles,
     Tolerances,
     _plane_frames,
     minkowski_dot_arrays,
@@ -44,9 +45,11 @@ from .qnet import (
     QNet,
     VertexScalar,
     _back,
+    _base,
     _crop,
     _cubes,
     _first_positive_axes,
+    _frozen,
     _gather_quads,
     _raise_first_row,
     _star,
@@ -88,26 +91,32 @@ class CircularityReport:
     offenders: list
 
 
-def _circles(net: QNet, tol: Tolerances) -> list:
-    """:func:`quad_circles` on the quads of every axis pair, one pair at a
-    time: [(i, j, bases, QuadCircles)], cross-ratios shaped like the base grid."""
-    out = []
-    for i, j in combinations(range(net.m), 2):
-        pts, bases = _gather_quads(net, i, j)
-        qc = quad_circles(pts, tol)
-        shape = tuple(e - 1 if ax in (i, j) else e for ax, e in enumerate(net.extents))
-        out.append((i, j, bases, qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))))
-    return out
+def _circles(net: QNet, tol: Tolerances) -> tuple:
+    """:func:`quad_circles` on the quads of every axis pair, once per net and
+    tolerances: ((i, j, base grid shape, read-only QuadCircles), ...), the
+    cross-ratios shaped like the base grid."""
+
+    def build():
+        return tuple(_pair_circles(net, i, j, tol) for i, j in combinations(range(net.m), 2))
+
+    return net._memo(("circles", tol), build)
 
 
-def _raise_first(circles: list, upto: int) -> None:
+def _pair_circles(net: QNet, i: int, j: int, tol: Tolerances) -> tuple:
+    pts, shape = _gather_quads(net, i, j)
+    qc = quad_circles(pts, tol)
+    qc = qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))
+    return i, j, shape, QuadCircles(*(_frozen(a) for a in qc))
+
+
+def _raise_first(circles: tuple, upto: int) -> None:
     """Raise the error of the first quad, in axis-pair and base order, that
     fails one of the predicates 1..``upto`` of the kernel."""
-    for i, j, bases, qc in circles:
-        raise_quad_error(qc, upto, lambda k: f"quad base {bases[k]} (axes {i},{j}): ")
+    for i, j, shape, qc in circles:
+        raise_quad_error(qc, upto, lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): ")
 
 
-def _max_residual(circles: list) -> float:
+def _max_residual(circles: tuple) -> float:
     return max(float(qc.residual.max(initial=0.0)) for _, _, _, qc in circles)
 
 
@@ -117,8 +126,8 @@ def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CircularityRepor
     _raise_first(circles, 3)
     max_res = _max_residual(circles)
     offenders = [
-        (bases[k], i, j, float(qc.residual[k]))
-        for i, j, bases, qc in circles
+        (_base(shape, k), i, j, float(qc.residual[k]))
+        for i, j, shape, qc in circles
         for k in np.flatnonzero(qc.residual > tol.incidence)
     ]
     return CircularityReport(passed=max_res <= tol.incidence, max_residual=max_res, offenders=offenders)
@@ -257,12 +266,8 @@ def recover_metric(
 
 def _edge_alpha(net: QNet, s: np.ndarray, i: int) -> np.ndarray:
     """alpha_i = |f_i - f|^2 / (s s_i) on every axis-i edge."""
-    lo = [slice(None)] * net.m
-    hi = [slice(None)] * net.m
-    lo[i] = slice(0, -1)
-    hi[i] = slice(1, None)
-    df = net.vertices[tuple(hi)] - net.vertices[tuple(lo)]
-    return (df * df).sum(axis=-1) / (s[tuple(lo)] * s[tuple(hi)])
+    df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
+    return (df * df).sum(axis=-1) / (_crop(s, (i,), (0,)) * _crop(s, (i,), (1,)))
 
 
 def metric_labels(net: QNet, s: VertexScalar, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
@@ -319,11 +324,7 @@ def christoffel_form_residual(iso: IsothermicNet) -> float:
 def _christoffel_forms(net: QNet, labels: EdgeLabelling):
     forms = {}
     for i in range(net.m):
-        lo = [slice(None)] * net.m
-        hi = [slice(None)] * net.m
-        lo[i] = slice(0, -1)
-        hi[i] = slice(1, None)
-        df = net.vertices[tuple(hi)] - net.vertices[tuple(lo)]
+        df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
         norm2 = (df * df).sum(axis=-1)
         if np.any(norm2 == 0.0):
             raise ZeroEdge("zero-length edge in Christoffel one-form")
@@ -409,11 +410,7 @@ def _lift_array(f: np.ndarray) -> np.ndarray:
 
 def lift_labels(mn: MoutardNet, axis: int) -> np.ndarray:
     """alpha_axis = -2 <y, tau_axis y> on every axis edge of a light-cone net."""
-    lo = [slice(None)] * mn.m
-    hi = [slice(None)] * mn.m
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return -2.0 * minkowski_dot_arrays(mn.points[tuple(lo)], mn.points[tuple(hi)])
+    return -2.0 * minkowski_dot_arrays(_crop(mn.points, (axis,), (0,)), _crop(mn.points, (axis,), (1,)))
 
 
 def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:

@@ -12,7 +12,6 @@ from itertools import combinations, product, repeat
 import numpy as np
 
 from .errors import (
-    DegenerateQuad,
     DimensionTooLow,
     EqualNuOnWhiteDiagonal,
     NotAlternating,
@@ -26,9 +25,10 @@ from .geom import (
     PlanarQuad,
     Tolerances,
     intersect_diagonals,
+    quad_diagonals,
     rank_residual,
 )
-from .qnet import QNet, VertexScalar, _back, _crop, _cubes, _gather_quads, _star, _wavefront
+from .qnet import QNet, VertexScalar, _back, _base, _crop, _cubes, _frozen, _gather_quads, _star, _wavefront
 
 __all__ = [
     "DiagonalForm",
@@ -89,56 +89,27 @@ def _shift(u, *axes):
 
 
 def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
-    """Vectorized diagonal intersections for all quads in the (i, j) plane.
-
-    Returns (t, s, m, q_main, q_cross) arrays shaped like the base grid.
-    """
-    pts, bases = _gather_quads(net, i, j)
-    # extended precision: the normal-equation determinant cancels badly for
-    # nearly parallel diagonals, which double precision turns into O(1e-8)
-    # errors in t just above the degeneracy guard
-    pts = pts.astype(np.longdouble)
-    a, b, c, d = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    u = c - a
-    v = d - b
-    uu = (u * u).sum(axis=1)
-    vv = (v * v).sum(axis=1)
-    uv = (u * v).sum(axis=1)
-    det = uu * vv - uv * uv
-    bad = det <= tol.incidence * uu * vv
-    if np.any(bad):
-        raise DegenerateQuad(f"parallel diagonals at quad base {bases[int(np.argmax(bad))]} (axes {i},{j})")
-    w = b - a
-    wu = (w * u).sum(axis=1)
-    wv = (w * v).sum(axis=1)
-    t = (vv * wu - uv * wv) / det
-    s = (uv * wu - uu * wv) / det
-    p1 = a + t[:, None] * u
-    p2 = b + s[:, None] * v
-    diam = np.sqrt(np.maximum(uu, vv))
-    resid = np.linalg.norm(p1 - p2, axis=1)
-    bad = resid > tol.incidence * diam
-    if np.any(bad):
-        raise DegenerateQuad(f"skew diagonals at quad base {bases[int(np.argmax(bad))]} (axes {i},{j})")
-    near = np.minimum(np.minimum(np.abs(t), np.abs(1 - t)), np.minimum(np.abs(s), np.abs(1 - s)))
-    bad = near <= tol.incidence
-    if np.any(bad):
-        raise VertexOnDiagonal(f"intersection at a vertex, quad base {bases[int(np.argmax(bad))]}")
-    shape = tuple(e - 1 if ax in (i, j) else e for ax, e in enumerate(net.extents))
-    q_main = ((1.0 - t) / (-t)).reshape(shape).astype(float)
-    q_cross = ((1.0 - s) / (-s)).reshape(shape).astype(float)
-    m = (0.5 * (p1 + p2)).reshape(shape + (net.ambient_dim,)).astype(float)
-    return t.reshape(shape).astype(float), s.reshape(shape).astype(float), m, q_main, q_cross
+    """Diagonal intersections of all quads in the (i, j) plane, by
+    :func:`quad_diagonals`: (m, q_main, q_cross) shaped like the base grid."""
+    pts, shape = _gather_quads(net, i, j)
+    diag = quad_diagonals(pts, tol, messages=(
+        lambda k, _: f"parallel diagonals at quad base {_base(shape, k)} (axes {i},{j})",
+        lambda k, _: f"skew diagonals at quad base {_base(shape, k)} (axes {i},{j})",
+        lambda k, _: f"intersection at a vertex, quad base {_base(shape, k)}",
+    ))
+    return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
 
 
 def build_q_form(net: QNet, tol: Tolerances = DEFAULT_TOL) -> DiagonalForm:
-    """The multiplicative one-form q on the diagonals of all elementary quads."""
+    """The multiplicative one-form q on the diagonals of all elementary quads,
+    built once per net and tolerances and kept by the net, read-only."""
+    return net._memo(("q_form", tol), lambda: _build_q_form(net, tol))
+
+
+def _build_q_form(net: QNet, tol: Tolerances) -> DiagonalForm:
     q_main, q_cross, m_points = {}, {}, {}
     for i, j in combinations(range(net.m), 2):
-        _, _, m, qm, qc = _diag_data(net, i, j, tol)
-        q_main[(i, j)] = qm
-        q_cross[(i, j)] = qc
-        m_points[(i, j)] = m
+        m_points[(i, j)], q_main[(i, j)], q_cross[(i, j)] = (_frozen(a) for a in _diag_data(net, i, j, tol))
     return DiagonalForm(q_main=q_main, q_cross=q_cross, m_points=m_points)
 
 
@@ -394,13 +365,8 @@ def _dual_edge_forms(net: QNet, nu: np.ndarray):
     """Edge arrays G_i = delta_i f / (nu nu_i)."""
     forms = {}
     for i in range(net.m):
-        lo = [slice(None)] * net.m
-        hi = [slice(None)] * net.m
-        lo[i] = slice(0, -1)
-        hi[i] = slice(1, None)
-        df = net.vertices[tuple(hi)] - net.vertices[tuple(lo)]
-        denom = nu[tuple(lo)] * nu[tuple(hi)]
-        forms[i] = df / denom[..., None]
+        df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
+        forms[i] = df / (_crop(nu, (i,), (0,)) * _crop(nu, (i,), (1,)))[..., None]
     return forms
 
 

@@ -38,16 +38,17 @@ def vertex_parity(u) -> str:
 
 
 class QNet:
-    """A window of a map Z^m -> R^N, m >= 2, N >= 2."""
+    """A window of a map Z^m -> R^N, m >= 2, N >= 2; keeps a read-only copy
+    of ``vertices``."""
 
     def __init__(self, vertices):
-        vertices = np.asarray(vertices, dtype=float)
+        vertices = np.array(vertices, dtype=float)
         if vertices.ndim < 3:
             raise DimensionTooLow("need lattice dimension m >= 2 and a coordinate axis")
         if not np.all(np.isfinite(vertices)):
             raise ValueError("net vertices must be finite")
-        self._vertices = vertices
-        self._vertices.setflags(write=False)
+        self._vertices = _frozen(vertices)
+        self._cache = {}
         self.m = vertices.ndim - 1
         self.extents = vertices.shape[:-1]
         self.ambient_dim = vertices.shape[-1]
@@ -59,6 +60,13 @@ class QNet:
     @property
     def vertices(self) -> np.ndarray:
         return self._vertices
+
+    def _memo(self, key, build):
+        """``build()``, computed on the first call for ``key``, such as
+        (name, Tolerances), and kept by the net unless it raises."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def vertex(self, u) -> np.ndarray:
         return self._vertices[tuple(u)]
@@ -121,19 +129,30 @@ def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> PlanarityReport:
     max_res = 0.0
     offenders = []
     for i, j in combinations(range(net.m), 2):
-        pts, bases = _gather_quads(net, i, j)
+        pts, shape = _gather_quads(net, i, j)
         res = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
         max_res = max(max_res, float(res.max(initial=0.0)))
-        for idx in np.nonzero(res > tol.incidence)[0]:
-            offenders.append((bases[idx], i, j, float(res[idx])))
+        for k in np.flatnonzero(res > tol.incidence):
+            offenders.append((_base(shape, k), i, j, float(res[k])))
     return PlanarityReport(passed=max_res <= tol.incidence, max_residual=max_res, offenders=offenders)
 
 
 def _gather_quads(net: QNet, i: int, j: int):
-    """Stacked quad vertex arrays (Q, 4, N) plus the list of base indices."""
-    corners = [_crop(net.vertices, (i, j), c) for c in ((0, 0), (1, 0), (1, 1), (0, 1))]
-    pts = np.stack(corners, axis=net.m).reshape(-1, 4, net.ambient_dim)
-    return pts, list(net.base_indices(i, j))
+    """Stacked quad vertex arrays (Q, 4, N) in base_indices order, a view of
+    a (4, N, Q) array, plus the shape of the base grid (see :func:`_base`)."""
+    coords = np.moveaxis(net.vertices, -1, 0)
+    corners = np.stack([_crop(coords, (i + 1, j + 1), c) for c in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    return np.moveaxis(corners.reshape(4, net.ambient_dim, -1), -1, 0), corners.shape[2:]
+
+
+def _base(shape: tuple, k: int) -> tuple:
+    """The base multi-index, as plain ints, of cell k of a grid ``shape``."""
+    return tuple(int(x) for x in np.unravel_index(k, shape))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _crop(arr, axes, offsets):

@@ -32,6 +32,17 @@ class TestQNetConstruction:
         with pytest.raises(ValueError):
             net.vertices[0, 0, 0] = 5.0
 
+    def test_leaves_the_callers_array_writable(self):
+        v = np.zeros((2, 2, 3))
+        QNet(v)
+        v[0, 0, 0] = 1.0
+
+    def test_owns_its_vertices(self):
+        base = np.zeros((3, 2, 2, 3))
+        net = QNet(base[1])  # a view
+        base[1, 0, 0, 0] = 1.0
+        assert net.vertices[0, 0, 0] == 0.0
+
 
 class TestParity:
     def test_origin_black(self):
@@ -96,6 +107,16 @@ class TestCheckQnet:
         rep = check_qnet(QNet(v))
         assert not rep.passed
         assert len(rep.offenders) == 4
+
+    def test_offenders_name_their_base_with_plain_ints(self):
+        v = generate.grid((3, 4, 5)).vertices.copy()
+        v[1, 2, 3] += 0.1
+        rep = check_qnet(QNet(v))
+        bases = {(i, j): set(QNet(v).base_indices(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))}
+        assert len(rep.offenders) == 12
+        for u, i, j, _ in rep.offenders:
+            assert u in bases[(i, j)] and all(type(x) is int for x in u)
+            assert all(u[k] in (c - 1, c) if k in (i, j) else u[k] == c for k, c in enumerate((1, 2, 3)))
 
     def test_moutard_net_passes(self, koenigs_net_2d):
         assert check_qnet(koenigs_net_2d).passed
