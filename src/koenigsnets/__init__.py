@@ -14,16 +14,12 @@ from .errors import (
     InputError,
 )
 from .geom import (
-    MinkowskiVec,
-    PlanarQuad,
     Tolerances,
     cross_ratio,
-    diagonal_ratios,
-    intersect_diagonals,
     lift_to_lightcone,
     menelaus_product,
     minkowski_dot,
-    project_from_lightcone,
+    quad_diagonals,
 )
 from .isothermic import (
     IsothermicNet,

@@ -79,10 +79,6 @@ class CoincidentPoints(DegeneracyError):
     pass
 
 
-class NotOnLightCone(DegeneracyError):
-    pass
-
-
 class ZeroE0Component(DegeneracyError):
     """Projection of the point at infinity was requested."""
 

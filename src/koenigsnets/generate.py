@@ -9,8 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateQuad, VanishingLastComponent
-from .geom import DEFAULT_TOL, Tolerances, lift_to_lightcone
+from .errors import CoincidentPoints, CollinearTriple, DegenerateQuad, VanishingLastComponent
+from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
 from .qnet import (
@@ -22,7 +22,6 @@ from .qnet import (
     _first_positive_axes,
     _raise_first_row,
     _wavefront,
-    quad_points,
 )
 
 __all__ = [
@@ -211,8 +210,7 @@ def random_isothermic_lightcone(extents, ambient_dim: int = 3, rng=None, noise: 
         f = _random_axis_curve(n, ax, ambient_dim, rng, noise)
         sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if ax == 1 else np.ones(n)
         s = sign * (1.0 + noise * rng.standard_normal(n))
-        y = np.stack([lift_to_lightcone(p).as_array() for p in f]) / s[:, None]
-        axes.append(y)
+        axes.append(lift_to_lightcone(f) / s[:, None])
     for ax in range(1, m):
         axes[ax][0] = axes[0][0]
     return lightcone_evolve(axes)
@@ -226,10 +224,9 @@ def perturb_in_plane(net: QNet, rng=None, magnitude: float = 1e-2) -> QNet:
     """
     rng = np.random.default_rng(rng)
     corner = tuple(e - 1 for e in net.extents)
-    base = tuple(c - 1 for c in corner[:2]) + corner[2:]
-    pts = quad_points(net, base, 0, 1)
-    e1 = pts[1] - pts[0]
-    e2 = pts[3] - pts[0]
+    sq = net.vertices[(slice(-2, None),) * 2 + corner[2:]]  # the (0, 1) quad at the corner
+    e1 = sq[1, 0] - sq[0, 0]
+    e2 = sq[0, 1] - sq[0, 0]
     step = rng.standard_normal() * e1 + rng.standard_normal() * e2
     step *= magnitude * net.diameter() / np.linalg.norm(step)
     verts = net.vertices.copy()
@@ -288,12 +285,13 @@ def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
     if net.m != 2:
         raise ValueError("corner construction is for m == 2")
     corner = tuple(e - 1 for e in net.extents)
-    base = tuple(c - 1 for c in corner)
-    pts = quad_points(net, base, 0, 1)  # (f, f_1, f_12, f_2)
-    from .geom import plane_frame, to_plane_coords
-
-    frame = plane_frame(pts)
-    z, zi, zij, zj = (complex(p[0], p[1]) for p in to_plane_coords(pts, frame))
+    pts = net.vertices[-2:, -2:].reshape(4, -1)[[0, 2, 3, 1]]  # (f, f_1, f_12, f_2)
+    u, v, z, nu, spans = (a[0] for a in _plane_frames(pts[None]))
+    if nu == 0.0:
+        raise CoincidentPoints("cannot build a frame from coincident points")
+    if not spans.any():
+        raise CollinearTriple("all points are collinear; no plane frame")
+    z, zi, zij, zj = z.view(complex)[:, 0].tolist()
     c_circ, r_circ = _circumcircle(z, zi, zj)
     k = abs(zij - zi) / abs(zij - zj)
     if abs(k - 1.0) < 1e-12:
@@ -303,8 +301,7 @@ def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
         c_apo = (zi - k**2 * zj) / (1.0 - k**2)
         r_apo = np.sqrt(abs(c_apo - zi) * abs(c_apo - zj))
         new = _second_circle_intersection(c_circ, r_circ, c_apo, r_apo, zij)
-    origin, u, v = frame
-    new_pt = origin + new.real * u + new.imag * v
+    new_pt = pts[0] + new.real * u + new.imag * v
     verts = net.vertices.copy()
     verts[corner] = new_pt
     s = iso.metric.values.copy()

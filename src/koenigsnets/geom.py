@@ -1,12 +1,16 @@
-"""Euclidean and Minkowski vector primitives.
+"""Euclidean and Minkowski kernels over stacked arrays.
 
-Points are plain numpy arrays of shape ``(N,)`` with ``N >= 2``.  Everything
-here is a pure function of its inputs; tolerances are relative and collected
-in :class:`Tolerances`.
+A quad is an array ``(4, N)``, N >= 2, of its vertices (A, B, C, D) in
+cyclic order, and a stack of quads is one array ``(..., 4, N)``: each kernel
+treats the whole stack in one numpy pass.  A point of Minkowski space R^{N+1,1} is a
+flat array ``(..., N+2)`` with components [f_1, ..., f_N, e_0, e_inf], the
+layout of the Moutard representation in the light cone.  Everything here is
+a pure function of its inputs; tolerances are relative and collected in
+:class:`Tolerances`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,21 +22,16 @@ from .errors import (
     DimensionMismatch,
     GeneralPositionViolated,
     NotConcircular,
-    NotOnLightCone,
     NotPlanar,
     PointOffLine,
     VertexOnDiagonal,
-    ZeroE0Component,
 )
 
 __all__ = [
     "Tolerances",
-    "PlanarQuad",
-    "MinkowskiVec",
+    "Diagonals",
+    "quad_diagonals",
     "affine_rank",
-    "planarity_residual",
-    "intersect_diagonals",
-    "diagonal_ratios",
     "menelaus_product",
     "circularity_residual",
     "cross_ratio",
@@ -43,9 +42,6 @@ __all__ = [
     "is_convex",
     "minkowski_dot",
     "lift_to_lightcone",
-    "project_from_lightcone",
-    "plane_frame",
-    "to_plane_coords",
 ]
 
 
@@ -74,15 +70,6 @@ def _as_point(p) -> np.ndarray:
     return p
 
 
-def planarity_residual(points: np.ndarray) -> float:
-    """Smallest/largest singular value of the centered point matrix.
-
-    Zero iff the points lie in a common 2-plane; scale invariant.
-    """
-    pts = np.asarray(points, dtype=float)
-    return float(rank_residual(pts - pts.mean(axis=0), 2))
-
-
 def affine_rank(points, tol: float = 1e-9) -> int:
     """Dimension of the affine span of the points.
 
@@ -97,54 +84,6 @@ def affine_rank(points, tol: float = 1e-9) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
-
-
-@dataclass(frozen=True)
-class PlanarQuad:
-    """Planar quadrilateral (A, B, C, D) in cyclic order.
-
-    Validates on construction that the four vertices lie within
-    ``plane_tolerance`` of a common 2-plane and that no three consecutive
-    vertices are collinear.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    plane_tolerance: float = field(default=DEFAULT_TOL.incidence)
-
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, _as_point(getattr(self, name)))
-        if self.plane_tolerance <= 0:
-            raise ValueError("plane_tolerance must be positive")
-        res = planarity_residual(self.points)
-        if res > self.plane_tolerance:
-            raise NotPlanar(f"quad planarity residual {res:.3e} exceeds {self.plane_tolerance:.3e}")
-        pts = self.points
-        diam = self.diameter
-        for k in range(4):
-            p, q, r = pts[k - 1], pts[k], pts[(k + 1) % 4]
-            u, v = q - p, r - q
-            area = _cross_norm(u, v)
-            if area <= self.plane_tolerance * diam * diam:
-                raise CollinearTriple(f"vertices {k-1},{k},{(k+1)%4} are collinear")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack([self.a, self.b, self.c, self.d])
-
-    @property
-    def diameter(self) -> float:
-        pts = self.points
-        return float(max(np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4)))
-
-
-def _cross_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """|u x v| in arbitrary dimension, via the Gram determinant."""
-    g = np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2
-    return float(np.sqrt(max(g, 0.0)))
 
 
 class Diagonals(NamedTuple):
@@ -278,39 +217,18 @@ def _two_prod(x, y):
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def intersect_diagonals(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL):
-    """Intersection M of the diagonals (AC) and (BD).
-
-    Returns ``(m, t_ac, t_bd)`` where ``t_ac`` and ``t_bd`` are the affine
-    parameters of M on each diagonal (A at 0, C at 1; B at 0, D at 1).  A
-    batch of one in :func:`quad_diagonals` without its vertex guard.
-    """
-    diag = quad_diagonals(q.points[None], tol, scale=np.array([q.diameter]), guards=2)
-    return diag.point[0], float(diag.t[0]), float(diag.s[0])
-
-
-def diagonal_ratios(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL):
-    """Ratios of directed diagonal segments, q_ac = l(M,C)/l(M,A) and
-    q_bd = l(M,D)/l(M,B).
-
-    Reversing a diagonal direction inverts the value; both values are
-    negative exactly for a convex quadrilateral.  A batch of one in
-    :func:`quad_diagonals`.
-    """
-    diag = quad_diagonals(q.points[None], tol, scale=np.array([q.diameter]))
-    return float(diag.q_ac[0]), float(diag.q_bd[0])
-
-
-def is_convex(q: PlanarQuad) -> bool:
-    """True iff the quadrilateral is convex (embedded, no crossing)."""
-    frame = plane_frame(q.points)
-    z = to_plane_coords(q.points, frame)
-    signs = []
-    for k in range(4):
-        u = z[(k + 1) % 4] - z[k]
-        v = z[(k + 2) % 4] - z[(k + 1) % 4]
-        signs.append(np.sign(u[0] * v[1] - u[1] * v[0]))
-    return all(s > 0 for s in signs) or all(s < 0 for s in signs)
+def is_convex(quads) -> np.ndarray:
+    """Whether each quad of a stack (..., 4, N) is convex (embedded, no
+    crossing): in the plane frame of :func:`_plane_frames`, its four corners
+    turn the same way, each strictly.  A quad without a plane frame is not
+    convex."""
+    pts = np.asarray(quads, dtype=float)
+    z = _plane_frames(pts.reshape(-1, 4, pts.shape[-1]))[2]
+    with np.errstate(invalid="ignore"):
+        side = np.roll(z, -1, axis=1) - z  # B - A, C - B, D - C, A - D
+        nxt = np.roll(side, -1, axis=1)
+        turn = side[..., 0] * nxt[..., 1] - side[..., 1] * nxt[..., 0]
+    return ((turn > 0).all(axis=1) | (turn < 0).all(axis=1)).reshape(pts.shape[:-2])
 
 
 def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -345,25 +263,8 @@ def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL) -
     return product
 
 
-def plane_frame(points: np.ndarray):
-    """Orthonormal in-plane basis (origin, u, v) for nearly-coplanar points.
-
-    u points along ``points[1] - points[0]``; v spans the remaining in-plane
-    direction.  A batch of one in :func:`_plane_frames`.
-    """
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        raise CollinearTriple("all points are collinear; no plane frame")
-    u, v, _, nu, spans = _plane_frames(pts[None])
-    if nu[0] == 0.0:
-        raise CoincidentPoints("cannot build a frame from coincident points")
-    if not spans[0].any():
-        raise CollinearTriple("all points are collinear; no plane frame")
-    return pts[0], u[0], v[0]
-
-
 def _plane_frames(pts: np.ndarray):
-    """The frame of :func:`plane_frame` for each point set of a stack
+    """An orthonormal frame (u, v) of the plane of each point set of a stack
     (Q, k, N), k >= 3: u along points[1] - points[0], v from the first later
     point that leaves the line by more than 1e-13 of its distance.
 
@@ -392,12 +293,6 @@ def _length(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt((vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0])
 
 
-def to_plane_coords(points: np.ndarray, frame) -> np.ndarray:
-    origin, u, v = frame
-    rel = np.asarray(points, dtype=float) - origin
-    return np.stack([rel @ u, rel @ v], axis=-1)
-
-
 class QuadCircles(NamedTuple):
     """Per-quad output of :func:`quad_circles`, each an array of shape (Q,)."""
 
@@ -420,8 +315,9 @@ _QUAD_ERRORS = {
 
 def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
     """Plane frame, circularity residual and cross-ratio of stacked quads
-    (Q, 4, N), each (a, b, c, d) in cyclic order, computed as by
-    :func:`plane_frame`, :func:`circularity_residual` and :func:`cross_ratio`.
+    (Q, 4, N), each (a, b, c, d) in cyclic order, the frame by
+    :func:`_plane_frames`, the rest as :func:`circularity_residual` and
+    :func:`cross_ratio` describe.
     Nothing is raised: ``error`` holds the first predicate each quad fails,
     and :func:`raise_quad_error` raises its typed error.
     """
@@ -503,50 +399,9 @@ def rank_residual(vectors: np.ndarray, rank: int) -> np.ndarray:
 # --- Minkowski space R^{N+1,1} ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinkowskiVec:
-    """Vector in R^{N+1,1} in the basis e_1..e_N, e_0, e_inf with
-    <e_0,e_0> = <e_inf,e_inf> = 0, <e_0,e_inf> = -1/2, <e_i,e_j> = delta_ij."""
-
-    spatial: np.ndarray
-    e0: float
-    einf: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "spatial", np.asarray(self.spatial, dtype=float))
-        if not (np.all(np.isfinite(self.spatial)) and np.isfinite(self.e0) and np.isfinite(self.einf)):
-            raise ValueError("Minkowski components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        """Flat layout [spatial..., e0, einf]."""
-        return np.concatenate([self.spatial, [self.e0, self.einf]])
-
-    @classmethod
-    def from_array(cls, arr) -> "MinkowskiVec":
-        arr = np.asarray(arr, dtype=float)
-        return cls(arr[:-2], float(arr[-2]), float(arr[-1]))
-
-    def __mul__(self, k: float) -> "MinkowskiVec":
-        return MinkowskiVec(self.spatial * k, self.e0 * k, self.einf * k)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "MinkowskiVec") -> "MinkowskiVec":
-        return MinkowskiVec(self.spatial + other.spatial, self.e0 + other.e0, self.einf + other.einf)
-
-    def __sub__(self, other: "MinkowskiVec") -> "MinkowskiVec":
-        return MinkowskiVec(self.spatial - other.spatial, self.e0 - other.e0, self.einf - other.einf)
-
-
-def minkowski_dot(x: MinkowskiVec, y: MinkowskiVec) -> float:
-    """<x,y> = sum x_i y_i - (x.e0 * y.einf + x.einf * y.e0) / 2."""
-    if x.spatial.shape != y.spatial.shape:
-        raise DimensionMismatch("spatial dimensions differ")
-    return float(np.dot(x.spatial, y.spatial) - 0.5 * (x.e0 * y.einf + x.einf * y.e0))
-
-
-def minkowski_dot_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bulk Minkowski product on flat-layout arrays (..., N+2)."""
+def minkowski_dot(x, y) -> np.ndarray:
+    """<x, y> = sum x_i y_i - (x_0 y_inf + x_inf y_0) / 2 of flat arrays
+    (..., N+2): <e_0, e_0> = <e_inf, e_inf> = 0, <e_0, e_inf> = -1/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return (x[..., :-2] * y[..., :-2]).sum(axis=-1) - 0.5 * (
@@ -554,23 +409,10 @@ def minkowski_dot_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def lift_to_lightcone(f) -> MinkowskiVec:
-    """f_hat = f + e_0 + |f|^2 e_inf; isotropic by construction."""
-    f = _as_point(f)
-    return MinkowskiVec(f, 1.0, float(np.dot(f, f)))
-
-
-def project_from_lightcone(y: MinkowskiVec, tol: Tolerances = DEFAULT_TOL):
-    """Inverse of the homogeneous light-cone lift.
-
-    Returns ``(s, f)`` with s = 1/y.e0 and f = s * spatial(y), so that
-    ``(1/s) * lift_to_lightcone(f)`` reproduces y.
-    """
-    norm2 = np.dot(y.spatial, y.spatial) + y.e0 ** 2 + y.einf ** 2
-    iso = minkowski_dot(y, y)
-    if abs(iso) > tol.incidence * max(norm2, 1e-300):
-        raise NotOnLightCone(f"<y,y> = {iso:.3e} is not isotropic")
-    if abs(y.e0) <= tol.incidence * np.sqrt(norm2):
-        raise ZeroE0Component("e_0 component vanishes (point at infinity)")
-    s = 1.0 / y.e0
-    return s, y.spatial * s
+def lift_to_lightcone(f) -> np.ndarray:
+    """f + e_0 + |f|^2 e_inf of points f (..., N), as (..., N+2); isotropic
+    by construction.  |f|^2 is rounded as numpy.dot rounds it (see
+    :func:`_length`)."""
+    f = np.asarray(f, dtype=float)
+    norm2 = (f[..., None, :] @ f[..., :, None])[..., 0]
+    return np.concatenate([f, np.ones_like(norm2), norm2], axis=-1)

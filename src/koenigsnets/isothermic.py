@@ -29,7 +29,8 @@ from .geom import (
     QuadCircles,
     Tolerances,
     _plane_frames,
-    minkowski_dot_arrays,
+    lift_to_lightcone,
+    minkowski_dot,
     quad_circles,
     raise_quad_error,
     rank_residual,
@@ -381,7 +382,7 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: boo
     s = iso.metric.values
     if np.any(s == 0.0):
         raise ZeroMetric("metric vanishes at a vertex")
-    y = _lift_array(f) / s[..., None]
+    y = lift_to_lightcone(f) / s[..., None]
     coeffs = {}
     for i, j in combinations(range(iso.net.m), 2):
         w = 1.0 / s
@@ -401,16 +402,9 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: boo
     return mn
 
 
-def _lift_array(f: np.ndarray) -> np.ndarray:
-    """Bulk light-cone lift [f, 1, |f|^2]."""
-    e0 = np.ones(f.shape[:-1] + (1,))
-    einf = (f * f).sum(axis=-1, keepdims=True)
-    return np.concatenate([f, e0, einf], axis=-1)
-
-
 def lift_labels(mn: MoutardNet, axis: int) -> np.ndarray:
     """alpha_axis = -2 <y, tau_axis y> on every axis edge of a light-cone net."""
-    return -2.0 * minkowski_dot_arrays(_crop(mn.points, (axis,), (0,)), _crop(mn.points, (axis,), (1,)))
+    return -2.0 * minkowski_dot(_crop(mn.points, (axis,), (0,)), _crop(mn.points, (axis,), (1,)))
 
 
 def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -423,7 +417,7 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """
     axes_data = [np.asarray(a, dtype=float) for a in axes_data]
     for arr in axes_data:
-        iso_res = np.abs(minkowski_dot_arrays(arr, arr))
+        iso_res = np.abs(minkowski_dot(arr, arr))
         scale = (arr * arr).sum(axis=-1)
         if np.any(iso_res > tol.incidence * np.maximum(scale, 1e-300)):
             raise ValueError("axis data must be isotropic")
@@ -461,10 +455,10 @@ def _lightcone_fill(axes, tol: Tolerances) -> MoutardNet:
 def _lightcone_coeff(y, d, tol: Tolerances):
     """a = -2 <y, d> / <d, d> of the step y + a d along diagonal differences
     d, and where d is isotropic: |<d, d>| <= tol.incidence |d|^2."""
-    dd = minkowski_dot_arrays(d, d)
+    dd = minkowski_dot(d, d)
     null = np.abs(dd) <= tol.incidence * (d * d).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -2.0 * minkowski_dot_arrays(y, d) / dd, null
+        return -2.0 * minkowski_dot(y, d) / dd, null
 
 
 def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> IsothermicNet:
@@ -501,7 +495,7 @@ def _similar_lift(points: np.ndarray, origin, scale: np.ndarray) -> np.ndarray:
     """Light-cone lift of (points - origin) / scale.  The similarity keeps
     every Moebius incidence, and keeps |f|^2 from swamping the other
     components; a zero scale (all points at the origin) is taken as 1."""
-    return _lift_array((points - origin) / np.where(scale > 0.0, scale, 1.0))
+    return lift_to_lightcone((points - origin) / np.where(scale > 0.0, scale, 1.0))
 
 
 def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) -> MoebiusReport:
@@ -571,7 +565,7 @@ def central_sphere(net: QNet, u, tol: Tolerances = DEFAULT_TOL):
     """Center and radius of the sphere through f and f_{+-1,+-2} at an
     interior vertex (a by-product of the rank test; no properties claimed)."""
     u1, u2 = u
-    lifted = _lift_array(net.vertices)
+    lifted = lift_to_lightcone(net.vertices)
     five = np.stack([
         lifted[u1, u2],
         lifted[u1 + 1, u2 + 1], lifted[u1 + 1, u2 - 1],

@@ -20,14 +20,7 @@ from .errors import (
     VertexOnDiagonal,
     ZeroNu,
 )
-from .geom import (
-    DEFAULT_TOL,
-    PlanarQuad,
-    Tolerances,
-    intersect_diagonals,
-    quad_diagonals,
-    rank_residual,
-)
+from .geom import DEFAULT_TOL, Tolerances, _length, quad_diagonals, rank_residual
 from .qnet import QNet, VertexScalar, _back, _base, _crop, _cubes, _frozen, _gather_quads, _star, _wavefront
 
 __all__ = [
@@ -63,22 +56,6 @@ class DiagonalForm:
     q_main: dict
     q_cross: dict
     m_points: dict
-
-    def directed(self, base, i, j, frm, to) -> float:
-        """q for the directed diagonal ``frm -> to`` of the quad at ``base``."""
-        base = tuple(base)
-        c00 = base
-        c10 = _shift(base, i)
-        c01 = _shift(base, j)
-        c11 = _shift(base, i, j)
-        frm, to = tuple(frm), tuple(to)
-        if {frm, to} == {c00, c11}:
-            val = self.q_main[(i, j)][base]
-            return val if frm == c00 else 1.0 / val
-        if {frm, to} == {c10, c01}:
-            val = self.q_cross[(i, j)][base]
-            return val if frm == c10 else 1.0 / val
-        raise ValueError("vertices are not a diagonal of this quad")
 
 
 def _shift(u, *axes):
@@ -282,53 +259,52 @@ def _nu_residual(net: QNet, form: DiagonalForm, nu: np.ndarray) -> float:
 # --- dual quadrilaterals and dual nets ---------------------------------------
 
 
-def dualize_quad(q: PlanarQuad, tol: Tolerances = DEFAULT_TOL) -> PlanarQuad:
-    """One representative of the dual quadrilateral, with the diagonal
-    intersection of the dual placed at the origin.
+def dualize_quad(quads, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """One representative of the dual of each quad of a stack (..., 4, N),
+    with the diagonal intersection of the dual placed at the origin.
 
-    Corresponding sides of the result are parallel to those of ``q`` and its
-    diagonals are parallel to the non-corresponding diagonals of ``q``.
+    Corresponding sides of a dual are parallel to those of its quad, and its
+    diagonals are parallel to the non-corresponding diagonals of the quad.
+    Parallel or skew diagonals raise DegenerateQuad (:func:`quad_diagonals`,
+    skew measured against the quad's diameter), and a diagonal intersection
+    within tol.incidence times the diameter of a vertex VertexOnDiagonal.
     """
-    m, _, _ = intersect_diagonals(q, tol)
-    e1 = q.c - q.a
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = q.d - q.b
-    e2 = e2 / np.linalg.norm(e2)
-    alpha = float(np.dot(q.a - m, e1))
-    beta = float(np.dot(q.b - m, e2))
-    gamma = float(np.dot(q.c - m, e1))
-    delta = float(np.dot(q.d - m, e2))
-    lo = tol.incidence * q.diameter
-    if min(abs(alpha), abs(beta), abs(gamma), abs(delta)) <= lo:
+    pts = np.asarray(quads, dtype=float)
+    flat = pts.reshape(-1, 4, pts.shape[-1])
+    diam = _length(flat[:, [0, 0, 0, 1, 1, 2]] - flat[:, [1, 2, 3, 2, 3, 3]]).max(axis=1)
+    m = quad_diagonals(flat, tol, scale=diam, guards=2).point
+    a, b, c, d = np.moveaxis(flat, 1, 0)
+    e1 = (c - a) / _length(c - a)[:, None]
+    e2 = (d - b) / _length(d - b)[:, None]
+    axis = np.stack([e1, e2, e1, e2], axis=1)  # the diagonal through each vertex
+    height = ((flat - m[:, None]) * axis).sum(axis=-1)  # its signed distance from m
+    if (np.abs(height).min(axis=1) <= tol.incidence * diam).any():
         raise VertexOnDiagonal("diagonal intersection coincides with a vertex")
-    return PlanarQuad(
-        -e2 / alpha, -e1 / beta, -e2 / gamma, -e1 / delta,
-        plane_tolerance=q.plane_tolerance,
-    )
+    return (-axis[:, [1, 0, 1, 0]] / height[..., None]).reshape(pts.shape)
 
 
-def _angular_residual(u: np.ndarray, v: np.ndarray) -> float:
-    """Sine of the angle between u and v (0 for parallel vectors).
+def _angular_residual(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sine of the angle between each pair of vectors u, v (..., N) (0 for
+    parallel vectors).
 
     Computed as the norm of the orthogonal rejection, which stays accurate
     to machine precision for nearly parallel vectors where the Gram
     determinant cancels.
     """
-    uh = u / np.linalg.norm(u)
-    vh = v / np.linalg.norm(v)
-    return float(np.linalg.norm(vh - np.dot(vh, uh) * uh))
+    uh = u / _length(u)[..., None]
+    vh = v / _length(v)[..., None]
+    return _length(vh - (vh * uh).sum(axis=-1, keepdims=True) * uh)
 
 
-def dual_quad_residual(q: PlanarQuad, qd: PlanarQuad) -> float:
-    """Max angular residual over the six parallelism predicates of duality:
-    four corresponding sides and the two crossed diagonals."""
-    a, b, c, d = q.a, q.b, q.c, q.d
-    aa, bb, cc, dd = qd.a, qd.b, qd.c, qd.d
-    pairs = [
-        (b - a, bb - aa), (c - b, cc - bb), (d - c, dd - cc), (a - d, aa - dd),
-        (cc - aa, d - b), (dd - bb, c - a),
-    ]
-    return max(_angular_residual(u, v) for u, v in pairs)
+def dual_quad_residual(quads, duals) -> np.ndarray:
+    """Max angular residual of each quad of a stack (..., 4, N) and its dual
+    over the six parallelism predicates of duality: four corresponding
+    sides, and each diagonal of the dual against the other diagonal of the
+    quad."""
+    q, qd = np.asarray(quads, dtype=float), np.asarray(duals, dtype=float)
+    u = np.concatenate([np.roll(q, -1, axis=-2) - q, qd[..., [2, 3], :] - qd[..., [0, 1], :]], axis=-2)
+    v = np.concatenate([np.roll(qd, -1, axis=-2) - qd, q[..., [3, 2], :] - q[..., [1, 0], :]], axis=-2)
+    return _angular_residual(u, v).max(axis=-1)
 
 
 def dualize_net(

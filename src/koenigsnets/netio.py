@@ -7,7 +7,6 @@ file byte for byte.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,17 @@ class NetDocument:
         return np.asarray(self.s, dtype=float).reshape(tuple(self.extents))
 
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
+def _fmt(values, sep: str = ", ") -> str:
+    """The values with 17 significant digits, joined by ``sep``, through one
+    format string ("%.17g" writes what format(x, ".17g") writes)."""
+    flat = np.asarray(values, dtype=float).reshape(-1)
+    if not np.isfinite(flat).all():
         raise ValueError("cannot serialize non-finite value")
-    return format(float(x), ".17g")
+    return sep.join(["%.17g"] * len(flat)) % tuple(flat.tolist())
 
 
 def _fmt_list(values) -> str:
-    return "[" + ", ".join(_fmt(v) for v in np.asarray(values, dtype=float).reshape(-1)) + "]"
+    return "[" + _fmt(values) + "]"
 
 
 def saves(doc: NetDocument) -> str:
@@ -180,9 +182,7 @@ def export_obj(doc: NetDocument, path) -> None:
     pts = np.asarray(doc.vertices, dtype=float).reshape(n1 * n2, doc.ambient_dim)
     if doc.ambient_dim < 3:
         pts = np.concatenate([pts, np.zeros((len(pts), 3 - doc.ambient_dim))], axis=1)
-    lines = []
-    for p in pts:
-        lines.append("v " + " ".join(_fmt(c) for c in p))
+    lines = ["v " + _fmt(p, " ") for p in pts]
     for a in range(n1 - 1):
         for b in range(n2 - 1):
             i00 = a * n2 + b + 1  # OBJ indices are 1-based

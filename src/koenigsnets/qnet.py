@@ -12,15 +12,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionTooLow
-from .geom import DEFAULT_TOL, PlanarQuad, Tolerances, rank_residual
+from .geom import DEFAULT_TOL, Tolerances, rank_residual
 
 __all__ = [
     "QNet",
     "VertexScalar",
     "EdgeLabelling",
     "PlanarityReport",
-    "quads",
-    "quad_points",
     "hexahedra",
     "check_qnet",
     "vertex_parity",
@@ -68,9 +66,6 @@ class QNet:
             self._cache[key] = build()
         return self._cache[key]
 
-    def vertex(self, u) -> np.ndarray:
-        return self._vertices[tuple(u)]
-
     def diameter(self) -> float:
         flat = self._vertices.reshape(-1, self.ambient_dim)
         return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
@@ -86,23 +81,6 @@ class QNet:
 
     def interior_indices(self) -> Iterator[tuple]:
         return product(*(range(1, e - 1) for e in self.extents))
-
-
-def quad_points(net: QNet, u, i: int, j: int) -> np.ndarray:
-    """Vertices (f, f_i, f_ij, f_j) of the quad based at u in plane (i, j)."""
-    u = tuple(u)
-    ei = tuple(u[k] + (1 if k == i else 0) for k in range(net.m))
-    ej = tuple(u[k] + (1 if k == j else 0) for k in range(net.m))
-    eij = tuple(u[k] + (1 if k in (i, j) else 0) for k in range(net.m))
-    return np.stack([net.vertex(u), net.vertex(ei), net.vertex(eij), net.vertex(ej)])
-
-
-def quads(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Iterator[tuple]:
-    """Yield every elementary quadrilateral (u, i, j, PlanarQuad), i < j."""
-    for i, j in combinations(range(net.m), 2):
-        for u in net.base_indices(i, j):
-            pts = quad_points(net, u, i, j)
-            yield u, i, j, PlanarQuad(*pts, plane_tolerance=tol.incidence)
 
 
 def hexahedra(net: QNet) -> Iterator[tuple]:

@@ -32,12 +32,14 @@ def iso_lightcone_3d():
 
 
 def random_planar_quad(rng, ambient_dim=3, convex=None):
-    """Random planar quad in R^N with well-conditioned diagonals.
+    """Random planar quad (4, N) in R^N with well-conditioned diagonals.
 
     convex=True forces an embedded quad, convex=False a crossed one,
-    None accepts either.
+    None accepts either.  Draws whose vertices leave a common 2-plane by
+    more than 1e-9 of their spread, or with three consecutive vertices
+    collinear to 1e-9 of the squared diameter, are redrawn.
     """
-    from koenigsnets.geom import PlanarQuad, is_convex
+    from koenigsnets.geom import is_convex, rank_residual
 
     while True:
         origin = rng.standard_normal(ambient_dim)
@@ -53,9 +55,20 @@ def random_planar_quad(rng, ambient_dim=3, convex=None):
         pts = [origin + r * (np.cos(t) * u + np.sin(t) * v) for r, t in zip(radii, angles)]
         if convex is False:
             pts[1], pts[2] = pts[2], pts[1]  # swap two corners to cross the quad
-        try:
-            quad = PlanarQuad(*pts)
-        except Exception:
+        quad = np.stack(pts)
+        if rank_residual(quad - quad.mean(axis=0), 2) > 1e-9 or _has_collinear_triple(quad, 1e-9):
             continue
         if convex is None or is_convex(quad) == convex:
             return quad
+
+
+def _has_collinear_triple(quad, tol):
+    """Whether some three consecutive vertices span a triangle of area at
+    most tol times the squared diameter (|u x v| from the Gram determinant)."""
+    diam = max(np.linalg.norm(p - q) for p in quad for q in quad)
+    for k in range(4):
+        u, v = quad[k] - quad[k - 1], quad[(k + 1) % 4] - quad[k]
+        area = np.sqrt(max(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2, 0.0))
+        if area <= tol * diam * diam:
+            return True
+    return False

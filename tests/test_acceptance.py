@@ -95,18 +95,15 @@ def lightcone_nets():
 
 def test_criterion_01_dual_quad_law():
     rng = np.random.default_rng(2026_05)
-    worst_parallel = 0.0
-    worst_shape = 0.0
-    for _ in range(1000):
-        q = random_planar_quad(rng)
-        d = dualize_quad(q)
-        worst_parallel = max(worst_parallel, dual_quad_residual(q, d))
-        dd = dualize_quad(d)
-        v1 = q.points - q.points.mean(axis=0)
-        v2 = dd.points - dd.points.mean(axis=0)
-        scale = float((v2 * v1).sum() / (v1 * v1).sum())
-        shape = np.linalg.norm(v2 - scale * v1) / np.linalg.norm(v2)
-        worst_shape = max(worst_shape, shape)
+    quads = np.stack([random_planar_quad(rng) for _ in range(1000)])
+    d = dualize_quad(quads)
+    worst_parallel = float(dual_quad_residual(quads, d).max())
+    dd = dualize_quad(d)
+    v1 = quads - quads.mean(axis=1, keepdims=True)
+    v2 = dd - dd.mean(axis=1, keepdims=True)
+    scale = (v2 * v1).sum(axis=(1, 2)) / (v1 * v1).sum(axis=(1, 2))
+    shape = np.linalg.norm(v2 - scale[:, None, None] * v1, axis=(1, 2)) / np.linalg.norm(v2, axis=(1, 2))
+    worst_shape = float(shape.max())
     _report(
         1, "dual-quad law",
         worst_parallel <= 1e-9 and worst_shape <= 1e-9,

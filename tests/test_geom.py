@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,111 +7,124 @@ from hypothesis import strategies as st
 
 from conftest import random_planar_quad
 from koenigsnets.errors import (
-    CollinearTriple,
     DegenerateQuad,
     GeneralPositionViolated,
     NotConcircular,
-    NotPlanar,
     PointOffLine,
     VertexOnDiagonal,
     ZeroE0Component,
 )
 from koenigsnets.geom import (
-    MinkowskiVec,
-    PlanarQuad,
     Tolerances,
     affine_rank,
     circularity_residual,
     cross_ratio,
-    diagonal_ratios,
-    intersect_diagonals,
     is_convex,
     lift_to_lightcone,
     menelaus_product,
     minkowski_dot,
-    project_from_lightcone,
     quad_circles,
+    quad_diagonals,
 )
+from koenigsnets.isothermic import project_lightcone_net
+from koenigsnets.koenigs import MoutardNet, dual_quad_residual, dualize_quad
 
-UNIT_SQUARE = PlanarQuad([0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0])
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+ASYMMETRIC = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.25, 1.0]])
 
 
 class TestPlanarQuad:
+    """A quad is a (4, N) array; dualize_quad rejects those that are not
+    planar quads with well-defined diagonals."""
+
     def test_nonplanar_rejected(self):
-        with pytest.raises(NotPlanar):
-            PlanarQuad([0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0])
+        with pytest.raises(DegenerateQuad, match="skew diagonals"):
+            dualize_quad([[0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0]])
 
     def test_collinear_triple_rejected(self):
-        with pytest.raises(CollinearTriple):
-            PlanarQuad([0, 0], [1, 0], [2, 0], [0, 1])
+        # B lies on the diagonal AC, so the diagonals meet at B
+        with pytest.raises(VertexOnDiagonal):
+            dualize_quad([[0, 0], [1, 0], [2, 0], [0, 1]])
 
     def test_valid_in_r3(self):
-        q = PlanarQuad([0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1])
-        assert q.diameter == pytest.approx(np.sqrt(2))
+        q = np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
+        d = dualize_quad(q)
+        assert d.shape == (4, 3)
+        assert dual_quad_residual(q, d) <= 1e-15
+        assert is_convex(q) and is_convex(d)
 
 
 class TestIntersectDiagonals:
     def test_unit_square(self):
-        m, t_ac, t_bd = intersect_diagonals(UNIT_SQUARE)
-        assert np.allclose(m, [0.5, 0.5])
-        assert t_ac == pytest.approx(0.5)
-        assert t_bd == pytest.approx(0.5)
+        diag = quad_diagonals(UNIT_SQUARE[None])
+        assert np.allclose(diag.point, [[0.5, 0.5]])
+        assert diag.t[0] == pytest.approx(0.5)
+        assert diag.s[0] == pytest.approx(0.5)
 
     def test_asymmetric_quad(self):
         # intersection of y=x with the segment from (1,0) to (0.25,1),
         # solved independently: x = 4/7
-        q = PlanarQuad([0, 0], [1, 0], [1, 1], [0.25, 1])
-        m, t_ac, t_bd = intersect_diagonals(q)
-        assert np.allclose(m, [4 / 7, 4 / 7])
-        assert t_ac == pytest.approx(4 / 7)
-        assert t_bd == pytest.approx(4 / 7)
+        diag = quad_diagonals(ASYMMETRIC[None])
+        assert np.allclose(diag.point, [[4 / 7, 4 / 7]])
+        assert diag.t[0] == pytest.approx(4 / 7)
+        assert diag.s[0] == pytest.approx(4 / 7)
 
     def test_parallel_diagonals(self):
         # diagonals (AC) and (BD) are both horizontal
-        with pytest.raises(DegenerateQuad):
-            q = PlanarQuad([0, 0], [0.5, 1], [1, 0], [-0.5, 1])
-            intersect_diagonals(q)
+        with pytest.raises(DegenerateQuad, match="parallel"):
+            quad_diagonals(np.array([[[0, 0], [0.5, 1], [1, 0], [-0.5, 1]]]))
 
 
 class TestDiagonalRatios:
     def test_unit_square(self):
-        q_ac, q_bd = diagonal_ratios(UNIT_SQUARE)
-        assert q_ac == pytest.approx(-1.0)
-        assert q_bd == pytest.approx(-1.0)
+        diag = quad_diagonals(UNIT_SQUARE[None])
+        assert diag.q_ac[0] == pytest.approx(-1.0)
+        assert diag.q_bd[0] == pytest.approx(-1.0)
 
     def test_asymmetric_quad(self):
-        q = PlanarQuad([0, 0], [1, 0], [1, 1], [0.25, 1])
-        _, q_bd = diagonal_ratios(q)
-        assert q_bd == pytest.approx(-3 / 4)
+        assert quad_diagonals(ASYMMETRIC[None]).q_bd[0] == pytest.approx(-3 / 4)
 
     def test_vertex_on_diagonal(self):
-        # diagonals meet within 1e-12 of vertex A; a tight plane tolerance
-        # keeps the nearly-collinear triple (D, A, B) constructible
+        # diagonals meet within 1e-12 of vertex A
         m = np.array([1e-12, 0.0])
         s = np.array([0.3, -0.5])
-        q = PlanarQuad([0, 0], m + s, [1, 0], m - 2 * s, plane_tolerance=1e-15)
         with pytest.raises(VertexOnDiagonal):
-            diagonal_ratios(q)
+            quad_diagonals(np.array([[[0, 0], m + s, [1, 0], m - 2 * s]]))
 
     def test_reversal_inverts(self, rng):
-        for _ in range(50):
-            q = random_planar_quad(rng)
-            q_ac, q_bd = diagonal_ratios(q)
-            rev = PlanarQuad(q.c, q.b, q.a, q.d)
-            r_ac, _ = diagonal_ratios(rev)
-            assert r_ac == pytest.approx(1.0 / q_ac, rel=1e-9)
+        quads = np.stack([random_planar_quad(rng) for _ in range(50)])
+        q_ac = quad_diagonals(quads).q_ac
+        r_ac = quad_diagonals(quads[:, [2, 1, 0, 3]]).q_ac
+        assert np.allclose(r_ac, 1.0 / q_ac, rtol=1e-9, atol=0.0)
 
     def test_convexity_criterion(self, rng):
-        for _ in range(100):
-            q = random_planar_quad(rng)
-            q_ac, q_bd = diagonal_ratios(q)
-            assert (q_ac < 0 and q_bd < 0) == is_convex(q)
+        quads = np.stack([random_planar_quad(rng) for _ in range(100)])
+        diag = quad_diagonals(quads)
+        assert np.array_equal((diag.q_ac < 0) & (diag.q_bd < 0), is_convex(quads))
 
     def test_crossed_quad_positive_ratio(self, rng):
-        for _ in range(50):
-            q = random_planar_quad(rng, convex=False)
-            q_ac, q_bd = diagonal_ratios(q)
-            assert q_ac > 0 or q_bd > 0
+        quads = np.stack([random_planar_quad(rng, convex=False) for _ in range(50)])
+        diag = quad_diagonals(quads)
+        assert np.all((diag.q_ac > 0) | (diag.q_bd > 0))
+
+
+class TestIsConvex:
+    def test_stack_matches_single_quads(self, rng):
+        quads = np.stack([random_planar_quad(rng, ambient_dim=4) for _ in range(30)]).reshape(5, 6, 4, 4)
+        got = is_convex(quads)
+        assert got.shape == (5, 6)
+        assert got.tolist() == [[bool(is_convex(q)) for q in row] for row in quads]
+
+    def test_degenerate_quads_are_not_convex(self):
+        quads = np.array([
+            [[0, 0], [0, 0], [1, 1], [0, 1]],  # coincident first vertices: no frame
+            [[0, 0], [1, 0], [2, 0], [3, 0]],  # all collinear: no frame
+            [[0, 0], [1, 0], [2, 0], [0, 1]],  # a straight corner
+            [[0, 0], [1e-200, 1e-200], [1, 2], [0, 1]],  # the first side's length underflows: no frame
+        ], dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not is_convex(quads).any()
 
 
 class TestAffineRank:
@@ -300,49 +315,62 @@ class TestQuadCircles:
 
 
 class TestMinkowski:
-    E0 = MinkowskiVec(spatial=np.zeros(2), e0=1.0, einf=0.0)
-    EINF = MinkowskiVec(spatial=np.zeros(2), e0=0.0, einf=1.0)
+    E0 = np.array([0.0, 0.0, 1.0, 0.0])
+    EINF = np.array([0.0, 0.0, 0.0, 1.0])
 
     def test_basis_products(self):
         assert minkowski_dot(self.E0, self.EINF) == pytest.approx(-0.5)
         assert minkowski_dot(self.E0, self.E0) == 0.0
         assert minkowski_dot(self.EINF, self.EINF) == 0.0
-        e1 = MinkowskiVec(spatial=np.array([1.0, 0.0]), e0=0.0, einf=0.0)
-        assert minkowski_dot(e1, e1) == 1.0
+        assert minkowski_dot([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]) == 1.0
+        # a stack against one vector
+        assert minkowski_dot(np.stack([self.E0, self.EINF]), self.EINF).tolist() == [-0.5, 0.0]
 
     def test_lift_of_unit_point(self):
         y = lift_to_lightcone([1.0, 0.0])
-        assert y.e0 == 1.0 and y.einf == 1.0
+        assert y.tolist() == [1.0, 0.0, 1.0, 1.0]
         assert minkowski_dot(y, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_lift_three_four(self):
         y = lift_to_lightcone([3.0, 4.0])
-        assert y.einf == 25.0
+        assert y[-1] == 25.0
         assert minkowski_dot(y, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_lift_origin(self):
         y = lift_to_lightcone([0.0, 0.0])
-        assert y.e0 == 1.0 and y.einf == 0.0 and np.all(y.spatial == 0.0)
+        assert y.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lift_rounds_as_numpy_dot(self, rng, n):
+        # |f|^2 must round exactly as np.dot does: (f * f).sum(-1) differs
+        # in the last bit on some rows, which changes generated nets
+        f = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-3, 4, (400, 1))
+        y = lift_to_lightcone(f)
+        assert y.shape == (400, n + 2)
+        assert np.all(y[:, -1] == np.array([np.dot(p, p) for p in f]))
+        assert np.all(y[:, :n] == f) and np.all(y[:, n] == 1.0)
+        stacked = lift_to_lightcone(f.reshape(20, 20, n))
+        assert np.array_equal(stacked, y.reshape(20, 20, n + 2))
 
     def test_project_scaled(self):
-        y = MinkowskiVec(spatial=np.array([2.0, 0.0]), e0=2.0, einf=2.0)
-        s, f = project_from_lightcone(y)
-        assert s == pytest.approx(0.5)
-        assert np.allclose(f, [1.0, 0.0])
+        # y = 2 (f + e_0 + |f|^2 e_inf) on a unit square f: s = 1/2
+        f = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+        iso = project_lightcone_net(MoutardNet(2.0 * lift_to_lightcone(f), {}, lightcone=True))
+        assert np.allclose(iso.metric.values, 0.5)
+        assert np.allclose(iso.net.vertices, f)
 
     def test_project_infinity(self):
+        y = lift_to_lightcone(np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]))
+        y[1, 1] = self.EINF
         with pytest.raises(ZeroE0Component):
-            project_from_lightcone(self.EINF)
+            project_lightcone_net(MoutardNet(y, {}, lightcone=True))
 
     def test_round_trip(self, rng):
-        for _ in range(50):
-            f = rng.uniform(-10, 10, 3)
-            scale = rng.uniform(0.1, 5.0)
-            y = lift_to_lightcone(f)
-            scaled = MinkowskiVec(y.spatial * scale, y.e0 * scale, y.einf * scale)
-            s, f2 = project_from_lightcone(scaled)
-            assert np.allclose(f2, f, atol=1e-12)
-            assert s == pytest.approx(1.0 / scale, rel=1e-12)
+        f = rng.uniform(-10, 10, (5, 6, 3))
+        scale = rng.uniform(0.1, 5.0, (5, 6))
+        iso = project_lightcone_net(MoutardNet(lift_to_lightcone(f) * scale[..., None], {}, lightcone=True))
+        assert np.allclose(iso.net.vertices, f, atol=1e-12)
+        assert np.allclose(iso.metric.values, 1.0 / scale, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -359,9 +387,8 @@ def test_ratio_formula_property(t, skew):
     b = m + s
     d = m - 1.4 * s  # B, M, D collinear, so the diagonals meet at M
     try:
-        q = PlanarQuad(a, b, c, d)
-        q_ac, _ = diagonal_ratios(q)
-    except (NotPlanar, CollinearTriple, DegenerateQuad, VertexOnDiagonal):
+        q_ac = quad_diagonals(np.stack([a, b, c, d])[None]).q_ac[0]
+    except (DegenerateQuad, VertexOnDiagonal):
         return
     assert q_ac == pytest.approx((1 - t) / (-t), rel=1e-9)
 

@@ -284,10 +284,10 @@ class TestLightconeLift:
         assert np.allclose(mn.coeffs[(0, 1)], 1.0)
 
     def test_isotropy(self, iso_net):
-        from koenigsnets.geom import minkowski_dot_arrays
+        from koenigsnets.geom import minkowski_dot
 
         mn = lightcone_lift(iso_net)
-        norms = minkowski_dot_arrays(mn.points, mn.points)
+        norms = minkowski_dot(mn.points, mn.points)
         assert np.abs(norms).max() <= 1e-10 * (mn.points**2).sum(axis=-1).max()
 
     def test_moutard_residual(self, iso_net):
@@ -335,15 +335,15 @@ class TestLightconeEvolve:
         assert np.allclose(mn2.points, mn.points)
 
     def test_null_diagonal_rejected(self):
-        from koenigsnets.isothermic import _lift_array
+        from koenigsnets.geom import lift_to_lightcone
 
         # both diagonal endpoints lift the same point with different metric
         # values, so their difference is isotropic
         f0 = np.array([0.0, 0.0, 0.0])
         f1 = np.array([1.0, 0.0, 0.0])
-        y0 = _lift_array(f0)
-        y1 = _lift_array(f1) / 2.0
-        y2 = _lift_array(f1) / 3.0
+        y0 = lift_to_lightcone(f0)
+        y1 = lift_to_lightcone(f1) / 2.0
+        y2 = lift_to_lightcone(f1) / 3.0
         with pytest.raises(NullDiagonalDifference):
             lightcone_evolve((np.stack([y0, y1]), np.stack([y0, y2])))
 
@@ -468,6 +468,18 @@ class TestMoebiusInvariance:
 
 
 class TestMetricCaveat:
+    @pytest.mark.parametrize("error", [CoincidentPoints, CollinearTriple])
+    def test_degenerate_corner_quad_rejected(self, iso_net, error):
+        v = iso_net.net.vertices.copy()
+        f, f2 = v[-2, -2].copy(), v[-2, -1].copy()
+        if error is CoincidentPoints:
+            v[-1, -2] = f  # f_1 onto f
+        else:  # f_1 and f_12 onto the line of f and f_2
+            v[-1, -2], v[-1, -1] = 2 * f - f2, 3 * f2 - 2 * f
+        bad = IsothermicNet(net=QNet(v), labels=iso_net.labels, metric=iso_net.metric)
+        with pytest.raises(error):
+            generate.flip_corner_cross_ratio(bad)
+
     def test_flipped_net_keeps_metric_property(self, flipped):
         # the counterexample still satisfies |f_i - f|^2 = alpha_i s s_i ...
         from koenigsnets.isothermic import _edge_alpha
@@ -488,7 +500,7 @@ class TestMetricCaveat:
     def test_embedded_sufficiency(self, iso_net):
         # with all quads embedded, the metric property implies isothermic
         from koenigsnets.geom import is_convex
-        from koenigsnets.qnet import quads
+        from koenigsnets.qnet import _gather_quads
 
-        assert all(is_convex(q) for _, _, _, q in quads(iso_net.net))
+        assert is_convex(_gather_quads(iso_net.net, 0, 1)[0]).all()
         assert check_isothermic(iso_net.net).passed

@@ -6,12 +6,12 @@ import pytest
 
 from koenigsnets import generate, koenigs, qnet
 from koenigsnets.errors import (
-    CollinearTriple,
+    DegenerateQuad,
     NotAlternating,
     NotKoenigs,
     VanishingLastComponent,
 )
-from koenigsnets.geom import PlanarQuad, diagonal_ratios
+from koenigsnets.geom import quad_diagonals
 from koenigsnets.koenigs import (
     build_q_form,
     check_closedness,
@@ -29,7 +29,22 @@ from koenigsnets.koenigs import (
     switched_laplace_residual,
     switched_moutard_residual,
 )
-from koenigsnets.qnet import QNet, quads
+from koenigsnets.qnet import QNet, _gather_quads
+
+
+def _directed(form, base, i, j, frm, to) -> float:
+    """q for the directed diagonal ``frm -> to`` of the quad at ``base`` in
+    the (i, j) plane, from the canonical orientations of the form."""
+    c00 = tuple(base)
+    c10, c01, c11 = (tuple(b + (ax in axes) for ax, b in enumerate(c00)) for axes in ((i,), (j,), (i, j)))
+    frm, to = tuple(frm), tuple(to)
+    if {frm, to} == {c00, c11}:
+        val = form.q_main[(i, j)][c00]
+        return val if frm == c00 else 1.0 / val
+    if {frm, to} == {c10, c01}:
+        val = form.q_cross[(i, j)][c00]
+        return val if frm == c10 else 1.0 / val
+    raise ValueError("vertices are not a diagonal of this quad")
 
 
 class TestQForm:
@@ -39,14 +54,12 @@ class TestQForm:
         assert np.allclose(form.q_cross[(0, 1)], -1.0)
 
     def test_matches_single_quad_ratio(self):
-        # net consisting of one quad; cross value matches diagonal_ratios
+        # net consisting of one quad; its form is the quad's diagonal ratios
         v = np.array([[[0, 0], [0.25, 1]], [[1, 0], [1, 1]]], dtype=float)
-        net = QNet(v)
-        form = build_q_form(net)
-        q = PlanarQuad([0, 0], [1, 0], [1, 1], [0.25, 1])
-        q_ac, q_bd = diagonal_ratios(q)
-        assert form.q_main[(0, 1)][0, 0] == pytest.approx(q_ac)
-        assert form.q_cross[(0, 1)][0, 0] == pytest.approx(q_bd)
+        form = build_q_form(QNet(v))
+        diag = quad_diagonals(np.array([[[0, 0], [1, 0], [1, 1], [0.25, 1]]], dtype=float))
+        assert form.q_main[(0, 1)][0, 0] == pytest.approx(diag.q_ac[0])
+        assert form.q_cross[(0, 1)][0, 0] == pytest.approx(diag.q_bd[0])
 
     def test_crossed_quad_positive(self):
         # crossed quad: a diagonal ratio turns positive
@@ -61,8 +74,8 @@ class TestQForm:
     def test_reversal_inverts(self, koenigs_net_2d):
         form = build_q_form(koenigs_net_2d)
         base = (2, 3)
-        fwd = form.directed(base, 0, 1, (2, 3), (3, 4))
-        bwd = form.directed(base, 0, 1, (3, 4), (2, 3))
+        fwd = _directed(form, base, 0, 1, (2, 3), (3, 4))
+        bwd = _directed(form, base, 0, 1, (3, 4), (2, 3))
         assert fwd * bwd == pytest.approx(1.0)
 
 
@@ -122,7 +135,7 @@ def _corner_products_reference(net, form):
                     r = next(ax for ax in axes if ax not in (p, q))
                     base = list(w)
                     base[r] = corner[r]
-                    prod *= form.directed(tuple(base), p, q, frm, to)
+                    prod *= _directed(form, base, p, q, frm, to)
                 out.append((f"corner {corner} of cube {w} axes {axes}", abs(prod - 1.0)))
     return out
 
@@ -184,12 +197,12 @@ class TestIntegrateNu:
 
 class TestDualQuad:
     def test_unit_square(self):
-        q = PlanarQuad([0, 0], [1, 0], [1, 1], [0, 1])
+        q = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         d = dualize_quad(q)
         assert dual_quad_residual(q, d) <= 1e-12
         # dual vertices sit along the original diagonal directions
-        assert abs(np.dot(d.a, [1, 1])) <= 1e-12  # A* on the (1,-1) direction
-        assert abs(np.dot(d.b, [1, -1])) <= 1e-12
+        assert abs(np.dot(d[0], [1, 1])) <= 1e-12  # A* on the (1,-1) direction
+        assert abs(np.dot(d[1], [1, -1])) <= 1e-12
 
     def test_double_dual_similar(self, rng):
         from conftest import random_planar_quad
@@ -197,17 +210,31 @@ class TestDualQuad:
         for _ in range(50):
             q = random_planar_quad(rng)
             dd = dualize_quad(dualize_quad(q))
-            v1 = q.points - q.points.mean(axis=0)
-            v2 = dd.points - dd.points.mean(axis=0)
+            v1 = q - q.mean(axis=0)
+            v2 = dd - dd.mean(axis=0)
             scale = float((v2 * v1).sum() / (v1 * v1).sum())
             assert np.allclose(v2, scale * v1, atol=1e-9 * np.abs(v2).max())
 
     def test_random_parallelism(self, rng):
         from conftest import random_planar_quad
 
-        for _ in range(100):
-            q = random_planar_quad(rng)
-            assert dual_quad_residual(q, dualize_quad(q)) <= 1e-9
+        quads = np.stack([random_planar_quad(rng) for _ in range(100)]).reshape(10, 10, 4, 3)
+        duals = dualize_quad(quads)
+        assert duals.shape == quads.shape
+        res = dual_quad_residual(quads, duals)
+        assert res.shape == (10, 10) and res.max() <= 1e-9
+        # the stack gives each quad the dual it gets alone
+        assert np.array_equal(duals[3, 7], dualize_quad(quads[3, 7]))
+
+    def test_skew_guard_scales_with_the_diameter(self):
+        # a crossed quad with diagonals of length 1 and sides near 100; D is
+        # lifted by g, which puts the diagonal lines about g / 2 apart
+        def quad(g):
+            return np.array([[0, 0, 0], [100, 0.5, 0], [1, 0, 0], [100, -0.5, g]], dtype=float)
+
+        assert np.isfinite(dualize_quad(quad(1e-8))).all()  # gap 5e-9 <= 1e-9 * diameter
+        with pytest.raises(DegenerateQuad, match="skew diagonals"):
+            dualize_quad(quad(1e-6))  # gap 5e-7
 
 
 class TestDualizeNet:
@@ -226,8 +253,8 @@ class TestDualizeNet:
     def test_per_quad_duality(self, koenigs_net_2d):
         kd = integrate_nu(koenigs_net_2d)
         dual = dualize_net(koenigs_net_2d, kd)
-        for (u, i, j, q), (_, _, _, qd) in zip(quads(koenigs_net_2d), quads(dual)):
-            assert dual_quad_residual(q, qd) <= 1e-9
+        quads, duals = _gather_quads(koenigs_net_2d, 0, 1)[0], _gather_quads(dual, 0, 1)[0]
+        assert dual_quad_residual(quads, duals).max() <= 1e-9
 
     def test_involution(self, koenigs_net_2d):
         kd = integrate_nu(koenigs_net_2d)
@@ -323,8 +350,8 @@ class TestMoutard:
         y2 = np.array([[0, 0, 1], [0.2, 1, 1], [0, 2, 1]], dtype=float)
         mn = moutard_evolve((y1, y2), {(0, 1): np.zeros((2, 2))})
         net, _ = mn.project_homogeneous()
-        with pytest.raises(CollinearTriple):
-            list(quads(net))
+        with pytest.raises(DegenerateQuad, match=r"parallel diagonals at quad base \(0, 0\)"):
+            build_q_form(net)
 
     def test_infinity_flagged(self):
         # axis data forcing the last homogeneous component through zero

@@ -51,6 +51,43 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             netio.saves(doc)
 
+    def test_float_bytes_pinned(self, tmp_path):
+        values = [-0.0, 5e-324, 1e16, 1e17, 1.797e308, 0.1, 1 / 3, -2.5, 123456789.0, 1e-5]
+        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, vertices=np.array(values[:8]),
+                                nu=np.array(values[6:]))
+        text = netio.saves(doc)
+        assert '"vertices": [-0, 4.9406564584124654e-324, 10000000000000000, 1e+17, 1.797e+308, ' \
+               '0.10000000000000001, 0.33333333333333331, -2.5]' in text
+        assert '"nu": [0.33333333333333331, -2.5, 123456789, 1.0000000000000001e-05]' in text
+        # each value as format(x, ".17g") writes it
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+                            [np.finfo(float).max, np.finfo(float).tiny, -np.finfo(float).eps]])
+        assert netio._fmt_list(x) == "[" + ", ".join(format(v, ".17g") for v in x.tolist()) + "]"
+        netio.export_obj(netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, vertices=np.array(values[:8])),
+                         tmp_path / "net.obj")
+        assert (tmp_path / "net.obj").read_text().splitlines()[:2] == [
+            "v -0 4.9406564584124654e-324 0", "v 10000000000000000 1e+17 0"]
+
+    @pytest.mark.parametrize("block", ["vertices", "nu", "s", "labels", "moutard points", "moutard coeffs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_in_every_block(self, block, bad, tmp_path):
+        fields = dict(
+            vertices=np.zeros(8), nu=np.ones(4), s=np.ones(4), labels=(np.ones(1), np.ones(1)),
+            moutard={"dim": 3, "points": np.ones(12), "coeffs": {(0, 1): np.ones(1)}},
+        )
+        target = {"labels": fields["labels"][1], "moutard points": fields["moutard"]["points"],
+                  "moutard coeffs": fields["moutard"]["coeffs"][(0, 1)]}.get(block, fields.get(block))
+        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, **fields)
+        assert netio.loads(netio.saves(doc)).labels is not None  # finite: it round-trips
+        target[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            netio.saves(doc)
+        if block == "vertices":
+            with pytest.raises(ValueError, match="non-finite"):
+                netio.export_obj(doc, tmp_path / "net.obj")
+            assert not (tmp_path / "net.obj").exists()
+
 
 class TestLoadErrors:
     def test_truncated_file(self, koenigs_net_2d):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,16 @@ from koenigsnets.qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
+    _gather_quads,
     check_qnet,
     hexahedra,
-    quads,
     vertex_parity,
 )
+
+
+def _n_quads(net):
+    """Elementary quads of a net, counted from the stacks the checks gather."""
+    return sum(len(_gather_quads(net, i, j)[0]) for i, j in combinations(range(net.m), 2))
 
 
 class TestQNetConstruction:
@@ -69,13 +76,18 @@ class TestParity:
 
 class TestIterators:
     def test_quad_count_3x3(self):
-        assert sum(1 for _ in quads(generate.grid((3, 3)))) == 4
+        assert _n_quads(generate.grid((3, 3))) == 4
 
     def test_quad_count_4x3(self):
-        assert sum(1 for _ in quads(generate.grid((4, 3)))) == 6
+        net = generate.grid((4, 3))
+        assert _n_quads(net) == 6
+        # in base_indices order, each (f, f_1, f_12, f_2)
+        pts, shape = _gather_quads(net, 0, 1)
+        assert shape == (3, 2)
+        assert np.array_equal(pts[3], net.vertices[[1, 2, 2, 1], [1, 1, 2, 2]])
 
     def test_quad_count_cube(self):
-        assert sum(1 for _ in quads(generate.grid((2, 2, 2)))) == 6
+        assert _n_quads(generate.grid((2, 2, 2))) == 6
 
     def test_hexahedron_counts(self):
         assert sum(1 for _ in hexahedra(generate.grid((2, 2, 2)))) == 1
@@ -93,7 +105,7 @@ class TestIterators:
             for i in range(3)
             for j in range(i + 1, 3)
         )
-        assert sum(1 for _ in quads(net)) == expected
+        assert _n_quads(net) == expected
 
 
 class TestCheckQnet:

@@ -17,8 +17,8 @@ from koenigsnets.errors import (
     ZeroLeg,
 )
 from koenigsnets.generate import _hexahedron_steps
-from koenigsnets.geom import minkowski_dot_arrays
-from koenigsnets.isothermic import _lift_array, lightcone_evolve, three_leg_evolve
+from koenigsnets.geom import lift_to_lightcone, minkowski_dot
+from koenigsnets.isothermic import lightcone_evolve, three_leg_evolve
 from koenigsnets.koenigs import (
     DiagonalForm,
     _integrate_one_form,
@@ -140,10 +140,10 @@ def loop_three_leg(f1, f2, labels):
 
 def _loop_lightcone_step(y, yi, yj):
     d = yj - yi
-    dd = minkowski_dot_arrays(d, d)
+    dd = minkowski_dot(d, d)
     if abs(dd) <= 1e-300:
         raise NullDiagonalDifference("isotropic")
-    a = -2.0 * minkowski_dot_arrays(y, d) / dd
+    a = -2.0 * minkowski_dot(y, d) / dd
     return y + a * d, float(a)
 
 
@@ -163,7 +163,7 @@ def loop_lightcone(axes):
     for (i, j), arr in coeffs.items():
         for b in product(*(range(e) for e in arr.shape)):
             dvec = y[_shift(b, j)] - y[_shift(b, i)]
-            arr[b] = -2.0 * minkowski_dot_arrays(y[b], dvec) / minkowski_dot_arrays(dvec, dvec)
+            arr[b] = -2.0 * minkowski_dot(y[b], dvec) / minkowski_dot(dvec, dvec)
     return y, coeffs
 
 
@@ -233,7 +233,7 @@ def _lightcone_axes(extents, rng, noise=0.05, scale=1.0):
     for ax, n in enumerate(extents):
         f = generate._random_axis_curve(n, ax, 3, rng, noise)
         sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if ax == 1 else np.ones(n)
-        axes.append(scale * _lift_array(f) / (sign * (1.0 + noise * rng.standard_normal(n)))[:, None])
+        axes.append(scale * lift_to_lightcone(f) / (sign * (1.0 + noise * rng.standard_normal(n)))[:, None])
     for ax in range(1, len(axes)):
         axes[ax][0] = axes[0][0]
     return axes
@@ -413,9 +413,9 @@ class TestDegenerateSteps:
         assert isinstance(_same_error(*self._three_leg(f1, f2, [1e-200] * 3, [-1e-200] * 3)), ZeroLeg)
 
     def test_null_diagonal_difference(self):
-        y = np.stack([_lift_array(np.array([u1, u2, 0.0])) for u1, u2 in product(range(3), range(3))])
+        y = lift_to_lightcone(np.array([[u1, u2, 0.0] for u1, u2 in product(range(3), range(3))]))
         y = y.reshape(3, 3, 5) * np.array([1.0, 2.0, 3.0])[None, :, None]
-        y[1, 0], y[0, 1] = _lift_array(np.ones(3)) / 2.0, _lift_array(np.ones(3)) / 3.0  # null first diagonal
+        y[1, 0], y[0, 1] = lift_to_lightcone(np.ones(3)) / 2.0, lift_to_lightcone(np.ones(3)) / 3.0  # null first diagonal
         axes = (y[:, 0], y[0, :])
         assert isinstance(_same_error(lambda: lightcone_evolve(axes), lambda: loop_lightcone(axes)),
                           NullDiagonalDifference)
