@@ -21,8 +21,8 @@ rng = np.random.default_rng(7)
 
 net = generate.random_koenigs_2d((10, 10), rng=rng)
 rep = check_closedness(net)
-print(f"random 10x10 net in R^3: Koenigs = {rep.is_koenigs}, "
-      f"worst 4-cycle residual = {rep.max_residual:.2e}")
+print(f"random 10x10 net in R^3: Koenigs = {rep.passed}, "
+      f"worst of {rep.n_checked} 4-cycle residuals = {rep.max_residual:.2e} at {rep.worst_at}")
 
 kd = integrate_nu(net)
 print(f"nu integrated over both diagonal parities, "
@@ -30,7 +30,7 @@ print(f"nu integrated over both diagonal parities, "
 print(f"dual one-form closure residual = {dual_form_residual(net, kd):.2e}")
 
 dual = dualize_net(net, kd)
-print(f"dual net is itself Koenigs: {check_closedness(dual).is_koenigs}")
+print(f"dual net is itself Koenigs: {check_closedness(dual).passed}")
 
 # dualizing again with nu* = 1/nu recovers the original up to translation
 kd_dual = KoenigsData(nu=VertexScalar(1.0 / kd.nu.values), closedness_residual=0.0)
@@ -46,6 +46,6 @@ print(f"homogeneous lift f/nu satisfies the Moutard equations: "
 # a generic Q-net is not Koenigs, and neither is the 3d coordinate grid:
 # the corner triangle product over a hexahedron is (-1)^3
 bad = generate.random_qnet_3d((4, 4, 4), rng=rng)
-print(f"generic planar-quad 3d net is Koenigs: {check_closedness(bad).is_koenigs}")
+print(f"generic planar-quad 3d net is Koenigs: {check_closedness(bad).passed}")
 print(f"3d coordinate grid is Koenigs: "
-      f"{check_closedness(generate.grid((4, 4, 4))).is_koenigs}")
+      f"{check_closedness(generate.grid((4, 4, 4))).passed}")

@@ -51,6 +51,6 @@ from .koenigs import (
     normalize_nu_for_limit,
 )
 from .netio import NetDocument, export_obj, load, save
-from .qnet import EdgeLabelling, QNet, VertexScalar, check_qnet
+from .qnet import CheckReport, EdgeLabelling, QNet, VertexScalar, check_qnet
 
 __version__ = "0.1.0"  # the version in pyproject.toml

@@ -142,11 +142,8 @@ def _cmd_check(args) -> int:
         "geometric": koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric,
     }
     rep = checks[args.kind](net, tol)
-    payload = _pack(rep)
-    if args.kind == "koenigs":
-        payload["n_cycles"] = rep.n_cycles
-    _emit_report(args, f"check_{args.kind}", payload)
-    return EXIT_PASS if payload["passed"] else EXIT_CHECK_FAILED
+    _emit_report(args, f"check_{args.kind}", rep.summary())
+    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_dualize(args) -> int:
@@ -217,31 +214,24 @@ def _cmd_report(args) -> int:
     net = _read_doc(args).to_net()
     report = {}
 
-    def record(name, fn):
+    def record(name, check):
         try:
-            report[name] = fn()
+            report[name] = check(net, tol).summary()
         except CheckFailure as exc:
             report[name] = {"passed": False, "category": type(exc).__name__, "message": str(exc)}
         except DegeneracyError as exc:
             report[name] = {"passed": None, "category": type(exc).__name__, "message": str(exc)}
 
-    record("qnet", lambda: _pack(qnet.check_qnet(net, tol)))
-    record("koenigs_closedness", lambda: _pack(koenigs.check_closedness(net, tol)))
+    record("qnet", qnet.check_qnet)
+    record("koenigs_closedness", koenigs.check_closedness)
     geometric = koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric
-    record("koenigs_geometric", lambda: _pack(geometric(net, tol)))
-    record("circular", lambda: _pack(iso_mod.check_circular(net, tol)))
+    record("koenigs_geometric", geometric)
+    record("circular", iso_mod.check_circular)
     if report["circular"].get("passed"):
-        record("isothermic", lambda: _pack(iso_mod.check_isothermic(net, tol)))
-        record("moebius", lambda: _pack(iso_mod.check_moebius_characterizations(net, tol)))
+        record("isothermic", iso_mod.check_isothermic)
+        record("moebius", iso_mod.check_moebius_characterizations)
     _write_text(args, json.dumps(report, sort_keys=True) + "\n")
     return EXIT_PASS
-
-
-def _pack(rep) -> dict:
-    passed = getattr(rep, "passed", None)
-    if passed is None:
-        passed = getattr(rep, "is_koenigs", None)
-    return {"passed": bool(passed), "max_residual": float(rep.max_residual)}
 
 
 _COMMANDS = {

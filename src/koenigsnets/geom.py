@@ -122,10 +122,7 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, m
     or 1; ``messages[g](k, value)`` words the error of guard g at quad k.
     """
     abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
-    # far from 1, the stack is scaled by a power of two (exactly) to coordinates
-    # below 1, so that no fourth power of a length overflows or underflows
-    big = max(abcd.max(initial=0.0), -abcd.min(initial=0.0))
-    unit = 1.0 if 2.0**-200 < big < 2.0**200 else 0.5 ** np.frexp(big)[1]
+    unit = _unit(abcd)
     abcd = np.ascontiguousarray(abcd if unit == 1.0 else abcd * unit)
     a, b, c, d = abcd  # (N, Q) each
     u, v, w = c - a, d - b, b - a
@@ -155,6 +152,14 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, m
     if guards >= 3:
         _raise_first([(VertexOnDiagonal, near <= tol.incidence, near)], messages[2:])
     return diag
+
+
+def _unit(x: np.ndarray) -> float:
+    """1, or for coordinates x far from 1 the power of two that scales them
+    exactly to below 1, so that no fourth power of a length overflows or
+    underflows."""
+    big = max(x.max(initial=0.0), -x.min(initial=0.0))
+    return 1.0 if 2.0**-200 < big < 2.0**200 else 0.5 ** np.frexp(big)[1]
 
 
 def _raise_first(checks, messages) -> None:

@@ -7,7 +7,7 @@ in the Minkowski light cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     InconsistentCrossRatios,
     NotCircular,
     NullDiagonalDifference,
+    ZeroE0Component,
     ZeroEdge,
     ZeroLeg,
     ZeroMetric,
@@ -42,6 +43,7 @@ from .koenigs import (
     integrate_nu,
 )
 from .qnet import (
+    CheckReport,
     EdgeLabelling,
     QNet,
     VertexScalar,
@@ -52,6 +54,7 @@ from .qnet import (
     _first_positive_axes,
     _frozen,
     _gather_quads,
+    _grid,
     _raise_first_row,
     _star,
     _wavefront,
@@ -59,8 +62,6 @@ from .qnet import (
 
 __all__ = [
     "IsothermicNet",
-    "CircularityReport",
-    "IsothermicReport",
     "check_circular",
     "quad_cross_ratios",
     "check_isothermic",
@@ -83,13 +84,6 @@ class IsothermicNet:
     net: QNet
     labels: EdgeLabelling
     metric: VertexScalar
-
-
-@dataclass
-class CircularityReport:
-    passed: bool
-    max_residual: float
-    offenders: list
 
 
 def _circles(net: QNet, tol: Tolerances) -> tuple:
@@ -117,21 +111,13 @@ def _raise_first(circles: tuple, upto: int) -> None:
         raise_quad_error(qc, upto, lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): ")
 
 
-def _max_residual(circles: tuple) -> float:
-    return max(float(qc.residual.max(initial=0.0)) for _, _, _, qc in circles)
-
-
-def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CircularityReport:
-    """Per-quad concircularity residuals; passes iff all <= tol.incidence."""
+def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+    """Per-quad concircularity residuals, one part per axis pair, each quad
+    at its base; passes iff all are <= tol.incidence."""
     circles = _circles(net, tol)
     _raise_first(circles, 3)
-    max_res = _max_residual(circles)
-    offenders = [
-        (_base(shape, k), i, j, float(qc.residual[k]))
-        for i, j, shape, qc in circles
-        for k in np.flatnonzero(qc.residual > tol.incidence)
-    ]
-    return CircularityReport(passed=max_res <= tol.incidence, max_residual=max_res, offenders=offenders)
+    parts = {(i, j): (qc.residual, _grid(shape)) for i, j, shape, qc in circles}
+    return CheckReport("circular", tol.incidence, parts)
 
 
 def quad_cross_ratios(net: QNet, tol: Tolerances = DEFAULT_TOL) -> dict:
@@ -142,59 +128,37 @@ def quad_cross_ratios(net: QNet, tol: Tolerances = DEFAULT_TOL) -> dict:
     return {(i, j): qc.cross_ratio for i, j, _, qc in circles}
 
 
-@dataclass
-class IsothermicReport:
-    passed: bool
-    max_residual: float
-    failures: list
-    cross_ratios: dict
-
-
-def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dict | None = None) -> IsothermicReport:
+def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Cross-ratio products of adjacent quadrilaterals.
 
     For m = 2 the condition q * q_{-1,-2} = q_{-1} * q_{-2} at every interior
     vertex; for m >= 3 the triple product over the three forward faces at
-    every vertex equals 1.  Requires a circular net.
+    every vertex equals 1, a part per axis triple.  Requires a circular net.
     """
     circles = _circles(net, tol)
     _raise_first(circles, 3)
-    max_circ = _max_residual(circles)
-    if max_circ > tol.incidence:
+    max_circ = float(np.max([qc.residual.max(initial=0.0) for _, _, _, qc in circles]))  # NaN if one is
+    if not max_circ <= tol.incidence:
         raise NotCircular(f"net is not circular (max residual {max_circ:.3e})")
-    if cross_ratios is None:
-        _raise_first(circles, 6)
-        cross_ratios = {(i, j): qc.cross_ratio for i, j, _, qc in circles}
-    failures = []
-    max_res = 0.0
+    _raise_first(circles, 6)
+    cross_ratios = {(i, j): qc.cross_ratio for i, j, _, qc in circles}
+    parts = {}
     if net.m == 2:
         cr = cross_ratios[(0, 1)]
         lhs = cr[1:, 1:] * cr[:-1, :-1]
         rhs = cr[:-1, 1:] * cr[1:, :-1]
-        res = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-        max_res = float(res.max(initial=0.0))
-        for idx in zip(*np.nonzero(res > tol.product)):
-            failures.append((f"interior vertex {tuple(int(x) + 1 for x in idx)}", float(res[idx])))
-    else:
-        for i, j, k in combinations(range(net.m), 3):
-            prod = (
-                _crop(cross_ratios[(i, j)], (k,), (0,))
-                * _crop(cross_ratios[(j, k)], (i,), (0,))
-                / _crop(cross_ratios[(i, k)], (j,), (0,))
-            )
-            res = np.abs(prod - 1.0)
-            max_res = max(max_res, float(res.max()))
-            for u in zip(*np.nonzero(res > tol.product)):
-                failures.append((f"corner {tuple(int(x) for x in u)} axes ({i},{j},{k})", float(res[u])))
-    return IsothermicReport(
-        passed=max_res <= tol.product,
-        max_residual=max_res,
-        failures=failures,
-        cross_ratios=cross_ratios,
-    )
+        parts[(0, 1)] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))).reshape(-1), _grid(lhs.shape, 1)
+    for i, j, k in combinations(range(net.m), 3):
+        prod = (
+            _crop(cross_ratios[(i, j)], (k,), (0,))
+            * _crop(cross_ratios[(j, k)], (i,), (0,))
+            / _crop(cross_ratios[(i, k)], (j,), (0,))
+        )
+        parts[(i, j, k)] = np.abs(prod - 1.0).reshape(-1), _grid(prod.shape)
+    return CheckReport("isothermic", tol.product, parts)
 
 
-def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dict | None = None) -> EdgeLabelling:
+def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     """Solve q(f, f_i, f_ij, f_j) = alpha_i / alpha_j for the edge labels.
 
     Gauge alpha_1(0) = 1; labels are unique up to one global scale.  Raises
@@ -203,8 +167,7 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dict 
     """
     if net.m not in (2, 3):
         raise DimensionTooLow("label recovery supports m = 2 or 3")
-    if cross_ratios is None:
-        cross_ratios = quad_cross_ratios(net, tol)
+    cross_ratios = quad_cross_ratios(net, tol)
     per_axis = [np.empty(e - 1) for e in net.extents]
     per_axis[0][0] = 1.0
     origin = tuple(0 for _ in range(net.m))
@@ -229,7 +192,7 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL, cross_ratios: dict 
         expected = np.broadcast_to(expected / labels.per_axis[j].reshape(layer), cr.shape)
         bad = np.abs(cr - expected) > tol.product * np.maximum(np.abs(cr), np.abs(expected))
         if bad.any():
-            u = tuple(int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+            u = _base(bad.shape, int(np.argmax(bad)))
             raise InconsistentCrossRatios(
                 f"quad {u} axes ({i},{j}): cross-ratio {cr[u]:.6g} != {expected[u]:.6g}"
             )
@@ -447,7 +410,7 @@ def _lightcone_fill(axes, tol: Tolerances) -> MoutardNet:
         d = _crop(y, (i, j), (0, 1)) - _crop(y, (i, j), (1, 0))
         coeffs[(i, j)], null = _lightcone_coeff(_crop(y, (i, j), (0, 0)), d, tol)
         if null.any():
-            base = tuple(int(x) for x in np.unravel_index(np.argmax(null), null.shape))
+            base = _base(null.shape, int(np.argmax(null)))
             raise NullDiagonalDifference(f"quad base {base} (axes {i},{j}): diagonal difference is isotropic")
     return MoutardNet(points=y, coeffs=coeffs, lightcone=True)
 
@@ -466,8 +429,6 @@ def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> Isot
     e0 = mn.points[..., -2]
     scale = np.abs(mn.points).max()
     if np.any(np.abs(e0) <= tol.incidence * scale):
-        from .errors import ZeroE0Component
-
         raise ZeroE0Component("net passes through the point at infinity")
     s = 1.0 / e0
     f = mn.points[..., :-2] * s[..., None]
@@ -483,14 +444,6 @@ def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> Isot
 # --- Moebius-geometric characterizations ---------------------------------------
 
 
-@dataclass
-class MoebiusReport:
-    passed: bool
-    max_residual: float
-    mode: str  # "sphere" (part 1), "in_sphere" (part 2), or "hexahedra"
-    records: list
-
-
 def _similar_lift(points: np.ndarray, origin, scale: np.ndarray) -> np.ndarray:
     """Light-cone lift of (points - origin) / scale.  The similarity keeps
     every Moebius incidence, and keeps |f|^2 from swamping the other
@@ -498,7 +451,7 @@ def _similar_lift(points: np.ndarray, origin, scale: np.ndarray) -> np.ndarray:
     return lift_to_lightcone((points - origin) / np.where(scale > 0.0, scale, 1.0))
 
 
-def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) -> MoebiusReport:
+def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Moebius-geometric isothermic tests through light-cone lifts.
 
     m = 2, net not contained in a 2-sphere: at every interior vertex the five
@@ -511,7 +464,11 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     black ones are.  Each stencil is lifted after a similarity that puts f
     (or the cube's base vertex) at the origin and its farthest neighbour (or
     the cube's diameter) at distance 1; the whole net, for the 2-sphere test,
-    is centred at its centroid and scaled by its diameter.
+    is centred at its centroid and scaled by its diameter.  The report is
+    named after the mode, "moebius_sphere", "moebius_in_sphere" (net in a
+    2-sphere) or "moebius_hexahedra"; its parts are the stars of each test,
+    "sphere" and "in_sphere", or the cubes' ("black", axes) and ("white",
+    axes).
     """
     if net.m >= 3:
         return _moebius_hexahedra(net, tol)
@@ -519,23 +476,18 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
         raise DimensionTooLow("Moebius characterizations need m >= 2")
     flat = net.vertices.reshape(-1, net.ambient_dim)
     whole = _similar_lift(flat, flat.mean(axis=0), np.float64(net.diameter()))
-    in_sphere = rank_residual(whole, 4) <= tol.incidence  # a 2-sphere's lifts span 4 dimensions
     legs = _star(net.vertices)
     legs = legs - legs[:, :1]
     lifted = _similar_lift(legs, 0.0, np.linalg.norm(legs, axis=-1).max(axis=1)[:, None, None])
-    if in_sphere:
-        res, contained = _circles_residual(lifted), repeat(None)
-    else:
-        five = lifted[:, [0, 5, 6, 7, 8]]  # f and its diagonal neighbours
-        res = rank_residual(five, 4)
-        six = [rank_residual(np.concatenate([five, lifted[:, k:k + 1]], axis=1), 4) for k in range(1, 5)]
-        contained = np.stack(six, axis=1) <= tol.incidence
-        in_star = contained.any(axis=1)
-        res[in_star] = _circles_residual(lifted[in_star])
-        contained = contained.tolist()
-    records = list(zip(net.interior_indices(), res.tolist(), contained))
-    mode = "in_sphere" if in_sphere else "sphere"
-    return MoebiusReport(bool(np.all(res <= tol.product)), float(res.max(initial=0.0)), mode, records)
+    at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)
+    if rank_residual(whole, 4) <= tol.incidence:  # a 2-sphere's lifts span 4 dimensions
+        return CheckReport("moebius_in_sphere", tol.product, {"in_sphere": (_circles_residual(lifted), at)})
+    five = lifted[:, [0, 5, 6, 7, 8]]  # f and its diagonal neighbours
+    six = [rank_residual(np.concatenate([five, lifted[:, k:k + 1]], axis=1), 4) for k in range(1, 5)]
+    in_star = (np.stack(six, axis=1) <= tol.incidence).any(axis=1)
+    parts = {"sphere": (rank_residual(five, 4)[~in_star], at[~in_star]),
+             "in_sphere": (_circles_residual(lifted[in_star]), at[in_star])}
+    return CheckReport("moebius_sphere", tol.product, parts)
 
 
 def _circles_residual(lifted: np.ndarray) -> np.ndarray:
@@ -547,18 +499,16 @@ def _circles_residual(lifted: np.ndarray) -> np.ndarray:
     return rank_residual(vt[..., 3:, :].reshape(n, 3 * (dim - 3), dim), dim - 2)
 
 
-def _moebius_hexahedra(net: QNet, tol: Tolerances) -> MoebiusReport:
-    records = []
-    max_res = 0.0
+def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
+    parts = {}
     for axes in combinations(range(net.m), 3):
-        cube = _cubes(net, axes)
+        cube, shape = _cubes(net, axes)
         diam = np.linalg.norm(cube[:, :, None] - cube[:, None], axis=-1).max(axis=(1, 2))
         lifted = _similar_lift(cube, cube[:, :1], diam[:, None, None])
-        res_b = rank_residual(lifted[:, [0, 4, 5, 6]], 3)  # f, f_ij, f_ik, f_jk
-        res_w = rank_residual(lifted[:, [1, 2, 3, 7]], 3)  # f_i, f_j, f_k, f_ijk
-        max_res = max(max_res, float(res_b.max()), float(res_w.max()))
-        records += zip(net.base_indices(*axes), repeat(axes), res_b.tolist(), res_w.tolist())
-    return MoebiusReport(passed=max_res <= tol.product, max_residual=max_res, mode="hexahedra", records=records)
+        at = _grid(shape)
+        parts[("black", axes)] = rank_residual(lifted[:, [0, 4, 5, 6]], 3), at  # f, f_ij, f_ik, f_jk
+        parts[("white", axes)] = rank_residual(lifted[:, [1, 2, 3, 7]], 3), at  # f_i, f_j, f_k, f_ijk
+    return CheckReport("moebius_hexahedra", tol.product, parts)
 
 
 def central_sphere(net: QNet, u, tol: Tolerances = DEFAULT_TOL):

@@ -7,7 +7,7 @@ the geometric characterizations for m = 2 and m = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 
 import numpy as np
 
@@ -20,14 +20,26 @@ from .errors import (
     VertexOnDiagonal,
     ZeroNu,
 )
-from .geom import DEFAULT_TOL, Tolerances, _length, quad_diagonals, rank_residual
-from .qnet import QNet, VertexScalar, _back, _base, _crop, _cubes, _frozen, _gather_quads, _star, _wavefront
+from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, rank_residual
+from .qnet import (
+    CheckReport,
+    QNet,
+    VertexScalar,
+    _back,
+    _base,
+    _crop,
+    _cubes,
+    _frozen,
+    _gather_quads,
+    _grid,
+    _star,
+    _wavefront,
+)
 
 __all__ = [
     "DiagonalForm",
     "KoenigsData",
     "MoutardNet",
-    "ClosednessReport",
     "build_q_form",
     "check_closedness",
     "integrate_nu",
@@ -58,13 +70,6 @@ class DiagonalForm:
     m_points: dict
 
 
-def _shift(u, *axes):
-    v = list(u)
-    for ax in axes:
-        v[ax] += 1
-    return tuple(v)
-
-
 def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
     """Diagonal intersections of all quads in the (i, j) plane, by
     :func:`quad_diagonals`: (m, q_main, q_cross) shaped like the base grid."""
@@ -90,61 +95,31 @@ def _build_q_form(net: QNet, tol: Tolerances) -> DiagonalForm:
     return DiagonalForm(q_main=q_main, q_cross=q_cross, m_points=m_points)
 
 
-@dataclass
-class ClosednessReport:
-    is_koenigs: bool
-    max_residual: float
-    n_cycles: int
-    failures: list  # (description, residual)
-
-
-def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL, form: DiagonalForm | None = None) -> ClosednessReport:
+def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Closedness of the diagonal one-form on the black and white graphs.
 
     For every axis pair, the product of q over the 4-cycle of diagonals
-    around each slice-interior vertex must be 1; for m >= 3 additionally the
-    triangle products at every hexahedron corner.  The net is Koenigs iff
-    every |product - 1| <= tol.product.
+    around each slice-interior vertex must be 1 (a part per pair, each cycle
+    at the base of its four quads); for m >= 3 additionally the triangle
+    products at every hexahedron corner (a part per axis triple, each
+    triangle at its cube's base followed by the corner's number in
+    ``_CORNERS``).  The net is Koenigs iff every |product - 1| <= tol.product.
     """
-    if form is None:
-        form = build_q_form(net, tol)
-    failures = []
-    max_res = 0.0
-    n_cycles = 0
-    # 4-cycles around slice-interior vertices, one per axis pair
+    form = build_q_form(net, tol)
+    parts = {}
     for i, j in combinations(range(net.m), 2):
         qm = form.q_main[(i, j)]
         qc = form.q_cross[(i, j)]
-        hi = net.extents[i] - 1
-        hj = net.extents[j] - 1
-        if hi < 2 or hj < 2:
-            continue
         prod = (
             _crop(qc, (i, j), (1, 1))
             * _crop(qm, (i, j), (1, 0))
             / _crop(qm, (i, j), (0, 1))
             / _crop(qc, (i, j), (0, 0))
         )
-        res = np.abs(prod - 1.0)
-        n_cycles += res.size
-        max_res = max(max_res, float(res.max()))
-        for idx in zip(*np.nonzero(res > tol.product)):
-            failures.append((f"vertex cycle axes ({i},{j}) at base {tuple(map(int, idx))}", float(res[idx])))
-    # triangle cycles at hexahedron corners
-    if net.m >= 3:
-        for axes, res in _corner_triangle_products(net, form):
-            n_cycles += res.size
-            max_res = max(max_res, float(res.max()))
-            for *w, c in zip(*np.nonzero(res > tol.product)):
-                w = tuple(int(x) for x in w)
-                corner = _shift(w, *(ax for ax, bit in zip(axes, _CORNERS[c]) if bit))
-                failures.append((f"corner {corner} of cube {w} axes {axes}", float(res[w][c])))
-    return ClosednessReport(
-        is_koenigs=max_res <= tol.product,
-        max_residual=max_res,
-        n_cycles=n_cycles,
-        failures=failures,
-    )
+        parts[(i, j)] = np.abs(prod - 1.0).reshape(-1), _grid(prod.shape)
+    for axes, res in _corner_triangle_products(net, form):
+        parts[axes] = res.reshape(-1), _grid(res.shape)
+    return CheckReport("closedness", tol.product, parts)
 
 
 _CORNERS = tuple(product((0, 1), repeat=3))  # corner offsets of a cube along its axes (i, j, k)
@@ -191,7 +166,6 @@ def integrate_nu(
     base_black=None,
     base_white=None,
     tol: Tolerances = DEFAULT_TOL,
-    form: DiagonalForm | None = None,
     check: bool = True,
 ) -> KoenigsData:
     """Propagate nu along diagonals from one black and one white base value.
@@ -205,8 +179,7 @@ def integrate_nu(
     (unless ``check`` is disabled, in which case the residual is reported in
     the result).
     """
-    if form is None:
-        form = build_q_form(net, tol)
+    form = build_q_form(net, tol)
     if base_black is None:
         base_black = (tuple(0 for _ in range(net.m)), 1.0)
     if base_white is None:
@@ -270,7 +243,8 @@ def dualize_quad(quads, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     within tol.incidence times the diameter of a vertex VertexOnDiagonal.
     """
     pts = np.asarray(quads, dtype=float)
-    flat = pts.reshape(-1, 4, pts.shape[-1])
+    unit = _unit(pts)  # the dual of unit * Q is dual(Q) / unit
+    flat = pts.reshape(-1, 4, pts.shape[-1]) * unit
     diam = _length(flat[:, [0, 0, 0, 1, 1, 2]] - flat[:, [1, 2, 3, 2, 3, 3]]).max(axis=1)
     m = quad_diagonals(flat, tol, scale=diam, guards=2).point
     a, b, c, d = np.moveaxis(flat, 1, 0)
@@ -280,7 +254,7 @@ def dualize_quad(quads, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     height = ((flat - m[:, None]) * axis).sum(axis=-1)  # its signed distance from m
     if (np.abs(height).min(axis=1) <= tol.incidence * diam).any():
         raise VertexOnDiagonal("diagonal intersection coincides with a vertex")
-    return (-axis[:, [1, 0, 1, 0]] / height[..., None]).reshape(pts.shape)
+    return (-axis[:, [1, 0, 1, 0]] / height[..., None]).reshape(pts.shape) * unit
 
 
 def _angular_residual(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -385,24 +359,14 @@ def _integrate_one_form(net: QNet, forms, base) -> QNet:
 # --- discrete Laplace equation ------------------------------------------------
 
 
-@dataclass
-class LaplaceReport:
-    max_residual: float
-    singular_quads: list  # (u, i, j) with nu_i == nu_j
-
-    def __float__(self):
-        return self.max_residual
-
-
-def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> LaplaceReport:
+def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> float:
     """Residual of the discrete Laplace equation induced by nu.
 
-    Quads with nu_i == nu_j have a singular coefficient; they are reported
-    and excluded rather than failing the whole net.
+    Quads with nu_i == nu_j have a singular coefficient; they are excluded
+    rather than failing the whole net.
     """
     nu = kd.nu.values
     worst = 0.0
-    singular = []
     diam = net.diameter()
     for i, j in combinations(range(net.m), 2):
         n = _crop(nu, (i, j), (0, 0))
@@ -420,12 +384,8 @@ def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) 
         lhs = fij - fi - fj + f
         rhs = c1[..., None] * (fi - f) + c2[..., None] * (fj - f)
         res = np.linalg.norm(lhs - rhs, axis=-1) / diam
-        if np.any(sing):
-            for idx in zip(*np.nonzero(sing)):
-                singular.append((idx, i, j))
-            res = np.where(sing, 0.0, res)
-        worst = max(worst, float(res.max()))
-    return LaplaceReport(max_residual=worst, singular_quads=singular)
+        worst = max(worst, float(np.where(sing, 0.0, res).max()))
+    return worst
 
 
 # --- Moutard nets --------------------------------------------------------------
@@ -540,117 +500,58 @@ def moutard_evolve(axes_data, coeffs, lightcone: bool = False) -> MoutardNet:
 # --- geometric characterizations ----------------------------------------------
 
 
-@dataclass
-class Vertex2DRecord:
-    u: tuple
-    excluded: bool  # planar vertex, precondition violated
-    rank_m_points: float | None  # criterion (a) residual
-    rank_vertices: float | None  # criterion (b) residual, N >= 4
-    common_line: float | None  # criterion (c) residual, N = 3
-
-
-@dataclass
-class Geometric2DReport:
-    passed: bool
-    records: list
-    max_residual: float
-
-
 def _rank_residual(points: np.ndarray, rank: int) -> np.ndarray:
     """Relative size of the first singular value beyond the target affine
     rank, for each point set in a stack (..., k, N)."""
     return rank_residual(points - points.mean(axis=-2, keepdims=True), rank)
 
 
-def check_koenigs_2d_geometric(
-    net: QNet,
-    tol: Tolerances = DEFAULT_TOL,
-    form: DiagonalForm | None = None,
-) -> Geometric2DReport:
+def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Geometric Koenigs tests at every interior vertex of a 2d net.
 
-    (a) the four diagonal intersection points of the adjacent quads are
-    coplanar; (b) for N >= 4, the five points f, f_{+-1,+-2} lie in a
-    3-space; (c) for N = 3, the three planes through f spanned by opposite
-    corner points and by the axis-1 neighbours share a line.  Vertices that
-    are planar together with their four neighbours violate the precondition
-    and are excluded from the verdict.
+    Part "m_points": the four diagonal intersection points of the adjacent
+    quads are coplanar.  Part "vertices", for N >= 4: the five points f,
+    f_{+-1,+-2} lie in a 3-space.  Vertices that are planar together with
+    their four neighbours violate the precondition and are left out of both.
     """
     if net.m != 2:
         raise DimensionTooLow("2d characterization needs m == 2")
     if net.ambient_dim < 3:
         raise DimensionTooLow("vertex characterizations need N >= 3")
-    if form is None:
-        form = build_q_form(net, tol)
+    form = build_q_form(net, tol)
     star = _star(net.vertices)
-    excluded = _rank_residual(star[:, :5], 2) <= tol.incidence  # f and its neighbours span a plane
+    kept = ~(_rank_residual(star[:, :5], 2) <= tol.incidence)  # f and its neighbours span more than a plane
+    at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)[kept]
     mpts = form.m_points[(0, 1)]
     ms = np.stack([mpts[:-1, :-1], mpts[1:, :-1], mpts[:-1, 1:], mpts[1:, 1:]], axis=2)
-    res_a = _rank_residual(ms.reshape(len(star), 4, net.ambient_dim), 2)
-    res_b = res_c = [None] * len(star)
+    parts = {"m_points": (_rank_residual(ms.reshape(len(star), 4, net.ambient_dim), 2)[kept], at)}
     if net.ambient_dim >= 4:
-        res_b = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3).tolist()
-    if net.ambient_dim == 3:
-        legs = star[:, 1:] - star[:, :1]
-        normals = np.cross(legs[:, [4, 5, 0]], legs[:, [6, 7, 1]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-            res_c = np.abs(np.linalg.det(normals)).tolist()
-    records = [
-        Vertex2DRecord(u, True, None, None, None) if ex else Vertex2DRecord(u, False, ra, rb, rc)
-        for u, ex, ra, rb, rc in zip(net.interior_indices(), excluded.tolist(), res_a.tolist(), res_b, res_c)
-    ]
-    kept = res_a[~excluded]
-    return Geometric2DReport(
-        passed=bool(np.all(kept <= tol.product)), records=records, max_residual=float(kept.max(initial=0.0))
-    )
+        parts["vertices"] = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3)[kept], at
+    return CheckReport("koenigs_2d_geometric", tol.product, parts)
 
 
-@dataclass
-class Hexahedron3DRecord:
-    u: tuple
-    axes: tuple
-    black_residual: float
-    white_residual: float
-    corner_residuals: list
-
-
-@dataclass
-class Geometric3DReport:
-    passed: bool
-    records: list
-    max_residual: float
-
-
-def check_koenigs_3d_geometric(
-    net: QNet,
-    tol: Tolerances = DEFAULT_TOL,
-    form: DiagonalForm | None = None,
-) -> Geometric3DReport:
-    """Per-hexahedron Koenigs tests for m >= 3: coplanarity of the four black
-    and the four white vertices, and collinearity of the three adjacent-face
-    diagonal intersection points at every corner."""
+def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+    """Per-hexahedron Koenigs tests for m >= 3, three parts per axis triple:
+    coplanarity of the four black ("black") and of the four white ("white")
+    vertices of each cube, at its base, and collinearity of the three
+    adjacent-face diagonal intersection points at every corner ("corners"),
+    at the cube's base followed by the corner's number in ``_CORNERS``."""
     if net.m < 3:
         raise DimensionTooLow("3d characterization needs m >= 3")
-    if form is None:
-        form = build_q_form(net, tol)
-    records = []
-    max_res = 0.0
+    form = build_q_form(net, tol)
+    parts = {}
     for axes in combinations(range(net.m), 3):
         i, j, k = axes
-        cube = _cubes(net, axes)
-        res_black = _rank_residual(cube[:, [0, 4, 5, 6]], 2)  # f, f_ij, f_ik, f_jk
-        res_white = _rank_residual(cube[:, [1, 2, 3, 7]], 2)  # f_i, f_j, f_k, f_ijk
+        cube, shape = _cubes(net, axes)
         # the diagonal intersections of the three faces through each corner
         faces = (((i, j), k, 2), ((i, k), j, 1), ((j, k), i, 0))  # (plane, normal axis, its bit)
         ms = [[_crop(form.m_points[pair], (r,), (bits[b],)) for pair, r, b in faces] for bits in _CORNERS]
         ms = np.array(ms).reshape(8, 3, -1, net.ambient_dim).transpose(2, 0, 1, 3)
-        res_corner = _rank_residual(ms, 1)
-        worst = np.maximum(np.maximum(res_black, res_white), res_corner.max(axis=1))
-        max_res = max(max_res, float(worst.max()))
-        rows = zip(net.base_indices(*axes), repeat(axes), res_black.tolist(), res_white.tolist(), res_corner.tolist())
-        records += [Hexahedron3DRecord(*row) for row in rows]
-    return Geometric3DReport(passed=max_res <= tol.product, records=records, max_residual=max_res)
+        at = _grid(shape)
+        parts[("black", axes)] = _rank_residual(cube[:, [0, 4, 5, 6]], 2), at  # f, f_ij, f_ik, f_jk
+        parts[("white", axes)] = _rank_residual(cube[:, [1, 2, 3, 7]], 2), at  # f_i, f_j, f_k, f_ijk
+        parts[("corners", axes)] = _rank_residual(ms, 1).reshape(-1), _grid(shape + (8,))
+    return CheckReport("koenigs_3d_geometric", tol.product, parts)
 
 
 def normalize_nu_for_limit(kd: KoenigsData, axis: int, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:

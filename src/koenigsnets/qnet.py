@@ -18,7 +18,7 @@ __all__ = [
     "QNet",
     "VertexScalar",
     "EdgeLabelling",
-    "PlanarityReport",
+    "CheckReport",
     "hexahedra",
     "check_qnet",
     "vertex_parity",
@@ -79,9 +79,6 @@ class QNet:
         ]
         return product(*ranges)
 
-    def interior_indices(self) -> Iterator[tuple]:
-        return product(*(range(1, e - 1) for e in self.extents))
-
 
 def hexahedra(net: QNet) -> Iterator[tuple]:
     """Yield each combinatorial cube as (u, (i, j, k), points).
@@ -91,28 +88,91 @@ def hexahedra(net: QNet) -> Iterator[tuple]:
     if net.m < 3:
         raise DimensionTooLow("hexahedra need lattice dimension m >= 3")
     for axes in combinations(range(net.m), 3):
-        yield from ((u, axes, pts) for u, pts in zip(net.base_indices(*axes), _cubes(net, axes)))
+        yield from ((u, axes, pts) for u, pts in zip(net.base_indices(*axes), _cubes(net, axes)[0]))
 
 
-@dataclass
-class PlanarityReport:
-    passed: bool
-    max_residual: float
-    offenders: list  # (u, i, j, residual) of quads above tolerance
+@dataclass(frozen=True, eq=False)
+class CheckReport:
+    """The verdict of one check: per-element residuals held against one
+    tolerance.
+
+    ``parts`` maps each part of the check (an axis pair, an axis triple or a
+    criterion) to (residuals (n,), lattice indices (n, d) of their elements)
+    in C order of the indices.  An element fails unless its residual is
+    <= ``tol``, so a NaN residual fails; an element the check excludes is not
+    in its part.  Everything else is derived from these.
+    """
+
+    name: str
+    tol: float
+    parts: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.n_failed == 0
+
+    @property
+    def is_koenigs(self) -> bool:
+        """Alias of ``passed`` for callers that read closedness verdicts by this name."""
+        return self.passed
+
+    @property
+    def n_checked(self) -> int:
+        return sum(len(res) for res, _ in self.parts.values())
+
+    @property
+    def n_failed(self) -> int:
+        return sum(int(np.count_nonzero(~(res <= self.tol))) for res, _ in self.parts.values())
+
+    @property
+    def max_residual(self) -> float:
+        """The largest residual, NaN if one is NaN, 0.0 if nothing was checked."""
+        return float(np.max([res.max(initial=0.0) for res, _ in self.parts.values()], initial=0.0))
+
+    @property
+    def worst_at(self):
+        """(part, lattice index) of the first element whose residual is
+        ``max_residual``, or None if nothing was checked."""
+        top = self.max_residual
+        for key, (res, at) in self.parts.items():
+            hit = np.flatnonzero(np.isnan(res) if np.isnan(top) else res == top)
+            if len(hit):
+                return key, _ints(at[hit[0]])
+        return None
+
+    def offenders(self, k: int) -> list:
+        """(part, lattice index, residual) of the first k failing elements,
+        part by part, each part in C order."""
+        out = []
+        for key, (res, at) in self.parts.items():
+            out += [(key, _ints(at[n]), float(res[n])) for n in np.flatnonzero(~(res <= self.tol))[:k - len(out)]]
+        return out
+
+    def summary(self) -> dict:
+        """passed, max_residual, n_checked, n_failed and worst_at, as JSON values."""
+        return {"passed": self.passed, "max_residual": self.max_residual, "n_checked": self.n_checked,
+                "n_failed": self.n_failed, "worst_at": self.worst_at}
 
 
-def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> PlanarityReport:
+def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Per-quad planarity residuals (smallest/largest singular value of the
-    centered 4xN point matrix).  Passes iff the maximum is <= tol.incidence."""
-    max_res = 0.0
-    offenders = []
+    centered 4xN point matrix), one part per axis pair, each quad at its
+    base; passes iff all are <= tol.incidence."""
+    parts = {}
     for i, j in combinations(range(net.m), 2):
         pts, shape = _gather_quads(net, i, j)
-        res = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
-        max_res = max(max_res, float(res.max(initial=0.0)))
-        for k in np.flatnonzero(res > tol.incidence):
-            offenders.append((_base(shape, k), i, j, float(res[k])))
-    return PlanarityReport(passed=max_res <= tol.incidence, max_residual=max_res, offenders=offenders)
+        parts[(i, j)] = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2), _grid(shape)
+    return CheckReport("qnet", tol.incidence, parts)
+
+
+def _grid(shape: tuple, origin: int = 0) -> np.ndarray:
+    """The lattice indices (n, d) of the cells of a grid ``shape`` in C
+    order, cell 0 at ``origin`` (1 for interior vertices)."""
+    return np.indices(shape).reshape(len(shape), -1).T + origin
+
+
+def _ints(u) -> tuple:
+    return tuple(int(x) for x in u)
 
 
 def _gather_quads(net: QNet, i: int, j: int):
@@ -125,7 +185,7 @@ def _gather_quads(net: QNet, i: int, j: int):
 
 def _base(shape: tuple, k: int) -> tuple:
     """The base multi-index, as plain ints, of cell k of a grid ``shape``."""
-    return tuple(int(x) for x in np.unravel_index(k, shape))
+    return _ints(np.unravel_index(k, shape))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -147,16 +207,17 @@ def _crop(arr, axes, offsets):
 _CUBE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
-def _cubes(net: QNet, axes) -> np.ndarray:
+def _cubes(net: QNet, axes):
     """The vertices of every cube spanned by ``axes``, as (W, 8, N) in
-    base_indices order, each cube in hexahedra() order."""
+    base_indices order, each cube in hexahedra() order, plus the shape of the
+    base grid."""
     cube = np.stack([_crop(net.vertices, axes, bits) for bits in _CUBE], axis=net.m)
-    return cube.reshape(-1, 8, net.ambient_dim)
+    return cube.reshape(-1, 8, net.ambient_dim), cube.shape[:net.m]
 
 
 def _star(values: np.ndarray) -> np.ndarray:
     """The star of every interior vertex of a 2d lattice array, as (V, 9, ...)
-    in interior_indices order: f; f_{+1}, f_{-1}, f_{+2}, f_{-2}; then
+    in C order of the vertices: f; f_{+1}, f_{-1}, f_{+2}, f_{-2}; then
     f_{+1+2}, f_{+1-2}, f_{-1+2}, f_{-1-2}."""
     n1, n2 = values.shape[:2]
     offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -223,7 +284,7 @@ def _raise_first_row(u: np.ndarray, checks) -> None:
     if failed.any():
         k = int(np.argmax(failed))
         _, cls, message = next(check for check in checks if check[0][k])
-        raise cls(f"vertex {tuple(int(x) for x in u[k])}: {message}")
+        raise cls(f"vertex {_ints(u[k])}: {message}")
 
 
 @dataclass

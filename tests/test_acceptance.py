@@ -124,7 +124,7 @@ def test_criterion_02_generator_soundness(nets_2d, nets_3d):
 
 
 def _verdicts_2d(net):
-    closed = check_closedness(net).is_koenigs
+    closed = check_closedness(net).passed
     geometric = check_koenigs_2d_geometric(net).passed
     kd = integrate_nu(net, check=False)
     dual_ok = dual_form_residual(net, kd) <= 1e-8
@@ -154,11 +154,10 @@ def test_criterion_03_equivalence_2d(nets_2d):
 
 def _verdicts_3d(net):
     rep = check_koenigs_3d_geometric(net)
-    black = all(r.black_residual <= 1e-8 for r in rep.records)
-    white = all(r.white_residual <= 1e-8 for r in rep.records)
-    corners = all(max(r.corner_residuals) <= 1e-8 for r in rep.records)
-    closed = check_closedness(net).is_koenigs
-    return black, white, corners, closed
+    fine = dict.fromkeys(("black", "white", "corners"), True)
+    for (kind, _), (res, _) in rep.parts.items():
+        fine[kind] = fine[kind] and bool(np.all(res <= 1e-8))
+    return fine["black"], fine["white"], fine["corners"], check_closedness(net).passed
 
 
 def test_criterion_04_equivalence_3d(nets_3d):
@@ -208,8 +207,8 @@ def test_criterion_06_invariance(nets_2d, iso_nets):
             build_q_form(img_bad)
         except DegeneracyError:
             continue
-        ok = ok and check_closedness(img).is_koenigs
-        ok = ok and not check_closedness(img_bad).is_koenigs
+        ok = ok and check_closedness(img).passed
+        ok = ok and not check_closedness(img_bad).passed
         done += 1
     iso = iso_nets[0]
     cr = quad_cross_ratios(iso.net)[(0, 1)]

@@ -180,6 +180,18 @@ class TestPipelines:
         assert cli(tmp_path, "report", infile=net, outname="report.json")[0] == 0
         assert len(calls) == 1
 
+    def test_every_entry_carries_the_same_keys(self, tmp_path):
+        keys = {"passed", "max_residual", "n_checked", "n_failed", "worst_at"}
+        _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
+                     "--seed", "3", outname="net.json")
+        _, out = cli(tmp_path, "report", infile=net, outname="report.json")
+        report = json.loads(out.read_text())
+        assert len(report) == 6 and all(set(entry) == keys for entry in report.values())
+        assert report["moebius"]["n_checked"] == 9 and report["qnet"]["worst_at"][0] == [0, 1]
+        for kind in ("qnet", "koenigs", "circular", "isothermic", "geometric"):
+            _, out = cli(tmp_path, "check", kind, "--format", "json", infile=net, outname=f"{kind}.json")
+            assert set(json.loads(out.read_text())[f"check_{kind}"]) == keys
+
     def test_report_records_failure_category(self, tmp_path):
         _, net = cli(tmp_path, "generate", "moutard", "--extents", "5", "5",
                      "--seed", "3", outname="net.json")

@@ -1,6 +1,6 @@
 """Export hygiene: every name a module lists in ``__all__`` exists, and the
-deleted scalar layer is exported nowhere (a stale name in ``__all__`` only
-breaks a star-import)."""
+deleted scalar layer and report types are exported nowhere (a stale name in
+``__all__`` only breaks a star-import)."""
 import importlib
 import pkgutil
 
@@ -15,6 +15,9 @@ DELETED = (
     "PlanarQuad", "MinkowskiVec", "project_from_lightcone", "intersect_diagonals", "diagonal_ratios",
     "plane_frame", "to_plane_coords", "planarity_residual", "minkowski_dot_arrays", "quad_points",
     "quads", "NotOnLightCone",
+    # the report and record types, replaced by qnet.CheckReport
+    "PlanarityReport", "ClosednessReport", "Geometric2DReport", "Geometric3DReport", "CircularityReport",
+    "IsothermicReport", "MoebiusReport", "LaplaceReport", "Vertex2DRecord", "Hexahedron3DRecord", "_pack",
 )
 
 
@@ -32,3 +35,4 @@ def test_deleted_names_are_gone():
     assert [(m.__name__, n) for m in modules for n in DELETED if hasattr(m, n)] == []
     assert not hasattr(koenigsnets.koenigs.DiagonalForm, "directed")
     assert not hasattr(koenigsnets.qnet.QNet, "vertex")
+    assert not hasattr(koenigsnets.qnet.QNet, "interior_indices")

@@ -65,7 +65,7 @@ class TestCircularity:
 
     def test_generic_koenigs_net_fails(self, koenigs_net_2d):
         rep = check_circular(koenigs_net_2d)
-        assert not rep.passed and len(rep.offenders) > 0
+        assert not rep.passed and rep.n_failed > 0
 
     def test_similarity_invariance(self, iso_net, rng):
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -117,7 +117,7 @@ class TestDegenerateQuads:
     def test_offenders_name_every_bad_quad(self):
         net = _grid_with((5, 5), {(2, 2): (2.2, 2.0, 0.0)})
         rep = check_circular(net)
-        assert [o[0] for o in rep.offenders] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert [(key, u) for key, u, _ in rep.offenders(10)] == [((0, 1), u) for u in ((1, 1), (1, 2), (2, 1), (2, 2))]
 
 
 class TestCrossRatios:
@@ -160,14 +160,17 @@ class TestCheckIsothermic:
     def test_flipped_corner_fails(self, flipped):
         net, _ = flipped
         rep = check_isothermic(net)
-        assert not rep.passed and len(rep.failures) > 0
+        assert not rep.passed and rep.n_failed > 0
 
     def test_failures_name_plain_indices(self, flipped):
         rep = check_isothermic(flipped[0])
-        assert all(re.fullmatch(r"interior vertex \(\d+, \d+\)", d) for d, _ in rep.failures)
+        offenders = rep.offenders(rep.n_failed)
+        assert len(offenders) == rep.n_failed > 0
+        # each one an interior vertex of the 6 x 6 net, as plain ints
+        assert all(key == (0, 1) and all(type(x) is int and 1 <= x <= 4 for x in u) for key, u, _ in offenders)
 
     def test_isothermic_nets_are_koenigs(self, iso_net):
-        assert check_closedness(iso_net.net).is_koenigs
+        assert check_closedness(iso_net.net).passed
 
 
 class TestRecoverLabels:
@@ -355,21 +358,22 @@ class TestLightconeEvolve:
 class TestMoebiusCharacterizations:
     def test_generic_2d_sphere_mode(self, iso_net):
         rep = check_moebius_characterizations(iso_net.net)
-        assert rep.mode == "sphere"
+        assert rep.name == "moebius_sphere"
         assert rep.passed and rep.max_residual <= 1e-9
 
     def test_planar_net_in_sphere_mode(self):
         rep = check_moebius_characterizations(generate.grid((5, 5)))
-        assert rep.mode == "in_sphere"
+        assert rep.name == "moebius_in_sphere" and list(rep.parts) == ["in_sphere"]
         assert rep.passed
 
     def test_3d_hexahedra_mode(self, iso_lightcone_3d):
         _, iso = iso_lightcone_3d
         rep = check_moebius_characterizations(iso.net)
-        assert rep.mode == "hexahedra"
+        assert rep.name == "moebius_hexahedra"
         assert rep.passed
-        for _, _, res_b, res_w in rep.records:
-            assert res_b <= 1e-8 and res_w <= 1e-8
+        assert {kind for kind, _ in rep.parts} == {"black", "white"}
+        for res, _ in rep.parts.values():
+            assert np.all(res <= 1e-8)
 
     def test_flipped_corner_fails(self, flipped):
         net, _ = flipped
@@ -387,7 +391,7 @@ class TestMoebiusCharacterizations:
     def test_net_without_interior_vertices(self, extents):
         net = QNet(generate.grid(extents).vertices + np.array([0.0, 0.0, 1.0]) * np.arange(extents[1])[:, None] ** 2)
         rep = check_moebius_characterizations(net)
-        assert rep.passed and rep.records == [] and rep.max_residual == 0.0
+        assert rep.passed and rep.n_checked == 0 and rep.max_residual == 0.0 and rep.worst_at is None
         assert check_isothermic(net).passed
 
     def test_star_in_its_central_sphere(self):
@@ -395,13 +399,14 @@ class TestMoebiusCharacterizations:
         # so the whole star lies in it and the in-sphere test judges that star
         net = generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(47)).net
         rep = check_moebius_characterizations(net)
-        assert rep.mode == "sphere" and rep.passed
-        assert [u for u, _, contained in rep.records if any(contained)] == [(29, 42)]
+        assert rep.name == "moebius_sphere" and rep.passed
+        assert rep.parts["in_sphere"][1].tolist() == [[29, 42]]
+        assert rep.n_checked == 46 * 46
 
     def test_planar_net(self):
         iso = generate.random_isothermic_2d((6, 6), ambient_dim=2, rng=np.random.default_rng(3))
         rep = check_moebius_characterizations(iso.net)
-        assert rep.mode == "in_sphere" and rep.passed
+        assert rep.name == "moebius_in_sphere" and rep.passed
         assert not check_moebius_characterizations(generate.flip_corner_cross_ratio(iso)[0]).passed
 
     def test_net_in_a_3_sphere(self, iso_net, flipped):
@@ -412,7 +417,7 @@ class TestMoebiusCharacterizations:
             return QNet(np.concatenate([2 * v, n2 - 1], axis=-1) / (n2 + 1))
 
         rep = check_moebius_characterizations(to_s3(iso_net.net.vertices))
-        assert rep.mode == "sphere" and rep.passed
+        assert rep.name == "moebius_sphere" and rep.passed
         assert not check_moebius_characterizations(to_s3(flipped[0].vertices)).passed
 
     def test_central_sphere(self, iso_net):

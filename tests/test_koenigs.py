@@ -1,4 +1,3 @@
-import re
 from itertools import combinations, product
 
 import numpy as np
@@ -82,45 +81,46 @@ class TestQForm:
 class TestClosedness:
     def test_grid(self):
         rep = check_closedness(generate.grid((5, 5)))
-        assert rep.is_koenigs and rep.max_residual == pytest.approx(0.0, abs=1e-12)
+        assert rep.passed and rep.max_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_moutard_net(self, koenigs_net_2d):
         rep = check_closedness(koenigs_net_2d)
-        assert rep.is_koenigs and rep.max_residual <= 1e-10
+        assert rep.passed and rep.max_residual <= 1e-10
 
     def test_moutard_net_3d(self, koenigs_net_3d):
         net, _, _ = koenigs_net_3d
         rep = check_closedness(net)
-        assert rep.is_koenigs and rep.max_residual <= 1e-10
+        assert rep.passed and rep.max_residual <= 1e-10
 
     def test_m4_algebra(self):
         net, _, mn = generate.random_koenigs_nd((3, 3, 3, 3), rng=np.random.default_rng(1), noise=0.03)
         assert mn.moutard_residual() <= 1e-10
         rep = check_closedness(net)
-        assert rep.is_koenigs and rep.max_residual <= 1e-9
+        assert rep.passed and rep.max_residual <= 1e-9
 
     def test_perturbation_fails_adjacent_cycles(self, koenigs_net_2d):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(5))
         rep = check_closedness(bad)
-        assert not rep.is_koenigs
+        assert not rep.passed
         # the moved corner vertex lies in a single quad, so exactly one
         # interior 4-cycle breaks
-        assert len(rep.failures) == 1
+        assert rep.n_failed == 1
 
     def test_grid_3d_is_not_koenigs(self):
         # triangle products on a translational net are (-1)^3
         rep = check_closedness(generate.grid((3, 3, 3)))
-        assert not rep.is_koenigs
+        assert not rep.passed
 
 
 def _corner_products_reference(net, form):
-    """Loop reference for the triangle cycles: (description, |product - 1|)
-    at every hexahedron corner, from one directed q per face diagonal."""
+    """Loop reference for the triangle cycles: ((axes, cube base + (corner
+    number,)), |product - 1|) at every hexahedron corner, from one directed q
+    per face diagonal."""
     out = []
     for axes in combinations(range(net.m), 3):
         i, j, k = axes
         for w in product(*(range(e - 1) if ax in axes else range(e) for ax, e in enumerate(net.extents))):
-            for bits in product((0, 1), repeat=3):
+            for c, bits in enumerate(product((0, 1), repeat=3)):
                 corner = list(w)
                 for ax, bit in zip(axes, bits):
                     corner[ax] += bit
@@ -136,7 +136,7 @@ def _corner_products_reference(net, form):
                     base = list(w)
                     base[r] = corner[r]
                     prod *= _directed(form, base, p, q, frm, to)
-                out.append((f"corner {corner} of cube {w} axes {axes}", abs(prod - 1.0)))
+                out.append(((axes, w + (c,)), abs(prod - 1.0)))
     return out
 
 
@@ -144,22 +144,23 @@ class TestTriangleCycles:
     def test_perturbed_vertex_matches_loop_reference(self):
         # in R^2 every quad stays planar when a vertex moves
         net, _, _ = generate.random_koenigs_3d((4, 4, 4), ambient_dim=2, rng=np.random.default_rng(102))
-        assert check_closedness(net).is_koenigs
+        assert check_closedness(net).passed
         v = net.vertices.copy()
         v[2, 2, 2] += (0.01, 0.02)
         bad = QNet(v)
         rep = check_closedness(bad)
         ref = [(d, r) for d, r in _corner_products_reference(bad, build_q_form(bad)) if r > 1e-8]
-        got = [(d, r) for d, r in rep.failures if d.startswith("corner")]
+        offenders = rep.offenders(rep.n_failed)
+        got = [((key, u), r) for key, u, r in offenders if len(key) == 3]
         assert len(ref) > 0
         assert [d for d, _ in got] == [d for d, _ in ref]
         assert np.allclose([r for _, r in got], [r for _, r in ref], rtol=1e-12, atol=0.0)
         # every broken triangle lies in a cube around the moved vertex
-        cubes = {tuple(int(x) for x in d.split("cube (")[1].split(")")[0].split(",")) for d, _ in got}
-        assert cubes <= set(product((1, 2), repeat=3))
-        # the 4-cycle descriptions print plain ints, not numpy scalars
-        cycles = [d for d, _ in rep.failures if d.startswith("vertex cycle")]
-        assert cycles and all(re.fullmatch(r"vertex cycle axes \(\d,\d\) at base \(\d+, \d+, \d+\)", d) for d in cycles)
+        assert {u[:3] for (_, u), _ in got} <= set(product((1, 2), repeat=3))
+        # the 4-cycles come first, at their bases, in plain ints, not numpy scalars
+        cycles = [(key, u) for key, u, _ in offenders if len(key) == 2]
+        assert cycles and offenders[:len(cycles)] == [o for o in offenders if len(o[0]) == 2]
+        assert all(len(u) == 3 and all(type(x) is int for x in u) for _, u in cycles)
 
 
 class TestIntegrateNu:
@@ -375,7 +376,7 @@ class TestGeometric2D:
     def test_negative_agrees_with_closedness(self, koenigs_net_2d):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(9))
         assert not check_koenigs_2d_geometric(bad).passed
-        assert not check_closedness(bad).is_koenigs
+        assert not check_closedness(bad).passed
 
     def test_r4_five_point_criterion(self):
         net = generate.random_koenigs_2d((6, 6), ambient_dim=4, rng=np.random.default_rng(10))
@@ -385,13 +386,13 @@ class TestGeometric2D:
     def test_planar_vertices_excluded(self):
         rep = check_koenigs_2d_geometric(generate.grid((4, 4)))
         # every interior vertex of a flat grid violates the precondition
-        assert sum(1 for r in rep.records if r.excluded) == 4
+        assert rep.n_checked == 0 and list(rep.parts) == ["m_points"]
         assert rep.passed
 
     @pytest.mark.parametrize("extents", [(2, 5), (5, 2)])
     def test_net_without_interior_vertices(self, extents):
         rep = check_koenigs_2d_geometric(generate.grid(extents))
-        assert rep.passed and rep.records == [] and rep.max_residual == 0.0
+        assert rep.passed and rep.n_checked == 0 and rep.max_residual == 0.0 and rep.worst_at is None
 
 
 class TestGeometric3D:
@@ -403,14 +404,15 @@ class TestGeometric3D:
     def test_black_iff_white(self, koenigs_net_3d):
         net, _, _ = koenigs_net_3d
         rep = check_koenigs_3d_geometric(net)
-        for rec in rep.records:
-            assert rec.black_residual <= 1e-9 and rec.white_residual <= 1e-9
+        assert rep.n_checked == (2 + 8) * 27  # black, white and eight corners per cube
+        for (kind, _), (res, _) in rep.parts.items():
+            assert kind == "corners" or np.all(res <= 1e-9)
 
     def test_negative(self):
         bad = generate.random_qnet_3d((3, 3, 3), rng=np.random.default_rng(11))
         rep = check_koenigs_3d_geometric(bad)
         assert not rep.passed
-        assert not check_closedness(bad).is_koenigs
+        assert not check_closedness(bad).passed
 
 
 def _projective_image(net, rng, spread=0.02):
@@ -432,14 +434,14 @@ class TestProjectiveInvariance:
     def test_verdict_preserved(self, koenigs_net_2d, rng):
         for _ in range(10):
             img = _projective_image(koenigs_net_2d, rng)
-            assert check_closedness(img).is_koenigs
+            assert check_closedness(img).passed
             assert check_koenigs_2d_geometric(img).passed
 
     def test_negative_verdict_preserved(self, koenigs_net_2d, rng):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(12))
         for _ in range(5):
             img = _projective_image(bad, rng)
-            assert not check_closedness(img).is_koenigs
+            assert not check_closedness(img).passed
 
 
 class TestLimitNormalization:

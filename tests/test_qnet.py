@@ -118,15 +118,15 @@ class TestCheckQnet:
         v[1, 1, 2] += 0.1  # interior vertex raised out of plane
         rep = check_qnet(QNet(v))
         assert not rep.passed
-        assert len(rep.offenders) == 4
+        assert rep.n_failed == 4 and len(rep.offenders(10)) == 4
 
     def test_offenders_name_their_base_with_plain_ints(self):
         v = generate.grid((3, 4, 5)).vertices.copy()
         v[1, 2, 3] += 0.1
         rep = check_qnet(QNet(v))
         bases = {(i, j): set(QNet(v).base_indices(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))}
-        assert len(rep.offenders) == 12
-        for u, i, j, _ in rep.offenders:
+        assert rep.n_failed == 12
+        for (i, j), u, _ in rep.offenders(12):
             assert u in bases[(i, j)] and all(type(x) is int for x in u)
             assert all(u[k] in (c - 1, c) if k in (i, j) else u[k] == c for k, c in enumerate((1, 2, 3)))
 

@@ -1,0 +1,178 @@
+"""One report type for every check: what a CheckReport derives from its
+per-element residuals, on passing and failing nets of each check."""
+import json
+
+import numpy as np
+import pytest
+
+from koenigsnets import generate, isothermic, koenigs, qnet
+from koenigsnets.errors import NotCircular
+from koenigsnets.isothermic import check_circular, check_isothermic, check_moebius_characterizations
+from koenigsnets.koenigs import (
+    check_closedness,
+    check_koenigs_2d_geometric,
+    check_koenigs_3d_geometric,
+    dual_quad_residual,
+    dualize_quad,
+)
+from koenigsnets.qnet import QNet, check_qnet
+
+
+def _raised(extents, u):
+    """A unit grid in R^3 with the vertex u lifted out of its plane."""
+    v = generate.grid(extents).vertices.copy()
+    v[u + (2,)] += 0.1
+    return QNet(v)
+
+
+def _perturbed(net, seed, magnitude=1e-2):
+    return generate.perturb_in_plane(net, rng=np.random.default_rng(seed), magnitude=magnitude)
+
+
+def _r4(seed):
+    return generate.random_koenigs_2d((10, 10), ambient_dim=4, rng=np.random.default_rng(seed))
+
+
+# (check, net from the fixtures fx, expected verdict)
+CASES = {
+    "qnet-2d": (check_qnet, lambda fx: fx("koenigs_net_2d"), True),
+    "qnet-3d-raised": (check_qnet, lambda fx: _raised((3, 4, 5), (1, 2, 3)), False),
+    "closedness-3d": (check_closedness, lambda fx: fx("koenigs_net_3d")[0], True),
+    "closedness-2d-perturbed": (check_closedness, lambda fx: _perturbed(fx("koenigs_net_2d"), 5), False),
+    "closedness-3d-grid": (check_closedness, lambda fx: generate.grid((3, 3, 3)), False),
+    "geometric-2d": (check_koenigs_2d_geometric, lambda fx: fx("koenigs_net_2d"), True),
+    "geometric-2d-perturbed": (check_koenigs_2d_geometric, lambda fx: _perturbed(fx("koenigs_net_2d"), 9), False),
+    "geometric-2d-r4": (check_koenigs_2d_geometric, lambda fx: _r4(0), True),
+    "geometric-2d-r4-perturbed": (check_koenigs_2d_geometric, lambda fx: _perturbed(_r4(0), 1), False),
+    "geometric-3d": (check_koenigs_3d_geometric, lambda fx: fx("koenigs_net_3d")[0], True),
+    "geometric-3d-qnet": (
+        check_koenigs_3d_geometric, lambda fx: generate.random_qnet_3d((3, 3, 3), rng=np.random.default_rng(11)), False),
+    "circular-iso": (check_circular, lambda fx: fx("iso_net").net, True),
+    "circular-koenigs": (check_circular, lambda fx: fx("koenigs_net_2d"), False),
+    "isothermic-lightcone-3d": (check_isothermic, lambda fx: fx("iso_lightcone_3d")[1].net, True),
+    "isothermic-flipped": (check_isothermic, lambda fx: generate.flip_corner_cross_ratio(fx("iso_net"))[0], False),
+    "moebius-sphere": (check_moebius_characterizations, lambda fx: fx("iso_net").net, True),
+    "moebius-sphere-flipped": (
+        check_moebius_characterizations, lambda fx: generate.flip_corner_cross_ratio(fx("iso_net"))[0], False),
+    "moebius-in-sphere": (check_moebius_characterizations, lambda fx: generate.grid((5, 5)), True),
+    "moebius-hexahedra": (check_moebius_characterizations, lambda fx: fx("iso_lightcone_3d")[1].net, True),
+}
+
+
+def _residual_at(rep, key, u) -> float:
+    res, at = rep.parts[key]
+    rows = np.flatnonzero((at == np.array(u)).all(axis=1))
+    assert len(rows) == 1
+    return float(res[rows[0]])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_derives_its_verdict_from_the_residuals(case, request):
+    check, build, verdict = CASES[case]
+    rep = check(build(request.getfixturevalue))
+    assert rep.passed == verdict == (rep.n_failed == 0) == rep.is_koenigs
+    residuals = [res for res, _ in rep.parts.values()]
+    assert rep.n_checked == sum(len(res) for res in residuals) > 0
+    assert rep.n_failed == sum(int((res > rep.tol).sum()) for res in residuals)
+    assert rep.max_residual == max(float(res.max(initial=0.0)) for res in residuals)
+    key, u = rep.worst_at
+    assert _residual_at(rep, key, u) == rep.max_residual
+    # offenders: capped at k, part by part, each part in C order, plain ints
+    every = rep.offenders(rep.n_checked)
+    assert len(every) == rep.n_failed
+    for k in (0, 1, 3):
+        assert rep.offenders(k) == every[:k]
+    order = [(list(rep.parts).index(key), u) for key, u, _ in every]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    for key, u, r in every:
+        assert all(type(x) is int for x in u) and r > rep.tol and _residual_at(rep, key, u) == r
+    assert json.loads(json.dumps(rep.summary()))["n_failed"] == rep.n_failed
+
+
+def _nan_first(fn, field=None):
+    """``fn`` with the first residual of each nonempty result (or of its
+    ``field``) NaN."""
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        arr = np.array(out if field is None else getattr(out, field), dtype=float)
+        arr.reshape(-1)[:1] = np.nan
+        return arr if field is None else out._replace(**{field: arr})
+
+    return wrapped
+
+
+# (passing case of CASES, module, kernel, the field of its result made NaN)
+NAN_CASES = {
+    "qnet": ("qnet-2d", qnet, "rank_residual", None),
+    "closedness": ("closedness-3d", koenigs, "quad_diagonals", "q_bd"),
+    "geometric-2d": ("geometric-2d", koenigs, "rank_residual", None),
+    "geometric-3d": ("geometric-3d", koenigs, "rank_residual", None),
+    "circular": ("circular-iso", isothermic, "quad_circles", "residual"),
+    "isothermic": ("isothermic-lightcone-3d", isothermic, "quad_circles", "cross_ratio"),
+    "moebius-sphere": ("moebius-sphere", isothermic, "rank_residual", None),
+    "moebius-hexahedra": ("moebius-hexahedra", isothermic, "rank_residual", None),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_residual_fails(case, request, monkeypatch):
+    passing, module, kernel, field = NAN_CASES[case]
+    check, build, _ = CASES[passing]
+    net = build(request.getfixturevalue)
+    monkeypatch.setattr(module, kernel, _nan_first(getattr(module, kernel), field))
+    rep = check(QNet(net.vertices))  # a new net: the form and the circles are kept per net
+    assert not rep.passed and rep.n_failed >= 1 and np.isnan(rep.max_residual)
+    key, u = rep.worst_at
+    assert np.isnan(_residual_at(rep, key, u))
+    assert any(np.isnan(r) for _, _, r in rep.offenders(rep.n_failed))
+
+
+def test_nan_circularity_is_not_circular(iso_net, monkeypatch):
+    monkeypatch.setattr(isothermic, "quad_circles", _nan_first(isothermic.quad_circles, "residual"))
+    with pytest.raises(NotCircular, match="max residual nan"):
+        check_isothermic(QNet(iso_net.net.vertices))
+
+
+@pytest.mark.parametrize("m, n_cycles", [(2, 42), (3, 264), (4, 822)])
+def test_closedness_counts_every_cycle(m, n_cycles, koenigs_net_2d, koenigs_net_3d):
+    # the numbers of 4-cycles and corner triangles closedness reports counted before
+    nets = {
+        2: koenigs_net_2d,
+        3: koenigs_net_3d[0],
+        4: generate.random_koenigs_nd((3, 3, 3, 3), rng=np.random.default_rng(1), noise=0.03)[0],
+    }
+    assert check_closedness(nets[m]).n_checked == n_cycles
+
+
+class TestFivePointCriterion:
+    """Part "vertices" of the 2d geometric check: for N >= 4 the five points
+    f, f_{+-1,+-2} of a Koenigs net lie in a 3-space."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_koenigs_nets_in_r4(self, seed):
+        rep = check_koenigs_2d_geometric(_r4(seed))
+        res, at = rep.parts["vertices"]
+        assert rep.passed and len(res) == 64 and res.max() <= 1e-12
+        assert np.array_equal(at, rep.parts["m_points"][1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbed_nets_in_r4(self, seed):
+        rep = check_koenigs_2d_geometric(_perturbed(_r4(seed), seed))
+        res, _ = rep.parts["vertices"]
+        assert not rep.passed and res.max() >= 1e-7
+        assert {key for key, _, _ in rep.offenders(rep.n_failed)} == {"m_points", "vertices"}
+
+    def test_no_five_point_part_in_r3(self, koenigs_net_2d):
+        assert list(check_koenigs_2d_geometric(koenigs_net_2d).parts) == ["m_points"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e170])
+def test_dualize_quad_at_extreme_scales(scale):
+    # the dual of s Q is dual(Q) / s
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    dual = dualize_quad(square)
+    scaled = dualize_quad(square * scale)
+    assert np.allclose(scaled * scale, dual, rtol=1e-14, atol=0.0)
+    assert dual_quad_residual(square, scaled * scale) <= 1e-14

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from koenigsnets import generate
+from koenigsnets import generate, koenigs
 from koenigsnets.errors import (
     CoincidentPoints,
     CollinearTriple,
@@ -288,12 +288,13 @@ class TestIntegrators:
         ref = bfs_nu(net, build_q_form(net), black, white)
         assert np.abs(got / ref - 1.0).max() <= 1e-12 + slack
 
-    def test_non_finite_nu_is_not_koenigs(self):
+    def test_non_finite_nu_is_not_koenigs(self, monkeypatch):
         # a closed form whose products overflow along the diagonals
         big = np.full((4, 4), 1e200)
         form = DiagonalForm(q_main={(0, 1): big}, q_cross={(0, 1): big}, m_points={})
+        monkeypatch.setattr(koenigs, "build_q_form", lambda net, tol: form)
         with pytest.raises(NotKoenigs, match="finite"):
-            integrate_nu(generate.grid((5, 5)), form=form)
+            integrate_nu(generate.grid((5, 5)))
 
 
 # --- wavefront fills --------------------------------------------------------------
