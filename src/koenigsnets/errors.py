@@ -45,6 +45,11 @@ class SchemaMismatch(InputError):
     pass
 
 
+class InvalidValue(InputError, ValueError):
+    """A value outside its domain, such as a non-finite coordinate, an axis
+    with fewer than 2 vertices, a zero nu or label or a tolerance <= 0."""
+
+
 # --- degeneracies -----------------------------------------------------------
 
 class DegenerateQuad(DegeneracyError):
@@ -92,7 +97,8 @@ class EqualNuOnWhiteDiagonal(DegeneracyError):
 
 
 class VanishingLastComponent(DegeneracyError):
-    """Homogeneous evolution produced a point at infinity."""
+    """Homogeneous evolution produced a point at infinity, or left the
+    finite numbers."""
 
 
 class EqualLabels(DegeneracyError):

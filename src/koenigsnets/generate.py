@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CoincidentPoints, CollinearTriple, DegenerateQuad, VanishingLastComponent
+from .errors import CoincidentPoints, CollinearTriple, DegenerateQuad, DimensionTooLow, VanishingLastComponent
 from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
@@ -18,7 +18,7 @@ from .qnet import (
     QNet,
     VertexScalar,
     _back,
-    _crop,
+    _corners,
     _first_positive_axes,
     _raise_first_row,
     _wavefront,
@@ -43,7 +43,7 @@ def grid(extents, ambient_dim: int = 3, spacing: float = 1.0) -> QNet:
     """Regular coordinate grid embedded in the first m coordinate planes."""
     m = len(extents)
     if ambient_dim < m:
-        raise ValueError("ambient dimension below lattice dimension")
+        raise DimensionTooLow("ambient dimension below lattice dimension")
     coords = np.meshgrid(*(spacing * np.arange(e) for e in extents), indexing="ij")
     verts = np.zeros(tuple(extents) + (ambient_dim,))
     for ax in range(m):
@@ -88,7 +88,8 @@ def random_koenigs_2d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
 def _homogeneous_axis(n: int, axis: int, ambient_dim: int, rng, noise: float) -> np.ndarray:
     f = _random_axis_curve(n, axis, ambient_dim, rng, noise)
     w = _W_FACTORS[axis] ** np.arange(n) * (1.0 + noise * rng.standard_normal(n))
-    return np.concatenate([f, np.ones((n, 1))], axis=-1) * w[:, None]
+    with np.errstate(over="ignore"):  # moutard_evolve rejects what overflows
+        return np.concatenate([f, np.ones((n, 1))], axis=-1) * w[:, None]
 
 
 def random_koenigs_3d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.04):
@@ -120,7 +121,7 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     # first three positive axes
     y = _wavefront(planes, _hexahedron_steps)
     coeffs = {pair: _fit_moutard_coeffs(y, *pair) for pair in planes}
-    mn = MoutardNet(points=y, coeffs=coeffs, lightcone=False)
+    mn = MoutardNet(points=y, coeffs=coeffs)
     net, nu = mn.project_homogeneous()
     return net, nu, mn
 
@@ -141,8 +142,9 @@ def _hexahedron_steps(y, u):
 
 def _fit_moutard_coeffs(y: np.ndarray, i: int, j: int) -> np.ndarray:
     """Per-quad least-squares coefficient of y_ij - y = a (y_j - y_i)."""
-    d = _crop(y, (i, j), (0, 1)) - _crop(y, (i, j), (1, 0))
-    lhs = _crop(y, (i, j), (1, 1)) - _crop(y, (i, j), (0, 0))
+    y0, yi, yij, yj = _corners(y, i, j)
+    d = yj - yi
+    lhs = yij - y0
     return (lhs * d).sum(axis=-1) / (d * d).sum(axis=-1)
 
 
@@ -274,12 +276,14 @@ def apply_moebius(net: QNet, center=None, radius: float = 1.0, shift=None, scale
 def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
     """Break isothermicity while keeping the discrete-metric factorization.
 
-    In the last quad of a 2d net, the corner vertex f_12 is replaced by the
-    second intersection of the quad's circumcircle with the circle of points
-    at a fixed distance ratio from f_1 and f_2.  Both edge lengths into the
-    corner rescale by the same factor, so |f_i - f|^2 = alpha_i s s_i still
-    holds with one adjusted value of s, but the quad stops being embedded
-    and its cross-ratio changes sign.  Returns ``(QNet, VertexScalar)``.
+    In the last quad (f, f_1, f_12, f_2) of a 2d net, the corner f_12 moves
+    to the other point of the quad's circle with its ratio of distances from
+    f_1 and f_2.  In plane coordinates, w(z) = (z - z_1) / (z - z_2) maps the
+    circle to a line through 0 and those points to |w| = |w(z_12)|, so the
+    new corner solves w(z') = -w(z_12).  Both edge lengths into the corner
+    rescale by the same factor, so |f_i - f|^2 = alpha_i s s_i still holds
+    with one adjusted value of s, but the quad stops being embedded and its
+    cross-ratio changes sign.  Returns ``(QNet, VertexScalar)``.
     """
     net = iso.net
     if net.m != 2:
@@ -291,16 +295,11 @@ def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
         raise CoincidentPoints("cannot build a frame from coincident points")
     if not spans.any():
         raise CollinearTriple("all points are collinear; no plane frame")
-    z, zi, zij, zj = z.view(complex)[:, 0].tolist()
-    c_circ, r_circ = _circumcircle(z, zi, zj)
-    k = abs(zij - zi) / abs(zij - zj)
-    if abs(k - 1.0) < 1e-12:
-        c_apo, r_apo = None, None  # ratio 1: the locus is the perpendicular bisector
-        new = _reflect_across_line(zij, zi, zj, c_circ, r_circ)
-    else:
-        c_apo = (zi - k**2 * zj) / (1.0 - k**2)
-        r_apo = np.sqrt(abs(c_apo - zi) * abs(c_apo - zj))
-        new = _second_circle_intersection(c_circ, r_circ, c_apo, r_apo, zij)
+    _, zi, zij, zj = z.view(complex)[:, 0].tolist()
+    w = (zij - zi) / (zij - zj) if zij != zj else complex("inf")
+    if not np.isfinite(w) or 1.0 + w == 0.0:
+        raise DegenerateQuad("the corner has no second point at its distance ratio")
+    new = (zi + w * zj) / (1.0 + w)
     new_pt = pts[0] + new.real * u + new.imag * v
     verts = net.vertices.copy()
     verts[corner] = new_pt
@@ -311,40 +310,3 @@ def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
     d_old = pts[2] - pts[1]
     s[corner] *= float((d_new * d_new).sum() / (d_old * d_old).sum())
     return QNet(verts), VertexScalar(s)
-
-
-def _circumcircle(z1: complex, z2: complex, z3: complex):
-    """Center and radius of the circle through three complex points."""
-    ax, ay = z1.real, z1.imag
-    bx, by = z2.real, z2.imag
-    cx, cy = z3.real, z3.imag
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        raise DegenerateQuad("collinear points have no circumcircle")
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
-    center = complex(ux, uy)
-    return center, abs(z1 - center)
-
-
-def _second_circle_intersection(c1: complex, r1: float, c2: complex, r2: float, known: complex) -> complex:
-    """The intersection point of two circles that is not ``known``."""
-    d = abs(c2 - c1)
-    if d == 0.0:
-        raise DegenerateQuad("concentric circles")
-    a = (r1**2 - r2**2 + d**2) / (2.0 * d)
-    h2 = r1**2 - a**2
-    h = np.sqrt(max(h2, 0.0))
-    axis = (c2 - c1) / d
-    mid = c1 + a * axis
-    p1 = mid + 1j * h * axis
-    p2 = mid - 1j * h * axis
-    return p1 if abs(p1 - known) > abs(p2 - known) else p2
-
-
-def _reflect_across_line(z: complex, zi: complex, zj: complex, c: complex, r: float) -> complex:
-    """Reflect z across the perpendicular bisector of (zi, zj); stays on the
-    circumcircle (c, r) because the bisector passes through its center."""
-    mid = 0.5 * (zi + zj)
-    direction = 1j * (zj - zi) / abs(zj - zi)
-    return mid + direction * ((z - mid) / direction).conjugate()

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateQuad,
     DimensionMismatch,
     GeneralPositionViolated,
+    InvalidValue,
     NotConcircular,
     NotPlanar,
     PointOffLine,
@@ -55,7 +56,7 @@ class Tolerances:
 
     def __post_init__(self):
         if self.incidence <= 0 or self.product <= 0:
-            raise ValueError("tolerances must be strictly positive")
+            raise InvalidValue("tolerances must be strictly positive")
 
 
 DEFAULT_TOL = Tolerances()

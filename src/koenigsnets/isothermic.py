@@ -39,6 +39,7 @@ from .geom import (
 from .koenigs import (
     MoutardNet,
     _integrate_one_form,
+    _moutard_coeffs,
     _one_form_closure_residual,
     integrate_nu,
 )
@@ -49,6 +50,7 @@ from .qnet import (
     VertexScalar,
     _back,
     _base,
+    _corners,
     _crop,
     _cubes,
     _first_positive_axes,
@@ -58,6 +60,7 @@ from .qnet import (
     _raise_first_row,
     _star,
     _wavefront,
+    _worst,
 )
 
 __all__ = [
@@ -137,16 +140,15 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     circles = _circles(net, tol)
     _raise_first(circles, 3)
-    max_circ = float(np.max([qc.residual.max(initial=0.0) for _, _, _, qc in circles]))  # NaN if one is
+    max_circ = _worst(qc.residual for _, _, _, qc in circles)
     if not max_circ <= tol.incidence:
         raise NotCircular(f"net is not circular (max residual {max_circ:.3e})")
-    _raise_first(circles, 6)
-    cross_ratios = {(i, j): qc.cross_ratio for i, j, _, qc in circles}
+    cross_ratios = quad_cross_ratios(net, tol)
     parts = {}
     if net.m == 2:
-        cr = cross_ratios[(0, 1)]
-        lhs = cr[1:, 1:] * cr[:-1, :-1]
-        rhs = cr[:-1, 1:] * cr[1:, :-1]
+        c, c_i, c_ij, c_j = _corners(cross_ratios[(0, 1)], 0, 1)
+        lhs = c_ij * c
+        rhs = c_j * c_i
         parts[(0, 1)] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))).reshape(-1), _grid(lhs.shape, 1)
     for i, j, k in combinations(range(net.m), 3):
         prod = (
@@ -168,21 +170,15 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     if net.m not in (2, 3):
         raise DimensionTooLow("label recovery supports m = 2 or 3")
     cross_ratios = quad_cross_ratios(net, tol)
-    per_axis = [np.empty(e - 1) for e in net.extents]
-    per_axis[0][0] = 1.0
-    origin = tuple(0 for _ in range(net.m))
-    # alpha_j(0) from the first quad in each (0, j) plane
-    for j in range(1, net.m):
-        per_axis[j][0] = per_axis[0][0] / cross_ratios[(0, j)][origin]
-    # layers along axis 0 from the (0, 1) plane, transverse axes at 0
-    for u0 in range(1, net.extents[0] - 1):
-        u = (u0,) + origin[1:]
-        per_axis[0][u0] = cross_ratios[(0, 1)][u] * per_axis[1][0]
-    for j in range(1, net.m):
-        for uj in range(1, net.extents[j] - 1):
-            u = tuple(uj if ax == j else 0 for ax in range(net.m))
-            per_axis[j][uj] = per_axis[0][0] / cross_ratios[(0, j)][u]
-    labels = EdgeLabelling(tuple(per_axis))
+
+    def along(q, j):  # q on the line along axis j through the origin
+        return q[(0,) * j + (slice(None),) + (0,) * (net.m - j - 1)]
+
+    # alpha_j = alpha_0(0) / q along axis j, then alpha_0 = q alpha_1(0) along axis 0
+    rest = [1.0 / along(cross_ratios[(0, j)], j) for j in range(1, net.m)]
+    first = along(cross_ratios[(0, 1)], 0) * rest[0][0]
+    first[0] = 1.0
+    labels = EdgeLabelling((first, *rest))
     # consistency: every quad's cross-ratio must factor as alpha_i / alpha_j
     for (i, j), cr in cross_ratios.items():
         layer = [1] * net.m
@@ -199,59 +195,44 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     return labels
 
 
-def recover_metric(
-    net: QNet,
-    base_black=None,
-    base_white=None,
-    tol: Tolerances = DEFAULT_TOL,
-    check: bool = True,
-) -> VertexScalar:
+def recover_metric(net: QNet, base_black=None, base_white=None, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
     """Discrete metric s from the diagonal-ratio propagation.
 
     Same integration as nu for general Koenigs nets; additionally asserts the
     labelling property of alpha_i = |f_i - f|^2 / (s s_i).
     """
-    kd = integrate_nu(net, base_black, base_white, tol, check=check)
-    s = kd.nu.values
-    if check:
-        for i in range(net.m):
-            alpha = _edge_alpha(net, s, i)
-            # constant across every transverse axis
-            for ax in range(net.m):
-                if ax == i:
-                    continue
-                spread = np.abs(alpha - alpha.take([0], axis=ax)).max()
-                if spread > tol.product * np.abs(alpha).max():
-                    raise InconsistentCrossRatios(
-                        f"alpha_{i} is not constant along axis {ax} (spread {spread:.3e})"
-                    )
+    s = integrate_nu(net, base_black, base_white, tol).nu.values
+    for i in range(net.m):
+        alpha = _edge_alpha(net, s, i)
+        # constant across every transverse axis
+        for ax in (ax for ax in range(net.m) if ax != i):
+            spread = np.abs(alpha - alpha.take([0], axis=ax)).max()
+            if not spread <= tol.product * np.abs(alpha).max():
+                raise InconsistentCrossRatios(f"alpha_{i} is not constant along axis {ax} (spread {spread:.3e})")
     return VertexScalar(s)
 
 
 def _edge_alpha(net: QNet, s: np.ndarray, i: int) -> np.ndarray:
     """alpha_i = |f_i - f|^2 / (s s_i) on every axis-i edge."""
-    df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
+    df = np.diff(net.vertices, axis=i)
     return (df * df).sum(axis=-1) / (_crop(s, (i,), (0,)) * _crop(s, (i,), (1,)))
 
 
 def metric_labels(net: QNet, s: VertexScalar, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     """Edge labelling alpha_i = |f_i - f|^2 / (s s_i), averaged per layer."""
-    per_axis = []
-    for i in range(net.m):
-        alpha = _edge_alpha(net, s.values, i)
-        other = tuple(ax for ax in range(net.m) if ax != i)
-        per_axis.append(alpha.mean(axis=other) if other else alpha)
-    return EdgeLabelling(tuple(per_axis))
+    return _layer_means([_edge_alpha(net, s.values, i) for i in range(net.m)])
 
 
-def christoffel(
-    iso: IsothermicNet,
-    base=None,
-    limit_signs: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
-    check: bool = True,
-) -> IsothermicNet:
-    """Christoffel transform: integrate delta_i f* = alpha_i delta_i f / |delta_i f|^2.
+def _layer_means(alphas) -> EdgeLabelling:
+    """The labels alpha_i, given on every axis-i edge (one array per axis
+    i), averaged over each layer of edges."""
+    return EdgeLabelling(tuple(a.mean(axis=tuple(ax for ax in range(a.ndim) if ax != i)) for i, a in enumerate(alphas)))
+
+
+def christoffel(iso: IsothermicNet, limit_signs: bool = False, tol: Tolerances = DEFAULT_TOL) -> IsothermicNet:
+    """Christoffel transform: integrate delta_i f* = alpha_i delta_i f / |delta_i f|^2
+    from 0 at the origin; FormNotClosed unless the form closes within
+    tol.product (a NaN residual does not).
 
     The result carries the same cross-ratios and the metric s* = 1/s.  With
     ``limit_signs`` the continuous-limit convention is applied to the returned
@@ -261,11 +242,9 @@ def christoffel(
     net = iso.net
     forms = _christoffel_forms(net, iso.labels)
     residual = _one_form_closure_residual(net, forms)
-    if check and residual > tol.product:
+    if not residual <= tol.product:
         raise FormNotClosed(f"Christoffel one-form not closed: residual {residual:.3e}")
-    if base is None:
-        base = (tuple(0 for _ in range(net.m)), np.zeros(net.ambient_dim))
-    dual = _integrate_one_form(net, forms, base)
+    dual = _integrate_one_form(net, forms)
     s_star = 1.0 / iso.metric.values
     labels = iso.labels
     if limit_signs:
@@ -288,14 +267,15 @@ def christoffel_form_residual(iso: IsothermicNet) -> float:
 def _christoffel_forms(net: QNet, labels: EdgeLabelling):
     forms = {}
     for i in range(net.m):
-        df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
+        df = np.diff(net.vertices, axis=i)
         norm2 = (df * df).sum(axis=-1)
         if np.any(norm2 == 0.0):
             raise ZeroEdge("zero-length edge in Christoffel one-form")
         alpha = labels.per_axis[i]
         shape = [1] * net.m
         shape[i] = len(alpha)
-        forms[i] = alpha.reshape(shape)[..., None] * df / norm2[..., None]
+        with np.errstate(over="ignore"):  # a form that overflows fails its closure gate
+            forms[i] = alpha.reshape(shape)[..., None] * df / norm2[..., None]
     return forms
 
 
@@ -338,29 +318,27 @@ def _three_leg_steps(f, u, alpha_i, alpha_j):
 def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: bool = True) -> MoutardNet:
     """Light-cone Moutard representative y = (f + e_0 + |f|^2 e_inf) / s.
 
-    Flat layout [spatial..., e0, einf].  Also verifies the label identity
-    alpha_i = -2 <y, tau_i y> when ``check`` is on.
+    Flat layout [spatial..., e0, einf], with the coefficients of
+    :func:`~koenigsnets.koenigs._moutard_coeffs` for w = 1/s.  With
+    ``check``, FormNotClosed unless its Moutard residual is within
+    tol.product, and InconsistentCrossRatios unless the labels
+    alpha_i = -2 <y, tau_i y> are constant across layers within tol.product.
     """
     f = iso.net.vertices
     s = iso.metric.values
     if np.any(s == 0.0):
         raise ZeroMetric("metric vanishes at a vertex")
     y = lift_to_lightcone(f) / s[..., None]
-    coeffs = {}
-    for i, j in combinations(range(iso.net.m), 2):
-        w = 1.0 / s
-        denom = _crop(w, (i, j), (0, 1)) - _crop(w, (i, j), (1, 0))
-        coeffs[(i, j)] = (_crop(w, (i, j), (1, 1)) - _crop(w, (i, j), (0, 0))) / denom
-    mn = MoutardNet(points=y, coeffs=coeffs, lightcone=True)
+    mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / s, tol))
     if check:
         res = mn.moutard_residual()
-        if res > tol.product:
+        if not res <= tol.product:
             raise FormNotClosed(f"light-cone Moutard residual {res:.3e}")
         for i in range(iso.net.m):
             alpha = lift_labels(mn, i)
             layered = np.moveaxis(alpha, i, 0).reshape(alpha.shape[i], -1)
             spread = np.abs(layered - layered[:, :1]).max()
-            if spread > tol.product * np.abs(alpha).max():
+            if not spread <= tol.product * np.abs(alpha).max():
                 raise InconsistentCrossRatios(f"-2<y, tau_{i} y> not constant across layers")
     return mn
 
@@ -407,12 +385,12 @@ def _lightcone_fill(axes, tol: Tolerances) -> MoutardNet:
     y = _wavefront({(k,): a for k, a in enumerate(axes)}, step, tol)
     coeffs = {}
     for i, j in combinations(range(m), 2):
-        d = _crop(y, (i, j), (0, 1)) - _crop(y, (i, j), (1, 0))
-        coeffs[(i, j)], null = _lightcone_coeff(_crop(y, (i, j), (0, 0)), d, tol)
+        y0, yi, _, yj = _corners(y, i, j)
+        coeffs[(i, j)], null = _lightcone_coeff(y0, yj - yi, tol)
         if null.any():
             base = _base(null.shape, int(np.argmax(null)))
             raise NullDiagonalDifference(f"quad base {base} (axes {i},{j}): diagonal difference is isotropic")
-    return MoutardNet(points=y, coeffs=coeffs, lightcone=True)
+    return MoutardNet(points=y, coeffs=coeffs)
 
 
 def _lightcone_coeff(y, d, tol: Tolerances):
@@ -431,14 +409,9 @@ def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> Isot
     if np.any(np.abs(e0) <= tol.incidence * scale):
         raise ZeroE0Component("net passes through the point at infinity")
     s = 1.0 / e0
-    f = mn.points[..., :-2] * s[..., None]
-    net = QNet(f)
-    per_axis = []
-    for i in range(mn.m):
-        alpha = lift_labels(mn, i)
-        other = tuple(ax for ax in range(mn.m) if ax != i)
-        per_axis.append(alpha.mean(axis=other) if other else alpha)
-    return IsothermicNet(net=net, labels=EdgeLabelling(tuple(per_axis)), metric=VertexScalar(s))
+    net = QNet(mn.points[..., :-2] * s[..., None])
+    labels = _layer_means([lift_labels(mn, i) for i in range(mn.m)])
+    return IsothermicNet(net=net, labels=labels, metric=VertexScalar(s))
 
 
 # --- Moebius-geometric characterizations ---------------------------------------

@@ -27,6 +27,7 @@ from .qnet import (
     VertexScalar,
     _back,
     _base,
+    _corners,
     _crop,
     _cubes,
     _frozen,
@@ -34,6 +35,7 @@ from .qnet import (
     _grid,
     _star,
     _wavefront,
+    _worst,
 )
 
 __all__ = [
@@ -108,14 +110,9 @@ def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     form = build_q_form(net, tol)
     parts = {}
     for i, j in combinations(range(net.m), 2):
-        qm = form.q_main[(i, j)]
-        qc = form.q_cross[(i, j)]
-        prod = (
-            _crop(qc, (i, j), (1, 1))
-            * _crop(qm, (i, j), (1, 0))
-            / _crop(qm, (i, j), (0, 1))
-            / _crop(qc, (i, j), (0, 0))
-        )
+        c, _, c_ij, _ = _corners(form.q_cross[(i, j)], i, j)
+        _, m_i, _, m_j = _corners(form.q_main[(i, j)], i, j)
+        prod = c_ij * m_i / m_j / c
         parts[(i, j)] = np.abs(prod - 1.0).reshape(-1), _grid(prod.shape)
     for axes, res in _corner_triangle_products(net, form):
         parts[axes] = res.reshape(-1), _grid(res.shape)
@@ -215,18 +212,12 @@ def integrate_nu(
 
 def _nu_residual(net: QNet, form: DiagonalForm, nu: np.ndarray) -> float:
     """Max relative violation of the two diagonal relations over all quads."""
-    worst = 0.0
+    residuals = []
     for i, j in combinations(range(net.m), 2):
-        qm = form.q_main[(i, j)]
-        qc = form.q_cross[(i, j)]
-        n00 = _crop(nu, (i, j), (0, 0))
-        n10 = _crop(nu, (i, j), (1, 0))
-        n01 = _crop(nu, (i, j), (0, 1))
-        n11 = _crop(nu, (i, j), (1, 1))
-        r1 = np.abs(n11 / n00 - qm) / np.abs(qm)
-        r2 = np.abs(n01 / n10 - qc) / np.abs(qc)
-        worst = max(worst, float(r1.max()), float(r2.max()))
-    return worst
+        qm, qc = form.q_main[(i, j)], form.q_cross[(i, j)]
+        n, n_i, n_ij, n_j = _corners(nu, i, j)
+        residuals += [np.abs(n_ij / n - qm) / np.abs(qm), np.abs(n_j / n_i - qc) / np.abs(qc)]
+    return _worst(residuals)
 
 
 # --- dual quadrilaterals and dual nets ---------------------------------------
@@ -281,29 +272,22 @@ def dual_quad_residual(quads, duals) -> np.ndarray:
     return _angular_residual(u, v).max(axis=-1)
 
 
-def dualize_net(
-    net: QNet,
-    kd: KoenigsData,
-    base=None,
-    tol: Tolerances = DEFAULT_TOL,
-    check: bool = True,
-):
-    """Integrate the edge one-form delta_i f* = delta_i f / (nu nu_i).
+def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QNet:
+    """Integrate the edge one-form delta_i f* = delta_i f / (nu nu_i) from 0
+    at the origin.
 
-    Returns the dual net; raises NotKoenigs when the form fails to close
-    (unless ``check`` is disabled).  The path-independence residual is
-    available via :func:`dual_form_residual`.
+    Returns the dual net; raises NotKoenigs unless the form closes within
+    tol.product (a NaN residual does not).  The path-independence residual
+    is available via :func:`dual_form_residual`.
     """
     nu = kd.nu.values
     if np.any(nu == 0.0):
         raise ZeroNu("nu vanishes at a vertex")
     forms = _dual_edge_forms(net, nu)
     residual = _one_form_closure_residual(net, forms)
-    if check and residual > tol.product:
+    if not residual <= tol.product:
         raise NotKoenigs(f"dual one-form not closed: residual {residual:.3e}")
-    if base is None:
-        base = (tuple(0 for _ in range(net.m)), np.zeros(net.ambient_dim))
-    return _integrate_one_form(net, forms, base)
+    return _integrate_one_form(net, forms)
 
 
 def dual_form_residual(net: QNet, kd: KoenigsData) -> float:
@@ -312,47 +296,34 @@ def dual_form_residual(net: QNet, kd: KoenigsData) -> float:
 
 
 def _dual_edge_forms(net: QNet, nu: np.ndarray):
-    """Edge arrays G_i = delta_i f / (nu nu_i)."""
-    forms = {}
-    for i in range(net.m):
-        df = _crop(net.vertices, (i,), (1,)) - _crop(net.vertices, (i,), (0,))
-        forms[i] = df / (_crop(nu, (i,), (0,)) * _crop(nu, (i,), (1,)))[..., None]
-    return forms
+    """Edge arrays G_i = delta_i f / (nu nu_i), not finite where nu nu_i underflows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {i: np.diff(net.vertices, axis=i) / (_crop(nu, (i,), (0,)) * _crop(nu, (i,), (1,)))[..., None]
+                for i in range(net.m)}
 
 
 def _one_form_closure_residual(net: QNet, forms) -> float:
-    """Max relative closure defect of an R^N-valued edge one-form over quads."""
-    worst = 0.0
-    for i, j in combinations(range(net.m), 2):
-        gi = forms[i]
-        gj = forms[j]
-        gi_lo = _crop(gi, (j,), (0,))
-        gi_hi = _crop(gi, (j,), (1,))
-        gj_lo = _crop(gj, (i,), (0,))
-        gj_hi = _crop(gj, (i,), (1,))
-        defect = gi_lo + gj_hi - gj_lo - gi_hi
-        scale = np.maximum.reduce([
-            np.linalg.norm(gi_lo, axis=-1),
-            np.linalg.norm(gi_hi, axis=-1),
-            np.linalg.norm(gj_lo, axis=-1),
-            np.linalg.norm(gj_hi, axis=-1),
-        ])
-        rel = np.linalg.norm(defect, axis=-1) / np.maximum(scale, 1e-300)
-        worst = max(worst, float(rel.max()))
-    return worst
+    """Max relative closure defect of an R^N-valued edge one-form over
+    quads, NaN where the form is not finite."""
+    residuals = []
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and inf / inf read NaN
+        for i, j in combinations(range(net.m), 2):
+            gi_lo, gi_hi = _crop(forms[i], (j,), (0,)), _crop(forms[i], (j,), (1,))
+            gj_lo, gj_hi = _crop(forms[j], (i,), (0,)), _crop(forms[j], (i,), (1,))
+            scale = np.max([np.linalg.norm(g, axis=-1) for g in (gi_lo, gi_hi, gj_lo, gj_hi)], axis=0)
+            residuals.append(np.linalg.norm(gi_lo + gj_hi - gj_lo - gi_hi, axis=-1) / np.maximum(scale, 1e-300))
+    return _worst(residuals)
 
 
-def _integrate_one_form(net: QNet, forms, base) -> QNet:
-    """Sum an edge one-form along lexicographic paths (first along the last
-    axis, then along each earlier one), one cumulative sum per axis, then
-    translate so the base vertex lands on its prescribed value."""
-    u0, f0 = base
+def _integrate_one_form(net: QNet, forms) -> QNet:
+    """Sum an edge one-form from 0 at the origin along lexicographic paths
+    (first along the last axis, then along each earlier one), one cumulative
+    sum per axis."""
     out = np.zeros(net.extents + (net.ambient_dim,))
     for ax in reversed(range(net.m)):
         lead = (0,) * ax  # the earlier axes are still at 0
         col = out[lead]
         np.cumsum(np.concatenate([col[:1], forms[ax][lead]]), axis=0, out=col)
-    out += np.asarray(f0, dtype=float) - out[tuple(u0)]
     return QNet(out)
 
 
@@ -366,17 +337,11 @@ def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) 
     rather than failing the whole net.
     """
     nu = kd.nu.values
-    worst = 0.0
+    residuals = []
     diam = net.diameter()
     for i, j in combinations(range(net.m), 2):
-        n = _crop(nu, (i, j), (0, 0))
-        ni = _crop(nu, (i, j), (1, 0))
-        nj = _crop(nu, (i, j), (0, 1))
-        nij = _crop(nu, (i, j), (1, 1))
-        f = _crop(net.vertices, (i, j), (0, 0))
-        fi = _crop(net.vertices, (i, j), (1, 0))
-        fj = _crop(net.vertices, (i, j), (0, 1))
-        fij = _crop(net.vertices, (i, j), (1, 1))
+        n, ni, nij, nj = _corners(nu, i, j)
+        f, fi, fij, fj = _corners(net.vertices, i, j)
         sing = np.abs(ni - nj) <= tol.incidence * (np.abs(ni) + np.abs(nj))
         denom = np.where(sing, 1.0, n * (ni - nj))
         c1 = (nj * nij - n * ni) / denom
@@ -384,8 +349,8 @@ def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) 
         lhs = fij - fi - fj + f
         rhs = c1[..., None] * (fi - f) + c2[..., None] * (fj - f)
         res = np.linalg.norm(lhs - rhs, axis=-1) / diam
-        worst = max(worst, float(np.where(sing, 0.0, res).max()))
-    return worst
+        residuals.append(np.where(sing, 0.0, res))
+    return _worst(residuals)
 
 
 # --- Moutard nets --------------------------------------------------------------
@@ -399,7 +364,6 @@ class MoutardNet:
 
     points: np.ndarray
     coeffs: dict
-    lightcone: bool = False
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -414,22 +378,16 @@ class MoutardNet:
 
     def moutard_residual(self) -> float:
         """Max relative defect of the minus-sign Moutard equation over all
-        quads (for m >= 3 this includes the cross-face consistency)."""
-        worst = 0.0
+        quads (for m >= 3 this includes the cross-face consistency), NaN if a
+        coefficient or point is NaN."""
+        residuals = []
         for (i, j), a in self.coeffs.items():
-            y = _crop(self.points, (i, j), (0, 0))
-            yi = _crop(self.points, (i, j), (1, 0))
-            yj = _crop(self.points, (i, j), (0, 1))
-            yij = _crop(self.points, (i, j), (1, 1))
+            y, yi, yij, yj = _corners(self.points, i, j)
             lhs = yij - y
             rhs = a[..., None] * (yj - yi)
-            scale = np.maximum(
-                np.linalg.norm(lhs, axis=-1),
-                np.maximum(np.linalg.norm(rhs, axis=-1), np.linalg.norm(y, axis=-1)),
-            )
-            rel = np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(scale, 1e-300)
-            worst = max(worst, float(rel.max()))
-        return worst
+            scale = np.max([np.linalg.norm(v, axis=-1) for v in (lhs, rhs, y)], axis=0)
+            residuals.append(np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(scale, 1e-300))
+        return _worst(residuals)
 
     def project_homogeneous(self, tol: Tolerances = DEFAULT_TOL):
         """Inverse of the homogeneous lift: f from the first N components
@@ -444,32 +402,37 @@ class MoutardNet:
 
 
 def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL, check: bool = True) -> MoutardNet:
-    """Moutard representative y = (f, 1) / nu with coefficients
-    a_ij = (1/nu_ij - 1/nu) / (1/nu_j - 1/nu_i)."""
+    """Moutard representative y = (f, 1) / nu with the coefficients of
+    :func:`_moutard_coeffs`; with ``check``, NotKoenigs unless its Moutard
+    residual is within tol.product."""
     nu = kd.nu.values
     if np.any(nu == 0.0):
         raise ZeroNu("nu vanishes at a vertex")
     y = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None]
-    coeffs = {}
-    for i, j in combinations(range(net.m), 2):
-        w = 1.0 / nu
-        winv = _crop(w, (i, j), (0, 0))
-        wi = _crop(w, (i, j), (1, 0))
-        wj = _crop(w, (i, j), (0, 1))
-        wij = _crop(w, (i, j), (1, 1))
-        denom = wj - wi
-        if np.any(np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))):
-            raise EqualNuOnWhiteDiagonal("nu_i == nu_j on a quad; Moutard coefficient singular")
-        coeffs[(i, j)] = (wij - winv) / denom
-    mn = MoutardNet(points=y, coeffs=coeffs)
+    mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / nu, tol))
     if check:
         res = mn.moutard_residual()
-        if res > tol.product:
+        if not res <= tol.product:
             raise NotKoenigs(f"Moutard residual {res:.3e} exceeds tolerance")
     return mn
 
 
-def moutard_evolve(axes_data, coeffs, lightcone: bool = False) -> MoutardNet:
+def _moutard_coeffs(w: np.ndarray, tol: Tolerances) -> dict:
+    """The coefficients a_ij = (w_ij - w) / (w_j - w_i) of every quad, by
+    axis pair over its base grid, of a Moutard net whose last homogeneous
+    (or e_0) component is w.  EqualNuOnWhiteDiagonal if some
+    |w_j - w_i| <= tol.incidence (|w_i| + |w_j|)."""
+    coeffs = {}
+    for i, j in combinations(range(w.ndim), 2):
+        w0, wi, wij, wj = _corners(w, i, j)
+        denom = wj - wi
+        if np.any(np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))):
+            raise EqualNuOnWhiteDiagonal("nu_i == nu_j on a quad; Moutard coefficient singular")
+        coeffs[(i, j)] = (wij - w0) / denom
+    return coeffs
+
+
+def moutard_evolve(axes_data, coeffs) -> MoutardNet:
     """Solve the minus-sign Moutard equation as an initial value problem.
 
     For m = 2, ``axes_data`` is a pair of arrays (y on the axis u_2 = 0 and
@@ -491,10 +454,11 @@ def moutard_evolve(axes_data, coeffs, lightcone: bool = False) -> MoutardNet:
     def step(y, u):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below u
         return y[_back(u, 0, 1)] + a01[_back(u, 0, 1)][:, None] * (y[_back(u, 0)] - y[_back(u, 1)])
 
-    y = _wavefront(pieces, step)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected below
+        y = _wavefront(pieces, step)
     if not np.all(np.isfinite(y)):
-        raise ValueError("Moutard evolution produced non-finite values")
-    return MoutardNet(points=y, coeffs=full, lightcone=lightcone)
+        raise VanishingLastComponent("Moutard evolution produced non-finite values")
+    return MoutardNet(points=y, coeffs=full)
 
 
 # --- geometric characterizations ----------------------------------------------
@@ -522,8 +486,8 @@ def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
     star = _star(net.vertices)
     kept = ~(_rank_residual(star[:, :5], 2) <= tol.incidence)  # f and its neighbours span more than a plane
     at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)[kept]
-    mpts = form.m_points[(0, 1)]
-    ms = np.stack([mpts[:-1, :-1], mpts[1:, :-1], mpts[:-1, 1:], mpts[1:, 1:]], axis=2)
+    m, m_i, m_ij, m_j = _corners(form.m_points[(0, 1)], 0, 1)
+    ms = np.stack([m, m_i, m_j, m_ij], axis=2)
     parts = {"m_points": (_rank_residual(ms.reshape(len(star), 4, net.ambient_dim), 2)[kept], at)}
     if net.ambient_dim >= 4:
         parts["vertices"] = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3)[kept], at
@@ -580,15 +544,8 @@ def switched_laplace_residual(net: QNet, nu_prime: VertexScalar) -> float:
     convention, where the coefficient denominator is nu'(nu'_1 + nu'_2)."""
     if net.m != 2:
         raise DimensionTooLow("the switched convention is defined for m == 2")
-    nu = nu_prime.values
-    n = nu[:-1, :-1]
-    n1 = nu[1:, :-1]
-    n2 = nu[:-1, 1:]
-    n12 = nu[1:, 1:]
-    f = net.vertices[:-1, :-1]
-    f1 = net.vertices[1:, :-1]
-    f2 = net.vertices[:-1, 1:]
-    f12 = net.vertices[1:, 1:]
+    n, n1, n12, n2 = _corners(nu_prime.values, 0, 1)
+    f, f1, f12, f2 = _corners(net.vertices, 0, 1)
     denom = n * (n1 + n2)
     if np.any(denom == 0.0):
         raise ZeroNu("nu' vanishes or nu'_1 + nu'_2 == 0")
@@ -608,7 +565,8 @@ def switched_moutard_residual(mn: MoutardNet, axis: int) -> float:
     idx = np.indices(mn.extents)[axis]
     y = np.where((idx % 2 == 0)[..., None], mn.points, -mn.points)
     a = -mn.coeffs[(0, 1)] if axis == 0 else mn.coeffs[(0, 1)]
-    lhs = y[1:, 1:] + y[:-1, :-1]
-    rhs = a[..., None] * (y[1:, :-1] + y[:-1, 1:])
+    y0, y1, y12, y2 = _corners(y, 0, 1)
+    lhs = y12 + y0
+    rhs = a[..., None] * (y1 + y2)
     scale = np.abs(y).max()
     return float(np.linalg.norm(lhs - rhs, axis=-1).max() / scale)

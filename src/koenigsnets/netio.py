@@ -121,6 +121,13 @@ def loads(text: str) -> NetDocument:
             raise ParseError(f"missing field {key!r}")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema_version {raw['schema_version']} != {SCHEMA_VERSION}")
+    try:
+        return _from_raw(raw)
+    except (TypeError, ValueError) as exc:  # int() or float() of a value of the wrong type
+        raise ParseError(f"malformed value: {exc}") from exc
+
+
+def _from_raw(raw: dict) -> NetDocument:
     m = int(raw["m"])
     extents = tuple(int(e) for e in raw["extents"])
     ambient_dim = int(raw["ambient_dim"])

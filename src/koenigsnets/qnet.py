@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionTooLow
+from .errors import DimensionTooLow, InvalidValue
 from .geom import DEFAULT_TOL, Tolerances, rank_residual
 
 __all__ = [
@@ -44,14 +44,14 @@ class QNet:
         if vertices.ndim < 3:
             raise DimensionTooLow("need lattice dimension m >= 2 and a coordinate axis")
         if not np.all(np.isfinite(vertices)):
-            raise ValueError("net vertices must be finite")
+            raise InvalidValue("net vertices must be finite")
         self._vertices = _frozen(vertices)
         self._cache = {}
         self.m = vertices.ndim - 1
         self.extents = vertices.shape[:-1]
         self.ambient_dim = vertices.shape[-1]
         if any(e < 2 for e in self.extents):
-            raise ValueError("every axis needs at least 2 vertices")
+            raise InvalidValue("every axis needs at least 2 vertices")
         if self.ambient_dim < 2:
             raise DimensionTooLow("ambient dimension must be >= 2")
 
@@ -127,7 +127,7 @@ class CheckReport:
     @property
     def max_residual(self) -> float:
         """The largest residual, NaN if one is NaN, 0.0 if nothing was checked."""
-        return float(np.max([res.max(initial=0.0) for res, _ in self.parts.values()], initial=0.0))
+        return _worst(res for res, _ in self.parts.values())
 
     @property
     def worst_at(self):
@@ -178,8 +178,7 @@ def _ints(u) -> tuple:
 def _gather_quads(net: QNet, i: int, j: int):
     """Stacked quad vertex arrays (Q, 4, N) in base_indices order, a view of
     a (4, N, Q) array, plus the shape of the base grid (see :func:`_base`)."""
-    coords = np.moveaxis(net.vertices, -1, 0)
-    corners = np.stack([_crop(coords, (i + 1, j + 1), c) for c in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    corners = np.stack(_corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1))
     return np.moveaxis(corners.reshape(4, net.ambient_dim, -1), -1, 0), corners.shape[2:]
 
 
@@ -201,6 +200,19 @@ def _crop(arr, axes, offsets):
     for ax, off in zip(axes, offsets):
         sl[ax] = slice(1, None) if off else slice(0, -1)
     return arr[tuple(sl)]
+
+
+def _corners(arr, i: int, j: int) -> tuple:
+    """The values (x, x_i, x_ij, x_j) of ``arr`` at the four corners of
+    every quad spanned by axes i and j, each over the quad base grid."""
+    return tuple(_crop(arr, (i, j), c) for c in ((0, 0), (1, 0), (1, 1), (0, 1)))
+
+
+def _worst(residuals) -> float:
+    """The largest value in an iterable of residual arrays, NaN if one is
+    NaN, 0.0 if there are none.  A stage gate passes iff ``residual <= tol``,
+    so a NaN residual fails it as it fails a check."""
+    return float(np.max([res.max(initial=0.0) for res in residuals], initial=0.0))
 
 
 # vertex offsets of a cube along its axes (i, j, k), in hexahedra() order
@@ -297,9 +309,9 @@ class VertexScalar:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("vertex scalars must be finite")
+            raise InvalidValue("vertex scalars must be finite")
         if self.nonzero and np.any(self.values == 0.0):
-            raise ValueError("vertex scalar declared nonzero but contains zeros")
+            raise InvalidValue("vertex scalar declared nonzero but contains zeros")
 
     def __getitem__(self, u) -> float:
         return float(self.values[tuple(u)])
@@ -318,7 +330,7 @@ class EdgeLabelling:
         self.per_axis = tuple(np.asarray(a, dtype=float) for a in self.per_axis)
         for a in self.per_axis:
             if np.any(a == 0.0) or not np.all(np.isfinite(a)):
-                raise ValueError("edge labels must be finite and nonzero")
+                raise InvalidValue("edge labels must be finite and nonzero")
 
     def label(self, axis: int, layer: int) -> float:
         return float(self.per_axis[axis][layer])

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import koenigsnets
 from koenigsnets import koenigs, netio
@@ -115,6 +116,53 @@ class TestCheck:
         netio.save(doc, net)
         code, _ = cli(tmp_path, "check", "koenigs", infile=net)
         assert code == 3
+
+
+def _edited(tmp_path, kind, edit):
+    """A generated 3 x 3 document of ``kind`` with ``edit`` applied to its JSON object."""
+    _, path = cli(tmp_path, "generate", kind, "--extents", "3", "3", outname="net.json")
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return path
+
+
+# (argv, document kind and edit or None, exit code, error category)
+BAD_INPUT = {
+    "ambient-dim-below-m": (["generate", "grid", "--extents", "3", "3", "3", "--ambient-dim", "2"], None, 2,
+                            "DimensionTooLow"),
+    "grid-axis-of-one": (["generate", "grid", "--extents", "1", "4"], None, 2, "InvalidValue"),
+    "three-leg-axis-of-one": (["generate", "three-leg", "--extents", "1", "5"], None, 2, "InvalidValue"),
+    "zero-tolerance": (["check", "qnet", "--tol-incidence", "0"], ("grid", lambda raw: None), 2, "InvalidValue"),
+    "nan-vertex": (["check", "qnet"], ("grid", lambda raw: raw["vertices"].__setitem__(0, float("nan"))), 2,
+                   "InvalidValue"),
+    "m-not-a-number": (["check", "qnet"], ("grid", lambda raw: raw.__setitem__("m", "two")), 2, "ParseError"),
+    "string-vertex": (["check", "qnet"], ("grid", lambda raw: raw["vertices"].__setitem__(0, "x")), 2,
+                      "ParseError"),
+    "axis-of-one": (["check", "qnet"], ("grid", lambda raw: raw.__setitem__("extents", [1, 9])), 2,
+                    "InvalidValue"),
+    "zero-nu": (["lift", "homogeneous"], ("moutard", lambda raw: raw["nu"].__setitem__(0, 0.0)), 2,
+                "InvalidValue"),
+    "zero-label": (["christoffel"], ("three-leg", lambda raw: raw["labels"][0].__setitem__(0, 0.0)), 2,
+                   "InvalidValue"),
+    "moutard-overflow": (["generate", "moutard", "--extents", "4", "4", "--noise", "1e200"], None, 3,
+                         "VanishingLastComponent"),
+}
+
+
+class TestBadInput:
+    """Bad input exits 2 (input error) or 3 (degeneracy) with one error line,
+    never 1 (check failed) or a traceback."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", BAD_INPUT)
+    def test_exit_code_and_one_error_line(self, tmp_path, capsys, case):
+        argv, doc, code, category = BAD_INPUT[case]
+        infile = None if doc is None else _edited(tmp_path, *doc)
+        capsys.readouterr()
+        assert cli(tmp_path, *argv, infile=infile)[0] == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error {category}: ")
 
 
 class TestPipelines:

@@ -355,7 +355,7 @@ class TestMinkowski:
     def test_project_scaled(self):
         # y = 2 (f + e_0 + |f|^2 e_inf) on a unit square f: s = 1/2
         f = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
-        iso = project_lightcone_net(MoutardNet(2.0 * lift_to_lightcone(f), {}, lightcone=True))
+        iso = project_lightcone_net(MoutardNet(2.0 * lift_to_lightcone(f), {}))
         assert np.allclose(iso.metric.values, 0.5)
         assert np.allclose(iso.net.vertices, f)
 
@@ -363,12 +363,12 @@ class TestMinkowski:
         y = lift_to_lightcone(np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]))
         y[1, 1] = self.EINF
         with pytest.raises(ZeroE0Component):
-            project_lightcone_net(MoutardNet(y, {}, lightcone=True))
+            project_lightcone_net(MoutardNet(y, {}))
 
     def test_round_trip(self, rng):
         f = rng.uniform(-10, 10, (5, 6, 3))
         scale = rng.uniform(0.1, 5.0, (5, 6))
-        iso = project_lightcone_net(MoutardNet(lift_to_lightcone(f) * scale[..., None], {}, lightcone=True))
+        iso = project_lightcone_net(MoutardNet(lift_to_lightcone(f) * scale[..., None], {}))
         assert np.allclose(iso.net.vertices, f, atol=1e-12)
         assert np.allclose(iso.metric.values, 1.0 / scale, rtol=1e-12, atol=0.0)
 

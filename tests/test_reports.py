@@ -1,12 +1,14 @@
 """One report type for every check: what a CheckReport derives from its
-per-element residuals, on passing and failing nets of each check."""
+per-element residuals, on passing and failing nets of each check; and the
+stage gates, which fail on a NaN residual as the checks do."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from koenigsnets import generate, isothermic, koenigs, qnet
-from koenigsnets.errors import NotCircular
+from koenigsnets.errors import EqualNuOnWhiteDiagonal, FormNotClosed, NotCircular, NotKoenigs
 from koenigsnets.isothermic import check_circular, check_isothermic, check_moebius_characterizations
 from koenigsnets.koenigs import (
     check_closedness,
@@ -15,7 +17,7 @@ from koenigsnets.koenigs import (
     dual_quad_residual,
     dualize_quad,
 )
-from koenigsnets.qnet import QNet, check_qnet
+from koenigsnets.qnet import EdgeLabelling, QNet, VertexScalar, check_qnet
 
 
 def _raised(extents, u):
@@ -176,3 +178,65 @@ def test_dualize_quad_at_extreme_scales(scale):
     scaled = dualize_quad(square * scale)
     assert np.allclose(scaled * scale, dual, rtol=1e-14, atol=0.0)
     assert dual_quad_residual(square, scaled * scale) <= 1e-14
+
+
+# --- stage gates: a NaN residual fails them as it fails a check -----------------
+
+
+def test_nan_coefficient_makes_the_moutard_residual_nan(koenigs_net_2d):
+    mn = koenigs.moutard_lift(koenigs_net_2d, koenigs.integrate_nu(koenigs_net_2d))
+    a = mn.coeffs[(0, 1)].copy()
+    a[2, 3] = np.nan
+    assert np.isnan(koenigs.MoutardNet(mn.points, {(0, 1): a}).moutard_residual())
+
+
+def _nan_coeffs(fn):
+    """``fn`` with the first Moutard coefficient of every axis pair NaN."""
+
+    def wrapped(*args):
+        coeffs = {key: a.copy() for key, a in fn(*args).items()}
+        for a in coeffs.values():
+            a.reshape(-1)[0] = np.nan
+        return coeffs
+
+    return wrapped
+
+
+def test_nan_coefficient_fails_the_lifts(koenigs_net_2d, iso_net, monkeypatch):
+    monkeypatch.setattr(koenigs, "_moutard_coeffs", _nan_coeffs(koenigs._moutard_coeffs))
+    monkeypatch.setattr(isothermic, "_moutard_coeffs", _nan_coeffs(isothermic._moutard_coeffs))
+    with pytest.raises(NotKoenigs, match="residual nan"):
+        koenigs.moutard_lift(koenigs_net_2d, koenigs.integrate_nu(koenigs_net_2d))
+    with pytest.raises(FormNotClosed, match="residual nan"):
+        isothermic.lightcone_lift(iso_net)
+
+
+def test_underflowing_dual_form_fails_its_gate(koenigs_net_2d):
+    # two rows: the only quad that touches the two tiny values of nu is the first
+    net = QNet(koenigs_net_2d.vertices[:2])
+    nu = koenigs.integrate_nu(net).nu.values.copy()
+    nu[0, 0], nu[1, 0] = np.copysign(1e-200, nu[0, 0]), np.copysign(1e-200, nu[1, 0])  # nu nu_1 underflows
+    kd = koenigs.KoenigsData(nu=VertexScalar(nu), closedness_residual=0.0)
+    assert np.isnan(koenigs.dual_form_residual(net, kd))
+    with pytest.raises(NotKoenigs, match="residual nan"):
+        koenigs.dualize_net(net, kd)
+
+
+def test_overflowing_christoffel_form_fails_its_gate(iso_net):
+    # edges of length ~0.1 and a label of 1e308 on the first axis-0 layer: its form overflows
+    a1, a2 = (0.01 * a for a in iso_net.labels.per_axis)
+    a1[0] = 1e308
+    iso = isothermic.IsothermicNet(QNet(0.1 * iso_net.net.vertices), EdgeLabelling((a1, a2)), iso_net.metric)
+    assert np.isnan(isothermic.christoffel_form_residual(iso))
+    with pytest.raises(FormNotClosed, match="residual nan"):
+        isothermic.christoffel(iso)
+
+
+def test_lightcone_lift_rejects_equal_metric_on_a_white_diagonal(iso_net):
+    s = iso_net.metric.values.copy()
+    s[1, 0] = s[0, 1]
+    iso = isothermic.IsothermicNet(iso_net.net, iso_net.labels, VertexScalar(s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EqualNuOnWhiteDiagonal):
+            isothermic.lightcone_lift(iso)
