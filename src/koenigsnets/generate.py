@@ -212,7 +212,8 @@ def random_isothermic_lightcone(extents, ambient_dim: int = 3, rng=None, noise: 
         f = _random_axis_curve(n, ax, ambient_dim, rng, noise)
         sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if ax == 1 else np.ones(n)
         s = sign * (1.0 + noise * rng.standard_normal(n))
-        axes.append(lift_to_lightcone(f) / s[:, None])
+        with np.errstate(over="ignore"):  # lightcone_evolve rejects what overflows
+            axes.append(lift_to_lightcone(f) / s[:, None])
     for ax in range(1, m):
         axes[ax][0] = axes[0][0]
     return lightcone_evolve(axes)

@@ -10,6 +10,7 @@ a pure function of its inputs; tolerances are relative and collected in
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "Tolerances",
     "Diagonals",
     "quad_diagonals",
+    "quad_planarity",
     "affine_rank",
     "menelaus_product",
     "circularity_residual",
@@ -105,8 +107,7 @@ _ONE_QUAD = (  # messages(k, value) of the guards of quad_diagonals for a single
 _EXACT_BELOW = 1e-4
 
 
-def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, messages=_ONE_QUAD,
-                   guards: int = 3) -> Diagonals:
+def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE_QUAD) -> Diagonals:
     """Intersection of the diagonals AC and BD of stacked quads (Q, 4, N),
     each (A, B, C, D) in cyclic order, in float64.
 
@@ -116,11 +117,10 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, m
     Gram-Schmidt applied twice.  Quads with a height below ``_EXACT_BELOW``
     of the terms it sums (digits lost to cancellation) get their heights
     from :func:`_exact_heights`.  Guards, each over the whole stack before
-    the next (``guards`` limits them to the first ones): DegenerateQuad for
-    parallel diagonals (sin^2 of their angle <= tol.incidence) and for
-    diagonal lines more than tol.incidence * ``scale`` apart (default: the
-    longer diagonal), VertexOnDiagonal for t or s within tol.incidence of 0
-    or 1; ``messages[g](k, value)`` words the error of guard g at quad k.
+    the next: DegenerateQuad for parallel diagonals (sin^2 of their angle <=
+    tol.incidence) and for skew ones (:func:`quad_planarity` >
+    tol.incidence), VertexOnDiagonal for t or s within tol.incidence of 0 or
+    1; ``messages[g](k, value)`` words the error of guard g at quad k.
     """
     abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
     unit = _unit(abcd)
@@ -134,10 +134,9 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, m
         (v1,), v_perp = _reject(v, e1)
         v2 = np.sqrt(_dot(v_perp, v_perp))  # v = v1 e1 + v2 e2
         (w1, w2), off = _reject(w, e1, v_perp / v2)  # off: from the line AC to the line BD
-        gap = np.sqrt(_dot(off, off))
-        scale = np.sqrt(np.maximum(uu, vv)) if scale is None else scale * unit
+        rho = quad_planarity(np.moveaxis(abcd, -1, 0))
         _raise_first([(DegenerateQuad, ~(v2 * v2 > tol.incidence * vv), None),
-                      (DegenerateQuad, gap > tol.incidence * scale, gap / unit)], messages)
+                      (DegenerateQuad, rho > tol.incidence, rho)], messages)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
         # and the squared sizes of the terms each one sums
         h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
@@ -150,9 +149,39 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale=None, m
         t, s = h_a / h_ac, h_b / h_bd
         near = np.minimum.reduce([np.abs(t), np.abs(h_c / h_ac), np.abs(s), np.abs(h_d / h_bd)])
         diag = Diagonals(((a + t * u + 0.5 * off) / unit).T, t, s, h_c / h_a, h_d / h_b)
-    if guards >= 3:
-        _raise_first([(VertexOnDiagonal, near <= tol.incidence, near)], messages[2:])
+    _raise_first([(VertexOnDiagonal, near <= tol.incidence, near)], messages[2:])
     return diag
+
+
+def quad_planarity(pts) -> np.ndarray:
+    """Coplanarity residual rho of each quad of a stack (..., 4, N): the distance h = 6 vol / (2 max area) of
+    the vertex opposite the largest corner triangle from its plane, over the quad's diameter; symmetric, 0 iff
+    the points are coplanar, >= sigma_2 / sigma_0 of the centred points over sqrt(2).  Each quad is scaled by a
+    power of two; 6 vol = |u ^ v ^ w| (u, v, w = B - A, C - A, D - A), 2 area = |x ^ y| from minors."""
+    pts = np.asarray(pts, dtype=float)
+    abcd = np.ascontiguousarray(np.moveaxis(pts.reshape(-1, 4, pts.shape[-1]), 0, -1))
+    i, j, pqr, at = _minor_indices(pts.shape[-1])
+    rho = np.empty(abcd.shape[-1])
+    for k in range(0, len(rho), 512):  # blocks whose temporaries stay below the allocator's mmap threshold
+        s = np.subtract(*abcd[..., k:k + 512].take([[1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]], axis=0))  # the edges
+        s = np.ldexp(s, -np.frexp(np.abs(s[:3]).max(axis=(0, 1)))[1], out=s)
+        x, y = s.take([[0, 0, 1, 3], [1, 2, 2, 4]], axis=0)  # the legs of ABC, ABD, ACD, BCD from their first vertex
+        wedge = x.take(i, axis=1) * y.take(j, axis=1) - x.take(j, axis=1) * y.take(i, axis=1)
+        vol = s[2].take(pqr, axis=0) * wedge[0].take(at, axis=0)  # w_p (u ^ v)_qr, w_q (u ^ v)_pr, w_r (u ^ v)_pq
+        vol, area2 = vol[0] - vol[1] + vol[2], (wedge * wedge).sum(axis=1).max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho2 = _dot(vol, vol) / (area2 * (s * s).sum(axis=1).max(axis=0))
+        rho[k:k + 512] = np.where(area2 == 0.0, 0.0, np.sqrt(rho2))
+    return rho.reshape(pts.shape[:-2])
+
+
+@functools.cache
+def _minor_indices(n: int) -> tuple:
+    """Pairs i < j of 0..n-1; per triple p < q < r: (p, q, r) and the positions of (q, r), (p, r), (p, q) in pairs."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    triples = [(p, q, r) for p, q in pairs for r in range(q + 1, n)]
+    at = [(pairs.index((q, r)), pairs.index((p, r)), pairs.index((p, q))) for p, q, r in triples]
+    return (*np.array(pairs).T, np.array(triples, dtype=int).reshape(-1, 3).T, np.array(at, dtype=int).reshape(-1, 3).T)
 
 
 def _unit(x: np.ndarray) -> float:
@@ -277,10 +306,10 @@ def _plane_frames(pts: np.ndarray):
     Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane
     coordinates z (Q, k, 2) of every point relative to points[0], the length
     nu (Q,) of points[1] - points[0], and whether each later point spans the
-    plane (Q, k - 2).  A set with nu == 0 or no spanning point has no frame;
-    its u, v and z are then not finite.
+    plane (Q, k - 2).  A set with nu == 0 or no spanning point (as when its
+    lengths overflow) has no frame; its u, v and z are then meaningless.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rel = pts - pts[:, :1]
         nu = _length(rel[:, 1])
         u = rel[:, 1] / nu[:, None]
@@ -329,8 +358,8 @@ def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
     """
     pts = np.asarray(pts, dtype=float)
     _, _, z, nu, spans = _plane_frames(pts)
+    planar = quad_planarity(pts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        planar = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2)
         x, y = z[..., 0], z[..., 1]
         diam = np.linalg.norm(z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]], axis=-1).max(axis=1)
         rows = np.stack([x, y, x * x + y * y, np.ones_like(x)], axis=-1)

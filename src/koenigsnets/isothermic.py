@@ -289,6 +289,8 @@ def three_leg_evolve(axes_data, labels: EdgeLabelling, tol: Tolerances = DEFAULT
     """
     a1, a2 = labels.per_axis
     pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
+    if not all(np.isfinite(a).all() for a in pieces.values()):
+        raise ZeroLeg("initial data are not finite")
     f = _wavefront(pieces, lambda f, u: _three_leg_steps(f, u, a1[u[:, 0] - 1], a2[u[:, 1] - 1]), tol)
     net = QNet(f)
     metric = recover_metric(net, tol=tol)
@@ -357,6 +359,8 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
     cross-face residual is available via ``MoutardNet.moutard_residual``.
     """
     axes_data = [np.asarray(a, dtype=float) for a in axes_data]
+    if not all(np.isfinite(a).all() for a in axes_data):
+        raise ZeroE0Component("initial data are not finite")
     for arr in axes_data:
         iso_res = np.abs(minkowski_dot(arr, arr))
         scale = (arr * arr).sum(axis=-1)

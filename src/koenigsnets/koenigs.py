@@ -17,10 +17,9 @@ from .errors import (
     NotAlternating,
     NotKoenigs,
     VanishingLastComponent,
-    VertexOnDiagonal,
     ZeroNu,
 )
-from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, rank_residual
+from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, quad_planarity, rank_residual
 from .qnet import (
     CheckReport,
     QNet,
@@ -229,23 +228,16 @@ def dualize_quad(quads, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Corresponding sides of a dual are parallel to those of its quad, and its
     diagonals are parallel to the non-corresponding diagonals of the quad.
-    Parallel or skew diagonals raise DegenerateQuad (:func:`quad_diagonals`,
-    skew measured against the quad's diameter), and a diagonal intersection
-    within tol.incidence times the diameter of a vertex VertexOnDiagonal.
+    Degenerate quads raise the errors of the guards of :func:`quad_diagonals`.
     """
     pts = np.asarray(quads, dtype=float)
     unit = _unit(pts)  # the dual of unit * Q is dual(Q) / unit
     flat = pts.reshape(-1, 4, pts.shape[-1]) * unit
-    diam = _length(flat[:, [0, 0, 0, 1, 1, 2]] - flat[:, [1, 2, 3, 2, 3, 3]]).max(axis=1)
-    m = quad_diagonals(flat, tol, scale=diam, guards=2).point
-    a, b, c, d = np.moveaxis(flat, 1, 0)
-    e1 = (c - a) / _length(c - a)[:, None]
-    e2 = (d - b) / _length(d - b)[:, None]
-    axis = np.stack([e1, e2, e1, e2], axis=1)  # the diagonal through each vertex
-    height = ((flat - m[:, None]) * axis).sum(axis=-1)  # its signed distance from m
-    if (np.abs(height).min(axis=1) <= tol.incidence * diam).any():
-        raise VertexOnDiagonal("diagonal intersection coincides with a vertex")
-    return (-axis[:, [1, 0, 1, 0]] / height[..., None]).reshape(pts.shape) * unit
+    diag = quad_diagonals(flat, tol)
+    u, v = flat[:, 2] - flat[:, 0], flat[:, 3] - flat[:, 1]
+    # M - X = c (X's diagonal), c = t, s, q_ac t, q_bd s: X* is the other diagonal over c |C - A| |D - B|
+    lengths = np.stack([diag.t, diag.s, diag.q_ac * diag.t, diag.q_bd * diag.s], axis=1) * _length(u)[:, None]
+    return (np.stack([v, u, v, u], axis=1) / (lengths * _length(v)[:, None])[..., None]).reshape(pts.shape) * unit
 
 
 def _angular_residual(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,14 +297,20 @@ def _dual_edge_forms(net: QNet, nu: np.ndarray):
 def _one_form_closure_residual(net: QNet, forms) -> float:
     """Max relative closure defect of an R^N-valued edge one-form over
     quads, NaN where the form is not finite."""
-    residuals = []
+    residuals, unit = [], min(_unit(g) for g in forms.values())
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and inf / inf read NaN
         for i, j in combinations(range(net.m), 2):
             gi_lo, gi_hi = _crop(forms[i], (j,), (0,)), _crop(forms[i], (j,), (1,))
             gj_lo, gj_hi = _crop(forms[j], (i,), (0,)), _crop(forms[j], (i,), (1,))
-            scale = np.max([np.linalg.norm(g, axis=-1) for g in (gi_lo, gi_hi, gj_lo, gj_hi)], axis=0)
-            residuals.append(np.linalg.norm(gi_lo + gj_hi - gj_lo - gi_hi, axis=-1) / np.maximum(scale, 1e-300))
+            residuals.append(_relative_defect(unit, gi_lo + gj_hi - gj_lo - gi_hi, gi_lo, gi_hi, gj_lo, gj_hi))
     return _worst(residuals)
+
+
+def _relative_defect(unit: float, defect: np.ndarray, *terms) -> np.ndarray:
+    """|defect| / max |term| of vectors along the last axis, all scaled first by ``unit``, the power of two
+    of :func:`geom._unit` of their source, so that no square overflows or underflows."""
+    scale = np.max([np.linalg.norm(t * unit, axis=-1) for t in terms], axis=0)
+    return np.linalg.norm(defect * unit, axis=-1) / np.maximum(scale, 1e-300)
 
 
 def _integrate_one_form(net: QNet, forms) -> QNet:
@@ -380,13 +378,12 @@ class MoutardNet:
         """Max relative defect of the minus-sign Moutard equation over all
         quads (for m >= 3 this includes the cross-face consistency), NaN if a
         coefficient or point is NaN."""
-        residuals = []
+        residuals, unit = [], _unit(self.points)
         for (i, j), a in self.coeffs.items():
             y, yi, yij, yj = _corners(self.points, i, j)
             lhs = yij - y
             rhs = a[..., None] * (yj - yi)
-            scale = np.max([np.linalg.norm(v, axis=-1) for v in (lhs, rhs, y)], axis=0)
-            residuals.append(np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(scale, 1e-300))
+            residuals.append(_relative_defect(unit, lhs - rhs, lhs, rhs, y))
         return _worst(residuals)
 
     def project_homogeneous(self, tol: Tolerances = DEFAULT_TOL):
@@ -450,6 +447,8 @@ def moutard_evolve(axes_data, coeffs) -> MoutardNet:
         full.update((key, np.asarray(coeffs[key], dtype=float)) for key in ((0, 2), (1, 2)) if key in coeffs)
     else:
         pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
+    if not all(np.isfinite(a).all() for a in pieces.values()):
+        raise VanishingLastComponent("initial data are not finite")
 
     def step(y, u):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below u
         return y[_back(u, 0, 1)] + a01[_back(u, 0, 1)][:, None] * (y[_back(u, 0)] - y[_back(u, 1)])
@@ -486,9 +485,7 @@ def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
     star = _star(net.vertices)
     kept = ~(_rank_residual(star[:, :5], 2) <= tol.incidence)  # f and its neighbours span more than a plane
     at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)[kept]
-    m, m_i, m_ij, m_j = _corners(form.m_points[(0, 1)], 0, 1)
-    ms = np.stack([m, m_i, m_j, m_ij], axis=2)
-    parts = {"m_points": (_rank_residual(ms.reshape(len(star), 4, net.ambient_dim), 2)[kept], at)}
+    parts = {"m_points": (quad_planarity(np.stack(_corners(form.m_points[(0, 1)], 0, 1), axis=2)).ravel()[kept], at)}
     if net.ambient_dim >= 4:
         parts["vertices"] = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3)[kept], at
     return CheckReport("koenigs_2d_geometric", tol.product, parts)
@@ -512,8 +509,8 @@ def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
         ms = [[_crop(form.m_points[pair], (r,), (bits[b],)) for pair, r, b in faces] for bits in _CORNERS]
         ms = np.array(ms).reshape(8, 3, -1, net.ambient_dim).transpose(2, 0, 1, 3)
         at = _grid(shape)
-        parts[("black", axes)] = _rank_residual(cube[:, [0, 4, 5, 6]], 2), at  # f, f_ij, f_ik, f_jk
-        parts[("white", axes)] = _rank_residual(cube[:, [1, 2, 3, 7]], 2), at  # f_i, f_j, f_k, f_ijk
+        parts[("black", axes)] = quad_planarity(cube[:, [0, 4, 5, 6]]), at  # f, f_ij, f_ik, f_jk
+        parts[("white", axes)] = quad_planarity(cube[:, [1, 2, 3, 7]]), at  # f_i, f_j, f_k, f_ijk
         parts[("corners", axes)] = _rank_residual(ms, 1).reshape(-1), _grid(shape + (8,))
     return CheckReport("koenigs_3d_geometric", tol.product, parts)
 

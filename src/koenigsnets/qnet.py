@@ -1,25 +1,23 @@
 """Finite windows of maps Z^m -> R^N with planar quadrilaterals.
 
 Storage is a dense row-major array of shape ``extents + (ambient_dim,)``.
-Nets are immutable after construction; all iterators are read-only.
+Nets are immutable after construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterator
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionTooLow, InvalidValue
-from .geom import DEFAULT_TOL, Tolerances, rank_residual
+from .geom import DEFAULT_TOL, Tolerances, quad_planarity
 
 __all__ = [
     "QNet",
     "VertexScalar",
     "EdgeLabelling",
     "CheckReport",
-    "hexahedra",
     "check_qnet",
     "vertex_parity",
     "BLACK",
@@ -69,26 +67,6 @@ class QNet:
     def diameter(self) -> float:
         flat = self._vertices.reshape(-1, self.ambient_dim)
         return float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
-
-    def base_indices(self, *axes: int) -> Iterator[tuple]:
-        """Base multi-indices of all elementary cells spanned by ``axes``
-        (quads for an axis pair, hexahedra for a triple), in C order."""
-        ranges = [
-            range(e - 1) if ax in axes else range(e)
-            for ax, e in enumerate(self.extents)
-        ]
-        return product(*ranges)
-
-
-def hexahedra(net: QNet) -> Iterator[tuple]:
-    """Yield each combinatorial cube as (u, (i, j, k), points).
-
-    Points are ordered (f, f_i, f_j, f_k, f_ij, f_ik, f_jk, f_ijk).
-    """
-    if net.m < 3:
-        raise DimensionTooLow("hexahedra need lattice dimension m >= 3")
-    for axes in combinations(range(net.m), 3):
-        yield from ((u, axes, pts) for u, pts in zip(net.base_indices(*axes), _cubes(net, axes)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +133,12 @@ class CheckReport:
 
 
 def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """Per-quad planarity residuals (smallest/largest singular value of the
-    centered 4xN point matrix), one part per axis pair, each quad at its
-    base; passes iff all are <= tol.incidence."""
+    """Per-quad :func:`geom.quad_planarity` residuals, one part per axis pair,
+    each quad at its base; passes iff all are <= tol.incidence."""
     parts = {}
     for i, j in combinations(range(net.m), 2):
         pts, shape = _gather_quads(net, i, j)
-        parts[(i, j)] = rank_residual(pts - pts.mean(axis=1, keepdims=True), 2), _grid(shape)
+        parts[(i, j)] = quad_planarity(pts), _grid(shape)
     return CheckReport("qnet", tol.incidence, parts)
 
 
@@ -176,8 +153,8 @@ def _ints(u) -> tuple:
 
 
 def _gather_quads(net: QNet, i: int, j: int):
-    """Stacked quad vertex arrays (Q, 4, N) in base_indices order, a view of
-    a (4, N, Q) array, plus the shape of the base grid (see :func:`_base`)."""
+    """Stacked quad vertex arrays (Q, 4, N), bases in C order, a view of a
+    (4, Q, N) array, plus the shape of the base grid (see :func:`_base`)."""
     corners = np.stack(_corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1))
     return np.moveaxis(corners.reshape(4, net.ambient_dim, -1), -1, 0), corners.shape[2:]
 
@@ -215,14 +192,13 @@ def _worst(residuals) -> float:
     return float(np.max([res.max(initial=0.0) for res in residuals], initial=0.0))
 
 
-# vertex offsets of a cube along its axes (i, j, k), in hexahedra() order
+# vertex offsets of a cube along its axes (i, j, k): f, f_i, f_j, f_k, f_ij, f_ik, f_jk, f_ijk
 _CUBE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
 def _cubes(net: QNet, axes):
-    """The vertices of every cube spanned by ``axes``, as (W, 8, N) in
-    base_indices order, each cube in hexahedra() order, plus the shape of the
-    base grid."""
+    """The vertices (W, 8, N) of every cube spanned by ``axes``, bases in C
+    order, each cube in ``_CUBE`` order, plus the shape of the base grid."""
     cube = np.stack([_crop(net.vertices, axes, bits) for bits in _CUBE], axis=net.m)
     return cube.reshape(-1, 8, net.ambient_dim), cube.shape[:net.m]
 
@@ -243,11 +219,11 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     ``pieces`` maps axis tuples to the initial data on the coordinate
     subspaces they span (every other coordinate 0), written in order; where
-    two pieces meet they must agree within tol.incidence times the largest
-    norm in the data, else ValueError.  Every other vertex is computed by
-    ``step(y, u)``, which gets the vertices u (n, m) of one hyperplane in C
-    order and returns their values from those on lower hyperplanes, raising
-    the typed error of its first degenerate vertex (:func:`_raise_first_row`).
+    two pieces meet, no coordinate may differ by more than tol.incidence
+    times the largest in the data (NaN does), else ValueError.  Every other
+    vertex is computed by ``step(y, u)``, which gets the vertices u (n, m) of
+    one hyperplane in C order and returns their values from those on lower
+    hyperplanes, raising the typed error of its first degenerate vertex (:func:`_raise_first_row`).
     """
     m = 1 + max(ax for axes in pieces for ax in axes)
     extents = [0] * m
@@ -257,15 +233,15 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         tail = values.shape[len(axes):]
     y = np.empty(tuple(extents) + tail)
     known = np.zeros(extents, dtype=bool)
-    scale = max(float(np.linalg.norm(values, axis=-1).max()) for values in pieces.values())
-    gap = 0.0
+    scale = max(float(np.abs(values).max()) for values in pieces.values())
+    gaps = []
     for axes, values in pieces.items():
         idx = tuple(slice(None) if ax in axes else 0 for ax in range(m))
         meet = known[idx]
-        if meet.any():
-            gap = max(gap, float(np.linalg.norm(y[idx][meet] - values[meet], axis=-1).max()))
+        gaps.append(np.abs(y[idx][meet] - values[meet]))
         y[idx] = values
         known[idx] = True
+    gap = _worst(gaps)
     if not gap <= tol.incidence * scale:
         raise ValueError(f"initial data disagree where they meet (by {gap:.3e} at scale {scale:.3e})")
     todo = np.argwhere(~known)
@@ -301,20 +277,16 @@ def _raise_first_row(u: np.ndarray, checks) -> None:
 
 @dataclass
 class VertexScalar:
-    """Real-valued function on the vertices of a net."""
+    """Nonzero real-valued function on the vertices of a net."""
 
     values: np.ndarray
-    nonzero: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise InvalidValue("vertex scalars must be finite")
-        if self.nonzero and np.any(self.values == 0.0):
+        if np.any(self.values == 0.0):
             raise InvalidValue("vertex scalar declared nonzero but contains zeros")
-
-    def __getitem__(self, u) -> float:
-        return float(self.values[tuple(u)])
 
 
 @dataclass
@@ -331,6 +303,3 @@ class EdgeLabelling:
         for a in self.per_axis:
             if np.any(a == 0.0) or not np.all(np.isfinite(a)):
                 raise InvalidValue("edge labels must be finite and nonzero")
-
-    def label(self, axis: int, layer: int) -> float:
-        return float(self.per_axis[axis][layer])

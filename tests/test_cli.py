@@ -147,6 +147,10 @@ BAD_INPUT = {
                    "InvalidValue"),
     "moutard-overflow": (["generate", "moutard", "--extents", "4", "4", "--noise", "1e200"], None, 3,
                          "VanishingLastComponent"),
+    "lightcone-overflow": (["generate", "lightcone", "--extents", "4", "4", "--noise", "1e200"], None, 3,
+                           "ZeroE0Component"),
+    "three-leg-overflow": (["generate", "three-leg", "--extents", "4", "4", "--noise", "1e200"], None, 3,
+                           "CollinearTriple"),
 }
 
 

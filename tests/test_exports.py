@@ -23,6 +23,8 @@ DELETED = (
     # the report and record types, replaced by qnet.CheckReport
     "PlanarityReport", "ClosednessReport", "Geometric2DReport", "Geometric3DReport", "CircularityReport",
     "IsothermicReport", "MoebiusReport", "LaplaceReport", "Vertex2DRecord", "Hexahedron3DRecord", "_pack",
+    # API only tests called
+    "hexahedra",
 )
 
 
@@ -41,6 +43,9 @@ def test_deleted_names_are_gone():
     assert not hasattr(koenigsnets.koenigs.DiagonalForm, "directed")
     assert not hasattr(koenigsnets.qnet.QNet, "vertex")
     assert not hasattr(koenigsnets.qnet.QNet, "interior_indices")
+    assert not hasattr(koenigsnets.qnet.QNet, "base_indices")
+    assert not hasattr(koenigsnets.qnet.VertexScalar, "__getitem__")
+    assert not hasattr(koenigsnets.qnet.EdgeLabelling, "label")
 
 
 # options no caller set, by function
@@ -50,6 +55,8 @@ REMOVED_OPTIONS = {
     koenigsnets.isothermic.recover_metric: ("check",),
     koenigsnets.koenigs.moutard_evolve: ("lightcone",),
     koenigsnets.koenigs._integrate_one_form: ("base",),
+    koenigsnets.geom.quad_diagonals: ("scale", "guards"),
+    koenigsnets.qnet.VertexScalar: ("nonzero",),
 }
 
 
@@ -57,6 +64,7 @@ def test_removed_options_are_gone():
     assert [(fn.__name__, p) for fn, params in REMOVED_OPTIONS.items()
             for p in params if p in inspect.signature(fn).parameters] == []
     assert "lightcone" not in {f.name for f in dataclasses.fields(koenigsnets.koenigs.MoutardNet)}
+    assert "nonzero" not in {f.name for f in dataclasses.fields(koenigsnets.qnet.VertexScalar)}
 
 
 # --- dead code: imports never used, private names nothing references -----------

@@ -25,6 +25,7 @@ from koenigsnets.geom import (
     minkowski_dot,
     quad_circles,
     quad_diagonals,
+    quad_planarity,
 )
 from koenigsnets.isothermic import project_lightcone_net
 from koenigsnets.koenigs import MoutardNet, dual_quad_residual, dualize_quad
@@ -312,6 +313,81 @@ class TestQuadCircles:
         for q, res, cr in zip(quads, out.residual, out.cross_ratio):
             assert circularity_residual(*q) == pytest.approx(res, rel=1e-12, abs=1e-15)
             assert cross_ratio(*q) == pytest.approx(cr, rel=1e-12)
+
+
+def _mp_planarity(quad):
+    """40-digit reference of geom.quad_planarity from the same double
+    inputs: 6 vol and 2 area from Gram determinants, over the diameter."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        pts = [[mpmath.mpf(float(x)) for x in p] for p in quad]
+
+        def gram_root(origin, *others):  # the volume of the parallelotope origin -> others
+            vecs = [[x - o for x, o in zip(pts[k], pts[origin])] for k in others]
+            g = mpmath.matrix([[mpmath.fsum(x * y for x, y in zip(a, b)) for b in vecs] for a in vecs])
+            return mpmath.sqrt(max(mpmath.det(g), 0))
+
+        area = max(gram_root(a, b, c) for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        diam = max(gram_root(a, b) for a in range(4) for b in range(a + 1, 4))
+        vol = gram_root(0, 1, 2, 3) if len(quad[0]) >= 3 else 0
+        return float(vol / area / diam) if area > 0 else 0.0
+
+
+def _planarity_quads(rng, n, dim, lift):
+    """Random quads in the plane of the first two coordinates of R^dim, D
+    lifted by ``lift`` (times the quad's size) along the third, then, if
+    lifted, put into general position by a random rotation and translation."""
+    quads = np.zeros((n, 4, dim))
+    quads[..., :2] = rng.standard_normal((n, 4, 2))
+    if lift:
+        quads[:, 3, 2] = lift * np.abs(quads[..., :2]).max(axis=(1, 2))
+        rot = np.linalg.qr(rng.standard_normal((n, dim, dim)))[0]
+        quads = quads @ rot + rng.standard_normal((n, 1, dim))
+    return quads
+
+
+class TestQuadPlanarity:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    def test_matches_high_precision(self, dim, scale):
+        rng = np.random.default_rng(31)
+        for lift in ([0.0] if dim == 2 else [0.0, 1e-3, 0.1, 1.0]):
+            quads = _planarity_quads(rng, 20, dim, lift) * scale
+            got = quad_planarity(quads)
+            ref = np.array([_mp_planarity(q) for q in quads])
+            if lift == 0.0:  # exactly planar in the coordinates; the reference reads its own rounding
+                assert np.all(got == 0.0) and np.all(ref <= 1e-20)
+            else:  # 1e-12 relative, and the rounding of the minors at the quad's size
+                assert np.all(ref > 0.0)
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref + 2 * np.finfo(float).eps)
+
+    def test_bounds_the_singular_value_ratio(self):
+        rng = np.random.default_rng(32)
+        # sigma_2 / sigma_0 <= sqrt(2) rho is proved; rho <= 2 sigma_2 / sigma_0 is measured
+        quads = [rng.standard_normal((4000, 4, dim)) for dim in (3, 4, 5)]
+        thin = rng.standard_normal((4000, 4, 3)) * [1.0, 1e-3, 1e-2]
+        crossed = np.array([[0, 0, 0], [100, 0.5, 0], [1, 0, 0], [100, -0.5, 0]]) + rng.standard_normal((4000, 4, 3))
+        for stack in quads + [thin, crossed]:
+            sv = np.linalg.svd(stack - stack.mean(axis=1, keepdims=True), compute_uv=False)
+            ratio = sv[:, 2] / sv[:, 0]
+            rho = quad_planarity(stack)[ratio > 1e-7]
+            ratio = ratio[ratio > 1e-7]
+            assert len(ratio) > 3000
+            assert np.all(np.sqrt(0.5) * ratio <= rho) and np.all(rho <= 2.0 * ratio)
+
+    def test_symmetric_and_shaped_like_the_stack(self):
+        quads = np.random.default_rng(33).standard_normal((3, 5, 4, 3))
+        rho = quad_planarity(quads)
+        assert rho.shape == (3, 5)
+        for perm in ([1, 2, 3, 0], [3, 2, 1, 0], [0, 2, 1, 3]):
+            assert np.allclose(quad_planarity(quads[..., perm, :]), rho, rtol=1e-13, atol=0)
+
+    def test_degenerate_quads(self):
+        collinear = np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]])
+        assert quad_planarity(collinear) == 0.0 and quad_planarity(np.zeros((4, 3))) == 0.0
+        nan = collinear.copy()
+        nan[0, 0] = np.nan
+        assert np.isnan(quad_planarity(nan))
 
 
 class TestMinkowski:

@@ -184,7 +184,7 @@ class TestRecoverLabels:
 
     def test_gauge(self, iso_net):
         rec = recover_labels(iso_net.net)
-        assert rec.label(0, 0) == 1.0
+        assert rec.per_axis[0][0] == 1.0
 
     def test_inconsistent_net_rejected(self, flipped):
         net, _ = flipped

@@ -10,7 +10,7 @@ from koenigsnets.errors import (
     NotKoenigs,
     VanishingLastComponent,
 )
-from koenigsnets.geom import quad_diagonals
+from koenigsnets.geom import quad_diagonals, quad_planarity
 from koenigsnets.koenigs import (
     build_q_form,
     check_closedness,
@@ -28,7 +28,7 @@ from koenigsnets.koenigs import (
     switched_laplace_residual,
     switched_moutard_residual,
 )
-from koenigsnets.qnet import QNet, _gather_quads
+from koenigsnets.qnet import QNet, _gather_quads, check_qnet
 
 
 def _directed(form, base, i, j, frm, to) -> float:
@@ -229,13 +229,20 @@ class TestDualQuad:
 
     def test_skew_guard_scales_with_the_diameter(self):
         # a crossed quad with diagonals of length 1 and sides near 100; D is
-        # lifted by g, which puts the diagonal lines about g / 2 apart
+        # lifted by g, which puts it 5e-3 g from the plane of ABC, against a
+        # diameter near 100: rho = 5e-5 g for both
         def quad(g):
             return np.array([[0, 0, 0], [100, 0.5, 0], [1, 0, 0], [100, -0.5, g]], dtype=float)
 
-        assert np.isfinite(dualize_quad(quad(1e-8))).all()  # gap 5e-9 <= 1e-9 * diameter
+        def net(g):  # the quad (f, f_1, f_12, f_2) as a 2 x 2 net
+            return QNet(quad(g)[[0, 3, 1, 2]].reshape(2, 2, 3))
+
+        assert quad_planarity(quad(1e-4)) == pytest.approx(5e-9, rel=1e-3)
+        assert np.isfinite(dualize_quad(quad(1e-6))).all()  # rho 5e-11
+        assert check_qnet(net(1e-6)).passed
         with pytest.raises(DegenerateQuad, match="skew diagonals"):
-            dualize_quad(quad(1e-6))  # gap 5e-7
+            dualize_quad(quad(1e-4))  # rho 5e-9
+        assert not check_qnet(net(1e-4)).passed
 
 
 class TestDualizeNet:

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from koenigsnets.qnet import (
     VertexScalar,
     _gather_quads,
     check_qnet,
-    hexahedra,
     vertex_parity,
 )
 
@@ -81,21 +80,13 @@ class TestIterators:
     def test_quad_count_4x3(self):
         net = generate.grid((4, 3))
         assert _n_quads(net) == 6
-        # in base_indices order, each (f, f_1, f_12, f_2)
+        # in C order of their bases, each (f, f_1, f_12, f_2)
         pts, shape = _gather_quads(net, 0, 1)
         assert shape == (3, 2)
         assert np.array_equal(pts[3], net.vertices[[1, 2, 2, 1], [1, 1, 2, 2]])
 
     def test_quad_count_cube(self):
         assert _n_quads(generate.grid((2, 2, 2))) == 6
-
-    def test_hexahedron_counts(self):
-        assert sum(1 for _ in hexahedra(generate.grid((2, 2, 2)))) == 1
-        assert sum(1 for _ in hexahedra(generate.grid((3, 2, 2)))) == 2
-
-    def test_hexahedra_need_3d(self):
-        with pytest.raises(DimensionTooLow):
-            list(hexahedra(generate.grid((3, 3))))
 
     def test_counts_match_formula(self, koenigs_net_3d):
         net, _, _ = koenigs_net_3d
@@ -124,7 +115,8 @@ class TestCheckQnet:
         v = generate.grid((3, 4, 5)).vertices.copy()
         v[1, 2, 3] += 0.1
         rep = check_qnet(QNet(v))
-        bases = {(i, j): set(QNet(v).base_indices(i, j)) for i, j in ((0, 1), (0, 2), (1, 2))}
+        bases = {(i, j): set(product(*(range(e - (k in (i, j))) for k, e in enumerate((3, 4, 5)))))
+                 for i, j in ((0, 1), (0, 2), (1, 2))}
         assert rep.n_failed == 12
         for (i, j), u, _ in rep.offenders(12):
             assert u in bases[(i, j)] and all(type(x) is int for x in u)
@@ -147,15 +139,11 @@ class TestDecorations:
         with pytest.raises(ValueError):
             VertexScalar(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
-    def test_vertex_scalar_zero_allowed_when_flagged(self):
-        vs = VertexScalar(np.array([[1.0, 0.0], [1.0, 1.0]]), nonzero=False)
-        assert vs[(0, 1)] == 0.0
-
     def test_edge_labelling_rejects_zero(self):
         with pytest.raises(ValueError):
             EdgeLabelling((np.array([1.0, 0.0]), np.array([1.0])))
 
     def test_edge_labelling_lookup(self):
         lab = EdgeLabelling((np.array([1.0, 2.0]), np.array([-1.0])))
-        assert lab.label(0, 1) == 2.0
-        assert lab.label(1, 0) == -1.0
+        assert lab.per_axis[0][1] == 2.0
+        assert lab.per_axis[1][0] == -1.0

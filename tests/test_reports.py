@@ -106,10 +106,10 @@ def _nan_first(fn, field=None):
 
 # (passing case of CASES, module, kernel, the field of its result made NaN)
 NAN_CASES = {
-    "qnet": ("qnet-2d", qnet, "rank_residual", None),
+    "qnet": ("qnet-2d", qnet, "quad_planarity", None),
     "closedness": ("closedness-3d", koenigs, "quad_diagonals", "q_bd"),
-    "geometric-2d": ("geometric-2d", koenigs, "rank_residual", None),
-    "geometric-3d": ("geometric-3d", koenigs, "rank_residual", None),
+    "geometric-2d": ("geometric-2d", koenigs, "quad_planarity", None),
+    "geometric-3d": ("geometric-3d", koenigs, "quad_planarity", None),
     "circular": ("circular-iso", isothermic, "quad_circles", "residual"),
     "isothermic": ("isothermic-lightcone-3d", isothermic, "quad_circles", "cross_ratio"),
     "moebius-sphere": ("moebius-sphere", isothermic, "rank_residual", None),
@@ -230,6 +230,35 @@ def test_overflowing_christoffel_form_fails_its_gate(iso_net):
     assert np.isnan(isothermic.christoffel_form_residual(iso))
     with pytest.raises(FormNotClosed, match="residual nan"):
         isothermic.christoffel(iso)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e160, 1e170])
+def test_dual_closure_residual_survives_scale(koenigs_net_2d, scale):
+    # the forms' squares underflow or overflow unless they are rescaled first
+    bad = _perturbed(koenigs_net_2d, 5)
+    ref = koenigs.dual_form_residual(bad, koenigs.integrate_nu(bad, check=False))
+    moved = QNet(bad.vertices * scale)
+    kd = koenigs.integrate_nu(moved, check=False)
+    assert ref > 1e-3 and koenigs.dual_form_residual(moved, kd) == pytest.approx(ref, rel=1e-9)
+    with pytest.raises(NotKoenigs, match="dual one-form not closed"):
+        koenigs.dualize_net(moved, kd)
+    good = QNet(koenigs_net_2d.vertices * scale)
+    kd = koenigs.integrate_nu(good)
+    assert koenigs.dual_form_residual(good, kd) <= 1e-8
+    assert np.all(np.isfinite(koenigs.dualize_net(good, kd).vertices))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_moutard_residual_survives_scale(koenigs_net_2d, scale):
+    mn = koenigs.moutard_lift(koenigs_net_2d, koenigs.integrate_nu(koenigs_net_2d))
+    bad = mn.points.copy()
+    bad[3, 4] *= 1.01
+    ref = koenigs.MoutardNet(bad, mn.coeffs).moutard_residual()
+    assert ref > 1e-4
+    assert koenigs.MoutardNet(bad * scale, mn.coeffs).moutard_residual() == pytest.approx(ref, rel=1e-9)
+    assert koenigs.MoutardNet(mn.points * scale, mn.coeffs).moutard_residual() <= 1e-12
 
 
 def test_lightcone_lift_rejects_equal_metric_on_a_white_diagonal(iso_net):

@@ -14,6 +14,8 @@ from koenigsnets.errors import (
     EqualLabels,
     NotKoenigs,
     NullDiagonalDifference,
+    VanishingLastComponent,
+    ZeroE0Component,
     ZeroLeg,
 )
 from koenigsnets.generate import _hexahedron_steps
@@ -447,6 +449,25 @@ class TestRelativeGuards:
             moutard_evolve((f1, f2), {(0, 1): np.full((3, 3), -1.0)})
         with pytest.raises(ValueError, match="disagree"):
             three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
+
+    def test_non_finite_origin_fails_the_agreement_check(self):
+        f1, f2 = _grid_axes()
+        f2[0] = np.nan
+        with pytest.raises(ValueError, match="disagree .* nan"):
+            _wavefront({(0,): f1, (1,): f2}, lambda y, u: np.zeros((len(u), 3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evolutions_reject_non_finite_data(self):
+        f1, f2 = _grid_axes()
+        f1[2, 0] = np.inf
+        with pytest.raises(VanishingLastComponent, match="not finite"):
+            moutard_evolve((f1, f2), {(0, 1): np.full((3, 3), -1.0)})
+        with pytest.raises(ZeroLeg, match="not finite"):
+            three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
+        axes = _lightcone_axes((4, 5), np.random.default_rng(22))
+        axes[1][3, -1] = np.inf
+        with pytest.raises(ZeroE0Component, match="not finite"):
+            lightcone_evolve(axes)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_extreme_scales_fill(self, scale):
