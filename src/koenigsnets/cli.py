@@ -7,6 +7,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_DEGENERACY = 3
 
 
+@functools.cache  # argparse builds a fresh Namespace per parse_args; nothing of one run stays
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-incidence", type=float, default=1e-9)

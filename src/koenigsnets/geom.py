@@ -42,6 +42,8 @@ __all__ = [
     "quad_circles",
     "raise_quad_error",
     "rank_residual",
+    "RankComplement",
+    "rank_complement",
     "is_convex",
     "minkowski_dot",
     "lift_to_lightcone",
@@ -424,7 +426,22 @@ def rank_residual(vectors: np.ndarray, rank: int) -> np.ndarray:
     its rows span at most ``rank`` linear dimensions; 0 where the matrix has
     no such singular value or is zero.  Center the rows first to test the
     affine span."""
-    sv = np.linalg.svd(vectors, compute_uv=False)
+    return _sv_ratio(np.linalg.svd(vectors, compute_uv=False), rank)
+
+
+class RankComplement(NamedTuple):
+    residual: np.ndarray  # (...,) sigma_rank / sigma_0, as rank_residual
+    complement: np.ndarray  # (..., n - rank, n) orthonormal rows normal to the best rank-``rank`` span
+
+
+def rank_complement(vectors: np.ndarray, rank: int) -> RankComplement:
+    """:func:`rank_residual` of each matrix in a stack (..., k, n), and the rows V^T[rank:] of its SVD: a vector x
+    is |complement x| from the span of the top ``rank`` right singular vectors.  Twice rank_residual's cost."""
+    _, sv, vt = np.linalg.svd(vectors)
+    return RankComplement(_sv_ratio(sv, rank), vt[..., rank:, :])
+
+
+def _sv_ratio(sv: np.ndarray, rank: int) -> np.ndarray:
     if sv.shape[-1] <= rank:
         return np.zeros(sv.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -34,6 +34,7 @@ from .geom import (
     minkowski_dot,
     quad_circles,
     raise_quad_error,
+    rank_complement,
     rank_residual,
 )
 from .koenigs import (
@@ -76,7 +77,6 @@ __all__ = [
     "lightcone_lift",
     "lightcone_evolve",
     "check_moebius_characterizations",
-    "central_sphere",
 ]
 
 
@@ -431,21 +431,17 @@ def _similar_lift(points: np.ndarray, origin, scale: np.ndarray) -> np.ndarray:
 def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Moebius-geometric isothermic tests through light-cone lifts.
 
-    m = 2, net not contained in a 2-sphere: at every interior vertex the five
-    lifts of f and f_{+-1,+-2} span at most a 4-dimensional linear space (a
-    common 2-sphere).  Where that sphere contains a neighbour, it contains
-    the whole star (each quad's circle meets it in three points) and the
-    five-point test says nothing, so the star gets the test of a net in a
-    2-sphere or plane: the three circles through f share a second point.
-    m = 3: per hexahedron, the four white lifts are concircular iff the four
-    black ones are.  Each stencil is lifted after a similarity that puts f
-    (or the cube's base vertex) at the origin and its farthest neighbour (or
-    the cube's diameter) at distance 1; the whole net, for the 2-sphere test,
-    is centred at its centroid and scaled by its diameter.  The report is
-    named after the mode, "moebius_sphere", "moebius_in_sphere" (net in a
-    2-sphere) or "moebius_hexahedra"; its parts are the stars of each test,
-    "sphere" and "in_sphere", or the cubes' ("black", axes) and ("white",
-    axes).
+    m = 2, net not contained in a 2-sphere: at every interior vertex the five lifts of f and f_{+-1,+-2} span
+    at most a 4-dimensional linear space (a common 2-sphere).  Where it contains an edge neighbour (whose
+    lift's projection on the normals of the five's best 4-dimensional fit is at most tol.incidence of its
+    length), it contains the whole star (each quad's circle meets it in three points), so the star gets the
+    test of a net in a 2-sphere or plane: the three circles through f share a second point.
+    m = 3: per hexahedron, the four white lifts are concircular iff the four black ones are.  Each stencil
+    is lifted after a similarity that puts f (or the cube's base vertex) at the origin and its farthest
+    neighbour (or the cube's diameter) at distance 1; the whole net, for the 2-sphere test, is centred at
+    its centroid and scaled by its diameter.  The report is named after the mode, "moebius_sphere",
+    "moebius_in_sphere" (net in a 2-sphere) or "moebius_hexahedra"; its parts are the stars of each test,
+    "sphere" and "in_sphere", or the cubes' ("black", axes) and ("white", axes).
     """
     if net.m >= 3:
         return _moebius_hexahedra(net, tol)
@@ -459,12 +455,19 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)
     if rank_residual(whole, 4) <= tol.incidence:  # a 2-sphere's lifts span 4 dimensions
         return CheckReport("moebius_in_sphere", tol.product, {"in_sphere": (_circles_residual(lifted), at)})
-    five = lifted[:, [0, 5, 6, 7, 8]]  # f and its diagonal neighbours
-    six = [rank_residual(np.concatenate([five, lifted[:, k:k + 1]], axis=1), 4) for k in range(1, 5)]
-    in_star = (np.stack(six, axis=1) <= tol.incidence).any(axis=1)
-    parts = {"sphere": (rank_residual(five, 4)[~in_star], at[~in_star]),
+    sphere, sines = _central_sphere(lifted)
+    in_star = (sines <= tol.incidence).any(axis=1)
+    parts = {"sphere": (sphere[~in_star], at[~in_star]),
              "in_sphere": (_circles_residual(lifted[in_star]), at[in_star])}
     return CheckReport("moebius_sphere", tol.product, parts)
+
+
+def _central_sphere(lifted: np.ndarray) -> tuple:
+    """Per star of lifts (V, 9, dim): sigma_4 / sigma_0 of the lifts of f and f_{+-1+-2}, and the sines (V, 4) of
+    the angles between the lifts of f_{+1}, f_{-1}, f_{+2}, f_{-2} and the best 4-dimensional fit to those five."""
+    sphere, normals = rank_complement(lifted[:, [0, 5, 6, 7, 8]], 4)
+    edge = lifted[:, 1:5]
+    return sphere, np.linalg.norm(np.einsum("vkd,vrd->vkr", edge, normals), axis=-1) / np.linalg.norm(edge, axis=-1)
 
 
 def _circles_residual(lifted: np.ndarray) -> np.ndarray:
@@ -472,8 +475,8 @@ def _circles_residual(lifted: np.ndarray) -> np.ndarray:
     and (f, f_{+-1}) share a second point iff their 3-spaces meet in >= 2
     dimensions, i.e. the stacked complements have rank at most dim - 2."""
     n, dim = lifted.shape[0], lifted.shape[-1]
-    _, _, vt = np.linalg.svd(lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]])
-    return rank_residual(vt[..., 3:, :].reshape(n, 3 * (dim - 3), dim), dim - 2)
+    complements = rank_complement(lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]], 3).complement
+    return rank_residual(complements.reshape(n, 3 * (dim - 3), dim), dim - 2)
 
 
 def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
@@ -486,27 +489,3 @@ def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
         parts[("black", axes)] = rank_residual(lifted[:, [0, 4, 5, 6]], 3), at  # f, f_ij, f_ik, f_jk
         parts[("white", axes)] = rank_residual(lifted[:, [1, 2, 3, 7]], 3), at  # f_i, f_j, f_k, f_ijk
     return CheckReport("moebius_hexahedra", tol.product, parts)
-
-
-def central_sphere(net: QNet, u, tol: Tolerances = DEFAULT_TOL):
-    """Center and radius of the sphere through f and f_{+-1,+-2} at an
-    interior vertex (a by-product of the rank test; no properties claimed)."""
-    u1, u2 = u
-    lifted = lift_to_lightcone(net.vertices)
-    five = np.stack([
-        lifted[u1, u2],
-        lifted[u1 + 1, u2 + 1], lifted[u1 + 1, u2 - 1],
-        lifted[u1 - 1, u2 + 1], lifted[u1 - 1, u2 - 1],
-    ])
-    _, _, vt = np.linalg.svd(five)
-    n = vt[-1]  # Euclidean normal of the span
-    # x . n = <x, S> with S = (n_spatial, -2 n_einf, -2 n_e0); the sphere
-    # vector S is proportional to c + e_0 + (|c|^2 - r^2) e_inf
-    sphere = np.concatenate([n[:-2], [-2.0 * n[-1], -2.0 * n[-2]]])
-    e0 = sphere[-2]
-    if abs(e0) <= tol.incidence * np.linalg.norm(sphere):
-        raise ZeroMetric("five-point sphere degenerates to a plane")
-    rep = sphere / e0
-    center = rep[:-2]
-    r2 = float(np.dot(center, center) - rep[-1])
-    return center, float(np.sqrt(max(r2, 0.0)))

@@ -271,3 +271,21 @@ class TestPackaging:
         proc = subprocess.run([sys.executable, "-m", "koenigsnets", "report", "--input", str(net)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0 and json.loads(proc.stdout)["circular"]["passed"]
+
+    def test_runs_in_one_process_share_no_values(self, monkeypatch):
+        # the parser is built once per process: each run must parse into its own namespace
+        from koenigsnets import cli as cli_module
+
+        seen = []
+        monkeypatch.setattr(cli_module, "_COMMANDS", {name: lambda args: seen.append(vars(args)) or 0
+                                                      for name in cli_module._COMMANDS})
+        common = {"tol_incidence": 1e-9, "tol_product": 1e-8, "format": "text", "input": "-", "output": "-"}
+        assert run(["generate", "three-leg", "--extents", "5", "6", "--seed", "7", "--noise", "0.1",
+                    "--ambient-dim", "4", "--tol-incidence", "1e-6", "--format", "json", "--output", "a.json"]) == 0
+        assert run(["check", "qnet"]) == 0
+        assert run(["generate", "grid", "--extents", "3", "3"]) == 0
+        assert seen[0]["seed"] == 7 and seen[0]["format"] == "json" and seen[0]["tol_incidence"] == 1e-6
+        assert seen[1] == dict(common, command="check", kind="qnet")
+        assert seen[2] == dict(common, command="generate", kind="grid", extents=[3, 3], ambient_dim=3, seed=0,
+                               noise=0.05)
+        assert cli_module._build_parser() is cli_module._build_parser()

@@ -24,7 +24,7 @@ DELETED = (
     "PlanarityReport", "ClosednessReport", "Geometric2DReport", "Geometric3DReport", "CircularityReport",
     "IsothermicReport", "MoebiusReport", "LaplaceReport", "Vertex2DRecord", "Hexahedron3DRecord", "_pack",
     # API only tests called
-    "hexahedra",
+    "hexahedra", "central_sphere",
 )
 
 

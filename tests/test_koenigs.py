@@ -224,8 +224,12 @@ class TestDualQuad:
         assert duals.shape == quads.shape
         res = dual_quad_residual(quads, duals)
         assert res.shape == (10, 10) and res.max() <= 1e-9
-        # the stack gives each quad the dual it gets alone
-        assert np.array_equal(duals[3, 7], dualize_quad(quads[3, 7]))
+        # the stack gives each quad the dual it gets alone, up to rounding: a
+        # stack and a stack of one round differently on about 40 % of quads,
+        # by at most 1.6e-13 of the dual's largest coordinate over 3,000
+        # random_planar_quad draws (3.7e-13 over 30,000)
+        alone = dualize_quad(quads[3, 7])
+        assert np.abs(duals[3, 7] - alone).max() <= 1e-12 * np.abs(alone).max()
 
     def test_skew_guard_scales_with_the_diameter(self):
         # a crossed quad with diagonals of length 1 and sides near 100; D is
