@@ -109,7 +109,7 @@ _ONE_QUAD = (  # messages(k, value) of the guards of quad_diagonals for a single
 _EXACT_BELOW = 1e-4
 
 
-def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE_QUAD) -> Diagonals:
+def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE_QUAD, rho=None) -> Diagonals:
     """Intersection of the diagonals AC and BD of stacked quads (Q, 4, N),
     each (A, B, C, D) in cyclic order, in float64.
 
@@ -120,9 +120,10 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
     of the terms it sums (digits lost to cancellation) get their heights
     from :func:`_exact_heights`.  Guards, each over the whole stack before
     the next: DegenerateQuad for parallel diagonals (sin^2 of their angle <=
-    tol.incidence) and for skew ones (:func:`quad_planarity` >
-    tol.incidence), VertexOnDiagonal for t or s within tol.incidence of 0 or
-    1; ``messages[g](k, value)`` words the error of guard g at quad k.
+    tol.incidence) and for skew ones (``rho``, the quads'
+    :func:`quad_planarity`, computed here if None, not <= tol.incidence),
+    VertexOnDiagonal for t or s within tol.incidence of 0 or 1;
+    ``messages[g](k, value)`` words the error of guard g at quad k.
     """
     abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
     unit = _unit(abcd)
@@ -136,9 +137,9 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
         (v1,), v_perp = _reject(v, e1)
         v2 = np.sqrt(_dot(v_perp, v_perp))  # v = v1 e1 + v2 e2
         (w1, w2), off = _reject(w, e1, v_perp / v2)  # off: from the line AC to the line BD
-        rho = quad_planarity(np.moveaxis(abcd, -1, 0))
+        rho = quad_planarity(np.moveaxis(abcd, -1, 0)) if rho is None else np.ravel(rho)
         _raise_first([(DegenerateQuad, ~(v2 * v2 > tol.incidence * vv), None),
-                      (DegenerateQuad, rho > tol.incidence, rho)], messages)
+                      (DegenerateQuad, ~(rho <= tol.incidence), rho)], messages)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
         # and the squared sizes of the terms each one sums
         h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
@@ -164,7 +165,7 @@ def quad_planarity(pts) -> np.ndarray:
     abcd = np.ascontiguousarray(np.moveaxis(pts.reshape(-1, 4, pts.shape[-1]), 0, -1))
     i, j, pqr, at = _minor_indices(pts.shape[-1])
     rho = np.empty(abcd.shape[-1])
-    for k in range(0, len(rho), 512):  # blocks whose temporaries stay below the allocator's mmap threshold
+    for k in range(0, len(rho), 512):  # larger wins in timeit, loses in pipelines: its temporaries pass mmap threshold
         s = np.subtract(*abcd[..., k:k + 512].take([[1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]], axis=0))  # the edges
         s = np.ldexp(s, -np.frexp(np.abs(s[:3]).max(axis=(0, 1)))[1], out=s)
         x, y = s.take([[0, 0, 1, 3], [1, 2, 2, 4]], axis=0)  # the legs of ABC, ABD, ACD, BCD from their first vertex
@@ -350,17 +351,15 @@ _QUAD_ERRORS = {
 }
 
 
-def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
-    """Plane frame, circularity residual and cross-ratio of stacked quads
-    (Q, 4, N), each (a, b, c, d) in cyclic order, the frame by
-    :func:`_plane_frames`, the rest as :func:`circularity_residual` and
-    :func:`cross_ratio` describe.
-    Nothing is raised: ``error`` holds the first predicate each quad fails,
-    and :func:`raise_quad_error` raises its typed error.
-    """
+def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, rho=None) -> QuadCircles:
+    """Plane frame, circularity residual and cross-ratio of stacked quads (Q, 4, N), each (a, b, c, d) in
+    cyclic order, the frame by :func:`_plane_frames`, the rest as :func:`circularity_residual` and
+    :func:`cross_ratio` describe; a quad is NotPlanar unless ``rho``, its :func:`quad_planarity` (computed
+    here if None), is <= tol.incidence.  Nothing is raised: ``error`` holds the first predicate each quad
+    fails, and :func:`raise_quad_error` raises its typed error."""
     pts = np.asarray(pts, dtype=float)
     _, _, z, nu, spans = _plane_frames(pts)
-    planar = quad_planarity(pts)
+    planar = quad_planarity(pts) if rho is None else np.ravel(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         x, y = z[..., 0], z[..., 1]
         diam = np.linalg.norm(z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]], axis=-1).max(axis=1)
@@ -369,7 +368,7 @@ def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
         za, zb, zc, zd = np.moveaxis(z.view(complex)[..., 0], 1, 0)
         cr = (za - zb) / (zb - zc) * (zc - zd) / (zd - za)
     failed = [
-        planar > tol.incidence,
+        ~(planar <= tol.incidence),
         nu == 0.0,
         ~spans.any(axis=1),
         residual > tol.incidence,

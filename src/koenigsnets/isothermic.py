@@ -58,6 +58,7 @@ from .qnet import (
     _frozen,
     _gather_quads,
     _grid,
+    _planarity,
     _raise_first_row,
     _star,
     _wavefront,
@@ -102,7 +103,7 @@ def _circles(net: QNet, tol: Tolerances) -> tuple:
 
 def _pair_circles(net: QNet, i: int, j: int, tol: Tolerances) -> tuple:
     pts, shape = _gather_quads(net, i, j)
-    qc = quad_circles(pts, tol)
+    qc = quad_circles(pts, tol, _planarity(net, i, j))
     qc = qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))
     return i, j, shape, QuadCircles(*(_frozen(a) for a in qc))
 

@@ -32,6 +32,7 @@ from .qnet import (
     _frozen,
     _gather_quads,
     _grid,
+    _planarity,
     _star,
     _wavefront,
     _worst,
@@ -79,7 +80,7 @@ def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
         lambda k, _: f"parallel diagonals at quad base {_base(shape, k)} (axes {i},{j})",
         lambda k, _: f"skew diagonals at quad base {_base(shape, k)} (axes {i},{j})",
         lambda k, _: f"intersection at a vertex, quad base {_base(shape, k)}",
-    ))
+    ), rho=_planarity(net, i, j))
     return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
 
 
@@ -240,28 +241,16 @@ def dualize_quad(quads, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (np.stack([v, u, v, u], axis=1) / (lengths * _length(v)[:, None])[..., None]).reshape(pts.shape) * unit
 
 
-def _angular_residual(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sine of the angle between each pair of vectors u, v (..., N) (0 for
-    parallel vectors).
-
-    Computed as the norm of the orthogonal rejection, which stays accurate
-    to machine precision for nearly parallel vectors where the Gram
-    determinant cancels.
-    """
-    uh = u / _length(u)[..., None]
-    vh = v / _length(v)[..., None]
-    return _length(vh - (vh * uh).sum(axis=-1, keepdims=True) * uh)
-
-
 def dual_quad_residual(quads, duals) -> np.ndarray:
-    """Max angular residual of each quad of a stack (..., 4, N) and its dual
-    over the six parallelism predicates of duality: four corresponding
-    sides, and each diagonal of the dual against the other diagonal of the
-    quad."""
+    """Max sine of the angle between the vectors of the six parallelism predicates of duality, for each
+    quad of a stack (..., 4, N) and its dual: four corresponding sides, and each diagonal of the dual
+    against the other diagonal of the quad.  A sine is the length of the rejection of one unit vector
+    from the other, accurate for nearly parallel vectors, where the Gram determinant cancels."""
     q, qd = np.asarray(quads, dtype=float), np.asarray(duals, dtype=float)
     u = np.concatenate([np.roll(q, -1, axis=-2) - q, qd[..., [2, 3], :] - qd[..., [0, 1], :]], axis=-2)
     v = np.concatenate([np.roll(qd, -1, axis=-2) - qd, q[..., [3, 2], :] - q[..., [1, 0], :]], axis=-2)
-    return _angular_residual(u, v).max(axis=-1)
+    u, v = u / _length(u)[..., None], v / _length(v)[..., None]
+    return _length(v - (v * u).sum(axis=-1, keepdims=True) * u).max(axis=-1)
 
 
 def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QNet:
@@ -308,9 +297,10 @@ def _one_form_closure_residual(net: QNet, forms) -> float:
 
 def _relative_defect(unit: float, defect: np.ndarray, *terms) -> np.ndarray:
     """|defect| / max |term| of vectors along the last axis, all scaled first by ``unit``, the power of two
-    of :func:`geom._unit` of their source, so that no square overflows or underflows."""
-    scale = np.max([np.linalg.norm(t * unit, axis=-1) for t in terms], axis=0)
-    return np.linalg.norm(defect * unit, axis=-1) / np.maximum(scale, 1e-300)
+    of :func:`geom._unit` of their source, so that no square overflows or underflows.  The largest norm is
+    the square root of the largest squared norm, as sqrt is monotone and correctly rounded."""
+    sq = [np.einsum("...i,...i->...", x, x) for x in (v if unit == 1.0 else v * unit for v in (defect, *terms))]
+    return np.sqrt(sq[0]) / np.maximum(np.sqrt(np.max(sq[1:], axis=0)), 1e-300)
 
 
 def _integrate_one_form(net: QNet, forms) -> QNet:

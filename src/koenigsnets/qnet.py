@@ -58,8 +58,8 @@ class QNet:
         return self._vertices
 
     def _memo(self, key, build):
-        """``build()``, computed on the first call for ``key``, such as
-        (name, Tolerances), and kept by the net unless it raises."""
+        """``build()``, computed on the first call for ``key`` and kept by the net unless it raises; a
+        key names the Tolerances its result depends on, if any: ("q_form", tol), ("planarity", i, j)."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -135,11 +135,19 @@ class CheckReport:
 def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Per-quad :func:`geom.quad_planarity` residuals, one part per axis pair,
     each quad at its base; passes iff all are <= tol.incidence."""
-    parts = {}
-    for i, j in combinations(range(net.m), 2):
+    rho = {(i, j): _planarity(net, i, j) for i, j in combinations(range(net.m), 2)}
+    return CheckReport("qnet", tol.incidence, {key: (r.ravel(), _grid(r.shape)) for key, r in rho.items()})
+
+
+def _planarity(net: QNet, i: int, j: int) -> np.ndarray:
+    """:func:`geom.quad_planarity` of the (i, j) quads over their base grid, read-only, once per net
+    and axis pair: check_qnet, the diagonal form and the circles share it."""
+
+    def build():
         pts, shape = _gather_quads(net, i, j)
-        parts[(i, j)] = quad_planarity(pts), _grid(shape)
-    return CheckReport("qnet", tol.incidence, parts)
+        return _frozen(quad_planarity(pts).reshape(shape))
+
+    return net._memo(("planarity", i, j), build)
 
 
 def _grid(shape: tuple, origin: int = 0) -> np.ndarray:
@@ -153,9 +161,10 @@ def _ints(u) -> tuple:
 
 
 def _gather_quads(net: QNet, i: int, j: int):
-    """Stacked quad vertex arrays (Q, 4, N), bases in C order, a view of a
-    (4, Q, N) array, plus the shape of the base grid (see :func:`_base`)."""
-    corners = np.stack(_corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1))
+    """Stacked quad vertex arrays (Q, 4, N), bases in C order, a view of a (4, N, Q) array (the
+    kernels' layout, so they copy nothing), plus the shape of the base grid (see :func:`_base`)."""
+    crops = _corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1)
+    corners = np.stack(crops, out=np.empty((4,) + crops[0].shape))
     return np.moveaxis(corners.reshape(4, net.ambient_dim, -1), -1, 0), corners.shape[2:]
 
 

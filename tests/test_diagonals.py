@@ -1,17 +1,18 @@
 """The float64 diagonal kernel (geom.quad_diagonals) against a 40-digit
 oracle and against the long-double computation it replaces, kept here as a
-reference; and the per-net memo of the diagonal form and the circles."""
+reference; and the per-net memo of the coplanarity residuals, the diagonal
+form and the circles."""
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
 
-from koenigsnets import generate, isothermic, koenigs
-from koenigsnets.errors import DegenerateQuad, VertexOnDiagonal
-from koenigsnets.geom import Tolerances, quad_diagonals
+from koenigsnets import generate, geom, isothermic, koenigs, qnet
+from koenigsnets.errors import DegenerateQuad, NotPlanar, VertexOnDiagonal
+from koenigsnets.geom import Tolerances, quad_circles, quad_diagonals, quad_planarity
 from koenigsnets.koenigs import _build_q_form, _diag_data, build_q_form, check_closedness
-from koenigsnets.qnet import QNet, _base, _gather_quads
+from koenigsnets.qnet import QNet, _base, _gather_quads, check_qnet
 
 TOL = Tolerances()
 
@@ -247,7 +248,50 @@ def test_reference_on_koenigs_3d_nets():
         assert_matches_reference(net)
 
 
+def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenigs_net_3d, iso_net, iso_lightcone_3d):
+    nets = [koenigs_net_2d, koenigs_net_3d[0], iso_net.net, iso_lightcone_3d[1].net]
+    for seed in range(40):
+        try:
+            nets.append(generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(seed))[1].net)
+        except Exception:
+            continue
+    for net in nets:
+        for i, j in combinations(range(net.m), 2):
+            pts = _gather_quads(net, i, j)[0]
+            rho = quad_planarity(pts)
+            own, given = outcome(quad_diagonals, pts), outcome(lambda: quad_diagonals(pts, rho=rho))
+            if isinstance(own[0], type):
+                assert given == own
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(own, given))
+            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), quad_circles(pts, rho=rho)))
+
+
 # --- the memo ---------------------------------------------------------------------
+
+
+def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monkeypatch):
+    calls = []
+    for module in (qnet, geom):  # check_qnet's calls, and the kernels' own
+        run = module.quad_planarity
+        monkeypatch.setattr(module, "quad_planarity", lambda pts, run=run: calls.append(pts) or run(pts))
+    for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
+        calls.clear()
+        net = QNet(vertices)
+        n_pairs = net.m * (net.m - 1) // 2
+        for check in (check_qnet, check_closedness, isothermic.check_circular, check_qnet):
+            check(net)
+        assert len(calls) == n_pairs
+        isothermic.check_circular(QNet(vertices))  # a new net of the same vertices computes its own
+        assert len(calls) == 2 * n_pairs
+
+
+def test_nan_planarity_fails_the_guards(iso_net, monkeypatch):
+    monkeypatch.setattr(qnet, "quad_planarity", lambda pts: np.full(np.shape(pts)[:-2], np.nan))
+    with pytest.raises(DegenerateQuad, match="skew diagonals at quad base"):
+        build_q_form(QNet(iso_net.net.vertices))
+    with pytest.raises(NotPlanar, match="residual nan"):
+        isothermic.check_circular(QNet(iso_net.net.vertices))
 
 
 def test_one_form_per_net_and_tolerances(koenigs_net_2d):

@@ -85,6 +85,14 @@ class TestIterators:
         assert shape == (3, 2)
         assert np.array_equal(pts[3], net.vertices[[1, 2, 2, 1], [1, 1, 2, 2]])
 
+    @pytest.mark.parametrize("m, n", list(product((2, 3), (2, 3, 4, 5))))
+    def test_quads_are_gathered_in_kernel_layout(self, m, n):
+        # the kernels read (4, N, Q) memory: moving Q last must copy nothing
+        net = QNet(np.random.default_rng(m * n).normal(size=(4,) * m + (n,)))
+        for i, j in combinations(range(m), 2):
+            pts, shape = _gather_quads(net, i, j)
+            assert np.moveaxis(pts, 0, -1).flags.c_contiguous and pts.shape == (np.prod(shape), 4, n)
+
     def test_quad_count_cube(self):
         assert _n_quads(generate.grid((2, 2, 2))) == 6
 

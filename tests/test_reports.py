@@ -9,6 +9,7 @@ import pytest
 
 from koenigsnets import generate, isothermic, koenigs, qnet
 from koenigsnets.errors import EqualNuOnWhiteDiagonal, FormNotClosed, NotCircular, NotKoenigs
+from koenigsnets.geom import _unit
 from koenigsnets.isothermic import check_circular, check_isothermic, check_moebius_characterizations
 from koenigsnets.koenigs import (
     check_closedness,
@@ -259,6 +260,21 @@ def test_moutard_residual_survives_scale(koenigs_net_2d, scale):
     assert ref > 1e-4
     assert koenigs.MoutardNet(bad * scale, mn.coeffs).moutard_residual() == pytest.approx(ref, rel=1e-9)
     assert koenigs.MoutardNet(mn.points * scale, mn.coeffs).moutard_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+def test_relative_defect_matches_the_norm_formula(scale, n):
+    # squared norms and one sqrt of their maximum, against the norms of the formula it replaced: the two sum
+    # the squares in different orders and round the quotient's two sides apart (measured at most 2.8 eps)
+    rng = np.random.default_rng(7)
+    terms = [rng.normal(size=(200, 40, n)) * scale * rng.uniform(0.5, 2.0, (200, 40, 1)) for _ in range(4)]
+    defect = (terms[0] + terms[1] - terms[2] - terms[3]) * 10.0 ** rng.uniform(-14, 0, (200, 40, 1))
+    unit = min(_unit(t) for t in terms)
+    norms = [np.linalg.norm(t * unit, axis=-1) for t in terms]
+    old = np.linalg.norm(defect * unit, axis=-1) / np.maximum(np.max(norms, axis=0), 1e-300)
+    assert (unit == 1.0) == (scale == 1.0)
+    assert np.all(np.abs(koenigs._relative_defect(unit, defect, *terms) - old) <= 4 * np.finfo(float).eps * old)
 
 
 def test_lightcone_lift_rejects_equal_metric_on_a_white_diagonal(iso_net):
