@@ -15,7 +15,6 @@ from .errors import (
 )
 from .geom import (
     Tolerances,
-    cross_ratio,
     lift_to_lightcone,
     menelaus_product,
     minkowski_dot,

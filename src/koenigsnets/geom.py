@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -34,16 +36,11 @@ __all__ = [
     "Diagonals",
     "quad_diagonals",
     "quad_planarity",
-    "affine_rank",
+    "span_residual",
     "menelaus_product",
-    "circularity_residual",
-    "cross_ratio",
     "QuadCircles",
     "quad_circles",
     "raise_quad_error",
-    "rank_residual",
-    "RankComplement",
-    "rank_complement",
     "is_convex",
     "minkowski_dot",
     "lift_to_lightcone",
@@ -64,31 +61,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-def _as_point(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise DimensionMismatch(f"point must be a 1-d array of length >= 2, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    return p
-
-
-def affine_rank(points, tol: float = 1e-9) -> int:
-    """Dimension of the affine span of the points.
-
-    Singular values of the centered point matrix below ``tol`` times the
-    largest one count as zero.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("need at least one point")
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
 
 
 class Diagonals(NamedTuple):
@@ -163,7 +135,8 @@ def quad_planarity(pts) -> np.ndarray:
     power of two; 6 vol = |u ^ v ^ w| (u, v, w = B - A, C - A, D - A), 2 area = |x ^ y| from minors."""
     pts = np.asarray(pts, dtype=float)
     abcd = np.ascontiguousarray(np.moveaxis(pts.reshape(-1, 4, pts.shape[-1]), 0, -1))
-    i, j, pqr, at = _minor_indices(pts.shape[-1])
+    (i, j), _ = _subsets(pts.shape[-1], 2)
+    pqr, at = _subsets(pts.shape[-1], 3)  # per triple p < q < r: the positions of (q, r), (p, r), (p, q) in pairs
     rho = np.empty(abcd.shape[-1])
     for k in range(0, len(rho), 512):  # larger wins in timeit, loses in pipelines: its temporaries pass mmap threshold
         s = np.subtract(*abcd[..., k:k + 512].take([[1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]], axis=0))  # the edges
@@ -178,13 +151,80 @@ def quad_planarity(pts) -> np.ndarray:
     return rho.reshape(pts.shape[:-2])
 
 
+def span_residual(vectors, rank: int) -> np.ndarray:
+    """sqrt(|^{r+1} A|^2 / (|^r A|^2 |A|_F^2)), r = ``rank``, of each matrix A of a stack (..., k, n), where
+    |^s A|^2 is the sum of the squared s x s minors (1 for s = 0): zero iff the rows span at most r linear
+    dimensions; 0 where A has rank below r or fewer than r + 1 rows or columns.  By Cauchy-Binet |^s A|^2 is
+    the s-th elementary symmetric function of the sigma_i^2, so with p = min(k, n) the residual lies within
+    [1 / sqrt(p C(p, r)), sqrt(C(p, r + 1))] sigma_r / sigma_0.  Centre the rows first to test the affine span."""
+    a = np.asarray(vectors, dtype=float)
+    res = np.zeros(a.shape[:-2])
+    out = res.reshape(-1)
+    for k, block in _blocks(a) if min(a.shape[-2:]) > rank else ():
+        e = [1.0] + [_dot(w, w) for w in _wedges(block, rank + 1)]  # |^s A|^2, s = 0..rank + 1
+        den = e[rank] * e[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[k:k + block.shape[-1]] = np.where(den == 0.0, 0.0, np.sqrt(e[rank + 1] / den))
+    return res
+
+
+def _span_distances(vectors: np.ndarray, rank: int, probes: np.ndarray) -> np.ndarray:
+    """Distances (V, P) of probes (V, P, n) from the span of the ``rank`` rows of each matrix of a stack
+    (V, k, n) whose wedge R is largest: |R ^ x| / |R|, each (rank + 1)-minor of R ^ x by Laplace expansion
+    along x over the rank-minors of R.  NaN where no ``rank`` rows are independent."""
+    out = np.empty(probes.shape[:2])
+    cols, drop = _subsets(probes.shape[-1], rank + 1)
+    for k, block in _blocks(vectors):
+        top = _wedges(block, rank)[-1].reshape(-1, comb(probes.shape[-1], rank), block.shape[-1])
+        w2 = np.einsum("rcv,rcv->rv", top, top)
+        r = np.take_along_axis(top, w2.argmax(axis=0)[None, None], axis=0)[0]  # (C(n, rank), B)
+        terms = np.moveaxis(probes[k:k + block.shape[-1]], 0, -1)[:, cols] * r[drop]  # (P, rank + 1, C, B)
+        wedge = terms[:, 0::2].sum(axis=1) - terms[:, 1::2].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[k:k + block.shape[-1]] = np.sqrt(np.einsum("pcv,pcv->vp", wedge, wedge) / w2.max(axis=0)[:, None])
+    return out
+
+
+def _blocks(a: np.ndarray):
+    """(start, block) over a stack (..., k, n) of matrices in blocks of 512, each coordinate-major (k, n, B)
+    and each matrix scaled by a power of two to a largest entry in [1/2, 1), so that no minor overflows."""
+    flat = a.reshape(-1, *a.shape[-2:])
+    for k in range(0, len(flat), 512):
+        block = np.ascontiguousarray(np.moveaxis(flat[k:k + 512], 0, -1))
+        yield k, np.ldexp(block, -np.frexp(np.abs(block).max(axis=(0, 1)))[1], out=block)
+
+
+def _wedges(a: np.ndarray, upto: int) -> list:
+    """The s x s minors, s = 1..upto, of each matrix of a coordinate-major block (k, n, B), level by level by
+    Laplace expansion along the first row: level s is (C(k, s) C(n, s), B), its row subsets major."""
+    k, n, _ = a.shape
+    levels = [a.reshape(k * n, -1)]
+    for s in range(2, upto + 1):
+        at_a, at_prev = _laplace(k, n, s)
+        terms = levels[0].take(at_a, axis=0)
+        terms *= levels[-1].take(at_prev, axis=0)  # (s, C(k, s) C(n, s), B)
+        levels.append(terms[0::2].sum(axis=0) - terms[1::2].sum(axis=0))
+        del terms  # before the next level's
+    return levels
+
+
 @functools.cache
-def _minor_indices(n: int) -> tuple:
-    """Pairs i < j of 0..n-1; per triple p < q < r: (p, q, r) and the positions of (q, r), (p, r), (p, q) in pairs."""
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    triples = [(p, q, r) for p, q in pairs for r in range(q + 1, n)]
-    at = [(pairs.index((q, r)), pairs.index((p, r)), pairs.index((p, q))) for p, q, r in triples]
-    return (*np.array(pairs).T, np.array(triples, dtype=int).reshape(-1, 3).T, np.array(at, dtype=int).reshape(-1, 3).T)
+def _subsets(n: int, s: int) -> tuple:
+    """Per s-subset c of range(n), in lexicographic order: its elements c_t, and the index of c without c_t
+    among the (s - 1)-subsets; each (s, C(n, s))."""
+    subsets = list(combinations(range(n), s))
+    index = {c: i for i, c in enumerate(combinations(range(n), s - 1))}
+    drop = [[index[c[:t] + c[t + 1:]] for t in range(s)] for c in subsets]
+    return np.array(subsets, dtype=int).reshape(-1, s).T, np.array(drop, dtype=int).reshape(-1, s).T
+
+
+@functools.cache
+def _laplace(k: int, n: int, s: int) -> tuple:
+    """Where the terms of the s-minors of a (k, n) matrix sit, expanded along the first row of each row
+    subset: the flat entry (first row, t-th column) and the (s - 1)-minor without them, each (s, C(k, s) C(n, s))."""
+    (rows, row_drop), (cols, col_drop) = _subsets(k, s), _subsets(n, s)
+    return ((rows[0][:, None] * n + cols[:, None]).reshape(s, -1),
+            (row_drop[0][:, None] * comb(n, s - 1) + col_drop[:, None]).reshape(s, -1))
 
 
 def _unit(x: np.ndarray) -> float:
@@ -283,7 +323,7 @@ def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL) -
     n = len(verts) - 1
     if len(divs) != n + 1:
         raise DimensionMismatch("need as many division points as vertices")
-    if affine_rank(verts, tol.incidence) != n:
+    if not span_residual(np.subtract(verts, np.mean(verts, axis=0)), n - 1) > tol.incidence:
         raise GeneralPositionViolated("vertices do not span an n-dimensional affine space")
     scale = max(np.linalg.norm(p - verts[0]) for p in verts[1:])
     product = 1.0
@@ -340,7 +380,7 @@ class QuadCircles(NamedTuple):
     detail: np.ndarray  # the value that failed it
 
 
-# the predicates of circularity_residual (1-3) and cross_ratio (1-6), in test order
+# the predicates of quad_circles: 1-3 of a plane frame, 4-6 of the circle and the cross-ratio, in test order
 _QUAD_ERRORS = {
     1: (NotPlanar, "points are not coplanar (residual {:.3e})"),
     2: (CoincidentPoints, "cannot build a frame from coincident points"),
@@ -353,18 +393,26 @@ _QUAD_ERRORS = {
 
 def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, rho=None) -> QuadCircles:
     """Plane frame, circularity residual and cross-ratio of stacked quads (Q, 4, N), each (a, b, c, d) in
-    cyclic order, the frame by :func:`_plane_frames`, the rest as :func:`circularity_residual` and
-    :func:`cross_ratio` describe; a quad is NotPlanar unless ``rho``, its :func:`quad_planarity` (computed
-    here if None), is <= tol.incidence.  Nothing is raised: ``error`` holds the first predicate each quad
-    fails, and :func:`raise_quad_error` raises its typed error."""
+    cyclic order.  In the plane coordinates of :func:`_plane_frames`, each quad scaled by a power of two, the
+    residual is |det| of the rows (x, y, x^2 + y^2, 1) over the fourth power of the diameter, zero iff the
+    points are concircular; the plane is the complex plane for the cross-ratio (a-b)(b-c)^-1(c-d)(d-a)^-1,
+    real for concircular points, independent of the frame and negative exactly for embedded quads.  A quad is
+    NotPlanar unless ``rho``, its :func:`quad_planarity` (computed here if None), is <= tol.incidence.  Nothing
+    is raised: ``error`` holds the first predicate each quad fails, and :func:`raise_quad_error` raises it."""
     pts = np.asarray(pts, dtype=float)
-    _, _, z, nu, spans = _plane_frames(pts)
+    rel = np.subtract(pts, pts[:, :1], out=np.empty(pts.shape))  # C order: the frames' matmuls round by layout
+    rel = np.ldexp(rel, -np.frexp(np.abs(rel).max(axis=(1, 2), initial=0.0))[1][:, None, None], out=rel)
+    _, _, z, nu, spans = _plane_frames(rel)
+    del rel  # before the residuals' temporaries
     planar = quad_planarity(pts) if rho is None else np.ravel(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, y = z[..., 0], z[..., 1]
-        diam = np.linalg.norm(z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]], axis=-1).max(axis=1)
-        rows = np.stack([x, y, x * x + y * y, np.ones_like(x)], axis=-1)
-        residual = np.abs(np.linalg.det(rows)) / diam**4
+        side = z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]]
+        diam = np.sqrt((side[..., 0] * side[..., 0] + side[..., 1] * side[..., 1]).max(axis=1))
+        x, y = z[:, 1:].T  # (3, Q) each, of b, c, d: a is the origin, so its row is (0, 0, 0, 1)
+        w = x * x + y * y
+        det = (x[0] * (y[1] * w[2] - w[1] * y[2]) - y[0] * (x[1] * w[2] - w[1] * x[2])
+               + w[0] * (x[1] * y[2] - y[1] * x[2]))
+        residual = np.abs(det) / diam**4
         za, zb, zc, zd = np.moveaxis(z.view(complex)[..., 0], 1, 0)
         cr = (za - zb) / (zb - zc) * (zc - zd) / (zd - za)
     failed = [
@@ -389,62 +437,6 @@ def raise_quad_error(circles: QuadCircles, upto: int, where=lambda k: "") -> Non
         k = int(np.argmax(failed))
         cls, message = _QUAD_ERRORS[int(circles.error[k])]
         raise cls(where(k) + message.format(circles.detail[k]))
-
-
-def _one_quad(a, b, c, d, tol: Tolerances, upto: int) -> QuadCircles:
-    pts = np.stack([_as_point(a), _as_point(b), _as_point(c), _as_point(d)])
-    circles = quad_circles(pts[None], tol)
-    raise_quad_error(circles, upto)
-    return circles
-
-
-def circularity_residual(a, b, c, d, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Scale-invariant residual, zero iff the four points are concircular.
-
-    Determinant test on rows (x, y, x^2 + y^2, 1) in plane coordinates;
-    the determinant scales with the fourth power of length, so it is
-    normalized by the fourth power of the diameter.  A batch of one in
-    :func:`quad_circles`.
-    """
-    return float(_one_quad(a, b, c, d, tol, 3).residual[0])
-
-
-def cross_ratio(a, b, c, d, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Real cross-ratio (a-b)(b-c)^{-1}(c-d)(d-a)^{-1} of concircular points.
-
-    The quad's plane is identified with the complex plane via an orthonormal
-    in-plane frame; for concircular points the value is real and independent
-    of the frame.  Negative exactly for embedded quadrilaterals.  A batch of
-    one in :func:`quad_circles`.
-    """
-    return float(_one_quad(a, b, c, d, tol, 6).cross_ratio[0])
-
-
-def rank_residual(vectors: np.ndarray, rank: int) -> np.ndarray:
-    """sigma_rank / sigma_0 of each matrix in a stack (..., k, n): zero iff
-    its rows span at most ``rank`` linear dimensions; 0 where the matrix has
-    no such singular value or is zero.  Center the rows first to test the
-    affine span."""
-    return _sv_ratio(np.linalg.svd(vectors, compute_uv=False), rank)
-
-
-class RankComplement(NamedTuple):
-    residual: np.ndarray  # (...,) sigma_rank / sigma_0, as rank_residual
-    complement: np.ndarray  # (..., n - rank, n) orthonormal rows normal to the best rank-``rank`` span
-
-
-def rank_complement(vectors: np.ndarray, rank: int) -> RankComplement:
-    """:func:`rank_residual` of each matrix in a stack (..., k, n), and the rows V^T[rank:] of its SVD: a vector x
-    is |complement x| from the span of the top ``rank`` right singular vectors.  Twice rank_residual's cost."""
-    _, sv, vt = np.linalg.svd(vectors)
-    return RankComplement(_sv_ratio(sv, rank), vt[..., rank:, :])
-
-
-def _sv_ratio(sv: np.ndarray, rank: int) -> np.ndarray:
-    if sv.shape[-1] <= rank:
-        return np.zeros(sv.shape[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(sv[..., 0] == 0.0, 0.0, sv[..., rank] / sv[..., 0])
 
 
 # --- Minkowski space R^{N+1,1} ----------------------------------------------

@@ -30,12 +30,12 @@ from .geom import (
     QuadCircles,
     Tolerances,
     _plane_frames,
+    _span_distances,
     lift_to_lightcone,
     minkowski_dot,
     quad_circles,
     raise_quad_error,
-    rank_complement,
-    rank_residual,
+    span_residual,
 )
 from .koenigs import (
     MoutardNet,
@@ -433,10 +433,11 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     """Moebius-geometric isothermic tests through light-cone lifts.
 
     m = 2, net not contained in a 2-sphere: at every interior vertex the five lifts of f and f_{+-1,+-2} span
-    at most a 4-dimensional linear space (a common 2-sphere).  Where it contains an edge neighbour (whose
-    lift's projection on the normals of the five's best 4-dimensional fit is at most tol.incidence of its
-    length), it contains the whole star (each quad's circle meets it in three points), so the star gets the
-    test of a net in a 2-sphere or plane: the three circles through f share a second point.
+    at most 4 dimensions (a common 2-sphere): with f at the origin, its lift e_0, part "sphere" holds the
+    span_residual of the in-sphere matrix [p, |p|^2] of f_{+-1,+-2} at rank 3.  Where an edge neighbour's lift
+    is within sine tol.incidence of e_0 plus the span of that matrix's three rows with the largest wedge, the
+    2-sphere contains the whole star (each quad's circle meets it in three points), so the star gets the test
+    of a net in a 2-sphere or plane, part "in_sphere": the three circles through f share a second point.
     m = 3: per hexahedron, the four white lifts are concircular iff the four black ones are.  Each stencil
     is lifted after a similarity that puts f (or the cube's base vertex) at the origin and its farthest
     neighbour (or the cube's diameter) at distance 1; the whole net, for the 2-sphere test, is centred at
@@ -452,32 +453,37 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     whole = _similar_lift(flat, flat.mean(axis=0), np.float64(net.diameter()))
     legs = _star(net.vertices)
     legs = legs - legs[:, :1]
-    lifted = _similar_lift(legs, 0.0, np.linalg.norm(legs, axis=-1).max(axis=1)[:, None, None])
+    sq = np.einsum("vki,vki->vk", legs, legs)
+    scale = np.where(sq.max(axis=1) > 0.0, sq.max(axis=1), 1.0)[:, None]
+    legs /= np.sqrt(scale)[..., None]
+    rest = np.concatenate([legs, (sq / scale)[..., None]], axis=-1)  # the lifts less e_0; f's is e_0
     at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)
-    if rank_residual(whole, 4) <= tol.incidence:  # a 2-sphere's lifts span 4 dimensions
-        return CheckReport("moebius_in_sphere", tol.product, {"in_sphere": (_circles_residual(lifted), at)})
-    sphere, sines = _central_sphere(lifted)
+    if span_residual(np.linalg.qr(whole, mode="r"), 4) <= tol.incidence:  # a 2-sphere's lifts span 4 dimensions
+        return CheckReport("moebius_in_sphere", tol.product, {"in_sphere": (_circles_residual(rest), at)})
+    sphere, sines = _central_sphere(rest)
     in_star = (sines <= tol.incidence).any(axis=1)
     parts = {"sphere": (sphere[~in_star], at[~in_star]),
-             "in_sphere": (_circles_residual(lifted[in_star]), at[in_star])}
+             "in_sphere": (_circles_residual(rest[in_star]), at[in_star])}
     return CheckReport("moebius_sphere", tol.product, parts)
 
 
-def _central_sphere(lifted: np.ndarray) -> tuple:
-    """Per star of lifts (V, 9, dim): sigma_4 / sigma_0 of the lifts of f and f_{+-1+-2}, and the sines (V, 4) of
-    the angles between the lifts of f_{+1}, f_{-1}, f_{+2}, f_{-2} and the best 4-dimensional fit to those five."""
-    sphere, normals = rank_complement(lifted[:, [0, 5, 6, 7, 8]], 4)
-    edge = lifted[:, 1:5]
-    return sphere, np.linalg.norm(np.einsum("vkd,vrd->vkr", edge, normals), axis=-1) / np.linalg.norm(edge, axis=-1)
+def _central_sphere(rest: np.ndarray) -> tuple:
+    """Per star (V, 9, dim - 1) of lifts without their e_0 component, f's lift being e_0: the lifts of f and
+    f_{+-1+-2} span at most 4 dimensions iff the in-sphere matrix M = [p, |p|^2] (4, dim - 1) of f_{+-1+-2}
+    has rank <= 3.  Returns span_residual(M, 3), and the sines (V, 4) of the angles between the lifts of
+    f_{+1}, f_{-1}, f_{+2}, f_{-2} and e_0 plus the span of the three rows of M with the largest wedge."""
+    lengths = np.sqrt((rest[:, 1:5] ** 2).sum(axis=-1) + 1.0)  # of the lifts, their e_0 component 1
+    return span_residual(rest[:, 5:], 3), _span_distances(rest[:, 5:], 3, rest[:, 1:5]) / lengths
 
 
-def _circles_residual(lifted: np.ndarray) -> np.ndarray:
-    """Per star of lifts (V, 9, dim): the circles (f, f_{+-1+2}), (f, f_{+-1-2})
-    and (f, f_{+-1}) share a second point iff their 3-spaces meet in >= 2
-    dimensions, i.e. the stacked complements have rank at most dim - 2."""
-    n, dim = lifted.shape[0], lifted.shape[-1]
-    complements = rank_complement(lifted[:, [[0, 5, 7], [0, 6, 8], [0, 1, 2]]], 3).complement
-    return rank_residual(complements.reshape(n, 3 * (dim - 3), dim), dim - 2)
+def _circles_residual(rest: np.ndarray) -> np.ndarray:
+    """Per star (V, 9, n) of lifts without their e_0 component, f's lift being e_0: the circles (f, f_{+-1+2}),
+    (f, f_{+-1-2}) and (f, f_{+-1}) share a second point iff the planes of the other two rows of each share a
+    line, i.e. the stacked orthonormal complements of the planes (from a complete QR) have rank <= n - 1."""
+    n = rest.shape[-1]
+    complements = np.linalg.qr(np.swapaxes(rest[:, [[5, 7], [6, 8], [1, 2]]], -1, -2), mode="complete")[0][..., 2:]
+    stacked = np.swapaxes(complements, -1, -2).reshape(len(rest), 3 * (n - 2), n)
+    return span_residual(np.linalg.qr(stacked, mode="r"), n - 1)
 
 
 def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
@@ -487,6 +493,6 @@ def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
         diam = np.linalg.norm(cube[:, :, None] - cube[:, None], axis=-1).max(axis=(1, 2))
         lifted = _similar_lift(cube, cube[:, :1], diam[:, None, None])
         at = _grid(shape)
-        parts[("black", axes)] = rank_residual(lifted[:, [0, 4, 5, 6]], 3), at  # f, f_ij, f_ik, f_jk
-        parts[("white", axes)] = rank_residual(lifted[:, [1, 2, 3, 7]], 3), at  # f_i, f_j, f_k, f_ijk
+        parts[("black", axes)] = span_residual(lifted[:, [0, 4, 5, 6]], 3), at  # f, f_ij, f_ik, f_jk
+        parts[("white", axes)] = span_residual(lifted[:, [1, 2, 3, 7]], 3), at  # f_i, f_j, f_k, f_ijk
     return CheckReport("moebius_hexahedra", tol.product, parts)

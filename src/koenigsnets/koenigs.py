@@ -19,7 +19,7 @@ from .errors import (
     VanishingLastComponent,
     ZeroNu,
 )
-from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, quad_planarity, rank_residual
+from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, quad_planarity, span_residual
 from .qnet import (
     CheckReport,
     QNet,
@@ -453,12 +453,6 @@ def moutard_evolve(axes_data, coeffs) -> MoutardNet:
 # --- geometric characterizations ----------------------------------------------
 
 
-def _rank_residual(points: np.ndarray, rank: int) -> np.ndarray:
-    """Relative size of the first singular value beyond the target affine
-    rank, for each point set in a stack (..., k, N)."""
-    return rank_residual(points - points.mean(axis=-2, keepdims=True), rank)
-
-
 def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Geometric Koenigs tests at every interior vertex of a 2d net.
 
@@ -473,11 +467,13 @@ def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
         raise DimensionTooLow("vertex characterizations need N >= 3")
     form = build_q_form(net, tol)
     star = _star(net.vertices)
-    kept = ~(_rank_residual(star[:, :5], 2) <= tol.incidence)  # f and its neighbours span more than a plane
+    five = star[:, :5]  # f and its edge neighbours: kept where they span more than a plane
+    kept = ~(span_residual(five - five.mean(axis=1, keepdims=True), 2) <= tol.incidence)
     at = _grid((net.extents[0] - 2, net.extents[1] - 2), 1)[kept]
     parts = {"m_points": (quad_planarity(np.stack(_corners(form.m_points[(0, 1)], 0, 1), axis=2)).ravel()[kept], at)}
     if net.ambient_dim >= 4:
-        parts["vertices"] = _rank_residual(star[:, [0, 5, 6, 7, 8]], 3)[kept], at
+        five = star[:, [0, 5, 6, 7, 8]]
+        parts["vertices"] = span_residual(five - five.mean(axis=1, keepdims=True), 3)[kept], at
     return CheckReport("koenigs_2d_geometric", tol.product, parts)
 
 
@@ -501,7 +497,8 @@ def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
         at = _grid(shape)
         parts[("black", axes)] = quad_planarity(cube[:, [0, 4, 5, 6]]), at  # f, f_ij, f_ik, f_jk
         parts[("white", axes)] = quad_planarity(cube[:, [1, 2, 3, 7]]), at  # f_i, f_j, f_k, f_ijk
-        parts[("corners", axes)] = _rank_residual(ms, 1).reshape(-1), _grid(shape + (8,))
+        ms = ms - ms.mean(axis=2, keepdims=True)
+        parts[("corners", axes)] = span_residual(ms, 1).reshape(-1), _grid(shape + (8,))  # collinear triples
     return CheckReport("koenigs_3d_geometric", tol.product, parts)
 
 

@@ -39,7 +39,7 @@ def random_planar_quad(rng, ambient_dim=3, convex=None):
     more than 1e-9 of their spread, or with three consecutive vertices
     collinear to 1e-9 of the squared diameter, are redrawn.
     """
-    from koenigsnets.geom import is_convex, rank_residual
+    from koenigsnets.geom import is_convex, span_residual
 
     while True:
         origin = rng.standard_normal(ambient_dim)
@@ -56,7 +56,7 @@ def random_planar_quad(rng, ambient_dim=3, convex=None):
         if convex is False:
             pts[1], pts[2] = pts[2], pts[1]  # swap two corners to cross the quad
         quad = np.stack(pts)
-        if rank_residual(quad - quad.mean(axis=0), 2) > 1e-9 or _has_collinear_triple(quad, 1e-9):
+        if span_residual(quad - quad.mean(axis=0), 2) > 1e-9 or _has_collinear_triple(quad, 1e-9):
             continue
         if convex is None or is_convex(quad) == convex:
             return quad

@@ -25,6 +25,11 @@ DELETED = (
     "IsothermicReport", "MoebiusReport", "LaplaceReport", "Vertex2DRecord", "Hexahedron3DRecord", "_pack",
     # API only tests called
     "hexahedra", "central_sphere",
+    # the SVD span tests, replaced by geom.span_residual
+    "affine_rank", "rank_residual", "RankComplement", "rank_complement", "_sv_ratio", "_rank_residual",
+    "_minor_indices",
+    # batch-of-one wrappers over geom.quad_circles that nothing in the package called
+    "circularity_residual", "cross_ratio", "_one_quad", "_as_point",
 )
 
 

@@ -1,4 +1,6 @@
 import warnings
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,9 +18,6 @@ from koenigsnets.errors import (
 )
 from koenigsnets.geom import (
     Tolerances,
-    affine_rank,
-    circularity_residual,
-    cross_ratio,
     is_convex,
     lift_to_lightcone,
     menelaus_product,
@@ -26,9 +25,12 @@ from koenigsnets.geom import (
     quad_circles,
     quad_diagonals,
     quad_planarity,
+    raise_quad_error,
+    span_residual,
 )
 from koenigsnets.isothermic import project_lightcone_net
 from koenigsnets.koenigs import MoutardNet, dual_quad_residual, dualize_quad
+from koenigsnets.qnet import _gather_quads
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 ASYMMETRIC = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.25, 1.0]])
@@ -128,20 +130,26 @@ class TestIsConvex:
             assert not is_convex(quads).any()
 
 
+def _affine_rank(points, tol=1e-9):
+    """The least r whose span residual of the centred points is at most tol."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return next(r for r in range(min(pts.shape) + 1) if span_residual(pts - pts.mean(axis=0), r) <= tol)
+
+
 class TestAffineRank:
     def test_coplanar_points(self):
         pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
-        assert affine_rank(pts) == 2
+        assert _affine_rank(pts) == 2
 
     def test_cube_vertices(self):
         pts = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-        assert affine_rank(pts) == 3
+        assert _affine_rank(pts) == 3
 
     def test_collinear(self):
-        assert affine_rank([[0, 0], [1, 1], [2, 2]]) == 1
+        assert _affine_rank([[0, 0], [1, 1], [2, 2]]) == 1
 
     def test_single_point(self):
-        assert affine_rank([[3, 4]]) == 0
+        assert _affine_rank([[3, 4]]) == 0
 
 
 class TestMenelaus:
@@ -161,7 +169,7 @@ class TestMenelaus:
         # points, so the product must be (-1)^4 = +1
         for _ in range(20):
             verts = rng.standard_normal((4, 3))
-            if affine_rank(verts) != 3:
+            if _affine_rank(verts) != 3:
                 continue
             normal = rng.standard_normal(3)
             offset = float(np.dot(normal, verts.mean(axis=0)))
@@ -191,6 +199,23 @@ class TestMenelaus:
         divs = [[0.5, 0.3], [0.5, 0.5], [0, 0.5]]
         with pytest.raises(PointOffLine):
             menelaus_product(verts, divs)
+
+
+def _one_quad(quad, upto):
+    """quad_circles of one quad (4, N), raising the error of its first failed predicate 1..upto."""
+    circles = quad_circles(np.asarray(quad, dtype=float)[None])
+    raise_quad_error(circles, upto)
+    return circles
+
+
+def circularity_residual(*quad):
+    """The circularity residual of one quad, as geom.quad_circles computes it."""
+    return float(_one_quad(quad, 3).residual[0])
+
+
+def cross_ratio(*quad):
+    """The real cross-ratio of one quad, as geom.quad_circles computes it."""
+    return float(_one_quad(quad, 6).cross_ratio[0])
 
 
 class TestCircularity:
@@ -307,12 +332,15 @@ class TestQuadCircles:
         assert np.all(np.abs(out.residual - ref) <= 1e-12 * ref)
         assert np.all(out.error == 4)  # not concircular
 
-    def test_scalar_wrappers_are_a_batch_of_one(self, rng):
-        quads = _random_circle_quads(rng, 5, concircular=True)
-        out = quad_circles(quads)
-        for q, res, cr in zip(quads, out.residual, out.cross_ratio):
-            assert circularity_residual(*q) == pytest.approx(res, rel=1e-12, abs=1e-15)
-            assert cross_ratio(*q) == pytest.approx(cr, rel=1e-12)
+
+def test_quad_circles_round_the_same_in_any_layout(iso_net, rng):
+    # the same quads stored as (4, N, Q) and as (Q, 4, N) memory
+    quads = np.concatenate([_gather_quads(iso_net.net, 0, 1)[0], _random_circle_quads(rng, 40, True),
+                            _random_circle_quads(rng, 40, False)])
+    coordinate_major = np.ascontiguousarray(np.moveaxis(quads, 0, -1))
+    one, other = quad_circles(np.ascontiguousarray(quads)), quad_circles(np.moveaxis(coordinate_major, -1, 0))
+    assert all(np.array_equal(a, b) for a, b in zip(one, other))
+    assert np.array_equal(is_convex(quads), is_convex(np.moveaxis(coordinate_major, -1, 0)))
 
 
 def _mp_planarity(quad):
@@ -388,6 +416,73 @@ class TestQuadPlanarity:
         nan = collinear.copy()
         nan[0, 0] = np.nan
         assert np.isnan(quad_planarity(nan))
+
+
+# (rows, columns, rank) of the span tests: the 2D geometric "kept" star and corner triples, the in-sphere
+# matrix, the hexahedra, the five-point "vertices" star for N = 4
+SPAN_SHAPES = [(5, 3, 2), (4, 4, 3), (4, 5, 3), (3, 3, 1), (5, 4, 3)]
+
+
+def _span_stacks(rng, n, k, m, r, decades):
+    """n matrices (k, m) with r singular values in [0.3, 1] and the rest 10^-u times [0.3, 1], u uniform in
+    [0, decades]."""
+    p = min(k, m)
+    sv = np.concatenate([rng.uniform(0.3, 1.0, (n, r)), rng.uniform(0.3, 1.0, (n, p - r))
+                         * 10.0 ** -rng.uniform(0.0, decades, (n, 1))], axis=1)
+    left, right = (np.linalg.qr(rng.standard_normal((n, d, p)))[0] for d in (k, m))
+    return np.einsum("vkp,vp,vmp->vkm", left, sv, right)
+
+
+def _mp_span_residual(matrix, rank):
+    """40-digit span_residual from the singular values of the same double matrix: |^s A|^2 = e_s(sigma^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        sq = [x**2 for x in mpmath.svd_r(mpmath.matrix(matrix.tolist()), compute_uv=False)]
+
+        def e(s):
+            return mpmath.fsum(mpmath.fprod(c) for c in combinations(sq, s))
+
+        return float(mpmath.sqrt(e(rank + 1) / (e(rank) * e(1))))
+
+
+class TestSpanResidual:
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    @pytest.mark.parametrize("k, m, r", SPAN_SHAPES)
+    def test_matches_high_precision(self, k, m, r, scale):
+        # residuals from 1 down to 1e-8; measured within 0.25 eps absolute
+        stacks = _span_stacks(np.random.default_rng(k * 100 + m * 10 + r), 20, k, m, r, 8) * scale
+        got = span_residual(stacks, r)
+        ref = np.array([_mp_span_residual(a, r) for a in stacks])
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref + np.finfo(float).eps)
+
+    def test_bounds_the_singular_value_ratio(self):
+        # within [1 / sqrt(p C(p, r)), sqrt(C(p, r + 1))] sigma_r / sigma_0 on 20,000 stacks; measured at
+        # least 1.07 times the lower end and at most 0.96 times the upper one
+        rng = np.random.default_rng(41)
+        for k, m, r in SPAN_SHAPES:
+            stacks = _span_stacks(rng, 4000, k, m, r, 6.4)  # sigma_r / sigma_0 >= 0.3 * 10**-6.4 > 1e-7
+            sv = np.linalg.svd(stacks, compute_uv=False)
+            ratio = sv[:, r] / sv[:, 0]
+            res, ratio = span_residual(stacks, r)[ratio > 1e-7], ratio[ratio > 1e-7]
+            assert len(ratio) == 4000
+            p = min(k, m)
+            assert np.all(res >= ratio / np.sqrt(p * comb(p, r))) and np.all(res <= ratio * np.sqrt(comb(p, r + 1)))
+
+    @pytest.mark.parametrize("k, m, r", SPAN_SHAPES)
+    def test_rank_deficient_stacks(self, k, m, r):
+        rng = np.random.default_rng(42)
+        stacks = rng.standard_normal((20000, k, r)) @ rng.standard_normal((20000, r, m))
+        assert np.all(span_residual(stacks, r) <= 1e-14)
+        assert np.all(span_residual(stacks, r - 1) > 1e-14)
+
+    def test_nan_zero_and_small_matrices(self):
+        stacks = np.random.default_rng(43).standard_normal((3, 2, 4, 4))
+        stacks[1, 0, 2, 3] = np.nan
+        res = span_residual(stacks, 3)
+        assert res.shape == (3, 2) and np.isnan(res[1, 0]) and np.isfinite(np.delete(res.ravel(), 2)).all()
+        assert span_residual(np.zeros((2, 4, 4)), 3).tolist() == [0.0, 0.0]
+        assert span_residual(np.ones((2, 3, 3)), 3).tolist() == [0.0, 0.0]  # no 4 x 4 minor
+        assert span_residual(np.ones((3, 5)), 0) == 1.0
 
 
 class TestMinkowski:

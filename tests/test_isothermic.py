@@ -474,7 +474,7 @@ def test_neighbour_sines_match_the_oracle():
     for star, rel in cases:
         star = star - star[:, :1]
         lifted = _similar_lift(star, 0.0, np.linalg.norm(star, axis=-1).max(axis=1)[:, None, None])
-        _, sines = _central_sphere(lifted)
+        _, sines = _central_sphere(np.delete(lifted, -2, axis=-1))
         sv = np.linalg.svd(lifted[:, [0, 5, 6, 7, 8]], compute_uv=False)
         for got, one, kappa in zip(sines, lifted, sv[:, 0] / sv[:, 3]):
             oracle = np.array(_central_sphere_oracle(one, mpmath))
@@ -505,6 +505,24 @@ class TestMetamorphic:
             assert check_circular(moved).passed, name
             assert check_isothermic(moved).passed, name
             assert check_moebius_characterizations(moved).passed, name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [100, -100, 150, -150, 170, -170])
+def test_circular_checks_at_extreme_scales(iso_net, exponent):
+    # each quad is scaled by a power of two before its plane frame and its
+    # diam**4: at the nearest power of two the residuals are bitwise those at
+    # scale 1, and at 10**exponent they agree within 1e-12 (they are relative)
+    v = iso_net.net.vertices
+    for check in (check_circular, check_isothermic):
+        base = check(QNet(v))
+        assert base.passed
+        for scale, within in ((10.0**exponent, 1e-12), (2.0 ** round(exponent * np.log2(10)), 0.0)):
+            rep = check(QNet(v * scale))
+            assert rep.passed and rep.parts.keys() == base.parts.keys()
+            for key, (res, at) in rep.parts.items():
+                assert np.array_equal(at, base.parts[key][1])
+                assert np.all(np.abs(res - base.parts[key][0]) <= within)
 
 
 class TestMoebiusInvariance:

@@ -113,8 +113,8 @@ NAN_CASES = {
     "geometric-3d": ("geometric-3d", koenigs, "quad_planarity", None),
     "circular": ("circular-iso", isothermic, "quad_circles", "residual"),
     "isothermic": ("isothermic-lightcone-3d", isothermic, "quad_circles", "cross_ratio"),
-    "moebius-sphere": ("moebius-sphere", isothermic, "rank_complement", "residual"),
-    "moebius-hexahedra": ("moebius-hexahedra", isothermic, "rank_residual", None),
+    "moebius-sphere": ("moebius-sphere", isothermic, "span_residual", None),
+    "moebius-hexahedra": ("moebius-hexahedra", isothermic, "span_residual", None),
 }
 
 
