@@ -76,10 +76,6 @@ class PointOffLine(DegeneracyError):
     pass
 
 
-class NotConcircular(DegeneracyError):
-    pass
-
-
 class CoincidentPoints(DegeneracyError):
     pass
 
@@ -129,6 +125,10 @@ class NotKoenigs(CheckFailure):
 
 class NotCircular(CheckFailure):
     pass
+
+
+class NotConcircular(CheckFailure):
+    """Four points are not concircular, or their cross-ratio is not real."""
 
 
 class FormNotClosed(CheckFailure):

@@ -72,17 +72,10 @@ def _base_coeff(i: int, j: int) -> float:
 
 
 def random_koenigs_2d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.05) -> QNet:
-    """Random 2d Koenigs net from a Moutard evolution in homogeneous
-    coordinates, projected back to R^N."""
-    rng = np.random.default_rng(rng)
-    n1, n2 = extents
-    y1 = _homogeneous_axis(n1, 0, ambient_dim, rng, noise)
-    y2 = _homogeneous_axis(n2, 1, ambient_dim, rng, noise)
-    y2[0] = y1[0]
-    a = _base_coeff(0, 1) + noise * rng.standard_normal((n1 - 1, n2 - 1))
-    mn = moutard_evolve((y1, y2), {(0, 1): a})
-    net, _ = mn.project_homogeneous()
-    return net
+    """Random 2d Koenigs net: the net of :func:`random_koenigs_nd`."""
+    if len(extents) != 2:
+        raise ValueError("random_koenigs_2d needs two extents")
+    return random_koenigs_nd(extents, ambient_dim, rng, noise)[0]
 
 
 def _homogeneous_axis(n: int, axis: int, ambient_dim: int, rng, noise: float) -> np.ndarray:
@@ -98,7 +91,8 @@ def random_koenigs_3d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
 
 
 def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.04):
-    """Random Koenigs net for lattice dimension m >= 3 (m <= 4 supported).
+    """Random Koenigs net for lattice dimension m = 2..4, from a Moutard
+    evolution in homogeneous coordinates projected back to R^N.
 
     The coordinate planes are evolved independently; every other point is
     the common intersection of the face lines of a hexahedron below it (the
@@ -107,8 +101,8 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     """
     rng = np.random.default_rng(rng)
     m = len(extents)
-    if not 3 <= m <= len(_W_FACTORS):
-        raise ValueError(f"lattice dimension must be 3..{len(_W_FACTORS)}")
+    if not 2 <= m <= len(_W_FACTORS):
+        raise ValueError(f"lattice dimension must be 2..{len(_W_FACTORS)}")
     axes = [_homogeneous_axis(n, ax, ambient_dim, rng, noise) for ax, n in enumerate(extents)]
     for ax in range(1, m):
         axes[ax][0] = axes[0][0]

@@ -129,26 +129,15 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
 
 
 def quad_planarity(pts) -> np.ndarray:
-    """Coplanarity residual rho of each quad of a stack (..., 4, N): the distance h = 6 vol / (2 max area) of
-    the vertex opposite the largest corner triangle from its plane, over the quad's diameter; symmetric, 0 iff
-    the points are coplanar, >= sigma_2 / sigma_0 of the centred points over sqrt(2).  Each quad is scaled by a
-    power of two; 6 vol = |u ^ v ^ w| (u, v, w = B - A, C - A, D - A), 2 area = |x ^ y| from minors."""
-    pts = np.asarray(pts, dtype=float)
-    abcd = np.ascontiguousarray(np.moveaxis(pts.reshape(-1, 4, pts.shape[-1]), 0, -1))
-    (i, j), _ = _subsets(pts.shape[-1], 2)
-    pqr, at = _subsets(pts.shape[-1], 3)  # per triple p < q < r: the positions of (q, r), (p, r), (p, q) in pairs
-    rho = np.empty(abcd.shape[-1])
-    for k in range(0, len(rho), 512):  # larger wins in timeit, loses in pipelines: its temporaries pass mmap threshold
-        s = np.subtract(*abcd[..., k:k + 512].take([[1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]], axis=0))  # the edges
-        s = np.ldexp(s, -np.frexp(np.abs(s[:3]).max(axis=(0, 1)))[1], out=s)
-        x, y = s.take([[0, 0, 1, 3], [1, 2, 2, 4]], axis=0)  # the legs of ABC, ABD, ACD, BCD from their first vertex
-        wedge = x.take(i, axis=1) * y.take(j, axis=1) - x.take(j, axis=1) * y.take(i, axis=1)
-        vol = s[2].take(pqr, axis=0) * wedge[0].take(at, axis=0)  # w_p (u ^ v)_qr, w_q (u ^ v)_pr, w_r (u ^ v)_pq
-        vol, area2 = vol[0] - vol[1] + vol[2], (wedge * wedge).sum(axis=1).max(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho2 = _dot(vol, vol) / (area2 * (s * s).sum(axis=1).max(axis=0))
-        rho[k:k + 512] = np.where(area2 == 0.0, 0.0, np.sqrt(rho2))
-    return rho.reshape(pts.shape[:-2])
+    """Coplanarity residual rho of each quad of a stack (..., 4, N): :func:`span_residual` at rank 2 of the rows
+    C - A, D - B and (B + D - A - C) / sqrt(2), which are sqrt(2) times an orthonormal transform of the centred
+    quad.  So rho is that of the centred points, symmetric under every vertex order, 0 iff the points are
+    coplanar, and within [1/3, 1] sigma_2 / sigma_0, near coplanarity >= sigma_2 / (sqrt(2) sigma_0)."""
+    abcd = np.moveaxis(np.asarray(pts, dtype=float), (-2, -1), (0, 1))  # (4, N, ...)
+    rows = np.empty((3,) + abcd.shape[1:])  # coordinate-major, as span_residual's blocks compute
+    np.subtract(abcd[2:], abcd[:2], out=rows[:2])  # C - A, D - B
+    np.multiply(abcd[1] - abcd[0] + (abcd[3] - abcd[2]), np.sqrt(0.5), out=rows[2])  # B - A + D - C
+    return span_residual(np.moveaxis(rows, (0, 1), (-2, -1)), 2)
 
 
 def span_residual(vectors, rank: int) -> np.ndarray:
@@ -161,35 +150,50 @@ def span_residual(vectors, rank: int) -> np.ndarray:
     res = np.zeros(a.shape[:-2])
     out = res.reshape(-1)
     for k, block in _blocks(a) if min(a.shape[-2:]) > rank else ():
-        e = [1.0] + [_dot(w, w) for w in _wedges(block, rank + 1)]  # |^s A|^2, s = 0..rank + 1
-        den = e[rank] * e[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[k:k + block.shape[-1]] = np.where(den == 0.0, 0.0, np.sqrt(e[rank + 1] / den))
+        out[k:k + block.shape[-1]] = _residual(_wedges(block, rank + 1), rank)
     return res
 
 
-def _span_distances(vectors: np.ndarray, rank: int, probes: np.ndarray) -> np.ndarray:
-    """Distances (V, P) of probes (V, P, n) from the span of the ``rank`` rows of each matrix of a stack
-    (V, k, n) whose wedge R is largest: |R ^ x| / |R|, each (rank + 1)-minor of R ^ x by Laplace expansion
-    along x over the rank-minors of R.  NaN where no ``rank`` rows are independent."""
-    out = np.empty(probes.shape[:2])
+def _residual(levels: list, rank: int) -> np.ndarray:
+    """The :func:`span_residual` of a block from its minors ``levels`` (:func:`_wedges`) up to rank + 1."""
+    e = [1.0] + [_dot(w, w) for w in levels]  # |^s A|^2, s = 0..rank + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(e[rank] * e[1] == 0.0, 0.0, np.sqrt(e[rank + 1] / (e[rank] * e[1])))
+
+
+class _SpanFit(NamedTuple):
+    """Per-matrix output of :func:`_span_fit`."""
+
+    residual: np.ndarray  # (V,) span_residual at the rank
+    distances: np.ndarray  # (V, P) of the probes from the span of the largest wedge
+
+
+def _span_fit(vectors: np.ndarray, rank: int, probes: np.ndarray) -> _SpanFit:
+    """:func:`span_residual` of each matrix of a stack (V, k, n) at ``rank``, and the distances (V, P) of
+    probes (V, P, n) from the span of its ``rank`` rows whose wedge R is largest, from one set of minors:
+    |R ^ x| / |R|, each (rank + 1)-minor of R ^ x by Laplace expansion along x over the rank-minors of R.
+    NaN distances where no ``rank`` rows are independent."""
+    fit = _SpanFit(np.empty(len(vectors)), np.empty(probes.shape[:2]))
     cols, drop = _subsets(probes.shape[-1], rank + 1)
     for k, block in _blocks(vectors):
-        top = _wedges(block, rank)[-1].reshape(-1, comb(probes.shape[-1], rank), block.shape[-1])
+        levels, at = _wedges(block, rank + 1), slice(k, k + block.shape[-1])
+        fit.residual[at] = _residual(levels, rank)
+        top = levels[rank - 1].reshape(-1, comb(probes.shape[-1], rank), block.shape[-1])
+        del levels  # before the distances' temporaries
         w2 = np.einsum("rcv,rcv->rv", top, top)
         r = np.take_along_axis(top, w2.argmax(axis=0)[None, None], axis=0)[0]  # (C(n, rank), B)
-        terms = np.moveaxis(probes[k:k + block.shape[-1]], 0, -1)[:, cols] * r[drop]  # (P, rank + 1, C, B)
+        terms = np.moveaxis(probes[at], 0, -1)[:, cols] * r[drop]  # (P, rank + 1, C, B)
         wedge = terms[:, 0::2].sum(axis=1) - terms[:, 1::2].sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[k:k + block.shape[-1]] = np.sqrt(np.einsum("pcv,pcv->vp", wedge, wedge) / w2.max(axis=0)[:, None])
-    return out
+            fit.distances[at] = np.sqrt(np.einsum("pcv,pcv->vp", wedge, wedge) / w2.max(axis=0)[:, None])
+    return fit
 
 
 def _blocks(a: np.ndarray):
     """(start, block) over a stack (..., k, n) of matrices in blocks of 512, each coordinate-major (k, n, B)
     and each matrix scaled by a power of two to a largest entry in [1/2, 1), so that no minor overflows."""
     flat = a.reshape(-1, *a.shape[-2:])
-    for k in range(0, len(flat), 512):
+    for k in range(0, len(flat), 512):  # larger wins in timeit, loses in pipelines: its temporaries pass mmap threshold
         block = np.ascontiguousarray(np.moveaxis(flat[k:k + 512], 0, -1))
         yield k, np.ldexp(block, -np.frexp(np.abs(block).max(axis=(0, 1)))[1], out=block)
 

@@ -30,7 +30,7 @@ from .geom import (
     QuadCircles,
     Tolerances,
     _plane_frames,
-    _span_distances,
+    _span_fit,
     lift_to_lightcone,
     minkowski_dot,
     quad_circles,
@@ -473,7 +473,8 @@ def _central_sphere(rest: np.ndarray) -> tuple:
     has rank <= 3.  Returns span_residual(M, 3), and the sines (V, 4) of the angles between the lifts of
     f_{+1}, f_{-1}, f_{+2}, f_{-2} and e_0 plus the span of the three rows of M with the largest wedge."""
     lengths = np.sqrt((rest[:, 1:5] ** 2).sum(axis=-1) + 1.0)  # of the lifts, their e_0 component 1
-    return span_residual(rest[:, 5:], 3), _span_distances(rest[:, 5:], 3, rest[:, 1:5]) / lengths
+    sphere, distances = _span_fit(rest[:, 5:], 3, rest[:, 1:5])
+    return sphere, distances / lengths
 
 
 def _circles_residual(rest: np.ndarray) -> np.ndarray:

@@ -72,6 +72,16 @@ class TestCheck:
         assert code == 1
         assert "NotCircular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("check", "isothermic"), ("christoffel",), ("lift", "lightcone")])
+    def test_non_circular_net_exits_1(self, tmp_path, capsys, argv):
+        # a vertex-only Koenigs net, circularity residual 8.1e-2: a property that does not hold, not a degeneracy
+        from koenigsnets import generate
+
+        net = tmp_path / "net.json"
+        netio.save(netio.NetDocument.from_net(generate.random_koenigs_2d((8, 8), rng=3)), net)
+        assert cli(tmp_path, *argv, infile=net)[0] == 1
+        assert re.search(r"error (NotCircular|NotConcircular)", capsys.readouterr().err)
+
     def test_three_leg_isothermic(self, tmp_path):
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "6", "6",
                      "--seed", "3", outname="net.json")

@@ -189,8 +189,8 @@ def test_guards_in_order_over_the_whole_stack():
         quad_diagonals(np.array([square, at_vertex]))
     with pytest.raises(DegenerateQuad, match="parallel"):
         quad_diagonals(np.array([at_vertex, parallel]))
-    with pytest.raises(DegenerateQuad, match="skew diagonals: residual 7.071e-04"):
-        quad_diagonals(np.array([skew]))  # D is 1e-3 above the plane of ABC, the diameter is sqrt(2)
+    with pytest.raises(DegenerateQuad, match="skew diagonals: residual 3.536e-04"):
+        quad_diagonals(np.array([skew]))  # D is 1e-3 off the plane of ABC: sigma_2 / sigma_0 = 5e-4 = sqrt(2) rho
     flat = np.concatenate([np.array([at_vertex, square]), np.zeros((2, 4, 1))], axis=2)
     with pytest.raises(DegenerateQuad, match="skew"):
         quad_diagonals(np.array([flat[0], skew]))  # skew before the vertex guard

@@ -30,6 +30,8 @@ DELETED = (
     "_minor_indices",
     # batch-of-one wrappers over geom.quad_circles that nothing in the package called
     "circularity_residual", "cross_ratio", "_one_quad", "_as_point",
+    # the sines' own pass over the in-sphere minors, now shared with the residual in geom._span_fit
+    "_span_distances",
 )
 
 

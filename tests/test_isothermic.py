@@ -1,9 +1,10 @@
 import re
+from math import comb
 
 import numpy as np
 import pytest
 
-from koenigsnets import generate
+from koenigsnets import generate, isothermic
 from koenigsnets.errors import (
     CoincidentPoints,
     CollinearTriple,
@@ -16,6 +17,7 @@ from koenigsnets.errors import (
     NotPlanar,
     NullDiagonalDifference,
 )
+from koenigsnets.geom import _blocks, _subsets, _wedges, span_residual
 from koenigsnets.isothermic import (
     IsothermicNet,
     _central_sphere,
@@ -479,6 +481,36 @@ def test_neighbour_sines_match_the_oracle():
         for got, one, kappa in zip(sines, lifted, sv[:, 0] / sv[:, 3]):
             oracle = np.array(_central_sphere_oracle(one, mpmath))
             assert np.all(np.abs(got - oracle) <= np.minimum(4 * eps * kappa, rel * oracle))
+
+
+def _two_pass_sphere(rest):
+    """_central_sphere as two kernels computed it, each building its own minors: span_residual of the
+    in-sphere matrix, then the sines from the rank-3 minors built again."""
+    vectors, probes = rest[:, 5:], rest[:, 1:5]
+    distances = np.empty(probes.shape[:2])
+    cols, drop = _subsets(probes.shape[-1], 4)
+    for k, block in _blocks(vectors):
+        at = slice(k, k + block.shape[-1])
+        top = _wedges(block, 3)[-1].reshape(-1, comb(probes.shape[-1], 3), block.shape[-1])
+        w2 = np.einsum("rcv,rcv->rv", top, top)
+        r = np.take_along_axis(top, w2.argmax(axis=0)[None, None], axis=0)[0]
+        terms = np.moveaxis(probes[at], 0, -1)[:, cols] * r[drop]
+        wedge = terms[:, 0::2].sum(axis=1) - terms[:, 1::2].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            distances[at] = np.sqrt(np.einsum("pcv,pcv->vp", wedge, wedge) / w2.max(axis=0)[:, None])
+    return span_residual(vectors, 3), distances / np.sqrt((probes**2).sum(axis=-1) + 1.0)
+
+
+def test_sphere_and_sines_equal_the_two_pass_kernels_bitwise(iso_net, monkeypatch):
+    calls, run = [], isothermic._central_sphere
+    monkeypatch.setattr(isothermic, "_central_sphere", lambda rest: calls.append((rest, run(rest))) or calls[-1][1])
+    nets = [iso_net.net, generate.flip_corner_cross_ratio(iso_net)[0]]
+    nets += [generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(seed)).net for seed in range(20)]
+    for net in nets:
+        check_moebius_characterizations(QNet(net.vertices))
+    assert len(calls) == len(nets)
+    for rest, got in calls:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, _two_pass_sphere(rest)))
 
 
 def _symmetries(net, rng):

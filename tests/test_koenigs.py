@@ -233,19 +233,19 @@ class TestDualQuad:
 
     def test_skew_guard_scales_with_the_diameter(self):
         # a crossed quad with diagonals of length 1 and sides near 100; D is
-        # lifted by g, which puts it 5e-3 g from the plane of ABC, against a
-        # diameter near 100: rho = 5e-5 g for both
+        # lifted by g off the plane of ABC, which leaves the centred quad
+        # sigma_2 = 3.55e-3 g against sigma_0 near 100: rho = 3.57e-5 g
         def quad(g):
             return np.array([[0, 0, 0], [100, 0.5, 0], [1, 0, 0], [100, -0.5, g]], dtype=float)
 
         def net(g):  # the quad (f, f_1, f_12, f_2) as a 2 x 2 net
             return QNet(quad(g)[[0, 3, 1, 2]].reshape(2, 2, 3))
 
-        assert quad_planarity(quad(1e-4)) == pytest.approx(5e-9, rel=1e-3)
-        assert np.isfinite(dualize_quad(quad(1e-6))).all()  # rho 5e-11
+        assert quad_planarity(quad(1e-4)) == pytest.approx(3.57e-9, rel=1e-3)
+        assert np.isfinite(dualize_quad(quad(1e-6))).all()  # rho 3.6e-11
         assert check_qnet(net(1e-6)).passed
         with pytest.raises(DegenerateQuad, match="skew diagonals"):
-            dualize_quad(quad(1e-4))  # rho 5e-9
+            dualize_quad(quad(1e-4))  # rho 3.6e-9
         assert not check_qnet(net(1e-4)).passed
 
 

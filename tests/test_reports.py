@@ -113,7 +113,7 @@ NAN_CASES = {
     "geometric-3d": ("geometric-3d", koenigs, "quad_planarity", None),
     "circular": ("circular-iso", isothermic, "quad_circles", "residual"),
     "isothermic": ("isothermic-lightcone-3d", isothermic, "quad_circles", "cross_ratio"),
-    "moebius-sphere": ("moebius-sphere", isothermic, "span_residual", None),
+    "moebius-sphere": ("moebius-sphere", isothermic, "_span_fit", "residual"),
     "moebius-hexahedra": ("moebius-hexahedra", isothermic, "span_residual", None),
 }
 

@@ -1,5 +1,6 @@
 """The layer-sweep integrators and the wavefront fills against the
 vertex-by-vertex loops they replace, kept here as references."""
+import hashlib
 from collections import deque
 from itertools import combinations, product
 
@@ -340,6 +341,22 @@ class TestFills:
         y, ref_rng = loop_random_koenigs_nd(extents, np.random.default_rng(3))
         assert _rel(mn.points, y) <= 1e-12
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    # blake2b digests of random_koenigs_2d nets taken when it ran its own 2d evolution, before it became the
+    # m = 2 case of random_koenigs_nd: `generate moutard` output is unchanged
+    KOENIGS_2D = {
+        ((8, 9), 3, 101, 0.05): "8b769fe07b3654f64b8109130a68942d",
+        ((5, 5), 3, 7, 0.05): "d2439f93b874be9940bb942ec0783a9f",
+        ((6, 6), 4, 3, 0.05): "917553e4f410af6799e92d985c5adf5b",
+        ((12, 7), 2, 0, 0.1): "107d496e26e0a0647d4211f7d2a1f241",
+        ((16, 16), 3, 5, 0.05): "82233765b68acdefdd3be6f73b57ca28",
+    }
+
+    @pytest.mark.parametrize("case", sorted(KOENIGS_2D))
+    def test_random_koenigs_2d_digests(self, case):
+        extents, dim, seed, noise = case
+        v = generate.random_koenigs_2d(extents, dim, np.random.default_rng(seed), noise).vertices
+        assert hashlib.blake2b(v.tobytes(), digest_size=16).hexdigest() == self.KOENIGS_2D[case]
 
     def test_random_qnet_3d(self):
         rng = np.random.default_rng(4)
