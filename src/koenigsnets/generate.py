@@ -9,20 +9,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CoincidentPoints, CollinearTriple, DegenerateQuad, DimensionTooLow, VanishingLastComponent
+from .errors import (CoincidentPoints, CollinearTriple, DegenerateQuad, DimensionTooLow, InvalidValue,
+                     VanishingLastComponent)
 from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import (
-    EdgeLabelling,
-    QNet,
-    VertexScalar,
-    _back,
-    _corners,
-    _first_positive_axes,
-    _raise_first_row,
-    _wavefront,
-)
+from .qnet import EdgeLabelling, QNet, VertexScalar, _corners, _raise_first_row, _wavefront
 
 __all__ = [
     "grid",
@@ -53,6 +45,8 @@ def grid(extents, ambient_dim: int = 3, spacing: float = 1.0) -> QNet:
 
 def _random_axis_curve(n: int, axis: int, ambient_dim: int, rng, noise: float) -> np.ndarray:
     """Near-straight polyline along a coordinate axis with bounded noise."""
+    if n < 2:
+        raise InvalidValue("every axis needs at least 2 vertices")
     pts = np.zeros((n, ambient_dim))
     pts[:, axis % ambient_dim] = np.arange(n)
     pts += noise * rng.standard_normal((n, ambient_dim))
@@ -80,8 +74,8 @@ def random_koenigs_2d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
 
 def _homogeneous_axis(n: int, axis: int, ambient_dim: int, rng, noise: float) -> np.ndarray:
     f = _random_axis_curve(n, axis, ambient_dim, rng, noise)
-    w = _W_FACTORS[axis] ** np.arange(n) * (1.0 + noise * rng.standard_normal(n))
     with np.errstate(over="ignore"):  # moutard_evolve rejects what overflows
+        w = _W_FACTORS[axis] ** np.arange(n) * (1.0 + noise * rng.standard_normal(n))
         return np.concatenate([f, np.ones((n, 1))], axis=-1) * w[:, None]
 
 
@@ -114,32 +108,28 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     # every other point, in order of |u|, from the hexahedron spanned by its
     # first three positive axes
     y = _wavefront(planes, _hexahedron_steps)
-    coeffs = {pair: _fit_moutard_coeffs(y, *pair) for pair in planes}
+    coeffs = {}
+    for i, j in planes:  # per quad, the least-squares a of y_ij - y = a (y_j - y_i)
+        y0, yi, yij, yj = _corners(y, i, j)
+        d = yj - yi
+        coeffs[(i, j)] = ((yij - y0) * d).sum(axis=-1) / (d * d).sum(axis=-1)
     mn = MoutardNet(points=y, coeffs=coeffs)
     net, nu = mn.project_homogeneous()
     return net, nu, mn
 
 
-def _hexahedron_steps(y, u):
-    """y_ijk at u on the hexahedron (i, j, k) below it, as the common point
-    of the lines y_ijk - y_k || y_jk - y_ik and y_ijk - y_i || y_ik - y_ij,
-    by least squares (SVD, with the rank numpy.linalg.lstsq would find)."""
-    i, j, k = _first_positive_axes(u, 3)
-    p, q, yik = y[_back(u, i, j)], y[_back(u, j, k)], y[_back(u, j)]
-    d1, d2 = y[_back(u, i)] - yik, yik - y[_back(u, k)]
+def _hexahedron_steps(y, level):
+    """y_ijk on the hexahedron (i, j, k) below each vertex of a level, as the
+    common point of the lines y_ijk - y_k || y_jk - y_ik and y_ijk - y_i ||
+    y_ik - y_ij, by least squares (SVD, with the rank numpy.linalg.lstsq would find)."""
+    i, j, k = level.axes[:3]
+    p, q, yik, yi, yk = y[np.stack([level.back(i, j), level.back(j, k), level.back(j), level.back(i), level.back(k)])]
+    d1, d2 = yi - yik, yik - yk
     w, sv, vt = np.linalg.svd(np.stack([d1, -d2], axis=-1), full_matrices=False)
     rank1 = sv[:, 1] <= np.finfo(float).eps * max(d1.shape[1], 2) * sv[:, 0]
-    _raise_first_row(u, [(rank1, DegenerateQuad, "parallel Moutard lines in hexahedron fill")])
+    _raise_first_row(level.u, [(rank1, DegenerateQuad, "parallel Moutard lines in hexahedron fill")])
     t = (vt[:, :, 0] * np.einsum("nik,ni->nk", w, q - p) / sv).sum(axis=-1)
     return p + t[:, None] * d1
-
-
-def _fit_moutard_coeffs(y: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Per-quad least-squares coefficient of y_ij - y = a (y_j - y_i)."""
-    y0, yi, yij, yj = _corners(y, i, j)
-    d = yj - yi
-    lhs = yij - y0
-    return (lhs * d).sum(axis=-1) / (d * d).sum(axis=-1)
 
 
 def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
@@ -149,32 +139,33 @@ def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
     vertices are the intersection of the three face planes of their
     hexahedron (Q-nets propagate this way in R^3).
     """
+    if len(extents) != 3:
+        raise ValueError("random_qnet_3d needs three extents")
     rng = np.random.default_rng(rng)
     axis_curves = [_random_axis_curve(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
     # coordinate planes: random fourth vertices inside each quad plane, lam
-    # and mu drawn quad by quad
+    # and mu drawn quad by quad, kept at the quad's last vertex
     planes = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        lam, mu = np.moveaxis(1.0 + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1, 2)), -1, 0)
+        lam_mu = np.zeros((extents[i], extents[j], 2))
+        lam_mu[1:, 1:] = 1.0 + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1, 2))
 
-        def step(p, u, lam=lam, mu=mu):
-            b = _back(u, 0, 1)
-            return p[b] + lam[b][:, None] * (p[_back(u, 1)] - p[b]) + mu[b][:, None] * (p[_back(u, 0)] - p[b])
+        def step(p, level, lam_mu=lam_mu.reshape(-1, 2)):
+            b, (lam, mu) = level.back(0, 1), lam_mu[level.k].T
+            return p[b] + lam[:, None] * (p[level.back(1)] - p[b]) + mu[:, None] * (p[level.back(0)] - p[b])
 
         planes[(i, j)] = _wavefront({(0,): axis_curves[i], (1,): axis_curves[j]}, step)
     return QNet(_wavefront(planes, _q_cube_steps))
 
 
-def _q_cube_steps(f, u):
-    """f_ijk at u: the common point of the face planes through (f_i, f_ij,
-    f_ik) for each axis i of the cube below u."""
-    normals, offsets = [], []
-    for b, c in ((1, 2), (0, 2), (0, 1)):
-        p0, p1, p2 = f[_back(u, b, c)], f[_back(u, c)], f[_back(u, b)]
-        n = np.cross(p1 - p0, p2 - p0)
-        normals.append(n)
-        offsets.append((n * p0).sum(axis=-1))
-    return np.linalg.solve(np.stack(normals, axis=1), np.stack(offsets, axis=1)[..., None])[..., 0]
+def _q_cube_steps(f, level):
+    """f_ijk at each vertex of a level: the common point of the face planes
+    through (f_i, f_ij, f_ik) for each axis i of the cube below it."""
+    s0, s1, s2 = level.strides
+    back = [[s1 + s2, s2, s1], [s0 + s2, s2, s0], [s0 + s1, s1, s0]]  # f_ijk to (f_i, f_ij, f_ik) of face i
+    p0, p1, p2 = np.moveaxis(f[level.k[:, None, None] - back], 2, 0)
+    normals = np.cross(p1 - p0, p2 - p0)
+    return np.linalg.solve(normals, (normals * p0).sum(axis=-1)[..., None])[..., 0]
 
 
 def random_isothermic_2d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.05) -> IsothermicNet:

@@ -363,8 +363,8 @@ def _plane_frames(pts: np.ndarray):
         w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
         nw = _length(w)
         spans = nw > 1e-13 * np.maximum(nu[:, None], _length(rel[:, 2:]))
-        pick = np.argmax(spans, axis=1)[:, None]
-        v = np.take_along_axis(w, pick[..., None], axis=1)[:, 0] / np.take_along_axis(nw, pick, axis=1)
+        pick = np.arange(len(pts)), np.argmax(spans, axis=1)
+        v = w[pick] / nw[pick][:, None]
         z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
     return u, v, z, nu, spans
 

@@ -49,12 +49,10 @@ from .qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
-    _back,
     _base,
     _corners,
     _crop,
     _cubes,
-    _first_positive_axes,
     _frozen,
     _gather_quads,
     _grid,
@@ -292,21 +290,23 @@ def three_leg_evolve(axes_data, labels: EdgeLabelling, tol: Tolerances = DEFAULT
     pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
     if not all(np.isfinite(a).all() for a in pieces.values()):
         raise ZeroLeg("initial data are not finite")
-    f = _wavefront(pieces, lambda f, u: _three_leg_steps(f, u, a1[u[:, 0] - 1], a2[u[:, 1] - 1]), tol)
+    f = _wavefront(pieces, lambda f, level: _three_leg_steps(f, level, a1, a2), tol)
     net = QNet(f)
     metric = recover_metric(net, tol=tol)
     return IsothermicNet(net=net, labels=labels, metric=metric)
 
 
-def _three_leg_steps(f, u, alpha_i, alpha_j):
-    """Fourth vertices f_ij at u of the quads (f, f_i, f_ij, f_j) below u."""
-    pts = np.stack([f[_back(u, 0, 1)], f[_back(u, 1)], f[_back(u, 0)]], axis=1)
+def _three_leg_steps(f, level, a1, a2):
+    """Fourth vertices f_ij of the quads (f, f_i, f_ij, f_j) below the vertices of a level, with labels a1, a2."""
+    s0, s1 = level.strides
+    alpha_i, alpha_j = a1[level.u[:, 0] - 1], a2[level.u[:, 1] - 1]
+    pts = f[level.k[:, None] - [s0 + s1, s1, s0]]
     e1, e2, z, nu, spans = _plane_frames(pts)
     zi, zj = np.moveaxis(z.view(complex)[:, 1:, 0], 1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = alpha_i / zi - alpha_j / zj
         zij = (alpha_i - alpha_j) / w
-    _raise_first_row(u, [
+    _raise_first_row(level.u, [
         (alpha_i == alpha_j, EqualLabels, "alpha_i == alpha_j: fourth vertex at infinity"),
         (nu == 0.0, CoincidentPoints, "cannot build a frame from coincident points"),
         (~spans[:, 0], CollinearTriple, "all points are collinear; no plane frame"),
@@ -369,33 +369,24 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
             raise ValueError("axis data must be isotropic")
     if len(axes_data) not in (2, 3):
         raise DimensionTooLow("lightcone_evolve supports m = 2 or 3")
-    mn = _lightcone_fill(axes_data, tol)
-    iso = project_lightcone_net(mn, tol)
-    return mn, iso
 
-
-def _lightcone_fill(axes, tol: Tolerances) -> MoutardNet:
-    """Fill from the axis data one hyperplane at a time, each vertex through
-    the quad of its first two positive axes; then the coefficients of every
-    face, those the fill did not use included."""
-    m = len(axes)
-
-    def step(y, u):
-        i, j = _first_positive_axes(u, 2)
-        yb, d = y[_back(u, i, j)], y[_back(u, i)] - y[_back(u, j)]
+    def step(y, level):  # through the quad of the first two positive axes of each vertex
+        i, j = level.axes[:2]
+        yb, d = y[level.back(i, j)], y[level.back(i)] - y[level.back(j)]
         a, null = _lightcone_coeff(yb, d, tol)
-        _raise_first_row(u, [(null, NullDiagonalDifference, "diagonal difference is isotropic")])
+        _raise_first_row(level.u, [(null, NullDiagonalDifference, "diagonal difference is isotropic")])
         return yb + a[:, None] * d
 
-    y = _wavefront({(k,): a for k, a in enumerate(axes)}, step, tol)
+    y = _wavefront({(k,): a for k, a in enumerate(axes_data)}, step, tol)
     coeffs = {}
-    for i, j in combinations(range(m), 2):
+    for i, j in combinations(range(len(axes_data)), 2):  # every face, those the fill did not use included
         y0, yi, _, yj = _corners(y, i, j)
         coeffs[(i, j)], null = _lightcone_coeff(y0, yj - yi, tol)
         if null.any():
             base = _base(null.shape, int(np.argmax(null)))
             raise NullDiagonalDifference(f"quad base {base} (axes {i},{j}): diagonal difference is isotropic")
-    return MoutardNet(points=y, coeffs=coeffs)
+    mn = MoutardNet(points=y, coeffs=coeffs)
+    return mn, project_lightcone_net(mn, tol)
 
 
 def _lightcone_coeff(y, d, tol: Tolerances):

@@ -24,7 +24,6 @@ from .qnet import (
     CheckReport,
     QNet,
     VertexScalar,
-    _back,
     _base,
     _corners,
     _crop,
@@ -440,8 +439,12 @@ def moutard_evolve(axes_data, coeffs) -> MoutardNet:
     if not all(np.isfinite(a).all() for a in pieces.values()):
         raise VanishingLastComponent("initial data are not finite")
 
-    def step(y, u):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below u
-        return y[_back(u, 0, 1)] + a01[_back(u, 0, 1)][:, None] * (y[_back(u, 0)] - y[_back(u, 1)])
+    shape = dict(sorted((ax, n) for axes, arr in pieces.items() for ax, n in zip(axes, arr.shape)))
+    a = np.zeros(tuple(shape.values()))
+    a[1:, 1:] = a01  # a_01 at the last vertex of its (0, 1) quad; ValueError unless a01 fits the lattice
+
+    def step(y, level):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below each vertex
+        return y[level.back(0, 1)] + a.reshape(-1)[level.k][:, None] * (y[level.back(0)] - y[level.back(1)])
 
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected below
         y = _wavefront(pieces, step)

@@ -6,7 +6,9 @@ Nets are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +224,35 @@ def _star(values: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2).reshape((n1 - 2) * (n2 - 2), 9, *values.shape[2:])
 
 
+class _Level(NamedTuple):
+    """One hyperplane of a wavefront schedule, read-only: its vertices u (n, m) in C order, their flat
+    indices k, the lattice strides (m,) in vertices, and the axes (m, n) of each vertex, positive first."""
+
+    u: np.ndarray
+    k: np.ndarray
+    strides: np.ndarray
+    axes: np.ndarray
+
+    def back(self, *axes) -> np.ndarray:
+        """Flat indices of the vertices moved back by one along each of ``axes`` (ints or (n,) arrays)."""
+        return self.k - sum(self.strides[ax] for ax in axes)
+
+
+@lru_cache(maxsize=16)
+def _levels(extents: tuple, spans: tuple) -> tuple:
+    """The ``_Level`` of every hyperplane u_1 + ... + u_m = k, in increasing k, of the vertices of a
+    lattice block ``extents`` off the coordinate subspaces spanned by each axis tuple in ``spans``."""
+    known = np.zeros(extents, dtype=bool)
+    for axes in spans:
+        known[tuple(slice(None) if ax in axes else 0 for ax in range(len(extents)))] = True
+    todo = np.argwhere(~known)
+    todo = todo[np.argsort(todo.sum(axis=1), kind="stable")]  # by hyperplane, C order within one
+    strides = _frozen(np.cumprod((1,) + extents[:0:-1])[::-1])
+    return tuple(_Level(_frozen(u), _frozen(u @ strides), strides,
+                        _frozen(np.argsort(u <= 0, axis=1, kind="stable").T.astype(np.int8)))
+                 for u in np.split(todo, np.flatnonzero(np.diff(todo.sum(axis=1))) + 1) if len(u))
+
+
 def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve a Cauchy problem on a lattice block one hyperplane
     u_1 + ... + u_m = k at a time, in increasing k.
@@ -230,9 +261,10 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     subspaces they span (every other coordinate 0), written in order; where
     two pieces meet, no coordinate may differ by more than tol.incidence
     times the largest in the data (NaN does), else ValueError.  Every other
-    vertex is computed by ``step(y, u)``, which gets the vertices u (n, m) of
-    one hyperplane in C order and returns their values from those on lower
-    hyperplanes, raising the typed error of its first degenerate vertex (:func:`_raise_first_row`).
+    vertex is computed by ``step(flat, level)``, which gets the (V, ...) view
+    of the output and the ``_Level`` of one hyperplane, and returns the values
+    of its vertices from those on lower hyperplanes, raising the typed error
+    of its first degenerate vertex (:func:`_raise_first_row`).
     """
     m = 1 + max(ax for axes in pieces for ax in axes)
     extents = [0] * m
@@ -246,32 +278,15 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     gaps = []
     for axes, values in pieces.items():
         idx = tuple(slice(None) if ax in axes else 0 for ax in range(m))
-        meet = known[idx]
-        gaps.append(np.abs(y[idx][meet] - values[meet]))
-        y[idx] = values
-        known[idx] = True
+        gaps.append(np.abs(y[idx][known[idx]] - values[known[idx]]))
+        y[idx], known[idx] = values, True
     gap = _worst(gaps)
     if not gap <= tol.incidence * scale:
         raise ValueError(f"initial data disagree where they meet (by {gap:.3e} at scale {scale:.3e})")
-    todo = np.argwhere(~known)
-    level = todo.sum(axis=1)
-    order = np.argsort(level, kind="stable")  # by hyperplane, C order within one
-    if len(todo):
-        for u in np.split(todo[order], np.flatnonzero(np.diff(level[order])) + 1):
-            y[tuple(u.T)] = step(y, u)
+    flat = y.reshape((-1,) + tail)
+    for level in _levels(tuple(extents), tuple(pieces)):
+        flat[level.k] = step(flat, level)
     return y
-
-
-def _back(u: np.ndarray, *axes) -> tuple:
-    """Index tuple of the vertices u (n, m) moved back by one along each of
-    ``axes`` (ints, or arrays with one axis per vertex)."""
-    eye = np.eye(u.shape[1], dtype=int)
-    return tuple((u - sum(eye[ax] for ax in axes)).T)
-
-
-def _first_positive_axes(u: np.ndarray, n: int) -> np.ndarray:
-    """The first n axes along which each vertex u (k, m) is positive, (n, k)."""
-    return np.argsort(u <= 0, axis=1, kind="stable")[:, :n].T
 
 
 def _raise_first_row(u: np.ndarray, checks) -> None:

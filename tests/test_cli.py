@@ -143,6 +143,9 @@ BAD_INPUT = {
                             "DimensionTooLow"),
     "grid-axis-of-one": (["generate", "grid", "--extents", "1", "4"], None, 2, "InvalidValue"),
     "three-leg-axis-of-one": (["generate", "three-leg", "--extents", "1", "5"], None, 2, "InvalidValue"),
+    **{f"{kind}-axis-of-{n}": (["generate", kind, "--extents", "5", n], None, 2, "InvalidValue")
+       for kind in ("three-leg", "moutard", "lightcone") for n in ("0", "-2")},
+    "moutard-power-overflow": (["generate", "moutard", "--extents", "3", "1100"], None, 3, "VanishingLastComponent"),
     "zero-tolerance": (["check", "qnet", "--tol-incidence", "0"], ("grid", lambda raw: None), 2, "InvalidValue"),
     "nan-vertex": (["check", "qnet"], ("grid", lambda raw: raw["vertices"].__setitem__(0, float("nan"))), 2,
                    "InvalidValue"),

@@ -32,6 +32,8 @@ DELETED = (
     "circularity_residual", "cross_ratio", "_one_quad", "_as_point",
     # the sines' own pass over the in-sphere minors, now shared with the residual in geom._span_fit
     "_span_distances",
+    # the per-level index tuples of the fills, replaced by qnet._levels and _Level.back; single-use helpers
+    "_back", "_first_positive_axes", "_lightcone_fill", "_fit_moutard_coeffs",
 )
 
 

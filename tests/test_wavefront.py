@@ -13,6 +13,7 @@ from koenigsnets.errors import (
     CollinearTriple,
     DegenerateQuad,
     EqualLabels,
+    InvalidValue,
     NotKoenigs,
     NullDiagonalDifference,
     VanishingLastComponent,
@@ -20,8 +21,8 @@ from koenigsnets.errors import (
     ZeroLeg,
 )
 from koenigsnets.generate import _hexahedron_steps
-from koenigsnets.geom import lift_to_lightcone, minkowski_dot
-from koenigsnets.isothermic import lightcone_evolve, three_leg_evolve
+from koenigsnets.geom import _length, lift_to_lightcone, minkowski_dot
+from koenigsnets.isothermic import _lightcone_coeff, lightcone_evolve, three_leg_evolve
 from koenigsnets.koenigs import (
     DiagonalForm,
     _integrate_one_form,
@@ -30,7 +31,7 @@ from koenigsnets.koenigs import (
     integrate_nu,
     moutard_evolve,
 )
-from koenigsnets.qnet import EdgeLabelling, QNet, _wavefront
+from koenigsnets.qnet import EdgeLabelling, QNet, _levels, _raise_first_row, _wavefront
 
 # --- loop references ------------------------------------------------------------
 
@@ -253,6 +254,149 @@ def _rel(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+# --- index-tuple references ------------------------------------------------------
+# The fills as they ran before the cached level schedule: each level's vertices u (n, m) from
+# argwhere/argsort/split on every call, and every neighbour gathered by an index tuple built per
+# level.  The library fills must give bitwise the same values and the same errors.
+
+
+def ref_wavefront(pieces, step):
+    m = 1 + max(ax for axes in pieces for ax in axes)
+    extents = [0] * m
+    for axes, values in pieces.items():
+        for ax, n in zip(axes, values.shape):
+            extents[ax] = n
+        tail = values.shape[len(axes):]
+    y = np.empty(tuple(extents) + tail)
+    known = np.zeros(extents, dtype=bool)
+    for axes, values in pieces.items():
+        idx = tuple(slice(None) if ax in axes else 0 for ax in range(m))
+        y[idx] = values
+        known[idx] = True
+    todo = np.argwhere(~known)
+    level = todo.sum(axis=1)
+    order = np.argsort(level, kind="stable")
+    if len(todo):
+        for u in np.split(todo[order], np.flatnonzero(np.diff(level[order])) + 1):
+            y[tuple(u.T)] = step(y, u)
+    return y
+
+
+def ref_back(u, *axes):
+    eye = np.eye(u.shape[1], dtype=int)
+    return tuple((u - sum(eye[ax] for ax in axes)).T)
+
+
+def ref_first_positive_axes(u, n):
+    return np.argsort(u <= 0, axis=1, kind="stable")[:, :n].T
+
+
+def ref_plane_frames(pts):
+    """geom._plane_frames as it selected v with take_along_axis."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = pts - pts[:, :1]
+        nu = _length(rel[:, 1])
+        u = rel[:, 1] / nu[:, None]
+        w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
+        nw = _length(w)
+        spans = nw > 1e-13 * np.maximum(nu[:, None], _length(rel[:, 2:]))
+        pick = np.argmax(spans, axis=1)[:, None]
+        v = np.take_along_axis(w, pick[..., None], axis=1)[:, 0] / np.take_along_axis(nw, pick, axis=1)
+        z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
+    return u, v, z, nu, spans
+
+
+def ref_three_leg_steps(f, u, alpha_i, alpha_j):
+    pts = np.stack([f[ref_back(u, 0, 1)], f[ref_back(u, 1)], f[ref_back(u, 0)]], axis=1)
+    e1, e2, z, nu, spans = ref_plane_frames(pts)
+    zi, zj = np.moveaxis(z.view(complex)[:, 1:, 0], 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = alpha_i / zi - alpha_j / zj
+        zij = (alpha_i - alpha_j) / w
+    _raise_first_row(u, [
+        (alpha_i == alpha_j, EqualLabels, "alpha_i == alpha_j: fourth vertex at infinity"),
+        (nu == 0.0, CoincidentPoints, "cannot build a frame from coincident points"),
+        (~spans[:, 0], CollinearTriple, "all points are collinear; no plane frame"),
+        ((zi == 0) | (zj == 0) | (w == 0), ZeroLeg, "degenerate three-leg step: fourth vertex at infinity"),
+    ])
+    return pts[:, 0] + zij.real[:, None] * e1 + zij.imag[:, None] * e2
+
+
+def ref_three_leg(f1, f2, labels):
+    a1, a2 = labels.per_axis
+    return ref_wavefront({(0,): f1, (1,): f2}, lambda f, u: ref_three_leg_steps(f, u, a1[u[:, 0] - 1], a2[u[:, 1] - 1]))
+
+
+def ref_lightcone(axes, tol=generate.DEFAULT_TOL):
+    def step(y, u):
+        i, j = ref_first_positive_axes(u, 2)
+        yb, d = y[ref_back(u, i, j)], y[ref_back(u, i)] - y[ref_back(u, j)]
+        a, null = _lightcone_coeff(yb, d, tol)
+        _raise_first_row(u, [(null, NullDiagonalDifference, "diagonal difference is isotropic")])
+        return yb + a[:, None] * d
+
+    return ref_wavefront({(k,): a for k, a in enumerate(axes)}, step)
+
+
+def ref_moutard(pieces, a01):
+    def step(y, u):
+        return y[ref_back(u, 0, 1)] + a01[ref_back(u, 0, 1)][:, None] * (y[ref_back(u, 0)] - y[ref_back(u, 1)])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ref_wavefront(pieces, step)
+
+
+def ref_hexahedron_steps(y, u):
+    i, j, k = ref_first_positive_axes(u, 3)
+    p, q, yik = y[ref_back(u, i, j)], y[ref_back(u, j, k)], y[ref_back(u, j)]
+    d1, d2 = y[ref_back(u, i)] - yik, yik - y[ref_back(u, k)]
+    w, sv, vt = np.linalg.svd(np.stack([d1, -d2], axis=-1), full_matrices=False)
+    rank1 = sv[:, 1] <= np.finfo(float).eps * max(d1.shape[1], 2) * sv[:, 0]
+    _raise_first_row(u, [(rank1, DegenerateQuad, "parallel Moutard lines in hexahedron fill")])
+    t = (vt[:, :, 0] * np.einsum("nik,ni->nk", w, q - p) / sv).sum(axis=-1)
+    return p + t[:, None] * d1
+
+
+def ref_q_cube_steps(f, u):
+    normals, offsets = [], []
+    for b, c in ((1, 2), (0, 2), (0, 1)):
+        p0, p1, p2 = f[ref_back(u, b, c)], f[ref_back(u, c)], f[ref_back(u, b)]
+        n = np.cross(p1 - p0, p2 - p0)
+        normals.append(n)
+        offsets.append((n * p0).sum(axis=-1))
+    return np.linalg.solve(np.stack(normals, axis=1), np.stack(offsets, axis=1)[..., None])[..., 0]
+
+
+def ref_random_koenigs_nd(extents, rng, noise=0.04):
+    """The Moutard points of generate.random_koenigs_nd, and the generator after its draws."""
+    rng = np.random.default_rng(rng)
+    m = len(extents)
+    axes = [generate._homogeneous_axis(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
+    for ax in range(1, m):
+        axes[ax][0] = axes[0][0]
+    planes = {}
+    for i, j in combinations(range(m), 2):
+        a = generate._base_coeff(i, j) + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1))
+        planes[(i, j)] = ref_moutard({(0,): axes[i], (1,): axes[j]}, a)
+    return ref_wavefront(planes, ref_hexahedron_steps), rng
+
+
+def ref_random_qnet_3d(extents, rng, noise=0.08):
+    """The vertices of generate.random_qnet_3d, and the generator after its draws."""
+    rng = np.random.default_rng(rng)
+    curves = [generate._random_axis_curve(n, ax, 3, rng, noise) for ax, n in enumerate(extents)]
+    planes = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        lam, mu = np.moveaxis(1.0 + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1, 2)), -1, 0)
+
+        def step(p, u, lam=lam, mu=mu):
+            b = ref_back(u, 0, 1)
+            return p[b] + lam[b][:, None] * (p[ref_back(u, 1)] - p[b]) + mu[b][:, None] * (p[ref_back(u, 0)] - p[b])
+
+        planes[(i, j)] = ref_wavefront({(0,): curves[i], (1,): curves[j]}, step)
+    return ref_wavefront(planes, ref_q_cube_steps), rng
+
+
 # --- integrators ----------------------------------------------------------------
 
 
@@ -394,15 +538,121 @@ class TestFills:
         assert rng.standard_normal() == ref.standard_normal()
 
 
+class TestLevelSchedule:
+    """The fills on the cached level schedule against the index-tuple references: bitwise the same."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("extents", [(48, 48), (7, 12)])
+    def test_three_leg(self, extents, seed):
+        rng = np.random.default_rng(seed)
+        f1 = generate._random_axis_curve(extents[0], 0, 3, rng, 0.05)
+        f2 = generate._random_axis_curve(extents[1], 1, 3, rng, 0.05)
+        f2[0] = f1[0]
+        labels = EdgeLabelling((1.0 + 0.05 * rng.standard_normal(extents[0] - 1),
+                                -1.0 + 0.05 * rng.standard_normal(extents[1] - 1)))
+        assert np.array_equal(three_leg_evolve((f1, f2), labels).net.vertices, ref_three_leg(f1, f2, labels))
+
+    @pytest.mark.parametrize("extents", [(6, 7), (16, 16), (4, 5, 4)])
+    def test_lightcone(self, extents):
+        axes = _lightcone_axes(extents, np.random.default_rng(11))
+        assert np.array_equal(lightcone_evolve(axes)[0].points, ref_lightcone(axes))
+
+    def test_moutard_2d(self, rng):
+        y1, y2 = rng.standard_normal((9, 4)), rng.standard_normal((7, 4))
+        y2[0] = y1[0]
+        a = -1.0 + 0.1 * rng.standard_normal((8, 6))
+        assert np.array_equal(moutard_evolve((y1, y2), {(0, 1): a}).points, ref_moutard({(0,): y1, (1,): y2}, a))
+
+    def test_moutard_3d(self, rng):
+        y = rng.standard_normal((5, 6, 4, 4))
+        planes = {(0, 1): y[:, :, 0], (0, 2): y[:, 0, :], (1, 2): y[0, :, :]}
+        a = -1.0 + 0.1 * rng.standard_normal((4, 5, 4))
+        assert np.array_equal(moutard_evolve(planes, {(0, 1): a}).points, ref_moutard(planes, a))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("extents", [(5, 5, 5), (6, 6, 6), (3, 4, 3, 3)])
+    def test_random_koenigs_nd(self, extents, seed):
+        rng = np.random.default_rng(seed)
+        mn = generate.random_koenigs_nd(extents, rng=rng)[2]
+        y, ref_rng = ref_random_koenigs_nd(extents, seed)
+        assert np.array_equal(mn.points, y)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("extents", [(5, 4, 6), (6, 6, 6)])
+    def test_random_qnet_3d(self, extents, seed):
+        rng = np.random.default_rng(seed)
+        net = generate.random_qnet_3d(extents, rng=rng)
+        f, ref_rng = ref_random_qnet_3d(extents, seed)
+        assert np.array_equal(net.vertices, f)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_levels_are_read_only_and_built_once_per_shape(self):
+        _levels.cache_clear()
+        levels = _levels((4, 5, 3), ((0, 1), (0, 2), (1, 2)))
+        for level in levels:
+            for arr in (level.u, level.k, level.strides, level.axes):
+                assert not arr.flags.writeable
+        assert _levels((4, 5, 3), ((0, 1), (0, 2), (1, 2))) is levels
+        assert _levels.cache_info().hits == 1
+
+    @pytest.mark.parametrize("extents, spans", [
+        ((4, 5, 3), ((0, 1), (0, 2), (1, 2))),
+        ((3, 4, 2, 3), ((0,), (1,), (2,), (3,))),
+    ])
+    def test_levels_sweep_the_hyperplanes_in_c_order(self, extents, spans):
+        # every vertex off the data has at least two positive axes, so each can move back along two
+        levels = _levels(extents, spans)
+        eye = np.eye(len(extents), dtype=int)
+        off = [u for u in product(*map(range, extents)) if not any(set(np.flatnonzero(u)) <= set(sp) for sp in spans)]
+        assert [tuple(u) for level in levels for u in level.u] == sorted(off, key=sum)
+        for level in levels:
+            assert len(set(level.u.sum(axis=1))) == 1
+            assert np.array_equal(level.k, np.ravel_multi_index(tuple(level.u.T), extents))
+            i, j = level.axes[:2]
+            assert np.all(level.u[np.arange(len(i)), i] > 0) and np.all(level.u[np.arange(len(j)), j] > 0)
+            back = np.ravel_multi_index(tuple((level.u - eye[i] - eye[j]).T), extents)
+            assert np.array_equal(level.back(i, j), back)
+
+    def test_the_cache_is_bounded(self):
+        _levels.cache_clear()
+        bound = _levels.cache_info().maxsize
+        for n in range(2, bound + 6):
+            _levels((n, 3), ((0,), (1,)))
+        assert _levels.cache_info().currsize == bound
+
+
+class TestGeneratorArguments:
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("make, extents", [
+        ("random_isothermic_2d", (5, None)), ("random_koenigs_2d", (5, None)),
+        ("random_isothermic_lightcone", (5, None)), ("random_koenigs_3d", (4, None, 4)),
+        ("random_qnet_3d", (4, None, 4)),
+    ])
+    def test_an_axis_below_two_vertices_is_invalid(self, make, extents, n):
+        with pytest.raises(InvalidValue, match="at least 2 vertices"):
+            getattr(generate, make)(tuple(n if e is None else e for e in extents), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("extents", [(3, 3), (3, 3, 3, 3)])
+    def test_qnet_3d_needs_three_extents(self, extents):
+        with pytest.raises(ValueError, match="three extents"):
+            generate.random_qnet_3d(extents)
+
+
 # --- degenerate steps -------------------------------------------------------------
 
 
-def _same_error(new, loop):
+def _same_error(new, loop, ref=None):
+    """The error of ``new``, of the class ``loop`` raises, and with the class and message of ``ref``."""
     with pytest.raises(Exception) as got:
         new()
     with pytest.raises(Exception) as want:
         loop()
     assert type(got.value) is type(want.value)
+    if ref is not None:
+        with pytest.raises(Exception) as same:
+            ref()
+        assert (type(got.value), str(got.value)) == (type(same.value), str(same.value))
     return got.value
 
 
@@ -410,12 +660,19 @@ class TestDegenerateSteps:
     @staticmethod
     def _three_leg(f1, f2, a1, a2):
         labels = EdgeLabelling((np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)))
-        return (lambda: three_leg_evolve((f1, f2), labels)), (lambda: loop_three_leg(f1, f2, labels))
+        return ((lambda: three_leg_evolve((f1, f2), labels)), (lambda: loop_three_leg(f1, f2, labels)),
+                (lambda: ref_three_leg(f1, f2, labels)))
 
     def test_equal_labels(self):
         f1, f2 = _grid_axes()
         err = _same_error(*self._three_leg(f1, f2, [1.0, 1.1, 0.9], [-1.0, 1.1, -0.9]))
         assert isinstance(err, EqualLabels) and "(2, 2)" in str(err)
+
+    def test_equal_labels_name_the_first_vertex_of_their_hyperplane(self):
+        # alpha_1 == alpha_2 at (1, 2) and at (2, 1): the error names the first in C order
+        f1, f2 = _grid_axes()
+        err = _same_error(*self._three_leg(f1, f2, [1.0, 1.1, 0.9], [1.1, 1.0, -0.9]))
+        assert isinstance(err, EqualLabels) and "(1, 2)" in str(err)
 
     def test_coincident_points(self):
         f1, f2 = _grid_axes()
@@ -437,8 +694,8 @@ class TestDegenerateSteps:
         y = y.reshape(3, 3, 5) * np.array([1.0, 2.0, 3.0])[None, :, None]
         y[1, 0], y[0, 1] = lift_to_lightcone(np.ones(3)) / 2.0, lift_to_lightcone(np.ones(3)) / 3.0  # null first diagonal
         axes = (y[:, 0], y[0, :])
-        assert isinstance(_same_error(lambda: lightcone_evolve(axes), lambda: loop_lightcone(axes)),
-                          NullDiagonalDifference)
+        assert isinstance(_same_error(lambda: lightcone_evolve(axes), lambda: loop_lightcone(axes),
+                                      lambda: ref_lightcone(axes)), NullDiagonalDifference)
 
     def test_parallel_hexahedron_lines(self):
         # y(u) = |u| v + c: every hexahedron's lines are degenerate
@@ -451,7 +708,8 @@ class TestDegenerateSteps:
             sl = [0, 0, 0, slice(None)]
             sl[i] = sl[j] = slice(None)
             y[tuple(sl)] = p
-        err = _same_error(lambda: _wavefront(planes, _hexahedron_steps), lambda: loop_hexahedra(y.copy()))
+        err = _same_error(lambda: _wavefront(planes, _hexahedron_steps), lambda: loop_hexahedra(y.copy()),
+                          lambda: ref_wavefront(planes, ref_hexahedron_steps))
         assert isinstance(err, DegenerateQuad) and "(1, 1, 1)" in str(err)
 
 
@@ -467,11 +725,19 @@ class TestRelativeGuards:
         with pytest.raises(ValueError, match="disagree"):
             three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3)])
+    def test_moutard_coefficients_must_fit_the_lattice(self, shape):
+        # the fill gathers a_01 by the flat index of each vertex, so a coefficient array of another
+        # shape than the quads' would read the wrong quad's value
+        f1, f2 = _grid_axes()
+        with pytest.raises(ValueError):
+            moutard_evolve((f1, f2), {(0, 1): np.full(shape, -1.0)})
+
     def test_non_finite_origin_fails_the_agreement_check(self):
         f1, f2 = _grid_axes()
         f2[0] = np.nan
         with pytest.raises(ValueError, match="disagree .* nan"):
-            _wavefront({(0,): f1, (1,): f2}, lambda y, u: np.zeros((len(u), 3)))
+            _wavefront({(0,): f1, (1,): f2}, lambda y, level: np.zeros((len(level.k), 3)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evolutions_reject_non_finite_data(self):
