@@ -31,12 +31,12 @@ __all__ = [
 ]
 
 
-def grid(extents, ambient_dim: int = 3, spacing: float = 1.0) -> QNet:
+def grid(extents, ambient_dim: int = 3) -> QNet:
     """Regular coordinate grid embedded in the first m coordinate planes."""
     m = len(extents)
     if ambient_dim < m:
         raise DimensionTooLow("ambient dimension below lattice dimension")
-    coords = np.meshgrid(*(spacing * np.arange(e) for e in extents), indexing="ij")
+    coords = np.meshgrid(*(np.arange(e) for e in extents), indexing="ij")
     verts = np.zeros(tuple(extents) + (ambient_dim,))
     for ax in range(m):
         verts[..., ax] = coords[ax]
@@ -259,7 +259,7 @@ def apply_moebius(net: QNet, center=None, radius: float = 1.0, shift=None, scale
     return QNet(center + radius**2 * d / norm2)
 
 
-def flip_corner_cross_ratio(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL):
+def flip_corner_cross_ratio(iso: IsothermicNet):
     """Break isothermicity while keeping the discrete-metric factorization.
 
     In the last quad (f, f_1, f_12, f_2) of a 2d net, the corner f_12 moves

@@ -73,15 +73,10 @@ class Diagonals(NamedTuple):
     q_bd: np.ndarray  # (Q,) l(M,D)/l(M,B)
 
 
-_ONE_QUAD = (  # messages(k, value) of the guards of quad_diagonals for a single quad
-    lambda k, value: "diagonals are parallel (intersection at infinity)",
-    lambda k, value: f"skew diagonals: residual {value:.3e} exceeds tolerance",
-    lambda k, value: "diagonal intersection coincides with a vertex",
-)
 _EXACT_BELOW = 1e-4
 
 
-def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE_QUAD, rho=None) -> Diagonals:
+def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, where=lambda k: "", rho=None) -> Diagonals:
     """Intersection of the diagonals AC and BD of stacked quads (Q, 4, N),
     each (A, B, C, D) in cyclic order, in float64.
 
@@ -94,8 +89,8 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
     the next: DegenerateQuad for parallel diagonals (sin^2 of their angle <=
     tol.incidence) and for skew ones (``rho``, the quads'
     :func:`quad_planarity`, computed here if None, not <= tol.incidence),
-    VertexOnDiagonal for t or s within tol.incidence of 0 or 1;
-    ``messages[g](k, value)`` words the error of guard g at quad k.
+    VertexOnDiagonal for t or s within tol.incidence of 0 or 1, each for its
+    first failing quad k, named by ``where(k)`` (:func:`_raise_first`).
     """
     abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
     unit = _unit(abcd)
@@ -109,9 +104,11 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
         (v1,), v_perp = _reject(v, e1)
         v2 = np.sqrt(_dot(v_perp, v_perp))  # v = v1 e1 + v2 e2
         (w1, w2), off = _reject(w, e1, v_perp / v2)  # off: from the line AC to the line BD
+        parallel = ~(v2 * v2 > tol.incidence * vv)
+        _raise_first([(parallel, DegenerateQuad, "diagonals are parallel (intersection at infinity)")], where)
         rho = quad_planarity(np.moveaxis(abcd, -1, 0)) if rho is None else np.ravel(rho)
-        _raise_first([(DegenerateQuad, ~(v2 * v2 > tol.incidence * vv), None),
-                      (DegenerateQuad, ~(rho <= tol.incidence), rho)], messages)
+        skew = ~(rho <= tol.incidence)
+        _raise_first([(skew, DegenerateQuad, "skew diagonals: residual {:.3e} exceeds tolerance", rho)], where)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
         # and the squared sizes of the terms each one sums
         h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
@@ -124,7 +121,7 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, messages=_ONE
         t, s = h_a / h_ac, h_b / h_bd
         near = np.minimum.reduce([np.abs(t), np.abs(h_c / h_ac), np.abs(s), np.abs(h_d / h_bd)])
         diag = Diagonals(((a + t * u + 0.5 * off) / unit).T, t, s, h_c / h_a, h_d / h_b)
-    _raise_first([(VertexOnDiagonal, near <= tol.incidence, near)], messages[2:])
+    _raise_first([(near <= tol.incidence, VertexOnDiagonal, "diagonal intersection coincides with a vertex")], where)
     return diag
 
 
@@ -239,13 +236,14 @@ def _unit(x: np.ndarray) -> float:
     return 1.0 if 2.0**-200 < big < 2.0**200 else 0.5 ** np.frexp(big)[1]
 
 
-def _raise_first(checks, messages) -> None:
-    """Raise the error of the first quad failing the first failing check,
-    ((error class, failed (Q,), values (Q,) or None), ...)."""
-    for (cls, failed, values), message in zip(checks, messages):
-        if failed.any():
-            k = int(np.argmax(failed))
-            raise cls(message(k, None if values is None else float(values[k])))
+def _raise_first(checks, where) -> None:
+    """Raise for the first element k failing one of ``checks``, ((failed (n,), error class, message, *values
+    (n,)), ...), the error of the first check k fails, worded where(k) + message.format(values at k)."""
+    failed = np.logical_or.reduce([check[0] for check in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        _, cls, message, *values = next(check for check in checks if check[0][k])
+        raise cls(where(k) + message.format(*(v[k] for v in values)))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -433,14 +431,9 @@ def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, rho=None) -> Qu
 
 
 def raise_quad_error(circles: QuadCircles, upto: int, where=lambda k: "") -> None:
-    """Raise the typed error of the first quad that fails one of the
-    predicates 1..``upto`` of ``_QUAD_ERRORS``; ``where(k)`` prefixes the
-    message with the position of quad k."""
-    failed = (circles.error > 0) & (circles.error <= upto)
-    if failed.any():
-        k = int(np.argmax(failed))
-        cls, message = _QUAD_ERRORS[int(circles.error[k])]
-        raise cls(where(k) + message.format(circles.detail[k]))
+    """Raise the typed error of the first quad that fails one of the predicates
+    1..``upto`` of ``_QUAD_ERRORS``, named by ``where(k)`` (:func:`_raise_first`)."""
+    _raise_first([(circles.error == e, *_QUAD_ERRORS[e], circles.detail) for e in range(1, upto + 1)], where)
 
 
 # --- Minkowski space R^{N+1,1} ----------------------------------------------

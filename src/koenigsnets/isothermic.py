@@ -30,6 +30,7 @@ from .geom import (
     QuadCircles,
     Tolerances,
     _plane_frames,
+    _raise_first,
     _span_fit,
     lift_to_lightcone,
     minkowski_dot,
@@ -49,7 +50,6 @@ from .qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
-    _base,
     _corners,
     _crop,
     _cubes,
@@ -57,6 +57,7 @@ from .qnet import (
     _gather_quads,
     _grid,
     _planarity,
+    _quad_at,
     _raise_first_row,
     _star,
     _wavefront,
@@ -106,18 +107,18 @@ def _pair_circles(net: QNet, i: int, j: int, tol: Tolerances) -> tuple:
     return i, j, shape, QuadCircles(*(_frozen(a) for a in qc))
 
 
-def _raise_first(circles: tuple, upto: int) -> None:
+def _raise_quad_errors(circles: tuple, upto: int) -> None:
     """Raise the error of the first quad, in axis-pair and base order, that
     fails one of the predicates 1..``upto`` of the kernel."""
     for i, j, shape, qc in circles:
-        raise_quad_error(qc, upto, lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): ")
+        raise_quad_error(qc, upto, _quad_at(shape, i, j))
 
 
 def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Per-quad concircularity residuals, one part per axis pair, each quad
     at its base; passes iff all are <= tol.incidence."""
     circles = _circles(net, tol)
-    _raise_first(circles, 3)
+    _raise_quad_errors(circles, 3)
     parts = {(i, j): (qc.residual, _grid(shape)) for i, j, shape, qc in circles}
     return CheckReport("circular", tol.incidence, parts)
 
@@ -126,7 +127,7 @@ def quad_cross_ratios(net: QNet, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Cross-ratio q(f, f_i, f_ij, f_j) of every elementary quad, keyed by
     axis pair, as arrays over the quad base grid."""
     circles = _circles(net, tol)
-    _raise_first(circles, 6)
+    _raise_quad_errors(circles, 6)
     return {(i, j): qc.cross_ratio for i, j, _, qc in circles}
 
 
@@ -138,7 +139,7 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     every vertex equals 1, a part per axis triple.  Requires a circular net.
     """
     circles = _circles(net, tol)
-    _raise_first(circles, 3)
+    _raise_quad_errors(circles, 3)
     max_circ = _worst(qc.residual for _, _, _, qc in circles)
     if not max_circ <= tol.incidence:
         raise NotCircular(f"net is not circular (max residual {max_circ:.3e})")
@@ -186,21 +187,18 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
         layer[i], layer[j] = 1, -1
         expected = np.broadcast_to(expected / labels.per_axis[j].reshape(layer), cr.shape)
         bad = np.abs(cr - expected) > tol.product * np.maximum(np.abs(cr), np.abs(expected))
-        if bad.any():
-            u = _base(bad.shape, int(np.argmax(bad)))
-            raise InconsistentCrossRatios(
-                f"quad {u} axes ({i},{j}): cross-ratio {cr[u]:.6g} != {expected[u]:.6g}"
-            )
+        _raise_first([(bad.ravel(), InconsistentCrossRatios, "cross-ratio {:.6g} != {:.6g}", cr.ravel(),
+                       expected.ravel())], _quad_at(cr.shape, i, j))
     return labels
 
 
-def recover_metric(net: QNet, base_black=None, base_white=None, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
+def recover_metric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
     """Discrete metric s from the diagonal-ratio propagation.
 
     Same integration as nu for general Koenigs nets; additionally asserts the
     labelling property of alpha_i = |f_i - f|^2 / (s s_i).
     """
-    s = integrate_nu(net, base_black, base_white, tol).nu.values
+    s = integrate_nu(net, tol=tol).nu.values
     for i in range(net.m):
         alpha = _edge_alpha(net, s, i)
         # constant across every transverse axis
@@ -217,7 +215,7 @@ def _edge_alpha(net: QNet, s: np.ndarray, i: int) -> np.ndarray:
     return (df * df).sum(axis=-1) / (_crop(s, (i,), (0,)) * _crop(s, (i,), (1,)))
 
 
-def metric_labels(net: QNet, s: VertexScalar, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
+def metric_labels(net: QNet, s: VertexScalar) -> EdgeLabelling:
     """Edge labelling alpha_i = |f_i - f|^2 / (s s_i), averaged per layer."""
     return _layer_means([_edge_alpha(net, s.values, i) for i in range(net.m)])
 
@@ -382,9 +380,8 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
     for i, j in combinations(range(len(axes_data)), 2):  # every face, those the fill did not use included
         y0, yi, _, yj = _corners(y, i, j)
         coeffs[(i, j)], null = _lightcone_coeff(y0, yj - yi, tol)
-        if null.any():
-            base = _base(null.shape, int(np.argmax(null)))
-            raise NullDiagonalDifference(f"quad base {base} (axes {i},{j}): diagonal difference is isotropic")
+        _raise_first([(null.ravel(), NullDiagonalDifference, "diagonal difference is isotropic")],
+                     _quad_at(null.shape, i, j))
     mn = MoutardNet(points=y, coeffs=coeffs)
     return mn, project_lightcone_net(mn, tol)
 

@@ -19,7 +19,7 @@ from .errors import (
     VanishingLastComponent,
     ZeroNu,
 )
-from .geom import DEFAULT_TOL, Tolerances, _length, _unit, quad_diagonals, quad_planarity, span_residual
+from .geom import DEFAULT_TOL, Tolerances, _length, _raise_first, _unit, quad_diagonals, quad_planarity, span_residual
 from .qnet import (
     CheckReport,
     QNet,
@@ -32,6 +32,7 @@ from .qnet import (
     _gather_quads,
     _grid,
     _planarity,
+    _quad_at,
     _star,
     _wavefront,
     _worst,
@@ -75,11 +76,7 @@ def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
     """Diagonal intersections of all quads in the (i, j) plane, by
     :func:`quad_diagonals`: (m, q_main, q_cross) shaped like the base grid."""
     pts, shape = _gather_quads(net, i, j)
-    diag = quad_diagonals(pts, tol, messages=(
-        lambda k, _: f"parallel diagonals at quad base {_base(shape, k)} (axes {i},{j})",
-        lambda k, _: f"skew diagonals at quad base {_base(shape, k)} (axes {i},{j})",
-        lambda k, _: f"intersection at a vertex, quad base {_base(shape, k)}",
-    ), rho=_planarity(net, i, j))
+    diag = quad_diagonals(pts, tol, _quad_at(shape, i, j), rho=_planarity(net, i, j))
     return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
 
 
@@ -380,9 +377,8 @@ class MoutardNet:
         over the last one, nu as the reciprocal last component."""
         last = self.points[..., -1]
         scale = np.abs(self.points).max()
-        if np.any(np.abs(last) <= tol.incidence * scale):
-            u = np.unravel_index(int(np.argmin(np.abs(last))), last.shape)
-            raise VanishingLastComponent(f"projected point at infinity at {u}")
+        _raise_first([((np.abs(last) <= tol.incidence * scale).ravel(), VanishingLastComponent,
+                       "projected point at infinity")], lambda k: f"vertex {_base(last.shape, k)}: ")
         f = self.points[..., :-1] / last[..., None]
         return QNet(f), VertexScalar(1.0 / last)
 
@@ -505,7 +501,7 @@ def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
     return CheckReport("koenigs_3d_geometric", tol.product, parts)
 
 
-def normalize_nu_for_limit(kd: KoenigsData, axis: int, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
+def normalize_nu_for_limit(kd: KoenigsData, axis: int) -> VertexScalar:
     """Remove the alternating sign of nu on an all-convex 2d net.
 
     Returns nu'(u) = (-1)^(u_axis) nu(u), flipped globally to be positive.

@@ -123,7 +123,7 @@ def loads(text: str) -> NetDocument:
         raise SchemaMismatch(f"schema_version {raw['schema_version']} != {SCHEMA_VERSION}")
     try:
         return _from_raw(raw)
-    except (TypeError, ValueError) as exc:  # int() or float() of a value of the wrong type
+    except (TypeError, ValueError) as exc:  # int() or float() of a value of the wrong type or form
         raise ParseError(f"malformed value: {exc}") from exc
 
 
@@ -131,8 +131,8 @@ def _from_raw(raw: dict) -> NetDocument:
     m = int(raw["m"])
     extents = tuple(int(e) for e in raw["extents"])
     ambient_dim = int(raw["ambient_dim"])
-    if len(extents) != m:
-        raise SchemaMismatch(f"{len(extents)} extents for m = {m}")
+    if len(extents) != m or min(extents, default=0) < 0:
+        raise SchemaMismatch(f"extents must be m = {m} vertex counts >= 0, not {list(extents)}")
     n_vertices = int(np.prod(extents))
     vertices = np.asarray(raw["vertices"], dtype=float)
     if vertices.size != n_vertices * ambient_dim:
@@ -159,13 +159,17 @@ def _from_raw(raw: dict) -> NetDocument:
         pts = np.asarray(blk["points"], dtype=float)
         if pts.size != n_vertices * dim:
             raise SchemaMismatch("moutard point count inconsistent with extents")
+        if not isinstance(blk.get("coeffs", {}), dict):
+            raise ParseError("moutard coeffs must be an object")
         coeffs = {}
         for key, arr in blk.get("coeffs", {}).items():
-            try:
-                i, j = (int(x) for x in key.split(","))
-            except ValueError as exc:
-                raise ParseError(f"bad coefficient key {key!r}") from exc
+            i, j = (int(x) for x in key.split(","))
+            if not 0 <= i < j < m:
+                raise SchemaMismatch(f"coefficient axes {key!r} outside 0 <= i < j < {m}")
             coeffs[(i, j)] = np.asarray(arr, dtype=float)
+            n_quads = int(np.prod([e - (ax in (i, j)) for ax, e in enumerate(extents)]))
+            if coeffs[(i, j)].size != n_quads:
+                raise SchemaMismatch(f"coefficient block {key!r} has {coeffs[(i, j)].size} values for {n_quads} quads")
         doc.moutard = {"dim": dim, "points": pts, "coeffs": coeffs}
     return doc
 

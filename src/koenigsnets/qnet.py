@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLow, InvalidValue
-from .geom import DEFAULT_TOL, Tolerances, quad_planarity
+from .geom import DEFAULT_TOL, Tolerances, _raise_first, quad_planarity
 
 __all__ = [
     "QNet",
@@ -175,6 +175,11 @@ def _base(shape: tuple, k: int) -> tuple:
     return _ints(np.unravel_index(k, shape))
 
 
+def _quad_at(shape: tuple, i: int, j: int):
+    """The locator of :func:`geom._raise_first` for the (i, j) quads over a base grid ``shape``."""
+    return lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): "
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -290,13 +295,8 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def _raise_first_row(u: np.ndarray, checks) -> None:
-    """Raise the error of the first vertex u[k] that fails one of ``checks``,
-    (failed (n,), error class, message) in the order a vertex is tested."""
-    failed = np.logical_or.reduce([bad for bad, _, _ in checks])
-    if failed.any():
-        k = int(np.argmax(failed))
-        _, cls, message = next(check for check in checks if check[0][k])
-        raise cls(f"vertex {_ints(u[k])}: {message}")
+    """:func:`geom._raise_first` of ``checks`` over the vertices u (n, m) of a fill step."""
+    _raise_first(checks, lambda k: f"vertex {_ints(u[k])}: ")
 
 
 @dataclass

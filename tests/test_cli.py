@@ -164,6 +164,14 @@ BAD_INPUT = {
                            "ZeroE0Component"),
     "three-leg-overflow": (["generate", "three-leg", "--extents", "4", "4", "--noise", "1e200"], None, 3,
                            "CollinearTriple"),
+    "negative-extents": (["check", "qnet"], ("grid", lambda raw: raw.__setitem__("extents", [-3, -3])), 2,
+                         "SchemaMismatch"),
+    "coefficients-not-an-object": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"].__setitem__(
+        "coeffs", [1])), 2, "ParseError"),
+    "short-coefficient-block": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"]["coeffs"].__setitem__(
+        "0,1", [0.5, 0.5])), 2, "SchemaMismatch"),
+    "coefficient-axes-out-of-range": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"]["coeffs"].__setitem__(
+        "0,2", [0.5] * 4)), 2, "SchemaMismatch"),
 }
 
 
@@ -180,6 +188,11 @@ class TestBadInput:
         assert cli(tmp_path, *argv, infile=infile)[0] == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error {category}: ")
+
+
+def test_degeneracy_line_names_its_vertex(tmp_path, capsys):
+    assert cli(tmp_path, "generate", "moutard", "--extents", "30", "30")[0] == 3
+    assert capsys.readouterr().err == "error VanishingLastComponent: vertex (0, 0): projected point at infinity\n"
 
 
 class TestPipelines:

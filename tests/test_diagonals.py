@@ -34,7 +34,8 @@ def longdouble_diag_data(net, i, j, tol):
     det = uu * vv - uv * uv
     bad = det <= tol.incidence * uu * vv
     if np.any(bad):
-        raise DegenerateQuad(f"parallel diagonals at quad base {bases[int(np.argmax(bad))]} (axes {i},{j})")
+        raise DegenerateQuad(f"quad base {bases[int(np.argmax(bad))]} (axes {i},{j}): diagonals are parallel "
+                             "(intersection at infinity)")
     w = b - a
     wu = (w * u).sum(axis=1)
     wv = (w * v).sum(axis=1)
@@ -46,11 +47,12 @@ def longdouble_diag_data(net, i, j, tol):
     resid = np.linalg.norm(p1 - p2, axis=1)
     bad = resid > tol.incidence * diam
     if np.any(bad):
-        raise DegenerateQuad(f"skew diagonals at quad base {bases[int(np.argmax(bad))]} (axes {i},{j})")
+        raise DegenerateQuad(f"quad base {bases[int(np.argmax(bad))]} (axes {i},{j}): skew diagonals")
     near = np.minimum(np.minimum(np.abs(t), np.abs(1 - t)), np.minimum(np.abs(s), np.abs(1 - s)))
     bad = near <= tol.incidence
     if np.any(bad):
-        raise VertexOnDiagonal(f"intersection at a vertex, quad base {bases[int(np.argmax(bad))]}")
+        raise VertexOnDiagonal(f"quad base {bases[int(np.argmax(bad))]} (axes {i},{j}): diagonal intersection "
+                               "coincides with a vertex")
     q_main = ((1.0 - t) / (-t)).reshape(shape).astype(float)
     q_cross = ((1.0 - s) / (-s)).reshape(shape).astype(float)
     return (0.5 * (p1 + p2)).reshape(shape + (net.ambient_dim,)).astype(float), q_main, q_cross
@@ -194,9 +196,8 @@ def test_guards_in_order_over_the_whole_stack():
     flat = np.concatenate([np.array([at_vertex, square]), np.zeros((2, 4, 1))], axis=2)
     with pytest.raises(DegenerateQuad, match="skew"):
         quad_diagonals(np.array([flat[0], skew]))  # skew before the vertex guard
-    messages = [lambda k, value, g=g: f"guard {g} at quad {k}" for g in range(3)]
-    with pytest.raises(VertexOnDiagonal, match="guard 2 at quad 1"):
-        quad_diagonals(np.array([square, at_vertex]), messages=messages)
+    with pytest.raises(VertexOnDiagonal, match="^at quad 1: diagonal intersection coincides with a vertex$"):
+        quad_diagonals(np.array([square, at_vertex]), where=lambda k: f"at quad {k}: ")
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
@@ -288,7 +289,7 @@ def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monke
 
 def test_nan_planarity_fails_the_guards(iso_net, monkeypatch):
     monkeypatch.setattr(qnet, "quad_planarity", lambda pts: np.full(np.shape(pts)[:-2], np.nan))
-    with pytest.raises(DegenerateQuad, match="skew diagonals at quad base"):
+    with pytest.raises(DegenerateQuad, match=r"quad base \(0, 0\) \(axes 0,1\): skew diagonals: residual nan"):
         build_q_form(QNet(iso_net.net.vertices))
     with pytest.raises(NotPlanar, match="residual nan"):
         isothermic.check_circular(QNet(iso_net.net.vertices))

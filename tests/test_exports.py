@@ -1,7 +1,8 @@
 """Export hygiene: every name a module lists in ``__all__`` exists, and the
 deleted scalar layer and report types are exported nowhere (a stale name in
 ``__all__`` only breaks a star-import); no module of the package imports a
-name it never uses or defines a private name nothing in the package reads."""
+name it never uses or defines a private name nothing in the package reads,
+and no function has a parameter its body never reads."""
 import ast
 import dataclasses
 import importlib
@@ -34,6 +35,8 @@ DELETED = (
     "_span_distances",
     # the per-level index tuples of the fills, replaced by qnet._levels and _Level.back; single-use helpers
     "_back", "_first_positive_axes", "_lightcone_fill", "_fit_moutard_coeffs",
+    # the message lambdas of quad_diagonals, replaced by one locator through geom._raise_first
+    "_ONE_QUAD",
 )
 
 
@@ -61,11 +64,15 @@ def test_deleted_names_are_gone():
 REMOVED_OPTIONS = {
     koenigsnets.koenigs.dualize_net: ("base", "check"),
     koenigsnets.isothermic.christoffel: ("base", "check"),
-    koenigsnets.isothermic.recover_metric: ("check",),
     koenigsnets.koenigs.moutard_evolve: ("lightcone",),
     koenigsnets.koenigs._integrate_one_form: ("base",),
-    koenigsnets.geom.quad_diagonals: ("scale", "guards"),
+    koenigsnets.geom.quad_diagonals: ("scale", "guards", "messages"),
     koenigsnets.qnet.VertexScalar: ("nonzero",),
+    koenigsnets.koenigs.normalize_nu_for_limit: ("tol",),
+    koenigsnets.isothermic.metric_labels: ("tol",),
+    koenigsnets.isothermic.recover_metric: ("check", "base_black", "base_white"),
+    koenigsnets.generate.flip_corner_cross_ratio: ("tol",),
+    koenigsnets.generate.grid: ("spacing",),
 }
 
 
@@ -116,3 +123,17 @@ def test_every_private_name_is_referenced():
                 if defined.startswith("_") and not defined.startswith("__") and defined not in referenced:
                     unused.append((name, defined))
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an option no caller can use
+    unread = []
+    for name, tree in TREES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                unread += [(name, fn.name, p) for p in params if p not in read]
+    assert unread == []

@@ -37,7 +37,7 @@ from koenigsnets.isothermic import (
     recover_metric,
     three_leg_evolve,
 )
-from koenigsnets.koenigs import check_closedness
+from koenigsnets.koenigs import check_closedness, integrate_nu
 from koenigsnets.qnet import EdgeLabelling, QNet, VertexScalar, _star
 
 
@@ -214,10 +214,10 @@ class TestRecoverMetric:
 
     def test_gauge_law(self, iso_net):
         # rescaling s by (lambda, mu) on the two colors divides alpha by
-        # lambda * mu
+        # lambda * mu; recover_metric integrates s as integrate_nu does
         net = iso_net.net
         s1 = recover_metric(net)
-        s2 = recover_metric(net, ((0, 0), 2.0), ((1, 0), 3.0))
+        s2 = integrate_nu(net, ((0, 0), 2.0), ((1, 0), 3.0)).nu
         l1 = metric_labels(net, s1)
         l2 = metric_labels(net, s2)
         for ax in (0, 1):

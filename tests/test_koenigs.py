@@ -362,7 +362,7 @@ class TestMoutard:
         y2 = np.array([[0, 0, 1], [0.2, 1, 1], [0, 2, 1]], dtype=float)
         mn = moutard_evolve((y1, y2), {(0, 1): np.zeros((2, 2))})
         net, _ = mn.project_homogeneous()
-        with pytest.raises(DegenerateQuad, match=r"parallel diagonals at quad base \(0, 0\)"):
+        with pytest.raises(DegenerateQuad, match=r"quad base \(0, 0\) \(axes 0,1\): diagonals are parallel"):
             build_q_form(net)
 
     def test_infinity_flagged(self):

@@ -121,6 +121,15 @@ class TestLoadErrors:
                 '"ambient_dim": 2, "vertices": [0.0, 1.0]}'
             )
 
+    @pytest.mark.parametrize("key", ["0;1", "0,1,2", "a,b"])
+    def test_bad_coefficient_key(self, key):
+        with pytest.raises(ParseError):
+            netio.loads(
+                '{"schema_version": 1, "m": 2, "extents": [2, 2], "ambient_dim": 2, '
+                '"vertices": [0, 0, 1, 0, 0, 1, 1, 1], '
+                '"moutard": {"dim": 1, "points": [1, 1, 1, 1], "coeffs": {"%s": [0.5]}}}' % key
+            )
+
     def test_bad_label_lengths(self, koenigs_net_2d):
         doc = netio.NetDocument.from_net(koenigs_net_2d)
         doc.labels = (np.ones(2), np.ones(2))
