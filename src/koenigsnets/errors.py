@@ -109,10 +109,6 @@ class ZeroEdge(DegeneracyError):
     pass
 
 
-class ZeroMetric(DegeneracyError):
-    pass
-
-
 class NullDiagonalDifference(DegeneracyError):
     """The diagonal difference is isotropic; the light-cone step is singular."""
 

@@ -23,7 +23,6 @@ from .errors import (
     ZeroE0Component,
     ZeroEdge,
     ZeroLeg,
-    ZeroMetric,
 )
 from .geom import (
     DEFAULT_TOL,
@@ -40,9 +39,10 @@ from .geom import (
 )
 from .koenigs import (
     MoutardNet,
+    _closure_report,
     _integrate_one_form,
+    _limit_signs,
     _moutard_coeffs,
-    _one_form_closure_residual,
     integrate_nu,
 )
 from .qnet import (
@@ -61,7 +61,6 @@ from .qnet import (
     _raise_first_row,
     _star,
     _wavefront,
-    _worst,
 )
 
 __all__ = [
@@ -138,11 +137,7 @@ def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     vertex; for m >= 3 the triple product over the three forward faces at
     every vertex equals 1, a part per axis triple.  Requires a circular net.
     """
-    circles = _circles(net, tol)
-    _raise_quad_errors(circles, 3)
-    max_circ = _worst(qc.residual for _, _, _, qc in circles)
-    if not max_circ <= tol.incidence:
-        raise NotCircular(f"net is not circular (max residual {max_circ:.3e})")
+    check_circular(net, tol).require(NotCircular)
     cross_ratios = quad_cross_ratios(net, tol)
     parts = {}
     if net.m == 2:
@@ -196,17 +191,23 @@ def recover_metric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
     """Discrete metric s from the diagonal-ratio propagation.
 
     Same integration as nu for general Koenigs nets; additionally asserts the
-    labelling property of alpha_i = |f_i - f|^2 / (s s_i).
+    labelling property of alpha_i = |f_i - f|^2 / (s s_i) by :func:`_layer_report`.
     """
-    s = integrate_nu(net, tol=tol).nu.values
-    for i in range(net.m):
-        alpha = _edge_alpha(net, s, i)
-        # constant across every transverse axis
-        for ax in (ax for ax in range(net.m) if ax != i):
-            spread = np.abs(alpha - alpha.take([0], axis=ax)).max()
-            if not spread <= tol.product * np.abs(alpha).max():
-                raise InconsistentCrossRatios(f"alpha_{i} is not constant along axis {ax} (spread {spread:.3e})")
-    return VertexScalar(s)
+    s = integrate_nu(net, tol=tol).nu
+    _layer_report("metric_labels", [_edge_alpha(net, s.values, i) for i in range(net.m)], tol).require(
+        InconsistentCrossRatios)
+    return s
+
+
+def _layer_report(name: str, alphas, tol: Tolerances) -> CheckReport:
+    """Labels alpha_i given on every axis-i edge (one array per axis i) against the first edge of their
+    layer: |alpha_i - alpha_i(first)| / max |alpha_i|, a part per axis i, each edge at its base."""
+    parts = {}
+    for i, alpha in enumerate(alphas):
+        first = alpha[tuple(slice(None) if ax == i else slice(1) for ax in range(alpha.ndim))]
+        res = np.abs(alpha - first) / np.maximum(np.abs(alpha).max(), 1e-300)
+        parts[i] = res.reshape(-1), _grid(res.shape)
+    return CheckReport(name, tol.product, parts)
 
 
 def _edge_alpha(net: QNet, s: np.ndarray, i: int) -> np.ndarray:
@@ -233,32 +234,25 @@ def christoffel(iso: IsothermicNet, limit_signs: bool = False, tol: Tolerances =
 
     The result carries the same cross-ratios and the metric s* = 1/s.  With
     ``limit_signs`` the continuous-limit convention is applied to the returned
-    decorations (s* made positive along axis 2, alpha_2 negated); the dual
-    surface itself is the same.
+    decorations (s* switched along axis 2 and made positive, else NotAlternating;
+    alpha_2 negated); the dual surface itself is the same.
     """
     net = iso.net
     forms = _christoffel_forms(net, iso.labels)
-    residual = _one_form_closure_residual(net, forms)
-    if not residual <= tol.product:
-        raise FormNotClosed(f"Christoffel one-form not closed: residual {residual:.3e}")
+    _closure_report("christoffel_closure", net, forms, tol).require(FormNotClosed)
     dual = _integrate_one_form(net, forms)
     s_star = 1.0 / iso.metric.values
     labels = iso.labels
     if limit_signs:
-        if net.m != 2:
-            raise DimensionTooLow("limit-sign convention is defined for m == 2")
-        idx = np.indices(s_star.shape)[1]
-        switched = np.where(idx % 2 == 0, s_star, -s_star)
-        if np.all(switched < 0):
-            switched = -switched
-        s_star = switched
+        s_star = _limit_signs(s_star, 1)
         labels = EdgeLabelling((labels.per_axis[0], -labels.per_axis[1]))
     return IsothermicNet(net=dual, labels=labels, metric=VertexScalar(s_star))
 
 
 def christoffel_form_residual(iso: IsothermicNet) -> float:
     """Closure residual of the Christoffel one-form (0 iff isothermic)."""
-    return _one_form_closure_residual(iso.net, _christoffel_forms(iso.net, iso.labels))
+    forms = _christoffel_forms(iso.net, iso.labels)
+    return _closure_report("christoffel_closure", iso.net, forms, DEFAULT_TOL).max_residual
 
 
 def _christoffel_forms(net: QNet, labels: EdgeLabelling):
@@ -323,24 +317,14 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: boo
     :func:`~koenigsnets.koenigs._moutard_coeffs` for w = 1/s.  With
     ``check``, FormNotClosed unless its Moutard residual is within
     tol.product, and InconsistentCrossRatios unless the labels
-    alpha_i = -2 <y, tau_i y> are constant across layers within tol.product.
+    alpha_i = -2 <y, tau_i y> are constant on each layer (:func:`_layer_report`).
     """
-    f = iso.net.vertices
     s = iso.metric.values
-    if np.any(s == 0.0):
-        raise ZeroMetric("metric vanishes at a vertex")
-    y = lift_to_lightcone(f) / s[..., None]
+    y = lift_to_lightcone(iso.net.vertices) / s[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / s, tol))
     if check:
-        res = mn.moutard_residual()
-        if not res <= tol.product:
-            raise FormNotClosed(f"light-cone Moutard residual {res:.3e}")
-        for i in range(iso.net.m):
-            alpha = lift_labels(mn, i)
-            layered = np.moveaxis(alpha, i, 0).reshape(alpha.shape[i], -1)
-            spread = np.abs(layered - layered[:, :1]).max()
-            if not spread <= tol.product * np.abs(alpha).max():
-                raise InconsistentCrossRatios(f"-2<y, tau_{i} y> not constant across layers")
+        mn._moutard_report(tol).require(FormNotClosed)
+        _layer_report("lift_labels", [lift_labels(mn, i) for i in range(mn.m)], tol).require(InconsistentCrossRatios)
     return mn
 
 

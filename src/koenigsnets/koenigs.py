@@ -24,7 +24,6 @@ from .qnet import (
     CheckReport,
     QNet,
     VertexScalar,
-    _base,
     _corners,
     _crop,
     _cubes,
@@ -34,6 +33,7 @@ from .qnet import (
     _planarity,
     _quad_at,
     _star,
+    _vertex_at,
     _wavefront,
     _worst,
 )
@@ -198,22 +198,24 @@ def integrate_nu(
                 nu[nxt][0] = nu[at][1] * qc[at][0]  # nu(u + e_k) = nu(u + e_0) q(u + e_0 -> u + e_k)
         black = np.indices(net.extents).sum(axis=0) % 2 == 0
         nu *= np.where(black, base_black[1] / nu[tuple(base_black[0])], base_white[1] / nu[tuple(base_white[0])])
-    if not np.all(np.isfinite(nu) & (nu != 0.0)):
-        raise NotKoenigs("nu propagation leaves the finite nonzero numbers")
-    residual = _nu_residual(net, form, nu)
-    if check and not residual <= tol.product:
-        raise NotKoenigs(f"nu propagation inconsistent: residual {residual:.3e}")
-    return KoenigsData(nu=VertexScalar(nu), closedness_residual=residual)
+    _raise_first([(~(np.isfinite(nu) & (nu != 0.0)).ravel(), NotKoenigs,
+                   "nu propagation leaves the finite nonzero numbers")], _vertex_at(nu.shape))
+    report = _nu_report(net, form, nu, tol)
+    if check:
+        report.require(NotKoenigs)
+    return KoenigsData(nu=VertexScalar(nu), closedness_residual=report.max_residual)
 
 
-def _nu_residual(net: QNet, form: DiagonalForm, nu: np.ndarray) -> float:
-    """Max relative violation of the two diagonal relations over all quads."""
-    residuals = []
+def _nu_report(net: QNet, form: DiagonalForm, nu: np.ndarray, tol: Tolerances) -> CheckReport:
+    """Relative violations of the diagonal relations, each quad at its base: parts ("main", (i, j)) of
+    nu_ij / nu = q(f -> f_ij) and ("cross", (i, j)) of nu_j / nu_i = q(f_i -> f_j)."""
+    parts = {}
     for i, j in combinations(range(net.m), 2):
         qm, qc = form.q_main[(i, j)], form.q_cross[(i, j)]
         n, n_i, n_ij, n_j = _corners(nu, i, j)
-        residuals += [np.abs(n_ij / n - qm) / np.abs(qm), np.abs(n_j / n_i - qc) / np.abs(qc)]
-    return _worst(residuals)
+        parts[("main", (i, j))] = (np.abs(n_ij / n - qm) / np.abs(qm)).reshape(-1), _grid(qm.shape)
+        parts[("cross", (i, j))] = (np.abs(n_j / n_i - qc) / np.abs(qc)).reshape(-1), _grid(qc.shape)
+    return CheckReport("nu_relations", tol.product, parts)
 
 
 # --- dual quadrilaterals and dual nets ---------------------------------------
@@ -257,19 +259,14 @@ def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QN
     tol.product (a NaN residual does not).  The path-independence residual
     is available via :func:`dual_form_residual`.
     """
-    nu = kd.nu.values
-    if np.any(nu == 0.0):
-        raise ZeroNu("nu vanishes at a vertex")
-    forms = _dual_edge_forms(net, nu)
-    residual = _one_form_closure_residual(net, forms)
-    if not residual <= tol.product:
-        raise NotKoenigs(f"dual one-form not closed: residual {residual:.3e}")
+    forms = _dual_edge_forms(net, kd.nu.values)
+    _closure_report("dual_closure", net, forms, tol).require(NotKoenigs)
     return _integrate_one_form(net, forms)
 
 
 def dual_form_residual(net: QNet, kd: KoenigsData) -> float:
     """Path-independence residual of the dual one-form (0 for Koenigs nets)."""
-    return _one_form_closure_residual(net, _dual_edge_forms(net, kd.nu.values))
+    return _closure_report("dual_closure", net, _dual_edge_forms(net, kd.nu.values), DEFAULT_TOL).max_residual
 
 
 def _dual_edge_forms(net: QNet, nu: np.ndarray):
@@ -279,16 +276,17 @@ def _dual_edge_forms(net: QNet, nu: np.ndarray):
                 for i in range(net.m)}
 
 
-def _one_form_closure_residual(net: QNet, forms) -> float:
-    """Max relative closure defect of an R^N-valued edge one-form over
-    quads, NaN where the form is not finite."""
-    residuals, unit = [], min(_unit(g) for g in forms.values())
+def _closure_report(name: str, net: QNet, forms, tol: Tolerances) -> CheckReport:
+    """Relative closure defects of an R^N-valued edge one-form, a part per
+    axis pair, each quad at its base, NaN where the form is not finite."""
+    parts, unit = {}, min(_unit(g) for g in forms.values())
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and inf / inf read NaN
         for i, j in combinations(range(net.m), 2):
             gi_lo, gi_hi = _crop(forms[i], (j,), (0,)), _crop(forms[i], (j,), (1,))
             gj_lo, gj_hi = _crop(forms[j], (i,), (0,)), _crop(forms[j], (i,), (1,))
-            residuals.append(_relative_defect(unit, gi_lo + gj_hi - gj_lo - gi_hi, gi_lo, gi_hi, gj_lo, gj_hi))
-    return _worst(residuals)
+            res = _relative_defect(unit, gi_lo + gj_hi - gj_lo - gi_hi, gi_lo, gi_hi, gj_lo, gj_hi)
+            parts[(i, j)] = res.reshape(-1), _grid(res.shape)
+    return CheckReport(name, tol.product, parts)
 
 
 def _relative_defect(unit: float, defect: np.ndarray, *terms) -> np.ndarray:
@@ -364,13 +362,18 @@ class MoutardNet:
         """Max relative defect of the minus-sign Moutard equation over all
         quads (for m >= 3 this includes the cross-face consistency), NaN if a
         coefficient or point is NaN."""
-        residuals, unit = [], _unit(self.points)
+        return self._moutard_report(DEFAULT_TOL).max_residual
+
+    def _moutard_report(self, tol: Tolerances) -> CheckReport:
+        """The relative defects of :meth:`moutard_residual`, a part per axis pair, each quad at its base."""
+        parts, unit = {}, _unit(self.points)
         for (i, j), a in self.coeffs.items():
             y, yi, yij, yj = _corners(self.points, i, j)
             lhs = yij - y
             rhs = a[..., None] * (yj - yi)
-            residuals.append(_relative_defect(unit, lhs - rhs, lhs, rhs, y))
-        return _worst(residuals)
+            res = _relative_defect(unit, lhs - rhs, lhs, rhs, y)
+            parts[(i, j)] = res.reshape(-1), _grid(res.shape)
+        return CheckReport("moutard", tol.product, parts)
 
     def project_homogeneous(self, tol: Tolerances = DEFAULT_TOL):
         """Inverse of the homogeneous lift: f from the first N components
@@ -378,7 +381,7 @@ class MoutardNet:
         last = self.points[..., -1]
         scale = np.abs(self.points).max()
         _raise_first([((np.abs(last) <= tol.incidence * scale).ravel(), VanishingLastComponent,
-                       "projected point at infinity")], lambda k: f"vertex {_base(last.shape, k)}: ")
+                       "projected point at infinity")], _vertex_at(last.shape))
         f = self.points[..., :-1] / last[..., None]
         return QNet(f), VertexScalar(1.0 / last)
 
@@ -388,28 +391,23 @@ def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL, chec
     :func:`_moutard_coeffs`; with ``check``, NotKoenigs unless its Moutard
     residual is within tol.product."""
     nu = kd.nu.values
-    if np.any(nu == 0.0):
-        raise ZeroNu("nu vanishes at a vertex")
     y = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / nu, tol))
     if check:
-        res = mn.moutard_residual()
-        if not res <= tol.product:
-            raise NotKoenigs(f"Moutard residual {res:.3e} exceeds tolerance")
+        mn._moutard_report(tol).require(NotKoenigs)
     return mn
 
 
 def _moutard_coeffs(w: np.ndarray, tol: Tolerances) -> dict:
-    """The coefficients a_ij = (w_ij - w) / (w_j - w_i) of every quad, by
-    axis pair over its base grid, of a Moutard net whose last homogeneous
-    (or e_0) component is w.  EqualNuOnWhiteDiagonal if some
-    |w_j - w_i| <= tol.incidence (|w_i| + |w_j|)."""
+    """The coefficients a_ij = (w_ij - w) / (w_j - w_i) of every quad, by axis pair over its base grid, of a
+    Moutard net whose last homogeneous (or e_0) component is w; EqualNuOnWhiteDiagonal at the first quad
+    with |w_j - w_i| <= tol.incidence (|w_i| + |w_j|)."""
     coeffs = {}
     for i, j in combinations(range(w.ndim), 2):
         w0, wi, wij, wj = _corners(w, i, j)
         denom = wj - wi
-        if np.any(np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))):
-            raise EqualNuOnWhiteDiagonal("nu_i == nu_j on a quad; Moutard coefficient singular")
+        _raise_first([((np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))).ravel(), EqualNuOnWhiteDiagonal,
+                       "nu_i == nu_j: Moutard coefficient singular")], _quad_at(denom.shape, i, j))
         coeffs[(i, j)] = (wij - w0) / denom
     return coeffs
 
@@ -508,18 +506,26 @@ def normalize_nu_for_limit(kd: KoenigsData, axis: int) -> VertexScalar:
     Raises NotAlternating when the sign pattern of nu is inconsistent with
     the convexity assumption.
     """
-    nu = kd.nu.values
-    if nu.ndim != 2:
-        raise DimensionTooLow("sign normalization is defined for m == 2")
+    return VertexScalar(_limit_signs(kd.nu.values, axis))
+
+
+def _alternating(shape: tuple, axis: int) -> np.ndarray:
+    """(-1)^(u_axis) at every vertex u of a 2d lattice array ``shape``."""
+    if len(shape) != 2:
+        raise DimensionTooLow("the switched convention is defined for m == 2")
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    idx = np.indices(nu.shape)[axis]
-    switched = np.where(idx % 2 == 0, nu, -nu)
-    if np.all(switched > 0):
-        return VertexScalar(switched)
-    if np.all(switched < 0):
-        return VertexScalar(-switched)
-    raise NotAlternating("sign of nu does not alternate along the chosen axis")
+    return np.where(np.indices(shape)[axis] % 2 == 0, 1.0, -1.0)
+
+
+def _limit_signs(values: np.ndarray, axis: int) -> np.ndarray:
+    """(-1)^(u_axis) values(u), flipped globally to be positive; NotAlternating
+    at the first vertex where its sign differs from that at the origin."""
+    switched = _alternating(values.shape, axis) * values
+    positive = switched > 0
+    _raise_first([((positive != positive.flat[0]).ravel(), NotAlternating,
+                   f"sign does not alternate along axis {axis}")], _vertex_at(values.shape))
+    return switched if positive.flat[0] else -switched
 
 
 def switched_laplace_residual(net: QNet, nu_prime: VertexScalar) -> float:
@@ -543,10 +549,7 @@ def switched_moutard_residual(mn: MoutardNet, axis: int) -> float:
     """Max relative defect of the plus-sign Moutard equation
     tau_1 tau_2 y' + y' = a'(tau_1 y' + tau_2 y') for the switched lift
     y'(u) = (-1)^(u_axis) y(u); a' = -a for axis 0 and +a for axis 1."""
-    if mn.m != 2:
-        raise DimensionTooLow("the switched convention is defined for m == 2")
-    idx = np.indices(mn.extents)[axis]
-    y = np.where((idx % 2 == 0)[..., None], mn.points, -mn.points)
+    y = _alternating(mn.extents, axis)[..., None] * mn.points
     a = -mn.coeffs[(0, 1)] if axis == 0 else mn.coeffs[(0, 1)]
     y0, y1, y12, y2 = _corners(y, 0, 1)
     lhs = y12 + y0

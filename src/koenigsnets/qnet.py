@@ -128,6 +128,13 @@ class CheckReport:
             out += [(key, _ints(at[n]), float(res[n])) for n in np.flatnonzero(~(res <= self.tol))[:k - len(out)]]
         return out
 
+    def require(self, cls):
+        """This report if it passed, else ``cls`` raised naming its counts, its worst residual and where."""
+        if not self.passed:
+            raise cls(f"{self.name}: {self.n_failed} of {self.n_checked} fail, max residual {self.max_residual:.3e} "
+                      f"at {self.worst_at} exceeds {self.tol:.0e}")
+        return self
+
     def summary(self) -> dict:
         """passed, max_residual, n_checked, n_failed and worst_at, as JSON values."""
         return {"passed": self.passed, "max_residual": self.max_residual, "n_checked": self.n_checked,
@@ -152,10 +159,11 @@ def _planarity(net: QNet, i: int, j: int) -> np.ndarray:
     return net._memo(("planarity", i, j), build)
 
 
+@lru_cache(maxsize=16)
 def _grid(shape: tuple, origin: int = 0) -> np.ndarray:
-    """The lattice indices (n, d) of the cells of a grid ``shape`` in C
-    order, cell 0 at ``origin`` (1 for interior vertices)."""
-    return np.indices(shape).reshape(len(shape), -1).T + origin
+    """The lattice indices (n, d) of the cells of a grid ``shape`` in C order, cell 0 at ``origin``
+    (1 for interior vertices), read-only, built once per shape and origin and shared by every report."""
+    return _frozen(np.indices(shape).reshape(len(shape), -1).T + origin)
 
 
 def _ints(u) -> tuple:
@@ -178,6 +186,11 @@ def _base(shape: tuple, k: int) -> tuple:
 def _quad_at(shape: tuple, i: int, j: int):
     """The locator of :func:`geom._raise_first` for the (i, j) quads over a base grid ``shape``."""
     return lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): "
+
+
+def _vertex_at(shape: tuple):
+    """The locator of :func:`geom._raise_first` for the vertices of a lattice array ``shape``."""
+    return lambda k: f"vertex {_base(shape, k)}: "
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -203,8 +216,7 @@ def _corners(arr, i: int, j: int) -> tuple:
 
 def _worst(residuals) -> float:
     """The largest value in an iterable of residual arrays, NaN if one is
-    NaN, 0.0 if there are none.  A stage gate passes iff ``residual <= tol``,
-    so a NaN residual fails it as it fails a check."""
+    NaN (which fails ``worst <= tol``), 0.0 if there are none."""
     return float(np.max([res.max(initial=0.0) for res in residuals], initial=0.0))
 
 
@@ -299,14 +311,14 @@ def _raise_first_row(u: np.ndarray, checks) -> None:
     _raise_first(checks, lambda k: f"vertex {_ints(u[k])}: ")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexScalar:
-    """Nonzero real-valued function on the vertices of a net."""
+    """Nonzero real-valued function on the vertices of a net; keeps a read-only copy of ``values``."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", _frozen(np.array(self.values, dtype=float)))
         if not np.all(np.isfinite(self.values)):
             raise InvalidValue("vertex scalars must be finite")
         if np.any(self.values == 0.0):

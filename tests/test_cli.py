@@ -195,6 +195,19 @@ def test_degeneracy_line_names_its_vertex(tmp_path, capsys):
     assert capsys.readouterr().err == "error VanishingLastComponent: vertex (0, 0): projected point at infinity\n"
 
 
+def test_limit_signs_on_a_metric_that_does_not_alternate(tmp_path, capsys):
+    # s = 1 everywhere: s* does not alternate along axis 2, so no sign switch makes it positive
+    from koenigsnets import generate
+
+    iso = generate.random_isothermic_2d((6, 6), rng=1)
+    net = tmp_path / "net.json"
+    netio.save(netio.NetDocument.from_net(iso.net, s=np.ones(36), labels=iso.labels.per_axis), net)
+    assert cli(tmp_path, "christoffel", infile=net)[0] == 0
+    capsys.readouterr()
+    assert cli(tmp_path, "christoffel", "--limit-signs", infile=net)[0] == 1
+    assert capsys.readouterr().err == "error NotAlternating: vertex (0, 1): sign does not alternate along axis 1\n"
+
+
 class TestPipelines:
     def test_dualize(self, tmp_path):
         _, net = cli(tmp_path, "generate", "moutard", "--extents", "6", "6",

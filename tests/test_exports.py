@@ -2,8 +2,10 @@
 deleted scalar layer and report types are exported nowhere (a stale name in
 ``__all__`` only breaks a star-import); no module of the package imports a
 name it never uses or defines a private name nothing in the package reads,
-and no function has a parameter its body never reads."""
+no function has a parameter its body never reads, and every check failure
+leaves through one of two raise sites."""
 import ast
+import builtins
 import dataclasses
 import importlib
 import inspect
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import koenigsnets
+from koenigsnets import errors
+from koenigsnets.errors import CheckFailure
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(koenigsnets.__path__) if m.name != "__main__")
 
@@ -37,6 +41,9 @@ DELETED = (
     "_back", "_first_positive_axes", "_lightcone_fill", "_fit_moutard_coeffs",
     # the message lambdas of quad_diagonals, replaced by one locator through geom._raise_first
     "_ONE_QUAD",
+    # the residual reducers of the stage gates, replaced by reports that fail through CheckReport.require;
+    # the error of the metric's zero guard, which VertexScalar makes unreachable
+    "_nu_residual", "_one_form_closure_residual", "ZeroMetric",
 )
 
 
@@ -137,3 +144,31 @@ def test_every_parameter_is_read():
                         and isinstance(n.ctx, ast.Load)}
                 unread += [(name, fn.name, p) for p in params if p not in read]
     assert unread == []
+
+
+def _raises(tree):
+    """(innermost enclosing function, raise node) of every ``raise`` in a module tree."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                yield fn, child
+            yield from visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    return visit(tree, None)
+
+
+def test_check_failures_leave_through_require_or_raise_first():
+    # a verdict fails through CheckReport.require, naming its worst element, or, for a guard, through
+    # geom._raise_first, naming the first failing element; no raise builds a CheckFailure by name
+    failures = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, CheckFailure)}
+    by_name, generic = [], set()
+    for name, tree in TREES.items():
+        for fn, node in _raises(tree):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in failures:
+                by_name.append((name, node.lineno, exc.id))
+            elif isinstance(node.exc, ast.Call) and isinstance(exc, ast.Name) and not hasattr(builtins, exc.id) \
+                    and not hasattr(errors, exc.id):
+                generic.add((name, fn))  # a class held in a variable
+    assert by_name == []
+    assert generic == {("geom.py", "_raise_first"), ("qnet.py", "require")}

@@ -1,0 +1,207 @@
+"""One verdict path: every pipeline stage gate builds a CheckReport and fails
+through CheckReport.require, whose one message names the report, its counts,
+its largest residual and the element that holds it; the float residuals of
+the stages are their reports' max_residual."""
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from koenigsnets import generate, isothermic, koenigs
+from koenigsnets.errors import FormNotClosed, InconsistentCrossRatios, NotCircular, NotKoenigs
+from koenigsnets.geom import DEFAULT_TOL
+from koenigsnets.isothermic import IsothermicNet
+from koenigsnets.qnet import CheckReport, EdgeLabelling, VertexScalar
+
+
+class TestRequire:
+    AT = np.array([[0, 0], [0, 1], [1, 0]])
+
+    def test_passing_report_is_returned(self):
+        rep = CheckReport("demo", 1e-8, {(0, 1): (np.array([0.0, 1e-9, 1e-8]), self.AT)})
+        assert rep.require(NotKoenigs) is rep
+
+    def test_message_names_counts_worst_residual_and_element(self):
+        rep = CheckReport("demo", 1e-8, {(0, 1): (np.array([0.0, 5e-8, 2e-8]), self.AT),
+                                         (0, 2): (np.array([5e-8]), np.array([[3, 4]]))})
+        with pytest.raises(FormNotClosed) as err:
+            rep.require(FormNotClosed)
+        assert str(err.value) == "demo: 3 of 4 fail, max residual 5.000e-08 at ((0, 1), (0, 1)) exceeds 1e-08"
+
+    def test_nan_fails_and_is_named(self):
+        rep = CheckReport("demo", 1e-8, {"part": (np.array([0.0, np.nan, 1.0]), self.AT)})
+        with pytest.raises(NotCircular, match=re.escape("demo: 2 of 3 fail, max residual nan at ('part', (0, 1))")):
+            rep.require(NotCircular)
+
+
+def _k2():
+    return generate.random_koenigs_2d((8, 9), rng=np.random.default_rng(101))
+
+
+def _iso():
+    return generate.random_isothermic_2d((6, 6), rng=np.random.default_rng(103))
+
+
+def _perturbed(seed):
+    return generate.perturb_in_plane(_k2(), rng=np.random.default_rng(seed))
+
+
+def _nu_gate(mp):
+    net = _perturbed(6)  # tests/test_koenigs.py::test_non_koenigs_rejected
+    nu = koenigs.integrate_nu(net, check=False).nu.values
+    return (lambda: koenigs.integrate_nu(net),
+            lambda: koenigs._nu_report(net, koenigs.build_q_form(net), nu, DEFAULT_TOL))
+
+
+def _dual_gate(mp):
+    net = _perturbed(7)  # tests/test_koenigs.py::test_closure_fails_on_non_koenigs
+    kd = koenigs.integrate_nu(net, check=False)
+    forms = koenigs._dual_edge_forms(net, kd.nu.values)
+    return (lambda: koenigs.dualize_net(net, kd),
+            lambda: koenigs._closure_report("dual_closure", net, forms, DEFAULT_TOL))
+
+
+def _moutard_gate(mp):
+    net = _perturbed(7)
+    kd = koenigs.integrate_nu(net, check=False)
+    return (lambda: koenigs.moutard_lift(net, kd),
+            lambda: koenigs.moutard_lift(net, kd, check=False)._moutard_report(DEFAULT_TOL))
+
+
+def _christoffel_gate(mp):
+    iso = _iso()  # tests/test_isothermic.py::test_wrong_labels_not_closed
+    a1, a2 = iso.labels.per_axis
+    wrong = IsothermicNet(iso.net, EdgeLabelling((a1 + 0.5, a2)), iso.metric)
+    forms = isothermic._christoffel_forms(wrong.net, wrong.labels)
+    return (lambda: isothermic.christoffel(wrong),
+            lambda: koenigs._closure_report("christoffel_closure", wrong.net, forms, DEFAULT_TOL))
+
+
+def _lightcone_moutard_gate(mp):
+    net, s = generate.flip_corner_cross_ratio(_iso())  # tests/test_isothermic.py::test_non_isothermic_rejected
+    bad = IsothermicNet(net, EdgeLabelling((np.ones(5), -np.ones(5))), s)
+    return (lambda: isothermic.lightcone_lift(bad),
+            lambda: isothermic.lightcone_lift(bad, check=False)._moutard_report(DEFAULT_TOL))
+
+
+def _lightcone_labels_gate(mp):
+    # a valid lift whose axis-1 labels are made to differ on one edge of layer 2
+    iso = _iso()
+    labels = isothermic.lift_labels
+
+    def moved(mn, axis):
+        alpha = labels(mn, axis)
+        if axis == 1:
+            alpha = alpha.copy()
+            alpha[3, 2] *= 1.0 + 1e-6
+        return alpha
+
+    mp.setattr(isothermic, "lift_labels", moved)
+    mn = isothermic.lightcone_lift(iso, check=False)
+    return (lambda: isothermic.lightcone_lift(iso),
+            lambda: isothermic._layer_report("lift_labels", [moved(mn, i) for i in range(2)], DEFAULT_TOL))
+
+
+def _metric_gate(mp):
+    net = _k2()  # a Koenigs net that is not isothermic: nu exists, its labels are not constant on layers
+    s = koenigs.integrate_nu(net).nu.values
+    return (lambda: isothermic.recover_metric(net),
+            lambda: isothermic._layer_report("metric_labels", [isothermic._edge_alpha(net, s, i) for i in range(2)],
+                                             DEFAULT_TOL))
+
+
+def _circular_gate(mp):
+    net = _k2()  # tests/test_isothermic.py::test_rejects_non_circular
+    return lambda: isothermic.check_isothermic(net), lambda: isothermic.check_circular(net)
+
+
+# the gate's negative control (with pytest's monkeypatch), its error class at the parent, and its report name
+GATES = {
+    "integrate_nu": (_nu_gate, NotKoenigs, "nu_relations"),
+    "dualize_net": (_dual_gate, NotKoenigs, "dual_closure"),
+    "moutard_lift": (_moutard_gate, NotKoenigs, "moutard"),
+    "christoffel": (_christoffel_gate, FormNotClosed, "christoffel_closure"),
+    "lightcone_lift moutard": (_lightcone_moutard_gate, FormNotClosed, "moutard"),
+    "lightcone_lift labels": (_lightcone_labels_gate, InconsistentCrossRatios, "lift_labels"),
+    "recover_metric": (_metric_gate, InconsistentCrossRatios, "metric_labels"),
+    "check_isothermic circularity": (_circular_gate, NotCircular, "circular"),
+}
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_every_gate_fails_through_its_report(gate, monkeypatch):
+    control, cls, name = GATES[gate]
+    run, report = control(monkeypatch)
+    with pytest.raises(cls) as err:
+        run()
+    message = str(err.value)
+    rep = report()
+    found = re.fullmatch(name + r": (\d+) of (\d+) fail, max residual (\S+) at (.+) exceeds (\S+)", message)
+    assert found, message
+    assert "np." not in message
+    assert not rep.passed and rep.name == name
+    assert (int(found[1]), int(found[2])) == (rep.n_failed, rep.n_checked)
+    assert found[3] == f"{rep.max_residual:.3e}" and found[5] == f"{rep.tol:.0e}"
+    assert found[4] == str(rep.worst_at)
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("seed", [None, 6, 7])
+def test_float_residuals_are_their_reports_maxima(seed):
+    net = _k2() if seed is None else _perturbed(seed)
+    kd = koenigs.integrate_nu(net, check=False)
+    nu_report = koenigs._nu_report(net, koenigs.build_q_form(net), kd.nu.values, DEFAULT_TOL)
+    assert _same(kd.closedness_residual, nu_report.max_residual)
+    dual = koenigs._closure_report("dual_closure", net, koenigs._dual_edge_forms(net, kd.nu.values), DEFAULT_TOL)
+    assert _same(koenigs.dual_form_residual(net, kd), dual.max_residual)
+    mn = koenigs.moutard_lift(net, kd, check=False)
+    assert _same(mn.moutard_residual(), mn._moutard_report(DEFAULT_TOL).max_residual)
+    # and each maximum is the largest of its part's residuals, NaN included
+    assert _same(dual.max_residual, float(np.max(np.concatenate([res for res, _ in dual.parts.values()]))))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_christoffel_residual_is_its_reports_maximum(shift):
+    iso = _iso()
+    a1, a2 = iso.labels.per_axis
+    iso = IsothermicNet(iso.net, EdgeLabelling((a1 + shift, a2)), iso.metric)
+    forms = isothermic._christoffel_forms(iso.net, iso.labels)
+    rep = koenigs._closure_report("christoffel_closure", iso.net, forms, DEFAULT_TOL)
+    assert _same(isothermic.christoffel_form_residual(iso), rep.max_residual)
+    assert rep.passed == (shift == 0.0)
+
+
+def test_layer_report_holds_each_edge_against_the_first_of_its_layer():
+    # axis-0 labels on a 2 x 2 x 2 block of edges: layer 1 differs from its first edge only at (1, 1, 1),
+    # by 0.5 of the largest label 2.5; each transverse axis alone would see a spread there too
+    alpha = np.ones((2, 2, 2))
+    alpha[1] = 2.0
+    alpha[1, 1, 1] = 2.5
+    rep = isothermic._layer_report("labels", [alpha], DEFAULT_TOL)
+    res, at = rep.parts[0]
+    assert res.tolist() == [0.0] * 7 + [0.2]
+    assert at.tolist() == np.argwhere(np.ones((2, 2, 2))).tolist()
+    assert rep.worst_at == (0, (1, 1, 1)) and rep.n_failed == 1
+
+
+def test_report_indices_are_shared_and_read_only():
+    net = _k2()
+    rep = koenigs._nu_report(net, koenigs.build_q_form(net), koenigs.integrate_nu(net).nu.values, DEFAULT_TOL)
+    (_, main), (_, cross) = rep.parts.values()
+    assert main is cross and not main.flags.writeable
+
+
+def test_vertex_scalar_keeps_a_read_only_copy():
+    values = np.array([[1.0, -2.0], [3.0, 4.0]])
+    s = VertexScalar(values)
+    assert not s.values.flags.writeable and values.flags.writeable
+    values[0, 0] = 0.0  # the caller's array stays its own
+    assert s.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.values[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = np.zeros((2, 2))

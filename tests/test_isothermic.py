@@ -12,6 +12,7 @@ from koenigsnets.errors import (
     EqualLabels,
     FormNotClosed,
     InconsistentCrossRatios,
+    NotAlternating,
     NotCircular,
     NotConcircular,
     NotPlanar,
@@ -37,7 +38,7 @@ from koenigsnets.isothermic import (
     recover_metric,
     three_leg_evolve,
 )
-from koenigsnets.koenigs import check_closedness, integrate_nu
+from koenigsnets.koenigs import KoenigsData, check_closedness, integrate_nu, normalize_nu_for_limit
 from koenigsnets.qnet import EdgeLabelling, QNet, VertexScalar, _star
 
 
@@ -275,6 +276,16 @@ class TestChristoffel:
         assert np.all(dual.metric.values > 0)
         assert np.allclose(dual.labels.per_axis[0], iso_net.labels.per_axis[0])
         assert np.allclose(dual.labels.per_axis[1], -iso_net.labels.per_axis[1])
+
+    def test_limit_signs_need_an_alternating_metric(self):
+        # s* = 1 keeps its sign along axis 2: the switch leaves mixed signs, as nu' does in normalize_nu_for_limit
+        iso = generate.random_isothermic_2d((6, 6), rng=1)
+        const = IsothermicNet(iso.net, iso.labels, VertexScalar(np.ones((6, 6))))
+        assert np.all(christoffel(const).metric.values == 1.0)
+        with pytest.raises(NotAlternating, match=r"^vertex \(0, 1\): "):
+            christoffel(const, limit_signs=True)
+        with pytest.raises(NotAlternating, match=r"^vertex \(0, 1\): "):
+            normalize_nu_for_limit(KoenigsData(nu=const.metric, closedness_residual=0.0), 1)
 
     def test_limit_signs_need_2d(self, iso_lightcone_3d):
         _, iso = iso_lightcone_3d

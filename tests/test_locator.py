@@ -12,8 +12,11 @@ from koenigsnets.errors import (
     CoincidentPoints,
     DegenerateQuad,
     EqualLabels,
+    EqualNuOnWhiteDiagonal,
     InconsistentCrossRatios,
+    NotAlternating,
     NotConcircular,
+    NotKoenigs,
     NotPlanar,
     NullDiagonalDifference,
     VanishingLastComponent,
@@ -21,7 +24,7 @@ from koenigsnets.errors import (
     ZeroLeg,
 )
 from koenigsnets.geom import _raise_first
-from koenigsnets.qnet import EdgeLabelling, QNet
+from koenigsnets.qnet import EdgeLabelling, QNet, VertexScalar
 
 
 class TestRaiseFirst:
@@ -93,6 +96,27 @@ def _flipped_labels():
     isothermic.recover_labels(generate.flip_corner_cross_ratio(iso)[0])
 
 
+def _equal_nu_on_a_white_diagonal():
+    iso = generate.random_isothermic_2d((6, 6), rng=np.random.default_rng(103))
+    s = iso.metric.values.copy()
+    s[2, 1] = s[1, 2]
+    isothermic.lightcone_lift(isothermic.IsothermicNet(iso.net, iso.labels, VertexScalar(s)))
+
+
+def _overflowing_nu(monkeypatch):
+    """integrate_nu on a closed form whose products overflow along the diagonals."""
+    big = np.full((4, 4), 1e200)
+    form = koenigs.DiagonalForm(q_main={(0, 1): big}, q_cross={(0, 1): big}, m_points={})
+    monkeypatch.setattr(koenigs, "build_q_form", lambda net, tol: form)
+    koenigs.integrate_nu(generate.grid((5, 5)))
+
+
+def _constant_metric_limit_signs():
+    iso = generate.random_isothermic_2d((6, 6), rng=np.random.default_rng(1))
+    isothermic.christoffel(isothermic.IsothermicNet(iso.net, iso.labels, VertexScalar(np.ones((6, 6)))),
+                           limit_signs=True)
+
+
 NUMBER = r"[0-9.e+-]+"
 
 # the guard, run with pytest's monkeypatch, then its error class and message
@@ -122,6 +146,12 @@ GUARDS = {
                   re.escape("vertex (2, 2): alpha_i == alpha_j: fourth vertex at infinity")),
     "projection": (lambda mp: _vanishing_last_component(), VanishingLastComponent,
                    re.escape("vertex (1, 1): projected point at infinity")),
+    "Moutard coefficients": (lambda mp: _equal_nu_on_a_white_diagonal(), EqualNuOnWhiteDiagonal,
+                             re.escape("quad base (1, 1) (axes 0,1): nu_i == nu_j: Moutard coefficient singular")),
+    "non-finite nu": (_overflowing_nu, NotKoenigs,
+                      re.escape("vertex (0, 2): nu propagation leaves the finite nonzero numbers")),
+    "limit signs": (lambda mp: _constant_metric_limit_signs(), NotAlternating,
+                    re.escape("vertex (0, 1): sign does not alternate along axis 1")),
 }
 
 
