@@ -7,11 +7,12 @@ shows Moebius invariance of the whole picture.
 import numpy as np
 
 from koenigsnets import generate
+from koenigsnets.geom import minkowski_dot
 from koenigsnets.isothermic import (
     check_isothermic,
     christoffel,
-    lift_labels,
     lightcone_lift,
+    metric_labels,
     quad_cross_ratios,
     recover_labels,
     recover_metric,
@@ -46,11 +47,12 @@ print(f"dual metric satisfies s* s = 1: "
       f"{np.abs(dual.metric.values * iso.metric.values - 1).max():.2e}")
 
 mn = lightcone_lift(iso)
-alpha = lift_labels(mn, 0)
+lifted = -2.0 * minkowski_dot(mn.points[:-1], mn.points[1:])  # -2 <y, tau_1 y> on the axis-0 edges
+alpha = metric_labels(iso.net, iso.metric).per_axis[0][:, None]  # |f_1 - f|^2 / (s s_1) per layer
 print(f"light-cone lift f/s satisfies the Moutard equations: "
       f"residual {mn.moutard_residual():.2e}")
-print(f"lift reproduces the axis-0 labels: constant per layer, "
-      f"alpha[0] = {alpha.flat[0]:.3f}")
+print(f"lift reproduces the axis-0 labels |f_1 - f|^2 / (s s_1), constant per layer: "
+      f"drift {np.abs(lifted - alpha).max() / np.abs(alpha).max():.2e}, alpha[0] = {alpha[0, 0]:.3f}")
 
 img = generate.apply_moebius(iso.net, scale=1.7, shift=np.array([0.3, -0.2, 0.5]))
 print(f"Moebius image is isothermic: {check_isothermic(img).passed}, "

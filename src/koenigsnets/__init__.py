@@ -44,7 +44,6 @@ from .koenigs import (
     dualize_net,
     dualize_quad,
     integrate_nu,
-    laplace_residual,
     moutard_evolve,
     moutard_lift,
     normalize_nu_for_limit,

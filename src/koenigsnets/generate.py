@@ -14,7 +14,7 @@ from .errors import (CoincidentPoints, CollinearTriple, DegenerateQuad, Dimensio
 from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import EdgeLabelling, QNet, VertexScalar, _corners, _raise_first_row, _wavefront
+from .qnet import EdgeLabelling, QNet, VertexScalar, _chart, _corners, _raise_first_row, _wavefront
 
 __all__ = [
     "grid",
@@ -233,9 +233,7 @@ def apply_projective(net: QNet, matrix: np.ndarray, tol: Tolerances = DEFAULT_TO
     """Apply a projective map in homogeneous coordinates."""
     homog = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1)
     image = homog @ np.asarray(matrix, dtype=float).T
-    last = image[..., -1]
-    if np.any(np.abs(last) <= tol.incidence * np.abs(image).max()):
-        raise VanishingLastComponent("projective image passes through infinity")
+    last = _chart(image, -1, VanishingLastComponent, "projective image passes through infinity", tol)
     return QNet(image[..., :-1] / last[..., None])
 
 

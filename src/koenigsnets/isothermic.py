@@ -50,6 +50,7 @@ from .qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
+    _chart,
     _corners,
     _crop,
     _cubes,
@@ -191,12 +192,16 @@ def recover_metric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> VertexScalar:
     """Discrete metric s from the diagonal-ratio propagation.
 
     Same integration as nu for general Koenigs nets; additionally asserts the
-    labelling property of alpha_i = |f_i - f|^2 / (s s_i) by :func:`_layer_report`.
+    labelling property of alpha_i = |f_i - f|^2 / (s s_i) by :func:`_metric_report`.
     """
     s = integrate_nu(net, tol=tol).nu
-    _layer_report("metric_labels", [_edge_alpha(net, s.values, i) for i in range(net.m)], tol).require(
-        InconsistentCrossRatios)
+    _metric_report(net, s.values, tol).require(InconsistentCrossRatios)
     return s
+
+
+def _metric_report(net: QNet, s: np.ndarray, tol: Tolerances) -> CheckReport:
+    """:func:`_layer_report` "metric_labels" of the labels alpha_i = |f_i - f|^2 / (s s_i) of every edge."""
+    return _layer_report("metric_labels", [_edge_alpha(net, s, i) for i in range(net.m)], tol)
 
 
 def _layer_report(name: str, alphas, tol: Tolerances) -> CheckReport:
@@ -218,12 +223,7 @@ def _edge_alpha(net: QNet, s: np.ndarray, i: int) -> np.ndarray:
 
 def metric_labels(net: QNet, s: VertexScalar) -> EdgeLabelling:
     """Edge labelling alpha_i = |f_i - f|^2 / (s s_i), averaged per layer."""
-    return _layer_means([_edge_alpha(net, s.values, i) for i in range(net.m)])
-
-
-def _layer_means(alphas) -> EdgeLabelling:
-    """The labels alpha_i, given on every axis-i edge (one array per axis
-    i), averaged over each layer of edges."""
+    alphas = [_edge_alpha(net, s.values, i) for i in range(net.m)]
     return EdgeLabelling(tuple(a.mean(axis=tuple(ax for ax in range(a.ndim) if ax != i)) for i, a in enumerate(alphas)))
 
 
@@ -310,27 +310,24 @@ def _three_leg_steps(f, level, a1, a2):
 # --- light-cone Moutard representatives ---------------------------------------
 
 
-def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL, check: bool = True) -> MoutardNet:
+def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL) -> MoutardNet:
     """Light-cone Moutard representative y = (f + e_0 + |f|^2 e_inf) / s.
 
     Flat layout [spatial..., e0, einf], with the coefficients of
-    :func:`~koenigsnets.koenigs._moutard_coeffs` for w = 1/s.  With
-    ``check``, FormNotClosed unless its Moutard residual is within
-    tol.product, and InconsistentCrossRatios unless the labels
-    alpha_i = -2 <y, tau_i y> are constant on each layer (:func:`_layer_report`).
+    :func:`~koenigsnets.koenigs._moutard_coeffs` for w = 1/s.  FormNotClosed
+    unless its Moutard residual is within tol.product, and
+    InconsistentCrossRatios unless its labels are constant on each layer by
+    the rule of :func:`recover_metric`.  The labels -2 <y, tau_i y> equal
+    alpha_i = |f_i - f|^2 / (s s_i), as <lift a, lift b> = -|a - b|^2 / 2;
+    the gate reads them from that form (:func:`_edge_alpha`), where the
+    Minkowski product loses the digits its |f|^2 terms cancel.
     """
     s = iso.metric.values
     y = lift_to_lightcone(iso.net.vertices) / s[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / s, tol))
-    if check:
-        mn._moutard_report(tol).require(FormNotClosed)
-        _layer_report("lift_labels", [lift_labels(mn, i) for i in range(mn.m)], tol).require(InconsistentCrossRatios)
+    mn._moutard_report(tol).require(FormNotClosed)
+    _metric_report(iso.net, s, tol).require(InconsistentCrossRatios)
     return mn
-
-
-def lift_labels(mn: MoutardNet, axis: int) -> np.ndarray:
-    """alpha_axis = -2 <y, tau_axis y> on every axis edge of a light-cone net."""
-    return -2.0 * minkowski_dot(_crop(mn.points, (axis,), (0,)), _crop(mn.points, (axis,), (1,)))
 
 
 def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -381,14 +378,10 @@ def _lightcone_coeff(y, d, tol: Tolerances):
 
 def project_lightcone_net(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> IsothermicNet:
     """Project a light-cone Moutard net to (f, s, labels) in R^N."""
-    e0 = mn.points[..., -2]
-    scale = np.abs(mn.points).max()
-    if np.any(np.abs(e0) <= tol.incidence * scale):
-        raise ZeroE0Component("net passes through the point at infinity")
-    s = 1.0 / e0
+    s = 1.0 / _chart(mn.points, -2, ZeroE0Component, "net passes through the point at infinity", tol)
     net = QNet(mn.points[..., :-2] * s[..., None])
-    labels = _layer_means([lift_labels(mn, i) for i in range(mn.m)])
-    return IsothermicNet(net=net, labels=labels, metric=VertexScalar(s))
+    metric = VertexScalar(s)
+    return IsothermicNet(net=net, labels=metric_labels(net, metric), metric=metric)
 
 
 # --- Moebius-geometric characterizations ---------------------------------------

@@ -24,6 +24,7 @@ from .qnet import (
     CheckReport,
     QNet,
     VertexScalar,
+    _chart,
     _corners,
     _crop,
     _cubes,
@@ -35,7 +36,6 @@ from .qnet import (
     _star,
     _vertex_at,
     _wavefront,
-    _worst,
 )
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "dualize_quad",
     "dual_quad_residual",
     "dualize_net",
-    "laplace_residual",
     "moutard_lift",
     "moutard_evolve",
     "check_koenigs_2d_geometric",
@@ -309,32 +308,6 @@ def _integrate_one_form(net: QNet, forms) -> QNet:
     return QNet(out)
 
 
-# --- discrete Laplace equation ------------------------------------------------
-
-
-def laplace_residual(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Residual of the discrete Laplace equation induced by nu.
-
-    Quads with nu_i == nu_j have a singular coefficient; they are excluded
-    rather than failing the whole net.
-    """
-    nu = kd.nu.values
-    residuals = []
-    diam = net.diameter()
-    for i, j in combinations(range(net.m), 2):
-        n, ni, nij, nj = _corners(nu, i, j)
-        f, fi, fij, fj = _corners(net.vertices, i, j)
-        sing = np.abs(ni - nj) <= tol.incidence * (np.abs(ni) + np.abs(nj))
-        denom = np.where(sing, 1.0, n * (ni - nj))
-        c1 = (nj * nij - n * ni) / denom
-        c2 = -(ni * nij - n * nj) / denom
-        lhs = fij - fi - fj + f
-        rhs = c1[..., None] * (fi - f) + c2[..., None] * (fj - f)
-        res = np.linalg.norm(lhs - rhs, axis=-1) / diam
-        residuals.append(np.where(sing, 0.0, res))
-    return _worst(residuals)
-
-
 # --- Moutard nets --------------------------------------------------------------
 
 
@@ -365,7 +338,14 @@ class MoutardNet:
         return self._moutard_report(DEFAULT_TOL).max_residual
 
     def _moutard_report(self, tol: Tolerances) -> CheckReport:
-        """The relative defects of :meth:`moutard_residual`, a part per axis pair, each quad at its base."""
+        """The relative defects |y_ij - y - a (y_j - y_i)| / max(|y_ij - y|, |a (y_j - y_i)|, |y|) of
+        :meth:`moutard_residual`, a part per axis pair, each quad at its base.
+
+        This is the one Moutard residual.  For the lift y = (f, 1) w, w = 1/nu, the last component of the
+        defect vanishes in exact arithmetic, and its spatial part is w_ij times the defect of the discrete
+        Laplace equation of f with the coefficients of nu.  The switched lift y'(u) = (-1)^(u_axis) y(u) of a
+        2d net, with a' = -a (axis 0) or +a (axis 1), has the plus-sign defect y'_12 + y' - a' (y'_1 + y'_2):
+        -(-1)^(u_axis) times this defect bit for bit at the quad base u, as a product with -1 is exact."""
         parts, unit = {}, _unit(self.points)
         for (i, j), a in self.coeffs.items():
             y, yi, yij, yj = _corners(self.points, i, j)
@@ -378,23 +358,19 @@ class MoutardNet:
     def project_homogeneous(self, tol: Tolerances = DEFAULT_TOL):
         """Inverse of the homogeneous lift: f from the first N components
         over the last one, nu as the reciprocal last component."""
-        last = self.points[..., -1]
-        scale = np.abs(self.points).max()
-        _raise_first([((np.abs(last) <= tol.incidence * scale).ravel(), VanishingLastComponent,
-                       "projected point at infinity")], _vertex_at(last.shape))
+        last = _chart(self.points, -1, VanishingLastComponent, "projected point at infinity", tol)
         f = self.points[..., :-1] / last[..., None]
         return QNet(f), VertexScalar(1.0 / last)
 
 
-def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL, check: bool = True) -> MoutardNet:
+def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> MoutardNet:
     """Moutard representative y = (f, 1) / nu with the coefficients of
-    :func:`_moutard_coeffs`; with ``check``, NotKoenigs unless its Moutard
-    residual is within tol.product."""
+    :func:`_moutard_coeffs`; NotKoenigs unless its Moutard residual
+    (:meth:`MoutardNet._moutard_report`) is within tol.product."""
     nu = kd.nu.values
     y = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / nu, tol))
-    if check:
-        mn._moutard_report(tol).require(NotKoenigs)
+    mn._moutard_report(tol).require(NotKoenigs)
     return mn
 
 
@@ -509,50 +485,15 @@ def normalize_nu_for_limit(kd: KoenigsData, axis: int) -> VertexScalar:
     return VertexScalar(_limit_signs(kd.nu.values, axis))
 
 
-def _alternating(shape: tuple, axis: int) -> np.ndarray:
-    """(-1)^(u_axis) at every vertex u of a 2d lattice array ``shape``."""
-    if len(shape) != 2:
+def _limit_signs(values: np.ndarray, axis: int) -> np.ndarray:
+    """(-1)^(u_axis) values(u) on a 2d lattice array, flipped globally to be positive;
+    NotAlternating at the first vertex where its sign differs from that at the origin."""
+    if values.ndim != 2:
         raise DimensionTooLow("the switched convention is defined for m == 2")
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    return np.where(np.indices(shape)[axis] % 2 == 0, 1.0, -1.0)
-
-
-def _limit_signs(values: np.ndarray, axis: int) -> np.ndarray:
-    """(-1)^(u_axis) values(u), flipped globally to be positive; NotAlternating
-    at the first vertex where its sign differs from that at the origin."""
-    switched = _alternating(values.shape, axis) * values
+    switched = np.where(np.indices(values.shape)[axis] % 2 == 0, 1.0, -1.0) * values
     positive = switched > 0
     _raise_first([((positive != positive.flat[0]).ravel(), NotAlternating,
                    f"sign does not alternate along axis {axis}")], _vertex_at(values.shape))
     return switched if positive.flat[0] else -switched
-
-
-def switched_laplace_residual(net: QNet, nu_prime: VertexScalar) -> float:
-    """Residual of the discrete Laplace equation in the sign-switched
-    convention, where the coefficient denominator is nu'(nu'_1 + nu'_2)."""
-    if net.m != 2:
-        raise DimensionTooLow("the switched convention is defined for m == 2")
-    n, n1, n12, n2 = _corners(nu_prime.values, 0, 1)
-    f, f1, f12, f2 = _corners(net.vertices, 0, 1)
-    denom = n * (n1 + n2)
-    if np.any(denom == 0.0):
-        raise ZeroNu("nu' vanishes or nu'_1 + nu'_2 == 0")
-    c1 = (n2 * n12 - n * n1) / denom
-    c2 = (n1 * n12 - n * n2) / denom
-    lhs = f12 - f1 - f2 + f
-    rhs = c1[..., None] * (f1 - f) + c2[..., None] * (f2 - f)
-    return float(np.linalg.norm(lhs - rhs, axis=-1).max() / net.diameter())
-
-
-def switched_moutard_residual(mn: MoutardNet, axis: int) -> float:
-    """Max relative defect of the plus-sign Moutard equation
-    tau_1 tau_2 y' + y' = a'(tau_1 y' + tau_2 y') for the switched lift
-    y'(u) = (-1)^(u_axis) y(u); a' = -a for axis 0 and +a for axis 1."""
-    y = _alternating(mn.extents, axis)[..., None] * mn.points
-    a = -mn.coeffs[(0, 1)] if axis == 0 else mn.coeffs[(0, 1)]
-    y0, y1, y12, y2 = _corners(y, 0, 1)
-    lhs = y12 + y0
-    rhs = a[..., None] * (y1 + y2)
-    scale = np.abs(y).max()
-    return float(np.linalg.norm(lhs - rhs, axis=-1).max() / scale)

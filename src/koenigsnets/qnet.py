@@ -193,6 +193,15 @@ def _vertex_at(shape: tuple):
     return lambda k: f"vertex {_base(shape, k)}: "
 
 
+def _chart(points: np.ndarray, c: int, cls, message: str, tol: Tolerances) -> np.ndarray:
+    """The component c of every point of a lattice array (..., n), the denominator of an affine chart; ``cls``
+    through :func:`geom._raise_first` at the first vertex v at infinity, |y_vc| <= tol.incidence max |y_v|."""
+    w = points[..., c]
+    _raise_first([((np.abs(w) <= tol.incidence * np.abs(points).max(axis=-1)).ravel(), cls, message)],
+                 _vertex_at(w.shape))
+    return w
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from koenigsnets import generate
+from koenigsnets.geom import DEFAULT_TOL, lift_to_lightcone, minkowski_dot
+from koenigsnets.koenigs import MoutardNet, _moutard_coeffs
+from koenigsnets.qnet import _corners, _crop
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +32,41 @@ def iso_net():
 def iso_lightcone_3d():
     mn, iso = generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(104))
     return mn, iso
+
+
+def unchecked_lift(points, w):
+    """A Moutard net on ``points`` whose last homogeneous (or e_0) component is w, with the coefficients
+    the lifts use and no gate, so that a test can read the report of a lift that would not pass."""
+    return MoutardNet(points, _moutard_coeffs(w, DEFAULT_TOL))
+
+
+def unchecked_homogeneous_lift(net, nu):
+    """The lift y = (f, 1) / nu of moutard_lift, without its gate."""
+    return unchecked_lift(np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None],
+                          1.0 / nu)
+
+
+def unchecked_lightcone_lift(iso):
+    """The lift y = (f + e_0 + |f|^2 e_inf) / s of lightcone_lift, without its gates."""
+    s = iso.metric.values
+    return unchecked_lift(lift_to_lightcone(iso.net.vertices) / s[..., None], 1.0 / s)
+
+
+def lightcone_labels(mn, axis):
+    """-2 <y, tau_axis y> on every axis edge of a light-cone Moutard net."""
+    return -2.0 * minkowski_dot(_crop(mn.points, (axis,), (0,)), _crop(mn.points, (axis,), (1,)))
+
+
+def switched_defects(mn, axis):
+    """The plus-sign defect y'_12 + y' - a' (y'_1 + y'_2) of the switched lift y'(u) = (-1)^(u_axis) y(u),
+    a' = -a for axis 0 and +a for axis 1, of a 2d Moutard net, and its minus-sign defect
+    y_12 - y - a (y_2 - y_1) as the Moutard report computes it, both over the quad base grid."""
+    sign = np.where(np.indices(mn.extents)[axis] % 2 == 0, 1.0, -1.0)
+    a = mn.coeffs[(0, 1)][..., None]
+    y, y1, y12, y2 = _corners(sign[..., None] * mn.points, 0, 1)
+    plus = y12 + y - (-a if axis == 0 else a) * (y1 + y2)
+    y, y1, y12, y2 = _corners(mn.points, 0, 1)
+    return plus, y12 - y - a * (y2 - y1)
 
 
 def random_planar_quad(rng, ambient_dim=3, convex=None):

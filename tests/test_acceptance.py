@@ -9,15 +9,14 @@ predicate, and the continuous-limit sign conventions.
 import numpy as np
 import pytest
 
-from conftest import random_planar_quad
+from conftest import lightcone_labels, random_planar_quad, switched_defects
 from koenigsnets import generate
-from koenigsnets.errors import DegeneracyError
+from koenigsnets.errors import DegeneracyError, NotKoenigs
 from koenigsnets.geom import menelaus_product, span_residual
 from koenigsnets.isothermic import (
     check_isothermic,
     christoffel,
     christoffel_form_residual,
-    lift_labels,
     lightcone_lift,
     quad_cross_ratios,
     recover_labels,
@@ -37,8 +36,6 @@ from koenigsnets.koenigs import (
     integrate_nu,
     moutard_lift,
     normalize_nu_for_limit,
-    switched_laplace_residual,
-    switched_moutard_residual,
 )
 from koenigsnets.qnet import QNet, VertexScalar
 
@@ -128,7 +125,10 @@ def _verdicts_2d(net):
     geometric = check_koenigs_2d_geometric(net).passed
     kd = integrate_nu(net, check=False)
     dual_ok = dual_form_residual(net, kd) <= 1e-8
-    moutard_ok = moutard_lift(net, kd, check=False).moutard_residual() <= 1e-8
+    try:  # the lift fails exactly when its Moutard residual exceeds 1e-8
+        moutard_ok = moutard_lift(net, kd).moutard_residual() <= 1e-8
+    except NotKoenigs:
+        moutard_ok = False
     return closed, geometric, dual_ok, moutard_ok
 
 
@@ -253,14 +253,16 @@ def test_criterion_07_isothermic_pipeline(iso_nets, lightcone_nets):
                 worst_alpha,
                 np.abs(layered - layered[:, :1]).max() / np.abs(alpha).max(),
             )
-        mn = lightcone_lift(iso, check=False)
+        mn = lightcone_lift(iso)
         worst_lift = max(worst_lift, mn.moutard_residual())
-        for i in (0, 1):
-            alpha = lift_labels(mn, i)
-            layered = np.moveaxis(alpha, i, 0).reshape(alpha.shape[i], -1)
+        for i in (0, 1):  # -2 <y, tau_i y> = |f_i - f|^2 / (s s_i), constant on each layer
+            lifted = lightcone_labels(mn, i)
+            alpha = _edge_alpha(iso.net, iso.metric.values, i)
+            layered = np.moveaxis(lifted, i, 0).reshape(lifted.shape[i], -1)
             worst_lift = max(
                 worst_lift,
-                np.abs(layered - layered[:, :1]).max() / np.abs(alpha).max(),
+                np.abs(layered - layered[:, :1]).max() / np.abs(lifted).max(),
+                np.abs(lifted - alpha).max() / np.abs(alpha).max(),
             )
     ok = ok and worst_alpha <= 1e-9 and worst_lift <= 1e-9
     _report(
@@ -367,19 +369,22 @@ def test_criterion_10_menelaus():
 
 
 def test_criterion_11_continuous_limit(iso_nets):
-    worst_laplace = 0.0
     worst_moutard = 0.0
     positive = True
+    switched = True
     for iso in iso_nets[:25]:
         kd = integrate_nu(iso.net)
         nu_prime = normalize_nu_for_limit(kd, 1)
         positive = positive and np.all(nu_prime.values > 0)
-        worst_laplace = max(worst_laplace, switched_laplace_residual(iso.net, nu_prime))
         mn = moutard_lift(iso.net, kd)
-        worst_moutard = max(worst_moutard, switched_moutard_residual(mn, 1))
-    ok = positive and worst_laplace <= 1e-9 and worst_moutard <= 1e-9
+        worst_moutard = max(worst_moutard, mn.moutard_residual())
+        # the plus-sign defect of the switched lift is -(-1)^(u_2) times the minus-sign one, bit for bit
+        plus, minus = switched_defects(mn, 1)
+        sign = np.where(np.arange(minus.shape[1]) % 2 == 0, 1.0, -1.0)[:, None]
+        switched = switched and np.array_equal(plus, -sign * minus)
+    ok = positive and switched and worst_moutard <= 1e-9
     _report(
         11, "continuous-limit sanity",
         ok,
-        f"switched Laplace {worst_laplace:.2e}, switched Moutard {worst_moutard:.2e}",
+        f"switched Moutard defects equal, Moutard {worst_moutard:.2e}",
     )

@@ -191,8 +191,15 @@ class TestBadInput:
 
 
 def test_degeneracy_line_names_its_vertex(tmp_path, capsys):
-    assert cli(tmp_path, "generate", "moutard", "--extents", "30", "30")[0] == 3
-    assert capsys.readouterr().err == "error VanishingLastComponent: vertex (0, 0): projected point at infinity\n"
+    # the light-cone fill meets an isotropic diagonal difference at this size and seed
+    assert cli(tmp_path, "generate", "lightcone", "--extents", "60", "60", "--seed", "0")[0] == 3
+    assert capsys.readouterr().err == "error NullDiagonalDifference: vertex (19, 36): diagonal difference is isotropic\n"
+
+
+def test_moutard_generation_at_30_is_koenigs(tmp_path):
+    # the point-at-infinity guard is per vertex: a lift that grows along the net is not at infinity
+    assert cli(tmp_path, "generate", "moutard", "--extents", "30", "30", outname="m.json")[0] == 0
+    assert cli(tmp_path, "check", "koenigs", infile=tmp_path / "m.json")[0] == 0
 
 
 def test_limit_signs_on_a_metric_that_does_not_alternate(tmp_path, capsys):

@@ -44,6 +44,10 @@ DELETED = (
     # the residual reducers of the stage gates, replaced by reports that fail through CheckReport.require;
     # the error of the metric's zero guard, which VertexScalar makes unreachable
     "_nu_residual", "_one_form_closure_residual", "ZeroMetric",
+    # the Laplace and switched residuals, equal bit for bit to the Moutard report (switching multiplies by -1);
+    # the Minkowski labels, replaced by the metric labels they equal; the sign helper folded into _limit_signs
+    "laplace_residual", "switched_laplace_residual", "switched_moutard_residual", "lift_labels", "_layer_means",
+    "_alternating",
 )
 
 
@@ -80,6 +84,8 @@ REMOVED_OPTIONS = {
     koenigsnets.isothermic.recover_metric: ("check", "base_black", "base_white"),
     koenigsnets.generate.flip_corner_cross_ratio: ("tol",),
     koenigsnets.generate.grid: ("spacing",),
+    koenigsnets.koenigs.moutard_lift: ("check",),
+    koenigsnets.isothermic.lightcone_lift: ("check",),
 }
 
 

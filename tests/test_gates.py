@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import unchecked_homogeneous_lift, unchecked_lightcone_lift
 from koenigsnets import generate, isothermic, koenigs
 from koenigsnets.errors import FormNotClosed, InconsistentCrossRatios, NotCircular, NotKoenigs
 from koenigsnets.geom import DEFAULT_TOL
@@ -66,7 +67,7 @@ def _moutard_gate(mp):
     net = _perturbed(7)
     kd = koenigs.integrate_nu(net, check=False)
     return (lambda: koenigs.moutard_lift(net, kd),
-            lambda: koenigs.moutard_lift(net, kd, check=False)._moutard_report(DEFAULT_TOL))
+            lambda: unchecked_homogeneous_lift(net, kd.nu.values)._moutard_report(DEFAULT_TOL))
 
 
 def _christoffel_gate(mp):
@@ -82,25 +83,25 @@ def _lightcone_moutard_gate(mp):
     net, s = generate.flip_corner_cross_ratio(_iso())  # tests/test_isothermic.py::test_non_isothermic_rejected
     bad = IsothermicNet(net, EdgeLabelling((np.ones(5), -np.ones(5))), s)
     return (lambda: isothermic.lightcone_lift(bad),
-            lambda: isothermic.lightcone_lift(bad, check=False)._moutard_report(DEFAULT_TOL))
+            lambda: unchecked_lightcone_lift(bad)._moutard_report(DEFAULT_TOL))
 
 
 def _lightcone_labels_gate(mp):
     # a valid lift whose axis-1 labels are made to differ on one edge of layer 2
     iso = _iso()
-    labels = isothermic.lift_labels
+    edge_alpha = isothermic._edge_alpha
 
-    def moved(mn, axis):
-        alpha = labels(mn, axis)
+    def moved(net, s, axis):
+        alpha = edge_alpha(net, s, axis)
         if axis == 1:
             alpha = alpha.copy()
             alpha[3, 2] *= 1.0 + 1e-6
         return alpha
 
-    mp.setattr(isothermic, "lift_labels", moved)
-    mn = isothermic.lightcone_lift(iso, check=False)
+    mp.setattr(isothermic, "_edge_alpha", moved)
+    s = iso.metric.values
     return (lambda: isothermic.lightcone_lift(iso),
-            lambda: isothermic._layer_report("lift_labels", [moved(mn, i) for i in range(2)], DEFAULT_TOL))
+            lambda: isothermic._layer_report("metric_labels", [moved(iso.net, s, i) for i in range(2)], DEFAULT_TOL))
 
 
 def _metric_gate(mp):
@@ -123,7 +124,7 @@ GATES = {
     "moutard_lift": (_moutard_gate, NotKoenigs, "moutard"),
     "christoffel": (_christoffel_gate, FormNotClosed, "christoffel_closure"),
     "lightcone_lift moutard": (_lightcone_moutard_gate, FormNotClosed, "moutard"),
-    "lightcone_lift labels": (_lightcone_labels_gate, InconsistentCrossRatios, "lift_labels"),
+    "lightcone_lift labels": (_lightcone_labels_gate, InconsistentCrossRatios, "metric_labels"),
     "recover_metric": (_metric_gate, InconsistentCrossRatios, "metric_labels"),
     "check_isothermic circularity": (_circular_gate, NotCircular, "circular"),
 }
@@ -158,10 +159,21 @@ def test_float_residuals_are_their_reports_maxima(seed):
     assert _same(kd.closedness_residual, nu_report.max_residual)
     dual = koenigs._closure_report("dual_closure", net, koenigs._dual_edge_forms(net, kd.nu.values), DEFAULT_TOL)
     assert _same(koenigs.dual_form_residual(net, kd), dual.max_residual)
-    mn = koenigs.moutard_lift(net, kd, check=False)
+    mn = unchecked_homogeneous_lift(net, kd.nu.values)
     assert _same(mn.moutard_residual(), mn._moutard_report(DEFAULT_TOL).max_residual)
     # and each maximum is the largest of its part's residuals, NaN included
     assert _same(dual.max_residual, float(np.max(np.concatenate([res for res, _ in dual.parts.values()]))))
+
+
+def test_unchecked_lifts_are_the_lifts():
+    # the lifts the controls build without a gate are those the gated lifts return, bit for bit
+    net, iso = _k2(), _iso()
+    kd = koenigs.integrate_nu(net)
+    for lift, unchecked in ((koenigs.moutard_lift(net, kd), unchecked_homogeneous_lift(net, kd.nu.values)),
+                            (isothermic.lightcone_lift(iso), unchecked_lightcone_lift(iso))):
+        assert np.array_equal(lift.points, unchecked.points)
+        assert lift.coeffs.keys() == unchecked.coeffs.keys()
+        assert all(np.array_equal(lift.coeffs[k], unchecked.coeffs[k]) for k in lift.coeffs)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])

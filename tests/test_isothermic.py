@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from conftest import lightcone_labels
 from koenigsnets import generate, isothermic
 from koenigsnets.errors import (
     CoincidentPoints,
@@ -22,13 +23,13 @@ from koenigsnets.geom import _blocks, _subsets, _wedges, span_residual
 from koenigsnets.isothermic import (
     IsothermicNet,
     _central_sphere,
+    _edge_alpha,
     _similar_lift,
     check_circular,
     check_isothermic,
     check_moebius_characterizations,
     christoffel,
     christoffel_form_residual,
-    lift_labels,
     lightcone_evolve,
     lightcone_lift,
     metric_labels,
@@ -311,11 +312,14 @@ class TestLightconeLift:
         assert lightcone_lift(iso_net).moutard_residual() <= 1e-9
 
     def test_label_identity(self, iso_net):
-        # -2<y, tau_i y> reproduces the labels up to the gauge factor of s
+        # -2<y, tau_i y> = |f_i - f|^2 / (s s_i) reproduces the labels up to the gauge factor of s
         mn = lightcone_lift(iso_net)
         a1, a2 = iso_net.labels.per_axis
-        l1 = lift_labels(mn, 0)
-        l2 = lift_labels(mn, 1)
+        l1 = lightcone_labels(mn, 0)
+        l2 = lightcone_labels(mn, 1)
+        for i, lab in enumerate((l1, l2)):
+            alpha = _edge_alpha(iso_net.net, iso_net.metric.values, i)
+            assert np.abs(lab - alpha).max() <= 1e-12 * np.abs(alpha).max()
         assert np.abs(l1 - l1[:, :1]).max() <= 1e-9 * np.abs(l1).max()
         assert np.abs(l2 - l2[:1, :]).max() <= 1e-9 * np.abs(l2).max()
         scale = a1[0] / l1[0, 0]
@@ -601,8 +605,6 @@ class TestMetricCaveat:
 
     def test_flipped_net_keeps_metric_property(self, flipped):
         # the counterexample still satisfies |f_i - f|^2 = alpha_i s s_i ...
-        from koenigsnets.isothermic import _edge_alpha
-
         net, s = flipped
         for i in (0, 1):
             alpha = _edge_alpha(net, s.values, i)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from conftest import switched_defects, unchecked_homogeneous_lift
 from koenigsnets import generate, koenigs, qnet
 from koenigsnets.errors import (
     DegenerateQuad,
@@ -10,7 +11,7 @@ from koenigsnets.errors import (
     NotKoenigs,
     VanishingLastComponent,
 )
-from koenigsnets.geom import quad_diagonals, quad_planarity
+from koenigsnets.geom import DEFAULT_TOL, quad_diagonals, quad_planarity
 from koenigsnets.koenigs import (
     build_q_form,
     check_closedness,
@@ -21,12 +22,9 @@ from koenigsnets.koenigs import (
     dualize_net,
     dualize_quad,
     integrate_nu,
-    laplace_residual,
     moutard_evolve,
     moutard_lift,
     normalize_nu_for_limit,
-    switched_laplace_residual,
-    switched_moutard_residual,
 )
 from koenigsnets.qnet import QNet, _gather_quads, check_qnet
 
@@ -318,19 +316,22 @@ class TestDualizeNet:
 
 
 class TestLaplace:
+    """The discrete Laplace equation of nu, read from the Moutard report of the homogeneous lift, whose
+    spatial defect is w_ij times the Laplace defect."""
+
     def test_moutard_net(self, koenigs_net_2d):
-        kd = integrate_nu(koenigs_net_2d)
-        assert float(laplace_residual(koenigs_net_2d, kd)) <= 1e-9
+        rep = moutard_lift(koenigs_net_2d, integrate_nu(koenigs_net_2d))._moutard_report(DEFAULT_TOL)
+        assert rep.passed and rep.max_residual <= 1e-9
 
     def test_grid_zero(self):
         g = generate.grid((4, 4))
         kd = integrate_nu(g, ((0, 0), 1.0), ((1, 0), -1.0))
-        assert float(laplace_residual(g, kd)) == pytest.approx(0.0, abs=1e-14)
+        assert moutard_lift(g, kd)._moutard_report(DEFAULT_TOL).max_residual == pytest.approx(0.0, abs=1e-14)
 
     def test_perturbed(self, koenigs_net_2d):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(8))
-        kd = integrate_nu(bad, check=False)
-        assert float(laplace_residual(bad, kd)) >= 1e-3
+        rep = unchecked_homogeneous_lift(bad, integrate_nu(bad, check=False).nu.values)._moutard_report(DEFAULT_TOL)
+        assert not rep.passed and rep.max_residual >= 1e-3
 
 
 class TestMoutard:
@@ -481,8 +482,12 @@ class TestLimitNormalization:
                 normalize_nu_for_limit(kd, axis)
 
     def test_switched_equations(self, iso_net):
+        # the plus-sign defect of the switched lift is -(-1)^(u_axis) times the minus-sign one, bit for bit
         kd = integrate_nu(iso_net.net)
-        nup = normalize_nu_for_limit(kd, 1)
-        assert switched_laplace_residual(iso_net.net, nup) <= 1e-9
+        assert np.all(normalize_nu_for_limit(kd, 1).values > 0)
         mn = moutard_lift(iso_net.net, kd)
-        assert switched_moutard_residual(mn, 1) <= 1e-9
+        assert mn._moutard_report(DEFAULT_TOL).passed
+        for axis in (0, 1):
+            plus, minus = switched_defects(mn, axis)
+            sign = np.where(np.indices(minus.shape[:-1])[axis] % 2 == 0, 1.0, -1.0)[..., None]
+            assert np.any(minus != 0.0) and np.array_equal(plus, -sign * minus)
