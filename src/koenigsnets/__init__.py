@@ -40,7 +40,7 @@ from .koenigs import (
     check_closedness,
     check_koenigs_2d_geometric,
     check_koenigs_3d_geometric,
-    dual_form_residual,
+    check_moutard,
     dualize_net,
     dualize_quad,
     integrate_nu,

@@ -190,7 +190,7 @@ def _cmd_lift(args) -> int:
         if nu is None:
             kd = koenigs.integrate_nu(net, tol=tol)
         else:
-            kd = koenigs.KoenigsData(nu=VertexScalar(nu), closedness_residual=0.0)
+            kd = koenigs.KoenigsData(nu=VertexScalar(nu))
         mn = koenigs.moutard_lift(net, kd, tol)
         doc.nu = kd.nu.values.reshape(-1)
     else:

@@ -43,6 +43,7 @@ from .koenigs import (
     _integrate_one_form,
     _limit_signs,
     _moutard_coeffs,
+    check_moutard,
     integrate_nu,
 )
 from .qnet import (
@@ -72,7 +73,6 @@ __all__ = [
     "recover_labels",
     "recover_metric",
     "christoffel",
-    "christoffel_form_residual",
     "three_leg_evolve",
     "lightcone_lift",
     "lightcone_evolve",
@@ -160,8 +160,10 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     """Solve q(f, f_i, f_ij, f_j) = alpha_i / alpha_j for the edge labels.
 
     Gauge alpha_1(0) = 1; labels are unique up to one global scale.  Raises
-    InconsistentCrossRatios if the factorization does not reproduce every
-    quad's cross-ratio.
+    InconsistentCrossRatios unless the factorization reproduces every quad's
+    cross-ratio cr within tol.product: report "label_factorization" of
+    |cr - alpha_i / alpha_j| / max(|cr|, |alpha_i / alpha_j|), a part per
+    axis pair, each quad at its base.
     """
     if net.m not in (2, 3):
         raise DimensionTooLow("label recovery supports m = 2 or 3")
@@ -175,16 +177,16 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     first = along(cross_ratios[(0, 1)], 0) * rest[0][0]
     first[0] = 1.0
     labels = EdgeLabelling((first, *rest))
-    # consistency: every quad's cross-ratio must factor as alpha_i / alpha_j
+    parts = {}
     for (i, j), cr in cross_ratios.items():
         layer = [1] * net.m
         layer[i] = -1
         expected = labels.per_axis[i].reshape(layer)
         layer[i], layer[j] = 1, -1
-        expected = np.broadcast_to(expected / labels.per_axis[j].reshape(layer), cr.shape)
-        bad = np.abs(cr - expected) > tol.product * np.maximum(np.abs(cr), np.abs(expected))
-        _raise_first([(bad.ravel(), InconsistentCrossRatios, "cross-ratio {:.6g} != {:.6g}", cr.ravel(),
-                       expected.ravel())], _quad_at(cr.shape, i, j))
+        expected = expected / labels.per_axis[j].reshape(layer)
+        res = np.abs(cr - expected) / np.maximum(np.abs(cr), np.abs(expected))
+        parts[(i, j)] = res.reshape(-1), _grid(res.shape)
+    CheckReport("label_factorization", tol.product, parts).require(InconsistentCrossRatios)
     return labels
 
 
@@ -249,12 +251,6 @@ def christoffel(iso: IsothermicNet, limit_signs: bool = False, tol: Tolerances =
     return IsothermicNet(net=dual, labels=labels, metric=VertexScalar(s_star))
 
 
-def christoffel_form_residual(iso: IsothermicNet) -> float:
-    """Closure residual of the Christoffel one-form (0 iff isothermic)."""
-    forms = _christoffel_forms(iso.net, iso.labels)
-    return _closure_report("christoffel_closure", iso.net, forms, DEFAULT_TOL).max_residual
-
-
 def _christoffel_forms(net: QNet, labels: EdgeLabelling):
     forms = {}
     for i in range(net.m):
@@ -315,7 +311,7 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL) -> Moutard
 
     Flat layout [spatial..., e0, einf], with the coefficients of
     :func:`~koenigsnets.koenigs._moutard_coeffs` for w = 1/s.  FormNotClosed
-    unless its Moutard residual is within tol.product, and
+    unless :func:`~koenigsnets.koenigs.check_moutard` passes, and
     InconsistentCrossRatios unless its labels are constant on each layer by
     the rule of :func:`recover_metric`.  The labels -2 <y, tau_i y> equal
     alpha_i = |f_i - f|^2 / (s s_i), as <lift a, lift b> = -|a - b|^2 / 2;
@@ -325,7 +321,7 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL) -> Moutard
     s = iso.metric.values
     y = lift_to_lightcone(iso.net.vertices) / s[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / s, tol))
-    mn._moutard_report(tol).require(FormNotClosed)
+    check_moutard(mn, tol).require(FormNotClosed)
     _metric_report(iso.net, s, tol).require(InconsistentCrossRatios)
     return mn
 
@@ -335,8 +331,9 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
     a_ij = -2 <y, y_j - y_i> / <y_j - y_i, y_j - y_i>.
 
     Accepts two (m = 2) or three (m = 3) axis arrays in flat Minkowski
-    layout.  Returns ``(MoutardNet, IsothermicNet)``; for m = 3 the
-    cross-face residual is available via ``MoutardNet.moutard_residual``.
+    layout.  Returns ``(MoutardNet, IsothermicNet)``.  The cross-face
+    consistency of m = 3 has no gate: :func:`~koenigsnets.koenigs.check_moutard`
+    is the one check of the evolved net.
     """
     axes_data = [np.asarray(a, dtype=float) for a in axes_data]
     if not all(np.isfinite(a).all() for a in axes_data):

@@ -44,6 +44,7 @@ __all__ = [
     "MoutardNet",
     "build_q_form",
     "check_closedness",
+    "check_moutard",
     "integrate_nu",
     "dualize_quad",
     "dual_quad_residual",
@@ -147,19 +148,12 @@ def _opposite_diagonal(form: DiagonalForm, pair, r, bp, bq, br, forward):
 
 @dataclass
 class KoenigsData:
-    """Vertex function nu together with the closedness diagnostic."""
+    """The vertex function nu of a Koenigs net, as :func:`integrate_nu` returns it."""
 
     nu: VertexScalar
-    closedness_residual: float
 
 
-def integrate_nu(
-    net: QNet,
-    base_black=None,
-    base_white=None,
-    tol: Tolerances = DEFAULT_TOL,
-    check: bool = True,
-) -> KoenigsData:
+def integrate_nu(net: QNet, base_black=None, base_white=None, tol: Tolerances = DEFAULT_TOL) -> KoenigsData:
     """Propagate nu along diagonals from one black and one white base value.
 
     Integrates nu_ij/nu = q(f -> f_ij) and nu_j/nu_i = q(f_i -> f_j) one
@@ -167,11 +161,17 @@ def integrate_nu(
     through the (0, 1) quads, then one step per layer along every further
     axis k through the (0, k) diagonals.  Each colour is rescaled to its base
     value, and every diagonal relation is re-verified.  Raises NotKoenigs if
-    nu is not finite and nonzero, or if the residual exceeds tol.product
-    (unless ``check`` is disabled, in which case the residual is reported in
-    the result).
+    nu is not finite and nonzero, or unless every relation holds within
+    tol.product (:func:`_nu_report`, "nu_relations").
     """
     form = build_q_form(net, tol)
+    nu = _propagate_nu(net, form, base_black, base_white)
+    _nu_report(net, form, nu, tol).require(NotKoenigs)
+    return KoenigsData(nu=VertexScalar(nu))
+
+
+def _propagate_nu(net: QNet, form: DiagonalForm, base_black, base_white) -> np.ndarray:
+    """The nu of :func:`integrate_nu` on the diagonal form of ``net``, before its relations are verified."""
     if base_black is None:
         base_black = (tuple(0 for _ in range(net.m)), 1.0)
     if base_white is None:
@@ -199,10 +199,7 @@ def integrate_nu(
         nu *= np.where(black, base_black[1] / nu[tuple(base_black[0])], base_white[1] / nu[tuple(base_white[0])])
     _raise_first([(~(np.isfinite(nu) & (nu != 0.0)).ravel(), NotKoenigs,
                    "nu propagation leaves the finite nonzero numbers")], _vertex_at(nu.shape))
-    report = _nu_report(net, form, nu, tol)
-    if check:
-        report.require(NotKoenigs)
-    return KoenigsData(nu=VertexScalar(nu), closedness_residual=report.max_residual)
+    return nu
 
 
 def _nu_report(net: QNet, form: DiagonalForm, nu: np.ndarray, tol: Tolerances) -> CheckReport:
@@ -255,17 +252,11 @@ def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QN
     at the origin.
 
     Returns the dual net; raises NotKoenigs unless the form closes within
-    tol.product (a NaN residual does not).  The path-independence residual
-    is available via :func:`dual_form_residual`.
+    tol.product (a NaN residual does not).
     """
     forms = _dual_edge_forms(net, kd.nu.values)
     _closure_report("dual_closure", net, forms, tol).require(NotKoenigs)
     return _integrate_one_form(net, forms)
-
-
-def dual_form_residual(net: QNet, kd: KoenigsData) -> float:
-    """Path-independence residual of the dual one-form (0 for Koenigs nets)."""
-    return _closure_report("dual_closure", net, _dual_edge_forms(net, kd.nu.values), DEFAULT_TOL).max_residual
 
 
 def _dual_edge_forms(net: QNet, nu: np.ndarray):
@@ -331,30 +322,6 @@ class MoutardNet:
     def extents(self):
         return self.points.shape[:-1]
 
-    def moutard_residual(self) -> float:
-        """Max relative defect of the minus-sign Moutard equation over all
-        quads (for m >= 3 this includes the cross-face consistency), NaN if a
-        coefficient or point is NaN."""
-        return self._moutard_report(DEFAULT_TOL).max_residual
-
-    def _moutard_report(self, tol: Tolerances) -> CheckReport:
-        """The relative defects |y_ij - y - a (y_j - y_i)| / max(|y_ij - y|, |a (y_j - y_i)|, |y|) of
-        :meth:`moutard_residual`, a part per axis pair, each quad at its base.
-
-        This is the one Moutard residual.  For the lift y = (f, 1) w, w = 1/nu, the last component of the
-        defect vanishes in exact arithmetic, and its spatial part is w_ij times the defect of the discrete
-        Laplace equation of f with the coefficients of nu.  The switched lift y'(u) = (-1)^(u_axis) y(u) of a
-        2d net, with a' = -a (axis 0) or +a (axis 1), has the plus-sign defect y'_12 + y' - a' (y'_1 + y'_2):
-        -(-1)^(u_axis) times this defect bit for bit at the quad base u, as a product with -1 is exact."""
-        parts, unit = {}, _unit(self.points)
-        for (i, j), a in self.coeffs.items():
-            y, yi, yij, yj = _corners(self.points, i, j)
-            lhs = yij - y
-            rhs = a[..., None] * (yj - yi)
-            res = _relative_defect(unit, lhs - rhs, lhs, rhs, y)
-            parts[(i, j)] = res.reshape(-1), _grid(res.shape)
-        return CheckReport("moutard", tol.product, parts)
-
     def project_homogeneous(self, tol: Tolerances = DEFAULT_TOL):
         """Inverse of the homogeneous lift: f from the first N components
         over the last one, nu as the reciprocal last component."""
@@ -363,14 +330,34 @@ class MoutardNet:
         return QNet(f), VertexScalar(1.0 / last)
 
 
+def check_moutard(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+    """The minus-sign Moutard equation y_ij - y = a (y_j - y_i) on every quad of ``mn`` (for m >= 3 this
+    includes the cross-face consistency): the relative defects
+    |y_ij - y - a (y_j - y_i)| / max(|y_ij - y|, |a (y_j - y_i)|, |y|), a part per axis pair, each quad at
+    its base, NaN where a coefficient or point is NaN.
+
+    This is the one Moutard residual.  For the lift y = (f, 1) w, w = 1/nu, the last component of the
+    defect vanishes in exact arithmetic, and its spatial part is w_ij times the defect of the discrete
+    Laplace equation of f with the coefficients of nu.  The switched lift y'(u) = (-1)^(u_axis) y(u) of a
+    2d net, with a' = -a (axis 0) or +a (axis 1), has the plus-sign defect y'_12 + y' - a' (y'_1 + y'_2):
+    -(-1)^(u_axis) times this defect bit for bit at the quad base u, as a product with -1 is exact."""
+    parts, unit = {}, _unit(mn.points)
+    for (i, j), a in mn.coeffs.items():
+        y, yi, yij, yj = _corners(mn.points, i, j)
+        lhs = yij - y
+        rhs = a[..., None] * (yj - yi)
+        res = _relative_defect(unit, lhs - rhs, lhs, rhs, y)
+        parts[(i, j)] = res.reshape(-1), _grid(res.shape)
+    return CheckReport("moutard", tol.product, parts)
+
+
 def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> MoutardNet:
     """Moutard representative y = (f, 1) / nu with the coefficients of
-    :func:`_moutard_coeffs`; NotKoenigs unless its Moutard residual
-    (:meth:`MoutardNet._moutard_report`) is within tol.product."""
+    :func:`_moutard_coeffs`; NotKoenigs unless :func:`check_moutard` passes."""
     nu = kd.nu.values
     y = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None]
     mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / nu, tol))
-    mn._moutard_report(tol).require(NotKoenigs)
+    check_moutard(mn, tol).require(NotKoenigs)
     return mn
 
 
@@ -396,8 +383,8 @@ def moutard_evolve(axes_data, coeffs) -> MoutardNet:
     per-quad coefficient array.  For m = 3, ``axes_data`` is a dict
     {(0,1): plane u_3 = 0, (0,2): plane u_2 = 0, (1,2): plane u_1 = 0} and
     the interior is filled through the (0, 1) faces; cross-face consistency
-    is the caller's responsibility and is reported by
-    :meth:`MoutardNet.moutard_residual`.
+    is the caller's responsibility, and :func:`check_moutard` is the one
+    check of the evolved net.
     """
     a01 = np.asarray(coeffs[(0, 1)], dtype=float)
     full = {(0, 1): a01}

@@ -21,18 +21,7 @@ __all__ = [
     "EdgeLabelling",
     "CheckReport",
     "check_qnet",
-    "vertex_parity",
-    "BLACK",
-    "WHITE",
 ]
-
-BLACK = "black"
-WHITE = "white"
-
-
-def vertex_parity(u) -> str:
-    """Black iff u_1 + ... + u_m is even."""
-    return BLACK if sum(u) % 2 == 0 else WHITE
 
 
 class QNet:
@@ -334,9 +323,9 @@ class VertexScalar:
             raise InvalidValue("vertex scalar declared nonzero but contains zeros")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeLabelling:
-    """Per-axis labels alpha_i(u_i), one value per edge layer.
+    """Per-axis labels alpha_i(u_i), one value per edge layer; keeps read-only copies of ``per_axis``.
 
     Constant on opposite edges of every elementary quad by construction.
     """
@@ -344,7 +333,7 @@ class EdgeLabelling:
     per_axis: tuple
 
     def __post_init__(self):
-        self.per_axis = tuple(np.asarray(a, dtype=float) for a in self.per_axis)
+        object.__setattr__(self, "per_axis", tuple(_frozen(np.array(a, dtype=float)) for a in self.per_axis))
         for a in self.per_axis:
             if np.any(a == 0.0) or not np.all(np.isfinite(a)):
                 raise InvalidValue("edge labels must be finite and nonzero")

@@ -3,8 +3,8 @@ import pytest
 
 from koenigsnets import generate
 from koenigsnets.geom import DEFAULT_TOL, lift_to_lightcone, minkowski_dot
-from koenigsnets.koenigs import MoutardNet, _moutard_coeffs
-from koenigsnets.qnet import _corners, _crop
+from koenigsnets.koenigs import KoenigsData, MoutardNet, _moutard_coeffs, _propagate_nu, build_q_form
+from koenigsnets.qnet import VertexScalar, _corners, _crop
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,12 @@ def iso_net():
 def iso_lightcone_3d():
     mn, iso = generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(104))
     return mn, iso
+
+
+def unchecked_nu(net):
+    """The KoenigsData of integrate_nu, without its nu_relations gate, so that a test can dualize or lift
+    a net that is not Koenigs."""
+    return KoenigsData(VertexScalar(_propagate_nu(net, build_q_form(net), None, None)))
 
 
 def unchecked_lift(points, w):

@@ -9,14 +9,13 @@ predicate, and the continuous-limit sign conventions.
 import numpy as np
 import pytest
 
-from conftest import lightcone_labels, random_planar_quad, switched_defects
+from conftest import lightcone_labels, random_planar_quad, switched_defects, unchecked_nu
 from koenigsnets import generate
-from koenigsnets.errors import DegeneracyError, NotKoenigs
-from koenigsnets.geom import menelaus_product, span_residual
+from koenigsnets.errors import DegeneracyError, FormNotClosed, NotKoenigs
+from koenigsnets.geom import Tolerances, menelaus_product, span_residual
 from koenigsnets.isothermic import (
     check_isothermic,
     christoffel,
-    christoffel_form_residual,
     lightcone_lift,
     quad_cross_ratios,
     recover_labels,
@@ -29,7 +28,7 @@ from koenigsnets.koenigs import (
     check_closedness,
     check_koenigs_2d_geometric,
     check_koenigs_3d_geometric,
-    dual_form_residual,
+    check_moutard,
     dual_quad_residual,
     dualize_net,
     dualize_quad,
@@ -120,15 +119,22 @@ def test_criterion_02_generator_soundness(nets_2d, nets_3d):
     )
 
 
+def _passes(run, cls) -> bool:
+    """Whether ``run()`` passes its gate, which raises ``cls`` when it fails."""
+    try:
+        run()
+    except cls:
+        return False
+    return True
+
+
 def _verdicts_2d(net):
     closed = check_closedness(net).passed
     geometric = check_koenigs_2d_geometric(net).passed
-    kd = integrate_nu(net, check=False)
-    dual_ok = dual_form_residual(net, kd) <= 1e-8
-    try:  # the lift fails exactly when its Moutard residual exceeds 1e-8
-        moutard_ok = moutard_lift(net, kd).moutard_residual() <= 1e-8
-    except NotKoenigs:
-        moutard_ok = False
+    kd = unchecked_nu(net)
+    # the dual and the lift fail exactly when their closure and Moutard residuals exceed 1e-8
+    dual_ok = _passes(lambda: dualize_net(net, kd), NotKoenigs)
+    moutard_ok = _passes(lambda: moutard_lift(net, kd), NotKoenigs)
     return closed, geometric, dual_ok, moutard_ok
 
 
@@ -177,7 +183,7 @@ def test_criterion_05_duality_involution(nets_2d, iso_nets):
     for net in nets_2d[:5]:
         kd = integrate_nu(net)
         dual = dualize_net(net, kd)
-        kd_dual = KoenigsData(nu=VertexScalar(1.0 / kd.nu.values), closedness_residual=0.0)
+        kd_dual = KoenigsData(nu=VertexScalar(1.0 / kd.nu.values))
         back = dualize_net(dual, kd_dual)
         diff = back.vertices - net.vertices
         worst = max(worst, np.abs(diff - diff[0, 0]).max() / net.diameter())
@@ -254,7 +260,7 @@ def test_criterion_07_isothermic_pipeline(iso_nets, lightcone_nets):
                 np.abs(layered - layered[:, :1]).max() / np.abs(alpha).max(),
             )
         mn = lightcone_lift(iso)
-        worst_lift = max(worst_lift, mn.moutard_residual())
+        worst_lift = max(worst_lift, check_moutard(mn).max_residual)
         for i in (0, 1):  # -2 <y, tau_i y> = |f_i - f|^2 / (s s_i), constant on each layer
             lifted = lightcone_labels(mn, i)
             alpha = _edge_alpha(iso.net, iso.metric.values, i)
@@ -319,7 +325,8 @@ def test_criterion_09_metric_caveat(iso_nets):
         spread = np.abs(layered - layered[:, :1]).max()
         metric_holds = metric_holds and spread <= 1e-9 * np.abs(alpha).max()
     counterexample = metric_holds and not check_isothermic(net).passed
-    sufficiency = check_isothermic(iso.net).passed and christoffel_form_residual(iso) <= 1e-9
+    closes = _passes(lambda: christoffel(iso, tol=Tolerances(product=1e-9)), FormNotClosed)  # within 1e-9
+    sufficiency = check_isothermic(iso.net).passed and closes
     _report(
         9, "metric caveat",
         counterexample and sufficiency,
@@ -377,7 +384,7 @@ def test_criterion_11_continuous_limit(iso_nets):
         nu_prime = normalize_nu_for_limit(kd, 1)
         positive = positive and np.all(nu_prime.values > 0)
         mn = moutard_lift(iso.net, kd)
-        worst_moutard = max(worst_moutard, mn.moutard_residual())
+        worst_moutard = max(worst_moutard, check_moutard(mn).max_residual)
         # the plus-sign defect of the switched lift is -(-1)^(u_2) times the minus-sign one, bit for bit
         plus, minus = switched_defects(mn, 1)
         sign = np.where(np.arange(minus.shape[1]) % 2 == 0, 1.0, -1.0)[:, None]

@@ -48,6 +48,9 @@ DELETED = (
     # the Minkowski labels, replaced by the metric labels they equal; the sign helper folded into _limit_signs
     "laplace_residual", "switched_laplace_residual", "switched_moutard_residual", "lift_labels", "_layer_means",
     "_alternating",
+    # the float getters beside the stage gates, whose reports they read; the Moutard report, now check_moutard;
+    # the vertex colours, which only their own tests read
+    "dual_form_residual", "christoffel_form_residual", "_moutard_report", "vertex_parity", "BLACK", "WHITE",
 )
 
 
@@ -69,6 +72,8 @@ def test_deleted_names_are_gone():
     assert not hasattr(koenigsnets.qnet.QNet, "base_indices")
     assert not hasattr(koenigsnets.qnet.VertexScalar, "__getitem__")
     assert not hasattr(koenigsnets.qnet.EdgeLabelling, "label")
+    assert not hasattr(koenigsnets.koenigs.MoutardNet, "moutard_residual")
+    assert tuple(f.name for f in dataclasses.fields(koenigsnets.koenigs.KoenigsData)) == ("nu",)
 
 
 # options no caller set, by function
@@ -86,6 +91,7 @@ REMOVED_OPTIONS = {
     koenigsnets.generate.grid: ("spacing",),
     koenigsnets.koenigs.moutard_lift: ("check",),
     koenigsnets.isothermic.lightcone_lift: ("check",),
+    koenigsnets.koenigs.integrate_nu: ("check",),
 }
 
 

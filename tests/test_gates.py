@@ -1,14 +1,14 @@
 """One verdict path: every pipeline stage gate builds a CheckReport and fails
 through CheckReport.require, whose one message names the report, its counts,
-its largest residual and the element that holds it; the float residuals of
-the stages are their reports' max_residual."""
+its largest residual and the element that holds it; every residual of a
+stage is read from its report."""
 import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from conftest import unchecked_homogeneous_lift, unchecked_lightcone_lift
+from conftest import unchecked_homogeneous_lift, unchecked_lightcone_lift, unchecked_nu
 from koenigsnets import generate, isothermic, koenigs
 from koenigsnets.errors import FormNotClosed, InconsistentCrossRatios, NotCircular, NotKoenigs
 from koenigsnets.geom import DEFAULT_TOL
@@ -50,14 +50,14 @@ def _perturbed(seed):
 
 def _nu_gate(mp):
     net = _perturbed(6)  # tests/test_koenigs.py::test_non_koenigs_rejected
-    nu = koenigs.integrate_nu(net, check=False).nu.values
+    nu = unchecked_nu(net).nu.values
     return (lambda: koenigs.integrate_nu(net),
             lambda: koenigs._nu_report(net, koenigs.build_q_form(net), nu, DEFAULT_TOL))
 
 
 def _dual_gate(mp):
     net = _perturbed(7)  # tests/test_koenigs.py::test_closure_fails_on_non_koenigs
-    kd = koenigs.integrate_nu(net, check=False)
+    kd = unchecked_nu(net)
     forms = koenigs._dual_edge_forms(net, kd.nu.values)
     return (lambda: koenigs.dualize_net(net, kd),
             lambda: koenigs._closure_report("dual_closure", net, forms, DEFAULT_TOL))
@@ -65,9 +65,9 @@ def _dual_gate(mp):
 
 def _moutard_gate(mp):
     net = _perturbed(7)
-    kd = koenigs.integrate_nu(net, check=False)
+    kd = unchecked_nu(net)
     return (lambda: koenigs.moutard_lift(net, kd),
-            lambda: unchecked_homogeneous_lift(net, kd.nu.values)._moutard_report(DEFAULT_TOL))
+            lambda: koenigs.check_moutard(unchecked_homogeneous_lift(net, kd.nu.values)))
 
 
 def _christoffel_gate(mp):
@@ -83,7 +83,7 @@ def _lightcone_moutard_gate(mp):
     net, s = generate.flip_corner_cross_ratio(_iso())  # tests/test_isothermic.py::test_non_isothermic_rejected
     bad = IsothermicNet(net, EdgeLabelling((np.ones(5), -np.ones(5))), s)
     return (lambda: isothermic.lightcone_lift(bad),
-            lambda: unchecked_lightcone_lift(bad)._moutard_report(DEFAULT_TOL))
+            lambda: koenigs.check_moutard(unchecked_lightcone_lift(bad)))
 
 
 def _lightcone_labels_gate(mp):
@@ -112,6 +112,20 @@ def _metric_gate(mp):
                                              DEFAULT_TOL))
 
 
+def _labels_gate(mp):
+    # a circular net whose cross-ratios do not factor: the labels of the origin's axis lines miss a quad
+    net, _ = generate.flip_corner_cross_ratio(_iso())  # tests/test_isothermic.py::test_non_isothermic_rejected
+    cr = isothermic.quad_cross_ratios(net)[(0, 1)]
+    a2 = 1.0 / cr[0]
+    a1 = cr[:, 0] * a2[0]
+    a1[0] = 1.0
+    expected = a1[:, None] / a2[None, :]
+    res = np.abs(cr - expected) / np.maximum(np.abs(cr), np.abs(expected))
+    at = np.argwhere(np.ones(res.shape))
+    return (lambda: isothermic.recover_labels(net),
+            lambda: CheckReport("label_factorization", DEFAULT_TOL.product, {(0, 1): (res.ravel(), at)}))
+
+
 def _circular_gate(mp):
     net = _k2()  # tests/test_isothermic.py::test_rejects_non_circular
     return lambda: isothermic.check_isothermic(net), lambda: isothermic.check_circular(net)
@@ -126,6 +140,7 @@ GATES = {
     "lightcone_lift moutard": (_lightcone_moutard_gate, FormNotClosed, "moutard"),
     "lightcone_lift labels": (_lightcone_labels_gate, InconsistentCrossRatios, "metric_labels"),
     "recover_metric": (_metric_gate, InconsistentCrossRatios, "metric_labels"),
+    "recover_labels": (_labels_gate, InconsistentCrossRatios, "label_factorization"),
     "check_isothermic circularity": (_circular_gate, NotCircular, "circular"),
 }
 
@@ -147,22 +162,27 @@ def test_every_gate_fails_through_its_report(gate, monkeypatch):
     assert found[4] == str(rep.worst_at)
 
 
-def _same(a, b):
+def _is_largest(rep):
+    """Whether a report's max_residual is the largest residual of its parts, NaN included."""
+    a, b = rep.max_residual, float(np.max(np.concatenate([res for res, _ in rep.parts.values()])))
     return a == b or (np.isnan(a) and np.isnan(b))
 
 
 @pytest.mark.parametrize("seed", [None, 6, 7])
 def test_float_residuals_are_their_reports_maxima(seed):
+    # the one float residual of each Koenigs stage is its report's max_residual
     net = _k2() if seed is None else _perturbed(seed)
-    kd = koenigs.integrate_nu(net, check=False)
-    nu_report = koenigs._nu_report(net, koenigs.build_q_form(net), kd.nu.values, DEFAULT_TOL)
-    assert _same(kd.closedness_residual, nu_report.max_residual)
-    dual = koenigs._closure_report("dual_closure", net, koenigs._dual_edge_forms(net, kd.nu.values), DEFAULT_TOL)
-    assert _same(koenigs.dual_form_residual(net, kd), dual.max_residual)
-    mn = unchecked_homogeneous_lift(net, kd.nu.values)
-    assert _same(mn.moutard_residual(), mn._moutard_report(DEFAULT_TOL).max_residual)
-    # and each maximum is the largest of its part's residuals, NaN included
-    assert _same(dual.max_residual, float(np.max(np.concatenate([res for res, _ in dual.parts.values()]))))
+    kd = unchecked_nu(net)
+    assert _is_largest(koenigs._nu_report(net, koenigs.build_q_form(net), kd.nu.values, DEFAULT_TOL))
+    assert _is_largest(koenigs._closure_report("dual_closure", net, koenigs._dual_edge_forms(net, kd.nu.values),
+                                               DEFAULT_TOL))
+    assert _is_largest(koenigs.check_moutard(unchecked_homogeneous_lift(net, kd.nu.values)))
+
+
+def test_unchecked_nu_is_the_nu(koenigs_net_3d):
+    # the nu the controls build without a gate is the one integrate_nu returns, bit for bit
+    for net in (_k2(), _iso().net, koenigs_net_3d[0]):
+        assert np.array_equal(unchecked_nu(net).nu.values, koenigs.integrate_nu(net).nu.values)
 
 
 def test_unchecked_lifts_are_the_lifts():
@@ -183,7 +203,7 @@ def test_christoffel_residual_is_its_reports_maximum(shift):
     iso = IsothermicNet(iso.net, EdgeLabelling((a1 + shift, a2)), iso.metric)
     forms = isothermic._christoffel_forms(iso.net, iso.labels)
     rep = koenigs._closure_report("christoffel_closure", iso.net, forms, DEFAULT_TOL)
-    assert _same(isothermic.christoffel_form_residual(iso), rep.max_residual)
+    assert _is_largest(rep)
     assert rep.passed == (shift == 0.0)
 
 
@@ -217,3 +237,15 @@ def test_vertex_scalar_keeps_a_read_only_copy():
         s.values[0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.values = np.zeros((2, 2))
+
+
+def test_edge_labelling_keeps_read_only_copies():
+    a = np.array([1.0, 2.0])
+    labels = EdgeLabelling((a, -a))
+    assert not any(x.flags.writeable for x in labels.per_axis) and a.flags.writeable
+    a[0] = 0.0  # the caller's array stays its own
+    assert labels.per_axis[0][0] == 1.0 and labels.per_axis[1][0] == -1.0
+    with pytest.raises(ValueError):
+        labels.per_axis[0][0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        labels.per_axis = (a, -a)

@@ -29,7 +29,6 @@ from koenigsnets.isothermic import (
     check_isothermic,
     check_moebius_characterizations,
     christoffel,
-    christoffel_form_residual,
     lightcone_evolve,
     lightcone_lift,
     metric_labels,
@@ -39,7 +38,7 @@ from koenigsnets.isothermic import (
     recover_metric,
     three_leg_evolve,
 )
-from koenigsnets.koenigs import KoenigsData, check_closedness, integrate_nu, normalize_nu_for_limit
+from koenigsnets.koenigs import KoenigsData, check_closedness, check_moutard, integrate_nu, normalize_nu_for_limit
 from koenigsnets.qnet import EdgeLabelling, QNet, VertexScalar, _star
 
 
@@ -268,9 +267,9 @@ class TestChristoffel:
             labels=EdgeLabelling((a1 + 0.5, a2)),
             metric=iso_net.metric,
         )
-        assert christoffel_form_residual(wrong) > 1e-3
-        with pytest.raises(FormNotClosed):
+        with pytest.raises(FormNotClosed) as err:
             christoffel(wrong)
+        assert float(re.search(r"max residual (\S+) at", str(err.value))[1]) > 1e-3
 
     def test_limit_signs(self, iso_net):
         dual = christoffel(iso_net, limit_signs=True)
@@ -286,7 +285,7 @@ class TestChristoffel:
         with pytest.raises(NotAlternating, match=r"^vertex \(0, 1\): "):
             christoffel(const, limit_signs=True)
         with pytest.raises(NotAlternating, match=r"^vertex \(0, 1\): "):
-            normalize_nu_for_limit(KoenigsData(nu=const.metric, closedness_residual=0.0), 1)
+            normalize_nu_for_limit(KoenigsData(nu=const.metric), 1)
 
     def test_limit_signs_need_2d(self, iso_lightcone_3d):
         _, iso = iso_lightcone_3d
@@ -298,7 +297,7 @@ class TestLightconeLift:
     def test_grid_lift(self):
         iso = grid_isothermic((4, 4))
         mn = lightcone_lift(iso)
-        assert mn.moutard_residual() <= 1e-14
+        assert check_moutard(mn).max_residual <= 1e-14
         assert np.allclose(mn.coeffs[(0, 1)], 1.0)
 
     def test_isotropy(self, iso_net):
@@ -309,7 +308,7 @@ class TestLightconeLift:
         assert np.abs(norms).max() <= 1e-10 * (mn.points**2).sum(axis=-1).max()
 
     def test_moutard_residual(self, iso_net):
-        assert lightcone_lift(iso_net).moutard_residual() <= 1e-9
+        assert check_moutard(lightcone_lift(iso_net)).max_residual <= 1e-9
 
     def test_label_identity(self, iso_net):
         # -2<y, tau_i y> = |f_i - f|^2 / (s s_i) reproduces the labels up to the gauge factor of s
@@ -342,12 +341,12 @@ class TestLightconeLift:
 class TestLightconeEvolve:
     def test_2d(self):
         mn, iso = generate.random_isothermic_lightcone((5, 6), rng=np.random.default_rng(201))
-        assert mn.moutard_residual() <= 1e-12
+        assert check_moutard(mn).max_residual <= 1e-12
         assert check_isothermic(iso.net).passed
 
     def test_3d_fixture(self, iso_lightcone_3d):
         mn, iso = iso_lightcone_3d
-        assert mn.moutard_residual() <= 1e-9
+        assert check_moutard(mn).max_residual <= 1e-9
         assert check_circular(iso.net).passed
 
     def test_round_trip_through_lift(self):

@@ -1,9 +1,10 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from conftest import switched_defects, unchecked_homogeneous_lift
+from conftest import switched_defects, unchecked_homogeneous_lift, unchecked_nu
 from koenigsnets import generate, koenigs, qnet
 from koenigsnets.errors import (
     DegenerateQuad,
@@ -11,13 +12,13 @@ from koenigsnets.errors import (
     NotKoenigs,
     VanishingLastComponent,
 )
-from koenigsnets.geom import DEFAULT_TOL, quad_diagonals, quad_planarity
+from koenigsnets.geom import quad_diagonals, quad_planarity
 from koenigsnets.koenigs import (
     build_q_form,
     check_closedness,
     check_koenigs_2d_geometric,
     check_koenigs_3d_geometric,
-    dual_form_residual,
+    check_moutard,
     dual_quad_residual,
     dualize_net,
     dualize_quad,
@@ -92,7 +93,7 @@ class TestClosedness:
 
     def test_m4_algebra(self):
         net, _, mn = generate.random_koenigs_nd((3, 3, 3, 3), rng=np.random.default_rng(1), noise=0.03)
-        assert mn.moutard_residual() <= 1e-10
+        assert check_moutard(mn).max_residual <= 1e-10
         rep = check_closedness(net)
         assert rep.passed and rep.max_residual <= 1e-9
 
@@ -269,9 +270,7 @@ class TestDualizeNet:
     def test_involution(self, koenigs_net_2d):
         kd = integrate_nu(koenigs_net_2d)
         dual = dualize_net(koenigs_net_2d, kd)
-        kd_dual = koenigs.KoenigsData(
-            nu=qnet.VertexScalar(1.0 / kd.nu.values), closedness_residual=0.0
-        )
+        kd_dual = koenigs.KoenigsData(nu=qnet.VertexScalar(1.0 / kd.nu.values))
         back = dualize_net(dual, kd_dual)
         diff = back.vertices - koenigs_net_2d.vertices
         assert np.abs(diff - diff[0, 0]).max() <= 1e-8 * koenigs_net_2d.diameter()
@@ -309,10 +308,10 @@ class TestDualizeNet:
 
     def test_closure_fails_on_non_koenigs(self, koenigs_net_2d):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(7))
-        kd = integrate_nu(bad, check=False)
-        assert dual_form_residual(bad, kd) > 1e-3
-        with pytest.raises(NotKoenigs):
+        kd = unchecked_nu(bad)
+        with pytest.raises(NotKoenigs) as err:
             dualize_net(bad, kd)
+        assert float(re.search(r"max residual (\S+) at", str(err.value))[1]) > 1e-3
 
 
 class TestLaplace:
@@ -320,17 +319,17 @@ class TestLaplace:
     spatial defect is w_ij times the Laplace defect."""
 
     def test_moutard_net(self, koenigs_net_2d):
-        rep = moutard_lift(koenigs_net_2d, integrate_nu(koenigs_net_2d))._moutard_report(DEFAULT_TOL)
+        rep = check_moutard(moutard_lift(koenigs_net_2d, integrate_nu(koenigs_net_2d)))
         assert rep.passed and rep.max_residual <= 1e-9
 
     def test_grid_zero(self):
         g = generate.grid((4, 4))
         kd = integrate_nu(g, ((0, 0), 1.0), ((1, 0), -1.0))
-        assert moutard_lift(g, kd)._moutard_report(DEFAULT_TOL).max_residual == pytest.approx(0.0, abs=1e-14)
+        assert check_moutard(moutard_lift(g, kd)).max_residual == pytest.approx(0.0, abs=1e-14)
 
     def test_perturbed(self, koenigs_net_2d):
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(8))
-        rep = unchecked_homogeneous_lift(bad, integrate_nu(bad, check=False).nu.values)._moutard_report(DEFAULT_TOL)
+        rep = check_moutard(unchecked_homogeneous_lift(bad, unchecked_nu(bad).nu.values))
         assert not rep.passed and rep.max_residual >= 1e-3
 
 
@@ -340,7 +339,7 @@ class TestMoutard:
         kd = integrate_nu(g, ((0, 0), 1.0), ((1, 0), -1.0))
         mn = moutard_lift(g, kd)
         assert mn.coeffs[(0, 1)][0, 0] == pytest.approx(-1.0)
-        assert mn.moutard_residual() <= 1e-14
+        assert check_moutard(mn).max_residual <= 1e-14
 
     def test_round_trip(self, koenigs_net_2d):
         kd = integrate_nu(koenigs_net_2d)
@@ -486,7 +485,7 @@ class TestLimitNormalization:
         kd = integrate_nu(iso_net.net)
         assert np.all(normalize_nu_for_limit(kd, 1).values > 0)
         mn = moutard_lift(iso_net.net, kd)
-        assert mn._moutard_report(DEFAULT_TOL).passed
+        assert check_moutard(mn).passed
         for axis in (0, 1):
             plus, minus = switched_defects(mn, axis)
             sign = np.where(np.indices(minus.shape[:-1])[axis] % 2 == 0, 1.0, -1.0)[..., None]

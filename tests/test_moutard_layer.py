@@ -69,4 +69,4 @@ def test_lift_labels_of_valid_48_nets(seed):
     s = isothermic.recover_metric(net)
     mn = isothermic.lightcone_lift(isothermic.IsothermicNet(net, labels, s))
     assert isothermic._metric_report(net, s.values, DEFAULT_TOL).max_residual <= 1e-10
-    assert mn.moutard_residual() <= DEFAULT_TOL.product
+    assert koenigs.check_moutard(mn).max_residual <= DEFAULT_TOL.product

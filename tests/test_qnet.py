@@ -6,14 +6,11 @@ import pytest
 from koenigsnets import generate
 from koenigsnets.errors import DimensionTooLow
 from koenigsnets.qnet import (
-    BLACK,
-    WHITE,
     EdgeLabelling,
     QNet,
     VertexScalar,
     _gather_quads,
     check_qnet,
-    vertex_parity,
 )
 
 
@@ -48,29 +45,6 @@ class TestQNetConstruction:
         net = QNet(base[1])  # a view
         base[1, 0, 0, 0] = 1.0
         assert net.vertices[0, 0, 0] == 0.0
-
-
-class TestParity:
-    def test_origin_black(self):
-        assert vertex_parity((0, 0)) == BLACK
-
-    def test_neighbours_white(self):
-        assert vertex_parity((1, 0)) == WHITE
-        assert vertex_parity((1, 1, 1)) == WHITE
-
-    def test_adjacent_opposite(self, rng):
-        for _ in range(20):
-            u = tuple(rng.integers(0, 5, 3))
-            for ax in range(3):
-                v = list(u)
-                v[ax] += 1
-                assert vertex_parity(u) != vertex_parity(tuple(v))
-
-    def test_diagonals_connect_equal_parity(self):
-        # both diagonals of any quad join same-colored vertices
-        u = (2, 3)
-        assert vertex_parity(u) == vertex_parity((u[0] + 1, u[1] + 1))
-        assert vertex_parity((u[0] + 1, u[1])) == vertex_parity((u[0], u[1] + 1))
 
 
 class TestIterators:

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import unchecked_nu
 from koenigsnets import generate, isothermic, koenigs, qnet
 from koenigsnets.errors import EqualNuOnWhiteDiagonal, FormNotClosed, NotCircular, NotKoenigs
-from koenigsnets.geom import _unit
+from koenigsnets.geom import DEFAULT_TOL, _unit
 from koenigsnets.isothermic import check_circular, check_isothermic, check_moebius_characterizations
 from koenigsnets.koenigs import (
     check_closedness,
@@ -188,7 +189,7 @@ def test_nan_coefficient_makes_the_moutard_residual_nan(koenigs_net_2d):
     mn = koenigs.moutard_lift(koenigs_net_2d, koenigs.integrate_nu(koenigs_net_2d))
     a = mn.coeffs[(0, 1)].copy()
     a[2, 3] = np.nan
-    assert np.isnan(koenigs.MoutardNet(mn.points, {(0, 1): a}).moutard_residual())
+    assert np.isnan(koenigs.check_moutard(koenigs.MoutardNet(mn.points, {(0, 1): a})).max_residual)
 
 
 def _nan_coeffs(fn):
@@ -212,13 +213,17 @@ def test_nan_coefficient_fails_the_lifts(koenigs_net_2d, iso_net, monkeypatch):
         isothermic.lightcone_lift(iso_net)
 
 
+def _dual_report(net, kd):
+    """The report the gate of dualize_net builds."""
+    return koenigs._closure_report("dual_closure", net, koenigs._dual_edge_forms(net, kd.nu.values), DEFAULT_TOL)
+
+
 def test_underflowing_dual_form_fails_its_gate(koenigs_net_2d):
     # two rows: the only quad that touches the two tiny values of nu is the first
     net = QNet(koenigs_net_2d.vertices[:2])
     nu = koenigs.integrate_nu(net).nu.values.copy()
     nu[0, 0], nu[1, 0] = np.copysign(1e-200, nu[0, 0]), np.copysign(1e-200, nu[1, 0])  # nu nu_1 underflows
-    kd = koenigs.KoenigsData(nu=VertexScalar(nu), closedness_residual=0.0)
-    assert np.isnan(koenigs.dual_form_residual(net, kd))
+    kd = koenigs.KoenigsData(nu=VertexScalar(nu))
     with pytest.raises(NotKoenigs, match="residual nan"):
         koenigs.dualize_net(net, kd)
 
@@ -228,7 +233,6 @@ def test_overflowing_christoffel_form_fails_its_gate(iso_net):
     a1, a2 = (0.01 * a for a in iso_net.labels.per_axis)
     a1[0] = 1e308
     iso = isothermic.IsothermicNet(QNet(0.1 * iso_net.net.vertices), EdgeLabelling((a1, a2)), iso_net.metric)
-    assert np.isnan(isothermic.christoffel_form_residual(iso))
     with pytest.raises(FormNotClosed, match="residual nan"):
         isothermic.christoffel(iso)
 
@@ -238,16 +242,16 @@ def test_overflowing_christoffel_form_fails_its_gate(iso_net):
 def test_dual_closure_residual_survives_scale(koenigs_net_2d, scale):
     # the forms' squares underflow or overflow unless they are rescaled first
     bad = _perturbed(koenigs_net_2d, 5)
-    ref = koenigs.dual_form_residual(bad, koenigs.integrate_nu(bad, check=False))
+    ref = _dual_report(bad, unchecked_nu(bad)).max_residual
     moved = QNet(bad.vertices * scale)
-    kd = koenigs.integrate_nu(moved, check=False)
-    assert ref > 1e-3 and koenigs.dual_form_residual(moved, kd) == pytest.approx(ref, rel=1e-9)
+    kd = unchecked_nu(moved)
+    assert ref > 1e-3 and _dual_report(moved, kd).max_residual == pytest.approx(ref, rel=1e-9)
     # the gate's report names the one quad the perturbation left open, at every scale
     with pytest.raises(NotKoenigs, match=r"^dual_closure: 1 of 56 fail, max residual .* at \(\(0, 1\), \(6, 7\)\) "):
         koenigs.dualize_net(moved, kd)
     good = QNet(koenigs_net_2d.vertices * scale)
     kd = koenigs.integrate_nu(good)
-    assert koenigs.dual_form_residual(good, kd) <= 1e-8
+    assert _dual_report(good, kd).max_residual <= 1e-8
     assert np.all(np.isfinite(koenigs.dualize_net(good, kd).vertices))
 
 
@@ -257,10 +261,14 @@ def test_moutard_residual_survives_scale(koenigs_net_2d, scale):
     mn = koenigs.moutard_lift(koenigs_net_2d, koenigs.integrate_nu(koenigs_net_2d))
     bad = mn.points.copy()
     bad[3, 4] *= 1.01
-    ref = koenigs.MoutardNet(bad, mn.coeffs).moutard_residual()
+
+    def residual(points):
+        return koenigs.check_moutard(koenigs.MoutardNet(points, mn.coeffs)).max_residual
+
+    ref = residual(bad)
     assert ref > 1e-4
-    assert koenigs.MoutardNet(bad * scale, mn.coeffs).moutard_residual() == pytest.approx(ref, rel=1e-9)
-    assert koenigs.MoutardNet(mn.points * scale, mn.coeffs).moutard_residual() <= 1e-12
+    assert residual(bad * scale) == pytest.approx(ref, rel=1e-9)
+    assert residual(mn.points * scale) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
