@@ -164,7 +164,8 @@ def _q_cube_steps(f, level):
     s0, s1, s2 = level.strides
     back = [[s1 + s2, s2, s1], [s0 + s2, s2, s0], [s0 + s1, s1, s0]]  # f_ijk to (f_i, f_ij, f_ik) of face i
     p0, p1, p2 = np.moveaxis(f[level.k[:, None, None] - back], 2, 0)
-    normals = np.cross(p1 - p0, p2 - p0)
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(p1 - p0, -1, 0), np.moveaxis(p2 - p0, -1, 0)
+    normals = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)  # np.cross, bit for bit
     return np.linalg.solve(normals, (normals * p0).sum(axis=-1)[..., None])[..., 0]
 
 

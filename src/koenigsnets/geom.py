@@ -11,6 +11,7 @@ a pure function of its inputs; tolerances are relative and collected in
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -76,37 +77,31 @@ class Diagonals(NamedTuple):
 _EXACT_BELOW = 1e-4
 
 
-def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, where=lambda k: "", rho=None) -> Diagonals:
+def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, where=lambda k: "") -> Diagonals:
     """Intersection of the diagonals AC and BD of stacked quads (Q, 4, N),
     each (A, B, C, D) in cyclic order, in float64.
 
     With h_X the signed distance of vertex X from the other diagonal,
     q_ac = h_C/h_A, q_bd = h_D/h_B, t = h_A/(h_A - h_C), s = h_B/(h_B - h_D),
-    read in an orthonormal frame of the diagonals' plane found by
-    Gram-Schmidt applied twice.  Quads with a height below ``_EXACT_BELOW``
-    of the terms it sums (digits lost to cancellation) get their heights
-    from :func:`_exact_heights`.  Guards, each over the whole stack before
-    the next: DegenerateQuad for parallel diagonals (sin^2 of their angle <=
-    tol.incidence) and for skew ones (``rho``, the quads'
-    :func:`quad_planarity`, computed here if None, not <= tol.incidence),
-    VertexOnDiagonal for t or s within tol.incidence of 0 or 1, each for its
-    first failing quad k, named by ``where(k)`` (:func:`_raise_first`).
+    read in the quads' :func:`_diagonal_frame`.  Quads with a height below
+    ``_EXACT_BELOW`` of the terms it sums (digits lost to cancellation) get
+    their heights from :func:`_exact_heights`.  Guards, each over the whole
+    stack before the next: DegenerateQuad for parallel diagonals (sin^2 of
+    their angle <= tol.incidence) and for skew ones (the frame's rho, the
+    quads' :func:`quad_planarity`, not <= tol.incidence), VertexOnDiagonal for
+    t or s within tol.incidence of 0 or 1, each for its first failing quad k,
+    named by ``where(k)`` (:func:`_raise_first`).
     """
-    abcd = np.moveaxis(np.asarray(pts, dtype=float), 0, -1)
-    unit = _unit(abcd)
-    abcd = np.ascontiguousarray(abcd if unit == 1.0 else abcd * unit)
-    a, b, c, d = abcd  # (N, Q) each
-    u, v, w = c - a, d - b, b - a
+    abcd = np.asarray(pts, dtype=float).transpose(1, 2, 0)
+    return _diagonals(abcd, _diagonal_frame(abcd), tol, where)
+
+
+def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where) -> Diagonals:
+    """:func:`quad_diagonals` of the quads abcd (4, N, Q) from their :func:`_diagonal_frame`."""
+    exp, lu, uu, vv, v1, v2, w1, w2, off, rho = frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        uu, vv = _dot(u, u), _dot(v, v)
-        lu = np.sqrt(uu)
-        e1 = u / lu
-        (v1,), v_perp = _reject(v, e1)
-        v2 = np.sqrt(_dot(v_perp, v_perp))  # v = v1 e1 + v2 e2
-        (w1, w2), off = _reject(w, e1, v_perp / v2)  # off: from the line AC to the line BD
         parallel = ~(v2 * v2 > tol.incidence * vv)
         _raise_first([(parallel, DegenerateQuad, "diagonals are parallel (intersection at infinity)")], where)
-        rho = quad_planarity(np.moveaxis(abcd, -1, 0)) if rho is None else np.ravel(rho)
         skew = ~(rho <= tol.incidence)
         _raise_first([(skew, DegenerateQuad, "skew diagonals: residual {:.3e} exceeds tolerance", rho)], where)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
@@ -116,25 +111,90 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, where=lambda 
         sizes2 = np.stack([ww * vv, (ww + uu) * vv, uu * vv, ww, ww + vv, vv])
         rough = np.flatnonzero((h * h < _EXACT_BELOW**2 * sizes2).any(axis=0))
         if len(rough):
-            h[:, rough] = _exact_heights(*abcd[:, :, rough])
+            h[:, rough] = _exact_heights(*(abcd[:, :, rough] * _unit(abcd)))
         h_a, h_c, h_ac, h_b, h_d, h_bd = h
         t, s = h_a / h_ac, h_b / h_bd
         near = np.minimum.reduce([np.abs(t), np.abs(h_c / h_ac), np.abs(s), np.abs(h_d / h_bd)])
-        diag = Diagonals(((a + t * u + 0.5 * off) / unit).T, t, s, h_c / h_a, h_d / h_b)
+        a, c = abcd[0], abcd[2]
+        point = a + t * (c - a) + 0.5 * np.ldexp(off, exp)  # off: from the line AC to the line BD
+        diag = Diagonals(point.T, t, s, h_c / h_a, h_d / h_b)
     _raise_first([(near <= tol.incidence, VertexOnDiagonal, "diagonal intersection coincides with a vertex")], where)
     return diag
 
 
 def quad_planarity(pts) -> np.ndarray:
-    """Coplanarity residual rho of each quad of a stack (..., 4, N): :func:`span_residual` at rank 2 of the rows
-    C - A, D - B and (B + D - A - C) / sqrt(2), which are sqrt(2) times an orthonormal transform of the centred
-    quad.  So rho is that of the centred points, symmetric under every vertex order, 0 iff the points are
-    coplanar, and within [1/3, 1] sigma_2 / sigma_0, near coplanarity >= sigma_2 / (sqrt(2) sigma_0)."""
-    abcd = np.moveaxis(np.asarray(pts, dtype=float), (-2, -1), (0, 1))  # (4, N, ...)
-    rows = np.empty((3,) + abcd.shape[1:])  # coordinate-major, as span_residual's blocks compute
-    np.subtract(abcd[2:], abcd[:2], out=rows[:2])  # C - A, D - B
-    np.multiply(abcd[1] - abcd[0] + (abcd[3] - abcd[2]), np.sqrt(0.5), out=rows[2])  # B - A + D - C
-    return span_residual(np.moveaxis(rows, (0, 1), (-2, -1)), 2)
+    """Coplanarity residual rho of each quad of a stack (..., 4, N), the rho of its :func:`_diagonal_frame`:
+    :func:`span_residual` at rank 2 of the rows C - A, D - B and (B + D - A - C) / sqrt(2), which are sqrt(2)
+    times an orthonormal transform of the centred quad.  So rho is that of the centred points, symmetric under
+    every vertex order, 0 iff the points are coplanar, and within [1/3, 1] sigma_2 / sigma_0, near coplanarity
+    >= sigma_2 / (sqrt(2) sigma_0)."""
+    pts = np.asarray(pts, dtype=float)
+    return _diagonal_frame(pts.reshape(-1, 4, pts.shape[-1]).transpose(1, 2, 0)).rho.reshape(pts.shape[:-2])
+
+
+# the output of _diagonal_frame, per quad of a stack: each (Q,) but off (N, Q)
+_Frame = namedtuple("_Frame", "exp lu uu vv v1 v2 w1 w2 off rho")
+_TINY = np.finfo(float).tiny
+_BLOCK = 4096  # quads per pass: the temporaries stay in cache and are reused, not mapped afresh
+
+
+def _diagonal_frame(abcd: np.ndarray) -> _Frame:
+    """The frame of the diagonals of each quad of a stack abcd (4, N, Q), and its coplanarity residual rho.
+
+    The rows u = C - A, v = D - B and w = B - A of a quad are scaled by the power of two 2^-exp that brings
+    their largest entry to [1/2, 1) and read in the orthonormal frame (e_1, e_2) of Gram-Schmidt applied twice
+    (once leaves a rest far from orthogonal when its vector nearly lies in the frame's span): u = lu e_1,
+    v = v1 e_1 + v2 e_2, w = w1 e_1 + w2 e_2 + off, uu = |u|^2, vv = |v|^2, with e_2 the rest of v over v2,
+    or over the smallest normal double where v2 is below it.  rho is :func:`span_residual` at rank 2 of u, v and
+    r = (2 w + v - u) / sqrt(2) of :func:`quad_planarity`, by Cauchy-Binet in the frame, where
+    sqrt(2) r = R_1 e_1 + R_2 e_2 + 2 off, R_1 = 2 w1 + v1 - lu, R_2 = 2 w2 + v2: with P = R_2^2 + 4 |off|^2,
+    |A|_F^2 = uu + vv + (R_1^2 + P) / 2 and |^2 A|^2 = uu (v2^2 + P / 2) + ((v1 R_2 - v2 R_1)^2 + 4 vv |off|^2) / 2
+    add only positive terms, and |^3 A|^2 = 2 |u ^ (v - v1 e_1) ^ off|^2 sums the squared 3 x 3 minors of
+    coordinates, so rho is exactly 0 where no minor survives the rounding (as in a coordinate plane), where
+    u = 0 and where |^2 A| = 0; NaN where a coordinate is.  The stack is read in equal blocks of at most
+    ``_BLOCK`` quads.
+    """
+    n_blocks = -(-abcd.shape[2] // _BLOCK)  # equal blocks: einsum would round a block of one quad otherwise
+    if n_blocks <= 1:
+        return _frame_block(abcd)
+    blocks = [_frame_block(part) for part in np.array_split(abcd, n_blocks, axis=2)]
+    return _Frame(*(np.concatenate(parts, axis=-1) for parts in zip(*blocks)))
+
+
+def _frame_block(abcd: np.ndarray) -> _Frame:
+    """:func:`_diagonal_frame` of one block."""
+    rows = np.empty((3,) + abcd.shape[1:])
+    np.subtract(abcd[2:], abcd[:2], out=rows[:2])  # u, v
+    np.subtract(abcd[1], abcd[0], out=rows[2])  # w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        exp = np.frexp(np.abs(rows).max(axis=(0, 1)))[1]
+        u, v, w = np.ldexp(rows, -exp, out=rows)
+        uu, vv = np.einsum("kiq,kiq->kq", rows[:2], rows[:2])
+        lu = np.sqrt(uu)
+        e1 = u / lu
+        on_e1 = np.einsum("kiq,iq->kq", rows[1:], e1)  # v and w on e_1, then each rest on e_1 and e_2 in turn
+        v, w = rows[1:] - on_e1[:, None] * e1
+        again = _dot(v, e1)
+        v1, v = on_e1[0] + again, v - again * e1
+        v2 = np.sqrt(_dot(v, v))
+        e2 = v / np.maximum(v2, _TINY)
+        w2 = _dot(w, e2)
+        w = w - w2 * e2
+        again = _dot(w, e1)
+        w1, w = on_e1[1] + again, w - again * e1
+        again = _dot(w, e2)
+        w2, off = w2 + again, w - again * e2
+        r1, r2, oo = 2.0 * w1 + v1 - lu, 2.0 * w2 + v2, 4.0 * _dot(off, off)  # R_1, R_2, 4 |off|^2
+        p, vr = r2 * r2 + oo, v1 * r2 - v2 * r1
+        norm2 = uu + vv + 0.5 * (r1 * r1 + p)
+        wedge2 = uu * (v2 * v2 + 0.5 * p) + 0.5 * (vr * vr + vv * oo)
+        (j, k), _ = _subsets(len(u), 2)
+        cols, drop = _subsets(len(u), 3)
+        vo = v.take(j, axis=0) * off.take(k, axis=0) - v.take(k, axis=0) * off.take(j, axis=0)  # 2 x 2 minors
+        terms = u.take(cols, axis=0) * vo.take(drop, axis=0)
+        det = terms[0] - terms[1] + terms[2]  # by Laplace along u
+        rho = np.where(lu == 0.0, 0.0, np.sqrt(2.0 * _dot(det, det) / np.fmax(norm2 * wedge2, _TINY)))
+    return _Frame(exp, lu, uu, vv, v1, v2, w1, w2, off, rho)
 
 
 def span_residual(vectors, rank: int) -> np.ndarray:
@@ -249,18 +309,6 @@ def _raise_first(checks, where) -> None:
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products of vectors stored along the first axis."""
     return np.einsum("i...,i...->...", x, y)
-
-
-def _reject(x: np.ndarray, *frame):
-    """The coordinates of x along the orthonormal ``frame``, and the rest of
-    x, by Gram-Schmidt applied twice (once leaves the rest far from
-    orthogonal to the frame when x nearly lies in its span)."""
-    coords = [0.0] * len(frame)
-    for _ in range(2):
-        for k, e in enumerate(frame):
-            xe = _dot(x, e)
-            coords[k], x = coords[k] + xe, x - xe * e
-    return coords, x
 
 
 def _exact_heights(a, b, c, d) -> np.ndarray:

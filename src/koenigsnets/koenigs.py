@@ -19,7 +19,8 @@ from .errors import (
     VanishingLastComponent,
     ZeroNu,
 )
-from .geom import DEFAULT_TOL, Tolerances, _length, _raise_first, _unit, quad_diagonals, quad_planarity, span_residual
+from .geom import (DEFAULT_TOL, Tolerances, _diagonals, _length, _raise_first, _unit, quad_diagonals, quad_planarity,
+                   span_residual)
 from .qnet import (
     CheckReport,
     QNet,
@@ -31,9 +32,9 @@ from .qnet import (
     _frozen,
     _gather_quads,
     _grid,
-    _planarity,
     _quad_at,
     _star,
+    _take_frame,
     _vertex_at,
     _wavefront,
 )
@@ -74,9 +75,11 @@ class DiagonalForm:
 
 def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
     """Diagonal intersections of all quads in the (i, j) plane, by
-    :func:`quad_diagonals`: (m, q_main, q_cross) shaped like the base grid."""
+    :func:`quad_diagonals` in the frame :func:`qnet._take_frame` hands over: (m, q_main, q_cross) shaped
+    like the base grid."""
     pts, shape = _gather_quads(net, i, j)
-    diag = quad_diagonals(pts, tol, _quad_at(shape, i, j), rho=_planarity(net, i, j))
+    abcd = np.moveaxis(pts, 0, -1)
+    diag = _diagonals(abcd, _take_frame(net, i, j, abcd), tol, _quad_at(shape, i, j))
     return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLow, InvalidValue
-from .geom import DEFAULT_TOL, Tolerances, _raise_first, quad_planarity
+from .geom import DEFAULT_TOL, Tolerances, _diagonal_frame, _raise_first
 
 __all__ = [
     "QNet",
@@ -138,14 +138,25 @@ def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
 
 
 def _planarity(net: QNet, i: int, j: int) -> np.ndarray:
-    """:func:`geom.quad_planarity` of the (i, j) quads over their base grid, read-only, once per net
-    and axis pair: check_qnet, the diagonal form and the circles share it."""
+    """:func:`geom.quad_planarity` of the (i, j) quads over their base grid, read-only: the rho of their
+    :func:`geom._diagonal_frame`, built once per net and axis pair and kept by the net (check_qnet, the
+    diagonal form and the circles share it).  The rest of the frame waits on the net until the diagonal
+    form takes it (:func:`_take_frame`)."""
 
     def build():
         pts, shape = _gather_quads(net, i, j)
-        return _frozen(quad_planarity(pts).reshape(shape))
+        frame = _diagonal_frame(np.moveaxis(pts, 0, -1))
+        net._cache[("frame", i, j)] = frame
+        return _frozen(frame.rho.reshape(shape))
 
     return net._memo(("planarity", i, j), build)
+
+
+def _take_frame(net: QNet, i: int, j: int, abcd: np.ndarray):
+    """The :func:`geom._diagonal_frame` of the (i, j) quads abcd (4, N, Q): the one :func:`_planarity` left
+    on the net, which no longer keeps it, or a new one once that was taken."""
+    _planarity(net, i, j)
+    return net._cache.pop(("frame", i, j), None) or _diagonal_frame(abcd)
 
 
 @lru_cache(maxsize=16)

@@ -2,7 +2,7 @@
 oracle and against the long-double computation it replaces, kept here as a
 reference; and the per-net memo of the coplanarity residuals, the diagonal
 form and the circles."""
-from itertools import combinations
+from itertools import combinations, permutations
 
 import mpmath
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from koenigsnets import generate, geom, isothermic, koenigs, qnet
 from koenigsnets.errors import DegenerateQuad, NotPlanar, VertexOnDiagonal
-from koenigsnets.geom import Tolerances, quad_circles, quad_diagonals, quad_planarity
+from koenigsnets.geom import Tolerances, _diagonal_frame, _diagonals, quad_circles, quad_diagonals
 from koenigsnets.koenigs import _build_q_form, _diag_data, build_q_form, check_closedness
 from koenigsnets.qnet import QNet, _base, _gather_quads, check_qnet
 
@@ -259,13 +259,23 @@ def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenig
     for net in nets:
         for i, j in combinations(range(net.m), 2):
             pts = _gather_quads(net, i, j)[0]
-            rho = quad_planarity(pts)
-            own, given = outcome(quad_diagonals, pts), outcome(lambda: quad_diagonals(pts, rho=rho))
+            abcd = np.moveaxis(pts, 0, -1)
+            frame = _diagonal_frame(abcd)
+            own, given = outcome(quad_diagonals, pts), outcome(lambda: _diagonals(abcd, frame, TOL, lambda k: ""))
             if isinstance(own[0], type):
                 assert given == own
             else:
                 assert all(np.array_equal(a, b) for a, b in zip(own, given))
-            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), quad_circles(pts, rho=rho)))
+            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), quad_circles(pts, rho=frame.rho)))
+
+
+@pytest.mark.parametrize("n_quads", [4097, 9000])
+def test_the_blocks_of_a_frame_leave_its_bits(n_quads, monkeypatch):
+    # equal blocks: einsum would round the dot products of a block of one quad otherwise
+    abcd = np.random.default_rng(36).standard_normal((4, 3, n_quads))
+    blocked = geom._diagonal_frame(abcd)
+    monkeypatch.setattr(geom, "_BLOCK", n_quads)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, geom._diagonal_frame(abcd)))
 
 
 # --- the memo ---------------------------------------------------------------------
@@ -273,9 +283,9 @@ def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenig
 
 def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monkeypatch):
     calls = []
-    for module in (qnet, geom):  # check_qnet's calls, and the kernels' own
-        run = module.quad_planarity
-        monkeypatch.setattr(module, "quad_planarity", lambda pts, run=run: calls.append(pts) or run(pts))
+    for module in (qnet, geom):  # the net's frames, and the kernels' own
+        run = module._diagonal_frame
+        monkeypatch.setattr(module, "_diagonal_frame", lambda abcd, run=run: calls.append(abcd) or run(abcd))
     for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
         calls.clear()
         net = QNet(vertices)
@@ -287,8 +297,27 @@ def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monke
         assert len(calls) == 2 * n_pairs
 
 
+@pytest.mark.parametrize("order", list(permutations([check_qnet, check_closedness, isothermic.check_circular])))
+def test_the_frame_is_built_once_in_any_order(iso_net, koenigs_net_3d, order, monkeypatch):
+    # the diagonal form takes the frame off the net, which keeps rho
+    calls = []
+    run = qnet._diagonal_frame
+    monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd) or run(abcd))
+    for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
+        calls.clear()
+        net = QNet(vertices)
+        for check in order:
+            check(net)
+        pairs = list(combinations(range(net.m), 2))
+        assert len(calls) == len(pairs)
+        assert all(("frame", i, j) not in net._cache and ("planarity", i, j) in net._cache for i, j in pairs)
+        build_q_form(net, Tolerances(incidence=1e-10))  # a form at other tolerances builds a frame again
+        assert len(calls) == 2 * len(pairs)
+
+
 def test_nan_planarity_fails_the_guards(iso_net, monkeypatch):
-    monkeypatch.setattr(qnet, "quad_planarity", lambda pts: np.full(np.shape(pts)[:-2], np.nan))
+    run = qnet._diagonal_frame
+    monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: run(abcd)._replace(rho=np.full(abcd.shape[2], np.nan)))
     with pytest.raises(DegenerateQuad, match=r"quad base \(0, 0\) \(axes 0,1\): skew diagonals: residual nan"):
         build_q_form(QNet(iso_net.net.vertices))
     with pytest.raises(NotPlanar, match="residual nan"):

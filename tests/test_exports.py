@@ -82,7 +82,7 @@ REMOVED_OPTIONS = {
     koenigsnets.isothermic.christoffel: ("base", "check"),
     koenigsnets.koenigs.moutard_evolve: ("lightcone",),
     koenigsnets.koenigs._integrate_one_form: ("base",),
-    koenigsnets.geom.quad_diagonals: ("scale", "guards", "messages"),
+    koenigsnets.geom.quad_diagonals: ("scale", "guards", "messages", "rho"),
     koenigsnets.qnet.VertexScalar: ("nonzero",),
     koenigsnets.koenigs.normalize_nu_for_limit: ("tol",),
     koenigsnets.isothermic.metric_labels: ("tol",),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_planar_quad
+from koenigsnets import qnet
 from koenigsnets.errors import (
     DegenerateQuad,
     GeneralPositionViolated,
@@ -30,7 +31,7 @@ from koenigsnets.geom import (
 )
 from koenigsnets.isothermic import project_lightcone_net
 from koenigsnets.koenigs import MoutardNet, dual_quad_residual, dualize_quad
-from koenigsnets.qnet import _gather_quads
+from koenigsnets.qnet import QNet, _gather_quads, check_qnet
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 ASYMMETRIC = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.25, 1.0]])
@@ -391,6 +392,52 @@ class TestQuadPlanarity:
             n_near += near.sum()
             assert np.all((1 - 1e-6) * ratio[near] / np.sqrt(2) <= rho[near])
         assert n_near > 7000  # the flat stacks
+
+    def test_matches_the_span_residual_of_its_rows(self):
+        # the frame's closed form against span_residual's minors of the same three rows, on the stacks of
+        # test_bounds_the_singular_value_ratio: measured within 1.7e-16 absolute
+        rng = np.random.default_rng(34)
+        stacks = [rng.standard_normal((4000, 4, dim)) for dim in (3, 4, 5)]
+        stacks += [rng.standard_normal((4000, 4, 3)) * size for size in ([1.0, 1e-3, 1e-2], [1.0, 1.0, 1e-5],
+                                                                          [1.0, 1e-3, 1e-5])]
+        stacks.append(np.array([[0, 0, 0], [100, 0.5, 0], [1, 0, 0], [100, -0.5, 0]])
+                      + rng.standard_normal((4000, 4, 3)))
+        for stack in stacks:
+            a, b, c, d = np.moveaxis(stack, -2, 0)
+            ref = span_residual(np.stack([c - a, d - b, (b - a + (d - c)) * np.sqrt(0.5)], axis=-2), 2)
+            assert np.all(np.abs(quad_planarity(stack) - ref) <= 1e-13 * ref + 2 * np.finfo(float).eps)
+
+    def test_each_quad_of_a_mixed_scale_stack_reads_as_alone(self):
+        # every quad is scaled by its own power of two, so no fourth or sixth power over- or underflows
+        unit = np.random.default_rng(35).standard_normal((30, 4, 3))
+        quads = unit * np.array([2.0**500, 2.0**-500, 1.0] * 10)[:, None, None]
+        rho = quad_planarity(quads)
+        assert np.array_equal(rho, quad_planarity(unit)) and np.all(np.isfinite(rho))
+        alone = np.array([quad_planarity(q) for q in quads])  # einsum sums a lone quad's coordinates in another order
+        assert rho == pytest.approx(alone, rel=1e-14, abs=0)
+
+    def test_coplanar_diagonals_read_zero(self):
+        quads = np.array([
+            [[1, 2, 3], [0, 1, 5], [1, 2, 3], [4, -1, 2]],  # A = C
+            [[1, 2, 3], [0, 1, 5], [4, -1, 2], [0, 1, 5]],  # B = D
+            [[0, 0, 0], [5, -1, 2], [1, 2, 3], [7, 3, 8]],  # D - B = 2 (C - A)
+        ], dtype=float)
+        assert np.array_equal(quad_planarity(quads), [0.0, 0.0, 0.0])
+
+    def test_nan_reaches_check_qnet_at_its_quad(self, iso_net, monkeypatch):
+        gather = qnet._gather_quads
+
+        def with_nan(net, i, j):  # one coordinate of the vertex C of quad 7 is NaN
+            pts, shape = gather(net, i, j)
+            pts[7, 2, 1] = np.nan
+            return pts, shape
+
+        clean = check_qnet(QNet(iso_net.net.vertices))
+        monkeypatch.setattr(qnet, "_gather_quads", with_nan)
+        rep = check_qnet(QNet(iso_net.net.vertices))
+        (res, at), (ref, _) = rep.parts[(0, 1)], clean.parts[(0, 1)]
+        assert not rep.passed and np.isnan(rep.max_residual) and rep.worst_at == ((0, 1), tuple(at[7]))
+        assert np.array_equal(np.delete(res, 7), np.delete(ref, 7))
 
     def test_symmetric_and_shaped_like_the_stack(self):
         quads = np.random.default_rng(33).standard_normal((3, 5, 4, 3))

@@ -108,8 +108,8 @@ def _nan_first(fn, field=None):
 
 # (passing case of CASES, module, kernel, the field of its result made NaN)
 NAN_CASES = {
-    "qnet": ("qnet-2d", qnet, "quad_planarity", None),
-    "closedness": ("closedness-3d", koenigs, "quad_diagonals", "q_bd"),
+    "qnet": ("qnet-2d", qnet, "_diagonal_frame", "rho"),
+    "closedness": ("closedness-3d", koenigs, "_diagonals", "q_bd"),
     "geometric-2d": ("geometric-2d", koenigs, "quad_planarity", None),
     "geometric-3d": ("geometric-3d", koenigs, "quad_planarity", None),
     "circular": ("circular-iso", isothermic, "quad_circles", "residual"),

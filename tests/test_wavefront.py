@@ -20,7 +20,7 @@ from koenigsnets.errors import (
     ZeroE0Component,
     ZeroLeg,
 )
-from koenigsnets.generate import _hexahedron_steps
+from koenigsnets.generate import _hexahedron_steps, _q_cube_steps
 from koenigsnets.geom import _length, lift_to_lightcone, minkowski_dot
 from koenigsnets.isothermic import _lightcone_coeff, lightcone_evolve, three_leg_evolve
 from koenigsnets.koenigs import (
@@ -586,6 +586,13 @@ class TestLevelSchedule:
         f, ref_rng = ref_random_qnet_3d(extents, seed)
         assert np.array_equal(net.vertices, f)
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_cube_step_normals_are_np_cross(self, rng):
+        # the face normals are written out as component rows: on random points, every level's step is the
+        # np.cross reference's bit for bit
+        f = rng.standard_normal((5, 6, 7, 3))
+        for level in _levels((5, 6, 7), ((0, 1), (0, 2), (1, 2))):
+            assert np.array_equal(_q_cube_steps(f.reshape(-1, 3), level), ref_q_cube_steps(f, level.u))
 
     def test_levels_are_read_only_and_built_once_per_shape(self):
         _levels.cache_clear()
