@@ -14,7 +14,7 @@ from .errors import (CoincidentPoints, CollinearTriple, DegenerateQuad, Dimensio
 from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import EdgeLabelling, QNet, VertexScalar, _chart, _corners, _raise_first_row, _wavefront
+from .qnet import EdgeLabelling, QNet, VertexScalar, _chart, _corners, _frozen, _raise_first_row, _wavefront
 
 __all__ = [
     "grid",
@@ -112,8 +112,8 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     for i, j in planes:  # per quad, the least-squares a of y_ij - y = a (y_j - y_i)
         y0, yi, yij, yj = _corners(y, i, j)
         d = yj - yi
-        coeffs[(i, j)] = ((yij - y0) * d).sum(axis=-1) / (d * d).sum(axis=-1)
-    mn = MoutardNet(points=y, coeffs=coeffs)
+        coeffs[(i, j)] = _frozen(((yij - y0) * d).sum(axis=-1) / (d * d).sum(axis=-1))
+    mn = MoutardNet(points=_frozen(y), coeffs=coeffs)
     net, nu = mn.project_homogeneous()
     return net, nu, mn
 

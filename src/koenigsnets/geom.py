@@ -105,16 +105,17 @@ def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where) -> Diagonals:
         skew = ~(rho <= tol.incidence)
         _raise_first([(skew, DegenerateQuad, "skew diagonals: residual {:.3e} exceeds tolerance", rho)], where)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
-        # and the squared sizes of the terms each one sums
+        # each rough where its square is below _EXACT_BELOW**2 of the squared sizes of the terms it sums
         h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
-        h = np.stack([h_a, h_a - h_ac, h_ac, w2, w2 + v2, -v2])
-        sizes2 = np.stack([ww * vv, (ww + uu) * vv, uu * vv, ww, ww + vv, vv])
-        rough = np.flatnonzero((h * h < _EXACT_BELOW**2 * sizes2).any(axis=0))
+        h, sizes = [h_a, h_a - h_ac, h_ac, w2, w2 + v2, -v2], (ww * vv, (ww + uu) * vv, uu * vv, ww, ww + vv, vv)
+        rough = np.flatnonzero(functools.reduce(np.logical_or, (x * x < _EXACT_BELOW**2 * z for x, z in zip(h, sizes))))
         if len(rough):
-            h[:, rough] = _exact_heights(*(abcd[:, :, rough] * _unit(abcd)))
+            h[3], quads = w2.copy(), abcd[:, :, rough]  # not into the frame's w2
+            for x, exact in zip(h, _exact_heights(*(quads * _unit(quads)))):
+                x[rough] = exact
         h_a, h_c, h_ac, h_b, h_d, h_bd = h
         t, s = h_a / h_ac, h_b / h_bd
-        near = np.minimum.reduce([np.abs(t), np.abs(h_c / h_ac), np.abs(s), np.abs(h_d / h_bd)])
+        near = np.minimum(np.minimum(np.abs(t), np.abs(h_c / h_ac)), np.minimum(np.abs(s), np.abs(h_d / h_bd)))
         a, c = abcd[0], abcd[2]
         point = a + t * (c - a) + 0.5 * np.ldexp(off, exp)  # off: from the line AC to the line BD
         diag = Diagonals(point.T, t, s, h_c / h_a, h_d / h_b)

@@ -320,7 +320,7 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL) -> Moutard
     """
     s = iso.metric.values
     y = lift_to_lightcone(iso.net.vertices) / s[..., None]
-    mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / s, tol))
+    mn = MoutardNet(points=_frozen(y), coeffs=_moutard_coeffs(1.0 / s, tol))
     check_moutard(mn, tol).require(FormNotClosed)
     _metric_report(iso.net, s, tol).require(InconsistentCrossRatios)
     return mn
@@ -360,7 +360,7 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
         coeffs[(i, j)], null = _lightcone_coeff(y0, yj - yi, tol)
         _raise_first([(null.ravel(), NullDiagonalDifference, "diagonal difference is isotropic")],
                      _quad_at(null.shape, i, j))
-    mn = MoutardNet(points=y, coeffs=coeffs)
+    mn = MoutardNet(points=_frozen(y), coeffs={key: _frozen(a) for key, a in coeffs.items()})
     return mn, project_lightcone_net(mn, tol)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -286,8 +287,12 @@ def _relative_defect(unit: float, defect: np.ndarray, *terms) -> np.ndarray:
     """|defect| / max |term| of vectors along the last axis, all scaled first by ``unit``, the power of two
     of :func:`geom._unit` of their source, so that no square overflows or underflows.  The largest norm is
     the square root of the largest squared norm, as sqrt is monotone and correctly rounded."""
-    sq = [np.einsum("...i,...i->...", x, x) for x in (v if unit == 1.0 else v * unit for v in (defect, *terms))]
-    return np.sqrt(sq[0]) / np.maximum(np.sqrt(np.max(sq[1:], axis=0)), 1e-300)
+    def squared_norms(x):  # the squares coordinate-major, summed one coordinate after the other
+        return np.add.reduce(np.square((x if unit == 1.0 else x * unit).transpose(-1, *range(x.ndim - 1)), order="C"))
+    big = squared_norms(terms[0])
+    for x in terms[1:]:
+        np.maximum(big, squared_norms(x), out=big)  # the largest, kept in place
+    return np.sqrt(squared_norms(defect)) / np.maximum(np.sqrt(big), 1e-300)
 
 
 def _integrate_one_form(net: QNet, forms) -> QNet:
@@ -305,17 +310,21 @@ def _integrate_one_form(net: QNet, forms) -> QNet:
 # --- Moutard nets --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoutardNet:
-    """Lattice map into R^{N+1} (homogeneous chart) or R^{N+1,1} (flat
-    light-cone layout [spatial..., e0, einf]) with per-quad Moutard
-    coefficients satisfying tau_i tau_j y - y = a_ij (tau_j y - tau_i y)."""
+    """Lattice map into R^{N+1} (homogeneous chart) or R^{N+1,1} (flat light-cone layout [spatial..., e0,
+    einf]) with per-quad Moutard coefficients satisfying tau_i tau_j y - y = a_ij (tau_j y - tau_i y); keeps
+    read-only ``points`` and a read-only mapping ``coeffs`` of read-only arrays, copies of those still writable."""
 
     points: np.ndarray
-    coeffs: dict
+    coeffs: MappingProxyType
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        def read_only(a):
+            a = np.asarray(a, dtype=float)
+            return _frozen(a.copy()) if a.flags.writeable else a
+        object.__setattr__(self, "points", read_only(self.points))
+        object.__setattr__(self, "coeffs", MappingProxyType({key: read_only(a) for key, a in self.coeffs.items()}))
 
     @property
     def m(self) -> int:
@@ -359,22 +368,22 @@ def moutard_lift(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> M
     :func:`_moutard_coeffs`; NotKoenigs unless :func:`check_moutard` passes."""
     nu = kd.nu.values
     y = np.concatenate([net.vertices, np.ones(net.extents + (1,))], axis=-1) / nu[..., None]
-    mn = MoutardNet(points=y, coeffs=_moutard_coeffs(1.0 / nu, tol))
+    mn = MoutardNet(points=_frozen(y), coeffs=_moutard_coeffs(1.0 / nu, tol))
     check_moutard(mn, tol).require(NotKoenigs)
     return mn
 
 
 def _moutard_coeffs(w: np.ndarray, tol: Tolerances) -> dict:
-    """The coefficients a_ij = (w_ij - w) / (w_j - w_i) of every quad, by axis pair over its base grid, of a
-    Moutard net whose last homogeneous (or e_0) component is w; EqualNuOnWhiteDiagonal at the first quad
-    with |w_j - w_i| <= tol.incidence (|w_i| + |w_j|)."""
+    """The coefficients a_ij = (w_ij - w) / (w_j - w_i) of every quad, read-only, by axis pair over its base
+    grid, of a Moutard net whose last homogeneous (or e_0) component is w; EqualNuOnWhiteDiagonal at the first
+    quad with |w_j - w_i| <= tol.incidence (|w_i| + |w_j|)."""
     coeffs = {}
     for i, j in combinations(range(w.ndim), 2):
         w0, wi, wij, wj = _corners(w, i, j)
         denom = wj - wi
         _raise_first([((np.abs(denom) <= tol.incidence * (np.abs(wi) + np.abs(wj))).ravel(), EqualNuOnWhiteDiagonal,
                        "nu_i == nu_j: Moutard coefficient singular")], _quad_at(denom.shape, i, j))
-        coeffs[(i, j)] = (wij - w0) / denom
+        coeffs[(i, j)] = _frozen((wij - w0) / denom)
     return coeffs
 
 
@@ -410,7 +419,7 @@ def moutard_evolve(axes_data, coeffs) -> MoutardNet:
         y = _wavefront(pieces, step)
     if not np.all(np.isfinite(y)):
         raise VanishingLastComponent("Moutard evolution produced non-finite values")
-    return MoutardNet(points=y, coeffs=full)
+    return MoutardNet(points=_frozen(y), coeffs=full)
 
 
 # --- geometric characterizations ----------------------------------------------

@@ -182,6 +182,42 @@ def test_far_intersection_of_nearly_parallel_diagonals():
         assert np.abs(diag.point[k] - m).max() <= 1e-11 * np.linalg.norm(m - quad[0])
 
 
+# quads rough in one of the six heights (A, C, A - C, B, D, B - D) of _diagonals and in no other: B near the
+# line AC (s = 1e-7), and A - C together with B - D, whose tests both read sin^2 of the diagonals' angle below
+# _EXACT_BELOW**2 (up to rounding), so no quad is rough in one of them alone.  From the frame's heights, t or
+# s would be off by up to 6e-10 and 1.4e-10; the A - C case needs an angle (1e-6) that only tolerances below
+# the default accept, as above it the frame's heights of A - C and B - D are within 1e-11
+ROUGH = {
+    "B near AC": (dict(t=0.5, s=1e-7, angle=1.0, dim=3), TOL),
+    "A - C and B - D": (dict(t=1e3, s=1e3 + 0.3, angle=1e-6, dim=2), Tolerances(incidence=1e-14)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUGH))
+def test_a_quad_rough_in_one_height_gets_exact_heights(case):
+    kwargs, tol = ROUGH[case]
+    rng = np.random.default_rng(9)
+    quads = np.array([planar_quad(rng, **kwargs) for _ in range(40)])
+    diag = quad_diagonals(quads, tol)
+    for k, quad in enumerate(quads):
+        q_ac, q_bd, t, s, m = oracle(quad)
+        assert (diag.q_ac[k], diag.q_bd[k]) == pytest.approx((q_ac, q_bd), rel=1e-11, abs=0)
+        assert (diag.t[k], diag.s[k]) == pytest.approx((t, s), rel=1e-11, abs=0)
+        size = np.linalg.norm(m - quad[0]) + np.linalg.norm(quad[2] - quad[0])
+        assert np.abs(diag.point[k] - m).max() <= 1e-11 * size
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_rough_quads_read_alike_in_a_stack_of_any_scale(scale):
+    # the exact heights are scaled by a power of two of the rough quads' own; by that of the whole stack,
+    # quads 1e150 times larger pushed them below the smallest double, and every rough quad read NaN
+    rng = np.random.default_rng(10)
+    rough = np.array([planar_quad(rng, **kwargs) for kwargs in CASES["near a vertex"] for _ in range(5)])
+    other = np.array([planar_quad(rng, t=0.4, s=0.5, angle=1.0) for _ in range(5)]) * scale
+    alone, mixed = quad_diagonals(rough), quad_diagonals(np.concatenate([rough, other]))
+    assert all(np.array_equal(a, b[:len(rough)]) for a, b in zip(alone, mixed))
+
+
 def test_guards_in_order_over_the_whole_stack():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     parallel = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0], [-0.5, 1.0]])

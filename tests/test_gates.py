@@ -249,3 +249,51 @@ def test_edge_labelling_keeps_read_only_copies():
         labels.per_axis[0][0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         labels.per_axis = (a, -a)
+
+
+def _lift(net):
+    return koenigs.moutard_lift(net, koenigs.integrate_nu(net))
+
+
+def _evolved(mn):
+    return koenigs.moutard_evolve((mn.points[:, 0], mn.points[0, :]), {(0, 1): mn.coeffs[(0, 1)]})
+
+
+MOUTARD_BUILDERS = {  # a Moutard net from each builder of the library, given a generator
+    "moutard_lift": lambda rng: _lift(_k2()),
+    "moutard_evolve": lambda rng: _evolved(_lift(_k2())),
+    "lightcone_lift": lambda rng: isothermic.lightcone_lift(generate.random_isothermic_2d((6, 6), rng=rng)),
+    "lightcone_evolve": lambda rng: generate.random_isothermic_lightcone((4, 4, 4), rng=rng)[0],
+    "random_koenigs_3d": lambda rng: generate.random_koenigs_3d((4, 4, 4), rng=rng)[2],
+}
+
+
+@pytest.mark.parametrize("builder", sorted(MOUTARD_BUILDERS))
+def test_moutard_net_is_read_only(builder):
+    mn = MOUTARD_BUILDERS[builder](np.random.default_rng(104))
+    before = koenigs.check_moutard(mn)
+    for arr in (mn.points, *mn.coeffs.values()):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] += 1.0
+    with pytest.raises(TypeError):
+        mn.coeffs[(0, 1)] = np.zeros(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mn.points = mn.points.copy()
+    after = koenigs.check_moutard(mn)
+    assert after.passed and after.parts.keys() == before.parts.keys()
+    assert all(np.array_equal(after.parts[key][0], res) for key, (res, _) in before.parts.items())
+
+
+def test_moutard_net_copies_only_what_its_caller_can_write():
+    mn = _lift(_k2())
+    again = koenigs.MoutardNet(mn.points, mn.coeffs)  # read-only already: kept, not copied
+    assert again.points is mn.points and again.coeffs[(0, 1)] is mn.coeffs[(0, 1)]
+    points, a = mn.points.copy(), mn.coeffs[(0, 1)].copy()
+    coeffs = {(0, 1): a}
+    own = koenigs.MoutardNet(points, coeffs)
+    points[2, 3, 0] += 1.0  # the caller's arrays and mapping stay its own
+    a[2, 3] = np.nan
+    coeffs[(0, 2)] = a
+    assert points.flags.writeable and a.flags.writeable and list(own.coeffs) == [(0, 1)]
+    assert np.array_equal(own.points, mn.points) and np.array_equal(own.coeffs[(0, 1)], mn.coeffs[(0, 1)])
+    assert koenigs.check_moutard(own).passed
