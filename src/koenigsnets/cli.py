@@ -112,11 +112,9 @@ def _cmd_generate(args) -> int:
         if len(extents) == 2:
             net = gen.random_koenigs_2d(extents, args.ambient_dim, rng, args.noise)
             nu = koenigs.integrate_nu(net, tol=_tol(args)).nu.values
-        elif len(extents) == 3:
-            net, nu_scalar, _ = gen.random_koenigs_3d(extents, args.ambient_dim, rng, args.noise)
-            nu = nu_scalar.values
         else:
-            raise InputError("moutard generation supports m = 2 or 3")
+            net, nu_scalar, _ = gen.random_koenigs_nd(extents, args.ambient_dim, rng, args.noise)
+            nu = nu_scalar.values
         doc = netio.NetDocument.from_net(net, nu=nu)
     elif args.kind == "three-leg":
         if len(extents) != 2:
@@ -124,8 +122,6 @@ def _cmd_generate(args) -> int:
         iso = gen.random_isothermic_2d(extents, args.ambient_dim, rng, args.noise)
         doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis)
     else:  # lightcone
-        if len(extents) not in (2, 3):
-            raise InputError("lightcone generation supports m = 2 or 3")
         mn, iso = gen.random_isothermic_lightcone(extents, args.ambient_dim, rng, args.noise)
         doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis,
                                          moutard=_moutard_doc(mn))

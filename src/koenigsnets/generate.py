@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (CoincidentPoints, CollinearTriple, DegenerateQuad, DimensionTooLow, InvalidValue,
-                     VanishingLastComponent)
+                     UnsupportedDimension, VanishingLastComponent)
 from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
@@ -96,7 +96,7 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     rng = np.random.default_rng(rng)
     m = len(extents)
     if not 2 <= m <= len(_W_FACTORS):
-        raise ValueError(f"lattice dimension must be 2..{len(_W_FACTORS)}")
+        raise UnsupportedDimension(f"lattice dimension must be 2..{len(_W_FACTORS)}")
     axes = [_homogeneous_axis(n, ax, ambient_dim, rng, noise) for ax, n in enumerate(extents)]
     for ax in range(1, m):
         axes[ax][0] = axes[0][0]
@@ -104,7 +104,7 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
     planes = {}
     for i, j in combinations(range(m), 2):
         a = _base_coeff(i, j) + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1))
-        planes[(i, j)] = moutard_evolve((axes[i], axes[j]), {(0, 1): a}).points
+        planes[(i, j)] = moutard_evolve({(0,): axes[i], (1,): axes[j]}, {(0, 1): a}).points
     # every other point, in order of |u|, from the hexahedron spanned by its
     # first three positive axes
     y = _wavefront(planes, _hexahedron_steps)
@@ -185,7 +185,7 @@ def random_isothermic_2d(extents, ambient_dim: int = 3, rng=None, noise: float =
 
 
 def random_isothermic_lightcone(extents, ambient_dim: int = 3, rng=None, noise: float = 0.05):
-    """Random isothermic net (m = 2 or 3) from isotropic Moutard data.
+    """Random isothermic net, any m >= 2, from isotropic Moutard data.
 
     Axis data are light-cone lifts y = (f + e_0 + |f|^2 e_inf) / s of random
     axis curves with random metric values s.  Returns ``(MoutardNet,

@@ -119,7 +119,7 @@ def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where) -> Diagonals:
         a, c = abcd[0], abcd[2]
         point = a + t * (c - a) + 0.5 * np.ldexp(off, exp)  # off: from the line AC to the line BD
         diag = Diagonals(point.T, t, s, h_c / h_a, h_d / h_b)
-    _raise_first([(near <= tol.incidence, VertexOnDiagonal, "diagonal intersection coincides with a vertex")], where)
+    _raise_first([(~(near > tol.incidence), VertexOnDiagonal, "diagonal intersection coincides with a vertex")], where)
     return diag
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     CoincidentPoints,
     CollinearTriple,
-    DimensionTooLow,
     EqualLabels,
     FormNotClosed,
     InconsistentCrossRatios,
@@ -43,6 +42,7 @@ from .koenigs import (
     _integrate_one_form,
     _limit_signs,
     _moutard_coeffs,
+    _moutard_fill,
     check_moutard,
     integrate_nu,
 )
@@ -165,8 +165,6 @@ def recover_labels(net: QNet, tol: Tolerances = DEFAULT_TOL) -> EdgeLabelling:
     |cr - alpha_i / alpha_j| / max(|cr|, |alpha_i / alpha_j|), a part per
     axis pair, each quad at its base.
     """
-    if net.m not in (2, 3):
-        raise DimensionTooLow("label recovery supports m = 2 or 3")
     cross_ratios = quad_cross_ratios(net, tol)
 
     def along(q, j):  # q on the line along axis j through the origin
@@ -328,11 +326,11 @@ def lightcone_lift(iso: IsothermicNet, tol: Tolerances = DEFAULT_TOL) -> Moutard
 
 def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Evolve isotropic axis data by the unique light-cone Moutard step
-    a_ij = -2 <y, y_j - y_i> / <y_j - y_i, y_j - y_i>.
+    a_ij = -2 <y, y_j - y_i> / <y_j - y_i, y_j - y_i> of :func:`~koenigsnets.koenigs._moutard_fill`.
 
-    Accepts two (m = 2) or three (m = 3) axis arrays in flat Minkowski
+    Accepts one axis array per lattice axis, any m >= 2, in flat Minkowski
     layout.  Returns ``(MoutardNet, IsothermicNet)``.  The cross-face
-    consistency of m = 3 has no gate: :func:`~koenigsnets.koenigs.check_moutard`
+    consistency of m >= 3 has no gate: :func:`~koenigsnets.koenigs.check_moutard`
     is the one check of the evolved net.
     """
     axes_data = [np.asarray(a, dtype=float) for a in axes_data]
@@ -343,17 +341,13 @@ def lightcone_evolve(axes_data, tol: Tolerances = DEFAULT_TOL) -> tuple:
         scale = (arr * arr).sum(axis=-1)
         if np.any(iso_res > tol.incidence * np.maximum(scale, 1e-300)):
             raise ValueError("axis data must be isotropic")
-    if len(axes_data) not in (2, 3):
-        raise DimensionTooLow("lightcone_evolve supports m = 2 or 3")
 
-    def step(y, level):  # through the quad of the first two positive axes of each vertex
-        i, j = level.axes[:2]
-        yb, d = y[level.back(i, j)], y[level.back(i)] - y[level.back(j)]
+    def coeff(yb, d, level):
         a, null = _lightcone_coeff(yb, d, tol)
         _raise_first_row(level.u, [(null, NullDiagonalDifference, "diagonal difference is isotropic")])
-        return yb + a[:, None] * d
+        return a
 
-    y = _wavefront({(k,): a for k, a in enumerate(axes_data)}, step, tol)
+    y = _moutard_fill({(k,): a for k, a in enumerate(axes_data)}, coeff, tol)
     coeffs = {}
     for i, j in combinations(range(len(axes_data)), 2):  # every face, those the fill did not use included
         y0, yi, _, yj = _corners(y, i, j)
@@ -409,8 +403,6 @@ def check_moebius_characterizations(net: QNet, tol: Tolerances = DEFAULT_TOL) ->
     """
     if net.m >= 3:
         return _moebius_hexahedra(net, tol)
-    if net.m != 2:
-        raise DimensionTooLow("Moebius characterizations need m >= 2")
     flat = net.vertices.reshape(-1, net.ambient_dim)
     whole = _similar_lift(flat, flat.mean(axis=0), np.float64(net.diameter()))
     legs = _star(net.vertices)

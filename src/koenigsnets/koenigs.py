@@ -275,24 +275,30 @@ def _closure_report(name: str, net: QNet, forms, tol: Tolerances) -> CheckReport
     axis pair, each quad at its base, NaN where the form is not finite."""
     parts, unit = {}, min(_unit(g) for g in forms.values())
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and inf / inf read NaN
+        squares = {i: _squared_norms(unit, g) for i, g in forms.items()}  # once per form, cropped per pair
         for i, j in combinations(range(net.m), 2):
             gi_lo, gi_hi = _crop(forms[i], (j,), (0,)), _crop(forms[i], (j,), (1,))
             gj_lo, gj_hi = _crop(forms[j], (i,), (0,)), _crop(forms[j], (i,), (1,))
-            res = _relative_defect(unit, gi_lo + gj_hi - gj_lo - gi_hi, gi_lo, gi_hi, gj_lo, gj_hi)
+            sizes = [_crop(squares[a], (b,), (off,)) for a, b in ((i, j), (j, i)) for off in (0, 1)]
+            res = _relative_defect(unit, gi_lo + gj_hi - gj_lo - gi_hi, sizes)
             parts[(i, j)] = res.reshape(-1), _grid(res.shape)
     return CheckReport(name, tol.product, parts)
 
 
-def _relative_defect(unit: float, defect: np.ndarray, *terms) -> np.ndarray:
-    """|defect| / max |term| of vectors along the last axis, all scaled first by ``unit``, the power of two
-    of :func:`geom._unit` of their source, so that no square overflows or underflows.  The largest norm is
-    the square root of the largest squared norm, as sqrt is monotone and correctly rounded."""
-    def squared_norms(x):  # the squares coordinate-major, summed one coordinate after the other
-        return np.add.reduce(np.square((x if unit == 1.0 else x * unit).transpose(-1, *range(x.ndim - 1)), order="C"))
-    big = squared_norms(terms[0])
-    for x in terms[1:]:
-        np.maximum(big, squared_norms(x), out=big)  # the largest, kept in place
-    return np.sqrt(squared_norms(defect)) / np.maximum(np.sqrt(big), 1e-300)
+def _squared_norms(unit: float, x: np.ndarray) -> np.ndarray:
+    """|unit x|^2 along the last axis, the squares summed one coordinate after the other: a crop's, bit for bit."""
+    return np.add.reduce(np.square((x if unit == 1.0 else x * unit).transpose(-1, *range(x.ndim - 1)), order="C"))
+
+
+def _relative_defect(unit: float, defect: np.ndarray, sizes) -> np.ndarray:
+    """|defect| / max |term| of vectors along the last axis, given the :func:`_squared_norms` ``sizes`` of
+    the terms, all scaled first by ``unit``, the power of two of :func:`geom._unit` of their source, so that
+    no square overflows or underflows.  The largest norm is the square root of the largest squared norm, as
+    sqrt is monotone and correctly rounded."""
+    big = np.maximum(sizes[0], sizes[1])
+    for x in sizes[2:]:
+        np.maximum(big, x, out=big)  # the largest, kept in place
+    return np.sqrt(_squared_norms(unit, defect)) / np.maximum(np.sqrt(big), 1e-300)
 
 
 def _integrate_one_form(net: QNet, forms) -> QNet:
@@ -358,7 +364,7 @@ def check_moutard(mn: MoutardNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
         y, yi, yij, yj = _corners(mn.points, i, j)
         lhs = yij - y
         rhs = a[..., None] * (yj - yi)
-        res = _relative_defect(unit, lhs - rhs, lhs, rhs, y)
+        res = _relative_defect(unit, lhs - rhs, [_squared_norms(unit, x) for x in (lhs, rhs, y)])
         parts[(i, j)] = res.reshape(-1), _grid(res.shape)
     return CheckReport("moutard", tol.product, parts)
 
@@ -387,39 +393,43 @@ def _moutard_coeffs(w: np.ndarray, tol: Tolerances) -> dict:
     return coeffs
 
 
-def moutard_evolve(axes_data, coeffs) -> MoutardNet:
-    """Solve the minus-sign Moutard equation as an initial value problem.
+def _moutard_fill(pieces: dict, coeff, tol: Tolerances) -> np.ndarray:
+    """The Cauchy problem of the minus-sign Moutard equation at any m: :func:`qnet._wavefront` of
+    ``pieces`` with the step y_ij = y + a (y_j - y_i) on the quad of the first two positive axes (i, j) of
+    each vertex, where ``coeff(y, y_j - y_i, level)`` gives a at the quad bases y of a level's vertices."""
+    def step(y, level):  # y_i at base + e_i and y_j at base + e_j, for the quad below each vertex
+        s_i, s_j = level.strides[level.axes[:2]]
+        base = level.k - s_i - s_j
+        yb, d = y[base], y[base + s_j] - y[base + s_i]
+        return yb + coeff(yb, d, level)[:, None] * d
+    return _wavefront(pieces, step, tol)
 
-    For m = 2, ``axes_data`` is a pair of arrays (y on the axis u_2 = 0 and
-    on u_1 = 0, consistent at the origin) and ``coeffs`` maps (0, 1) to the
-    per-quad coefficient array.  For m = 3, ``axes_data`` is a dict
-    {(0,1): plane u_3 = 0, (0,2): plane u_2 = 0, (1,2): plane u_1 = 0} and
-    the interior is filled through the (0, 1) faces; cross-face consistency
-    is the caller's responsibility, and :func:`check_moutard` is the one
-    check of the evolved net.
+
+def moutard_evolve(pieces: dict, coeffs) -> MoutardNet:
+    """Solve the minus-sign Moutard equation as an initial value problem, at any m.
+
+    ``pieces`` maps axis tuples to the initial data on the coordinate subspaces they span, as
+    :func:`qnet._wavefront` reads them: {(0,): y1, (1,): y2} for a 2d net, three planes or three axes for a
+    3d one.  ``coeffs`` maps axis pairs to arrays over their quad base grids, as ``MoutardNet.coeffs``.
+    :func:`_moutard_fill` fills every other vertex through the quad of its first two positive axes.
+    VanishingLastComponent unless the data and the fill are finite; a fill that overflows, or needs a pair
+    that ``coeffs`` lacks, is not.  Cross-face consistency is the caller's responsibility, and
+    :func:`check_moutard` is the one check of the evolved net.
     """
-    a01 = np.asarray(coeffs[(0, 1)], dtype=float)
-    full = {(0, 1): a01}
-    if isinstance(axes_data, dict):
-        pieces = {axes: np.asarray(axes_data[axes], dtype=float) for axes in ((0, 1), (0, 2), (1, 2))}
-        full.update((key, np.asarray(coeffs[key], dtype=float)) for key in ((0, 2), (1, 2)) if key in coeffs)
-    else:
-        pieces = {(k,): np.asarray(a, dtype=float) for k, a in enumerate(axes_data)}
+    pieces = {axes: np.asarray(a, dtype=float) for axes, a in pieces.items()}
     if not all(np.isfinite(a).all() for a in pieces.values()):
         raise VanishingLastComponent("initial data are not finite")
-
-    shape = dict(sorted((ax, n) for axes, arr in pieces.items() for ax, n in zip(axes, arr.shape)))
-    a = np.zeros(tuple(shape.values()))
-    a[1:, 1:] = a01  # a_01 at the last vertex of its (0, 1) quad; ValueError unless a01 fits the lattice
-
-    def step(y, level):  # y_ij = y + a_01 (y_j - y_i) on the (0, 1) face below each vertex
-        return y[level.back(0, 1)] + a.reshape(-1)[level.k][:, None] * (y[level.back(0)] - y[level.back(1)])
-
+    shape = tuple(dict(sorted((ax, n) for axes, arr in pieces.items() for ax, n in zip(axes, arr.shape))).values())
+    at = np.full(shape, np.nan)  # at each vertex, a of the quad of its first two positive axes; NaN off coeffs
+    for (i, j), a in coeffs.items():  # that is (i, j) where u_i, u_j > 0 and every other axis before j is 0
+        rest = tuple(0 if ax < j and ax != i else slice(None) for ax in range(len(shape)))
+        at[tuple(slice(1, None) if ax in (i, j) else r for ax, r in enumerate(rest))] = np.asarray(a)[rest]
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected below
-        y = _wavefront(pieces, step)
+        y = _moutard_fill(pieces, lambda yb, d, level: at.reshape(-1)[level.k], DEFAULT_TOL)
     if not np.all(np.isfinite(y)):
-        raise VanishingLastComponent("Moutard evolution produced non-finite values")
-    return MoutardNet(points=_frozen(y), coeffs=full)
+        raise VanishingLastComponent("Moutard evolution produced non-finite values: "
+                                     "it overflows, or coeffs lacks an axis pair the fill needs")
+    return MoutardNet(points=_frozen(y), coeffs=coeffs)
 
 
 # --- geometric characterizations ----------------------------------------------

@@ -170,6 +170,8 @@ BAD_INPUT = {
         "coeffs", [1])), 2, "ParseError"),
     "short-coefficient-block": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"]["coeffs"].__setitem__(
         "0,1", [0.5, 0.5])), 2, "SchemaMismatch"),
+    **{f"moutard-m-{len(ext)}": (["generate", "moutard", "--extents", *ext], None, 2, "UnsupportedDimension")
+       for ext in (["5"], ["3"] * 5)},
     "coefficient-axes-out-of-range": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"]["coeffs"].__setitem__(
         "0,2", [0.5] * 4)), 2, "SchemaMismatch"),
 }
@@ -249,6 +251,29 @@ class TestPipelines:
         assert code == 0
         doc = netio.load(lifted)
         assert doc.moutard["dim"] == doc.ambient_dim + 2
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_lightcone_4d(self, tmp_path, seed):
+        # every stage takes m = 4; the vertex-only copy recovers its labels and metric from the vertices
+        assert cli(tmp_path, "generate", "lightcone", "--extents", "4", "4", "4", "4", "--seed", seed,
+                   outname="net.json")[0] == 0
+        full, bare = tmp_path / "net.json", tmp_path / "bare.json"
+        doc = netio.load(full)
+        assert doc.m == 4
+        netio.save(netio.NetDocument(m=doc.m, extents=doc.extents, ambient_dim=doc.ambient_dim,
+                                     vertices=doc.vertices), bare)
+        for net in (full, bare):
+            code, out = cli(tmp_path, "report", infile=net, outname="report.json")
+            assert code == 0 and all(entry["passed"] for entry in json.loads(out.read_text()).values())
+            assert cli(tmp_path, "christoffel", infile=net)[0] == 0
+            assert cli(tmp_path, "lift", "lightcone", infile=net)[0] == 0
+
+    def test_moutard_4d(self, tmp_path):
+        assert cli(tmp_path, "generate", "moutard", "--extents", "3", "4", "3", "3", outname="net.json")[0] == 0
+        net = tmp_path / "net.json"
+        assert netio.load(net).m == 4
+        for argv in (["check", "koenigs"], ["dualize"], ["lift", "homogeneous"]):
+            assert cli(tmp_path, *argv, infile=net)[0] == 0, argv
 
     def test_report(self, tmp_path):
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",

@@ -236,6 +236,16 @@ def test_guards_in_order_over_the_whole_stack():
         quad_diagonals(np.array([square, at_vertex]), where=lambda k: f"at quad {k}: ")
 
 
+def test_nan_heights_fail_the_vertex_guard(monkeypatch):
+    # B is 1e-7 off the line AC, so the quad is rough and reads its heights from _exact_heights: NaN heights
+    # give NaN t, s and q, which the vertex guard must not pass
+    rough = np.array([[[0.0, 0.0, 0.0], [0.5, 1e-7, 0.0], [1.0, 0.0, 0.0], [0.3, -1.0, 0.0]]])
+    assert np.isfinite(quad_diagonals(rough).t).all()
+    monkeypatch.setattr(geom, "_exact_heights", lambda *quads: np.full((6, quads[0].shape[1]), np.nan))
+    with pytest.raises(VertexOnDiagonal, match="coincides with a vertex"):
+        quad_diagonals(rough)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
 def test_verdicts_survive_extreme_scales(iso_net, koenigs_net_3d, scale):
     # long double had the exponent range for these; float64 squares must not

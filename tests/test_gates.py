@@ -256,7 +256,7 @@ def _lift(net):
 
 
 def _evolved(mn):
-    return koenigs.moutard_evolve((mn.points[:, 0], mn.points[0, :]), {(0, 1): mn.coeffs[(0, 1)]})
+    return koenigs.moutard_evolve({(0,): mn.points[:, 0], (1,): mn.points[0, :]}, {(0, 1): mn.coeffs[(0, 1)]})
 
 
 MOUTARD_BUILDERS = {  # a Moutard net from each builder of the library, given a generator

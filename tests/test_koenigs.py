@@ -353,14 +353,14 @@ class TestMoutard:
         kd = integrate_nu(g, ((0, 0), 1.0), ((1, 0), -1.0))
         mn = moutard_lift(g, kd)
         evolved = moutard_evolve(
-            (mn.points[:, 0], mn.points[0, :]), {(0, 1): np.full((3, 3), -1.0)}
+            {(0,): mn.points[:, 0], (1,): mn.points[0, :]}, {(0, 1): np.full((3, 3), -1.0)}
         )
         assert np.allclose(evolved.points, mn.points)
 
     def test_zero_coefficient_degenerates(self):
         y1 = np.array([[0, 0, 1], [1, 0.2, -1], [2, 0, 1]], dtype=float)
         y2 = np.array([[0, 0, 1], [0.2, 1, 1], [0, 2, 1]], dtype=float)
-        mn = moutard_evolve((y1, y2), {(0, 1): np.zeros((2, 2))})
+        mn = moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): np.zeros((2, 2))})
         net, _ = mn.project_homogeneous()
         with pytest.raises(DegenerateQuad, match=r"quad base \(0, 0\) \(axes 0,1\): diagonals are parallel"):
             build_q_form(net)
@@ -369,7 +369,7 @@ class TestMoutard:
         # axis data forcing the last homogeneous component through zero
         y1 = np.array([[0, 0, 1], [1, 0, -1]], dtype=float)
         y2 = np.array([[0, 0, 1], [0, 1, 1]], dtype=float)
-        mn = moutard_evolve((y1, y2), {(0, 1): np.array([[-0.5]])})
+        mn = moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): np.array([[-0.5]])})
         with pytest.raises(VanishingLastComponent):
             mn.project_homogeneous()
 

@@ -70,7 +70,7 @@ def _three_leg_equal_labels():
 def _vanishing_last_component():
     y1 = np.array([[0, 0, 1], [1, 0, -1]], dtype=float)
     y2 = np.array([[0, 0, 1], [0, 1, 1]], dtype=float)
-    koenigs.moutard_evolve((y1, y2), {(0, 1): np.array([[-0.5]])}).project_homogeneous()
+    koenigs.moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): np.array([[-0.5]])}).project_homogeneous()
 
 
 def _lightcone_faces(monkeypatch):

@@ -283,7 +283,8 @@ def test_relative_defect_matches_the_norm_formula(scale, n):
     norms = [np.linalg.norm(t * unit, axis=-1) for t in terms]
     old = np.linalg.norm(defect * unit, axis=-1) / np.maximum(np.max(norms, axis=0), 1e-300)
     assert (unit == 1.0) == (scale == 1.0)
-    assert np.all(np.abs(koenigs._relative_defect(unit, defect, *terms) - old) <= 4 * np.finfo(float).eps * old)
+    got = koenigs._relative_defect(unit, defect, [koenigs._squared_norms(unit, t) for t in terms])
+    assert np.all(np.abs(got - old) <= 4 * np.finfo(float).eps * old)
 
 
 def test_lightcone_lift_rejects_equal_metric_on_a_white_diagonal(iso_net):

@@ -452,7 +452,7 @@ class TestFills:
         y1, y2 = rng.standard_normal((9, 4)), rng.standard_normal((7, 4))
         y2[0] = y1[0]
         a = -1.0 + 0.1 * rng.standard_normal((8, 6))
-        assert np.array_equal(moutard_evolve((y1, y2), {(0, 1): a}).points, loop_moutard((y1, y2), a))
+        assert np.array_equal(moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): a}).points, loop_moutard((y1, y2), a))
 
     def test_moutard_3d_bit_identical(self, rng):
         y = rng.standard_normal((5, 6, 4, 4))
@@ -561,7 +561,7 @@ class TestLevelSchedule:
         y1, y2 = rng.standard_normal((9, 4)), rng.standard_normal((7, 4))
         y2[0] = y1[0]
         a = -1.0 + 0.1 * rng.standard_normal((8, 6))
-        assert np.array_equal(moutard_evolve((y1, y2), {(0, 1): a}).points, ref_moutard({(0,): y1, (1,): y2}, a))
+        assert np.array_equal(moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): a}).points, ref_moutard({(0,): y1, (1,): y2}, a))
 
     def test_moutard_3d(self, rng):
         y = rng.standard_normal((5, 6, 4, 4))
@@ -728,7 +728,7 @@ class TestRelativeGuards:
         f1, f2 = _grid_axes(1e-12)
         f2 = f2 + 0.5e-12  # passes np.allclose, whose tolerance is absolute
         with pytest.raises(ValueError, match="disagree"):
-            moutard_evolve((f1, f2), {(0, 1): np.full((3, 3), -1.0)})
+            moutard_evolve({(0,): f1, (1,): f2}, {(0, 1): np.full((3, 3), -1.0)})
         with pytest.raises(ValueError, match="disagree"):
             three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
 
@@ -738,7 +738,7 @@ class TestRelativeGuards:
         # shape than the quads' would read the wrong quad's value
         f1, f2 = _grid_axes()
         with pytest.raises(ValueError):
-            moutard_evolve((f1, f2), {(0, 1): np.full(shape, -1.0)})
+            moutard_evolve({(0,): f1, (1,): f2}, {(0, 1): np.full(shape, -1.0)})
 
     def test_non_finite_origin_fails_the_agreement_check(self):
         f1, f2 = _grid_axes()
@@ -751,7 +751,7 @@ class TestRelativeGuards:
         f1, f2 = _grid_axes()
         f1[2, 0] = np.inf
         with pytest.raises(VanishingLastComponent, match="not finite"):
-            moutard_evolve((f1, f2), {(0, 1): np.full((3, 3), -1.0)})
+            moutard_evolve({(0,): f1, (1,): f2}, {(0, 1): np.full((3, 3), -1.0)})
         with pytest.raises(ZeroLeg, match="not finite"):
             three_leg_evolve((f1, f2), EdgeLabelling((np.ones(3), -np.ones(3))))
         axes = _lightcone_axes((4, 5), np.random.default_rng(22))
@@ -765,8 +765,8 @@ class TestRelativeGuards:
         y1, y2 = rng.standard_normal((5, 4)), rng.standard_normal((6, 4))
         y2[0] = y1[0]
         a = -1.0 + 0.1 * rng.standard_normal((4, 5))
-        ref = moutard_evolve((y1, y2), {(0, 1): a}).points
-        got = moutard_evolve((scale * y1, scale * y2), {(0, 1): a}).points
+        ref = moutard_evolve({(0,): y1, (1,): y2}, {(0, 1): a}).points
+        got = moutard_evolve({(0,): scale * y1, (1,): scale * y2}, {(0, 1): a}).points
         assert _rel(got / scale, ref) <= 1e-12
 
         f1, f2 = _grid_axes()
