@@ -347,10 +347,8 @@ def _two_prod(x, y):
 
 
 def is_convex(quads) -> np.ndarray:
-    """Whether each quad of a stack (..., 4, N) is convex (embedded, no
-    crossing): in the plane frame of :func:`_plane_frames`, its four corners
-    turn the same way, each strictly.  A quad without a plane frame is not
-    convex."""
+    """Whether each quad of a stack (..., 4, N) is convex (embedded, no crossing): in the plane frame of
+    :func:`_plane_frames`, its four corners turn the same way, each strictly.  A quad without one is not convex."""
     pts = np.asarray(quads, dtype=float)
     z = _plane_frames(pts.reshape(-1, 4, pts.shape[-1]))[2]
     with np.errstate(invalid="ignore"):
@@ -393,15 +391,14 @@ def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL) -
 
 
 def _plane_frames(pts: np.ndarray):
-    """An orthonormal frame (u, v) of the plane of each point set of a stack
-    (Q, k, N), k >= 3: u along points[1] - points[0], v from the first later
-    point that leaves the line by more than 1e-13 of its distance.
+    """An orthonormal frame (u, v) of the plane of each point set of a stack (Q, k, N), k >= 3: u along
+    points[1] - points[0], v from the first later point that leaves the line by more than 1e-13 of its distance.
+    For :func:`is_convex`, :func:`isothermic._three_leg_steps` and :func:`generate.flip_corner_cross_ratio`.
 
-    Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane
-    coordinates z (Q, k, 2) of every point relative to points[0], the length
-    nu (Q,) of points[1] - points[0], and whether each later point spans the
-    plane (Q, k - 2).  A set with nu == 0 or no spanning point (as when its
-    lengths overflow) has no frame; its u, v and z are then meaningless.
+    Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane coordinates z (Q, k, 2) of every point
+    relative to points[0], the length nu (Q,) of points[1] - points[0], and whether each later point spans the
+    plane (Q, k - 2).  A set with nu == 0 or no spanning point (as when its lengths overflow) has no frame; its
+    u, v and z are then meaningless.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rel = pts - pts[:, :1]
@@ -431,7 +428,7 @@ class QuadCircles(NamedTuple):
     detail: np.ndarray  # the value that failed it
 
 
-# the predicates of quad_circles: 1-3 of a plane frame, 4-6 of the circle and the cross-ratio, in test order
+# the predicates of quad_circles: 1-3 of the diagonal frame, 4-6 of the circle and the cross-ratio, in test order
 _QUAD_ERRORS = {
     1: (NotPlanar, "points are not coplanar (residual {:.3e})"),
     2: (CoincidentPoints, "cannot build a frame from coincident points"),
@@ -442,40 +439,46 @@ _QUAD_ERRORS = {
 }
 
 
-def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, rho=None) -> QuadCircles:
-    """Plane frame, circularity residual and cross-ratio of stacked quads (Q, 4, N), each (a, b, c, d) in
-    cyclic order.  In the plane coordinates of :func:`_plane_frames`, each quad scaled by a power of two, the
-    residual is |det| of the rows (x, y, x^2 + y^2, 1) over the fourth power of the diameter, zero iff the
-    points are concircular; the plane is the complex plane for the cross-ratio (a-b)(b-c)^-1(c-d)(d-a)^-1,
-    real for concircular points, independent of the frame and negative exactly for embedded quads.  A quad is
-    NotPlanar unless ``rho``, its :func:`quad_planarity` (computed here if None), is <= tol.incidence.  Nothing
-    is raised: ``error`` holds the first predicate each quad fails, and :func:`raise_quad_error` raises it."""
-    pts = np.asarray(pts, dtype=float)
-    rel = np.subtract(pts, pts[:, :1], out=np.empty(pts.shape))  # C order: the frames' matmuls round by layout
-    rel = np.ldexp(rel, -np.frexp(np.abs(rel).max(axis=(1, 2), initial=0.0))[1][:, None, None], out=rel)
-    _, _, z, nu, spans = _plane_frames(rel)
-    del rel  # before the residuals' temporaries
-    planar = quad_planarity(pts) if rho is None else np.ravel(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        side = z[:, [0, 0, 0, 1, 1, 2]] - z[:, [1, 2, 3, 2, 3, 3]]
-        diam = np.sqrt((side[..., 0] * side[..., 0] + side[..., 1] * side[..., 1]).max(axis=1))
-        x, y = z[:, 1:].T  # (3, Q) each, of b, c, d: a is the origin, so its row is (0, 0, 0, 1)
-        w = x * x + y * y
-        det = (x[0] * (y[1] * w[2] - w[1] * y[2]) - y[0] * (x[1] * w[2] - w[1] * x[2])
-               + w[0] * (x[1] * y[2] - y[1] * x[2]))
-        residual = np.abs(det) / diam**4
-        za, zb, zc, zd = np.moveaxis(z.view(complex)[..., 0], 1, 0)
-        cr = (za - zb) / (zb - zc) * (zc - zd) / (zd - za)
+def quad_circles(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> QuadCircles:
+    """Circularity residual and cross-ratio of stacked quads (Q, 4, N), each (a, b, c, d) in cyclic order, in the
+    plane of their :func:`_diagonal_frame` (each quad scaled by a power of two): a = (0, 0), b = (w1, y_b),
+    c = (lu, 0), d = (w1 + v1, y_d), y_b = sqrt(w2^2 + |off|^2), y_d = +-sqrt((w2 + v2)^2 + |off|^2) signed as
+    w2 (w2 + v2) + |off|^2, identities also where e_2 is not defined (parallel diagonals).  The residual
+    |det (x, y, x^2 + y^2, 1)| / diam^4 is 0 iff the points are concircular; the cross-ratio (a-b)(b-c)^-1(c-d)(d-a)^-1
+    is real for concircular points and negative exactly for embedded quads.  Predicates, in order (``error``, which
+    :func:`raise_quad_error` raises; nothing is raised here): NotPlanar unless rho <= tol.incidence; CoincidentPoints
+    where a == b or a == c (no frame); CollinearTriple where b, d lie within 1e-13 diam of the line ac; NotConcircular;
+    CoincidentPoints where consecutive input corners are equal; NotConcircular for a non-real cross-ratio."""
+    abcd = np.asarray(pts, dtype=float).transpose(1, 2, 0)
+    return _frame_circles(abcd, _diagonal_frame(abcd), tol)
+
+
+def _frame_circles(abcd: np.ndarray, frame: _Frame, tol: Tolerances) -> QuadCircles:
+    """:func:`quad_circles` of the quads abcd (4, N, Q) from their :func:`_diagonal_frame`."""
+    _, lu, _, _, v1, v2, w1, w2, off, rho = frame
+    oo = _dot(off, off)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wv = w2 + v2
+        bx, by, dx, dy = w1, np.sqrt(w2 * w2 + oo), w1 + v1, np.copysign(np.sqrt(wv * wv + oo), w2 * wv + oo)
+        bc, dc = bx - lu, dx - lu
+        sides = (lu, 0.0), (bx, by), (dx, dy), (bc, by), (dc, dy), (dx - bx, dy - by)  # ac, ab, ad, cb, cd, bd
+        diam2 = functools.reduce(np.maximum, [x * x + y * y for x, y in sides])
+        det = lu * (dy * (bx * bc + by * by) - by * (dx * dc + dy * dy))  # of the rows (x, y, x^2 + y^2, 1)
+        residual = np.abs(det) / (diam2 * diam2)
+        zb, zd = bx + 1j * by, dx + 1j * dy
+        cr = -zb / (zb - lu) * (lu - zd) / zd
     failed = [
-        ~(planar <= tol.incidence),
-        nu == 0.0,
-        ~spans.any(axis=1),
+        ~(rho <= tol.incidence),
+        (lu == 0.0) | ((w1 == 0.0) & (w2 == 0.0) & ~off.any(axis=0)),
+        np.fmax(by, np.abs(dy)) <= 1e-13 * np.sqrt(diam2),
         residual > tol.incidence,
-        (za == zb) | (zb == zc) | (zc == zd) | (zd == za),
+        (abcd == abcd[[1, 2, 3, 0]]).all(axis=1).any(axis=0),
         np.abs(cr.imag) > tol.product * (np.abs(cr) + 1.0),
     ]
-    error = np.select(failed, [1, 2, 3, 4, 5, 6], 0)  # the first predicate that fails
-    detail = np.select(failed, [planar, nu, nu, residual, nu, cr.imag], 0.0)
+    error = np.zeros(rho.shape, dtype=int)
+    for e in range(6, 0, -1):  # the first predicate that fails wins
+        error[failed[e - 1]] = e
+    detail = np.choose(error, [0.0, rho, 0.0, 0.0, residual, 0.0, cr.imag])
     return QuadCircles(residual, cr.real.copy(), error, detail)
 
 

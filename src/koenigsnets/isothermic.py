@@ -27,12 +27,12 @@ from .geom import (
     DEFAULT_TOL,
     QuadCircles,
     Tolerances,
+    _frame_circles,
     _plane_frames,
     _raise_first,
     _span_fit,
     lift_to_lightcone,
     minkowski_dot,
-    quad_circles,
     raise_quad_error,
     span_residual,
 )
@@ -56,9 +56,8 @@ from .qnet import (
     _crop,
     _cubes,
     _frozen,
-    _gather_quads,
     _grid,
-    _planarity,
+    _net_frame,
     _quad_at,
     _raise_first_row,
     _star,
@@ -90,9 +89,9 @@ class IsothermicNet:
 
 
 def _circles(net: QNet, tol: Tolerances) -> tuple:
-    """:func:`quad_circles` on the quads of every axis pair, once per net and
-    tolerances: ((i, j, base grid shape, read-only QuadCircles), ...), the
-    cross-ratios shaped like the base grid."""
+    """:func:`geom.quad_circles` on the quads of every axis pair in the frame :func:`qnet._net_frame` reads, once
+    per net and tolerances: ((i, j, base grid shape, read-only QuadCircles), ...), the cross-ratios shaped like
+    the base grid."""
 
     def build():
         return tuple(_pair_circles(net, i, j, tol) for i, j in combinations(range(net.m), 2))
@@ -101,10 +100,9 @@ def _circles(net: QNet, tol: Tolerances) -> tuple:
 
 
 def _pair_circles(net: QNet, i: int, j: int, tol: Tolerances) -> tuple:
-    pts, shape = _gather_quads(net, i, j)
-    qc = quad_circles(pts, tol, _planarity(net, i, j))
-    qc = qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))
-    return i, j, shape, QuadCircles(*(_frozen(a) for a in qc))
+    abcd, shape, frame = _net_frame(net, i, j, take=False)
+    qc = _frame_circles(abcd, frame, tol)
+    return i, j, shape, QuadCircles(*(_frozen(a) for a in qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))))
 
 
 def _raise_quad_errors(circles: tuple, upto: int) -> None:

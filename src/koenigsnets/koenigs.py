@@ -31,11 +31,10 @@ from .qnet import (
     _crop,
     _cubes,
     _frozen,
-    _gather_quads,
     _grid,
+    _net_frame,
     _quad_at,
     _star,
-    _take_frame,
     _vertex_at,
     _wavefront,
 )
@@ -76,11 +75,10 @@ class DiagonalForm:
 
 def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
     """Diagonal intersections of all quads in the (i, j) plane, by
-    :func:`quad_diagonals` in the frame :func:`qnet._take_frame` hands over: (m, q_main, q_cross) shaped
+    :func:`quad_diagonals` in the frame :func:`qnet._net_frame` hands over: (m, q_main, q_cross) shaped
     like the base grid."""
-    pts, shape = _gather_quads(net, i, j)
-    abcd = np.moveaxis(pts, 0, -1)
-    diag = _diagonals(abcd, _take_frame(net, i, j, abcd), tol, _quad_at(shape, i, j))
+    abcd, shape, frame = _net_frame(net, i, j, take=True)
+    diag = _diagonals(abcd, frame, tol, _quad_at(shape, i, j))
     return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
 
 

@@ -139,24 +139,25 @@ def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
 
 def _planarity(net: QNet, i: int, j: int) -> np.ndarray:
     """:func:`geom.quad_planarity` of the (i, j) quads over their base grid, read-only: the rho of their
-    :func:`geom._diagonal_frame`, built once per net and axis pair and kept by the net (check_qnet, the
-    diagonal form and the circles share it).  The rest of the frame waits on the net until the diagonal
-    form takes it (:func:`_take_frame`)."""
+    :func:`geom._diagonal_frame`, built once per net and axis pair and kept by the net.  The circles read the
+    rest of the frame on the net, and the diagonal form takes it (:func:`_net_frame`)."""
 
     def build():
         pts, shape = _gather_quads(net, i, j)
-        frame = _diagonal_frame(np.moveaxis(pts, 0, -1))
-        net._cache[("frame", i, j)] = frame
+        net._cache[("frame", i, j)] = frame = _diagonal_frame(np.moveaxis(pts, 0, -1))
         return _frozen(frame.rho.reshape(shape))
 
     return net._memo(("planarity", i, j), build)
 
 
-def _take_frame(net: QNet, i: int, j: int, abcd: np.ndarray):
-    """The :func:`geom._diagonal_frame` of the (i, j) quads abcd (4, N, Q): the one :func:`_planarity` left
-    on the net, which no longer keeps it, or a new one once that was taken."""
+def _net_frame(net: QNet, i: int, j: int, take: bool) -> tuple:
+    """The (i, j) quads abcd (4, N, Q), their base grid shape and :func:`geom._diagonal_frame`: the one that
+    :func:`_planarity` left on the net, dropped from it if ``take`` (the diagonal form), or a new one once taken."""
+    pts, shape = _gather_quads(net, i, j)
+    abcd = np.moveaxis(pts, 0, -1)
     _planarity(net, i, j)
-    return net._cache.pop(("frame", i, j), None) or _diagonal_frame(abcd)
+    frame = (net._cache.pop if take else net._cache.get)(("frame", i, j), None)
+    return abcd, shape, _diagonal_frame(abcd) if frame is None else frame
 
 
 @lru_cache(maxsize=16)

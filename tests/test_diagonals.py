@@ -10,7 +10,7 @@ import pytest
 
 from koenigsnets import generate, geom, isothermic, koenigs, qnet
 from koenigsnets.errors import DegenerateQuad, NotPlanar, VertexOnDiagonal
-from koenigsnets.geom import Tolerances, _diagonal_frame, _diagonals, quad_circles, quad_diagonals
+from koenigsnets.geom import Tolerances, _diagonals, _frame_circles, quad_circles, quad_diagonals
 from koenigsnets.koenigs import _build_q_form, _diag_data, build_q_form, check_closedness
 from koenigsnets.qnet import QNet, _base, _gather_quads, check_qnet
 
@@ -305,14 +305,13 @@ def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenig
     for net in nets:
         for i, j in combinations(range(net.m), 2):
             pts = _gather_quads(net, i, j)[0]
-            abcd = np.moveaxis(pts, 0, -1)
-            frame = _diagonal_frame(abcd)
+            abcd, _, frame = qnet._net_frame(QNet(net.vertices), i, j, take=False)  # the frame the checks read
             own, given = outcome(quad_diagonals, pts), outcome(lambda: _diagonals(abcd, frame, TOL, lambda k: ""))
             if isinstance(own[0], type):
                 assert given == own
             else:
                 assert all(np.array_equal(a, b) for a, b in zip(own, given))
-            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), quad_circles(pts, rho=frame.rho)))
+            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), _frame_circles(abcd, frame, TOL)))
 
 
 @pytest.mark.parametrize("n_quads", [4097, 9000])
@@ -335,30 +334,55 @@ def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monke
     for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
         calls.clear()
         net = QNet(vertices)
-        n_pairs = net.m * (net.m - 1) // 2
-        for check in (check_qnet, check_closedness, isothermic.check_circular, check_qnet):
+        pairs = list(combinations(range(net.m), 2))
+        n_pairs = len(pairs)
+        check_qnet(net)
+        rho = [net._cache[("planarity", i, j)] for i, j in pairs]
+        for check, built in ((check_closedness, 1), (isothermic.check_circular, 2), (check_qnet, 2)):
             check(net)
-        assert len(calls) == n_pairs
+            assert len(calls) == built * n_pairs  # the diagonal form took the frame: the circles build their own
+        assert all(net._cache[("planarity", i, j)] is r for (i, j), r in zip(pairs, rho))
         isothermic.check_circular(QNet(vertices))  # a new net of the same vertices computes its own
-        assert len(calls) == 2 * n_pairs
+        assert len(calls) == 3 * n_pairs
 
 
 @pytest.mark.parametrize("order", list(permutations([check_qnet, check_closedness, isothermic.check_circular])))
 def test_the_frame_is_built_once_in_any_order(iso_net, koenigs_net_3d, order, monkeypatch):
-    # the diagonal form takes the frame off the net, which keeps rho
+    # the diagonal form takes the frame off the net, which keeps rho; circles after it build a frame again
     calls = []
     run = qnet._diagonal_frame
     monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd) or run(abcd))
+    again = order.index(check_closedness) < order.index(isothermic.check_circular)
     for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
         calls.clear()
         net = QNet(vertices)
         for check in order:
             check(net)
         pairs = list(combinations(range(net.m), 2))
-        assert len(calls) == len(pairs)
+        assert len(calls) == (2 if again else 1) * len(pairs)
         assert all(("frame", i, j) not in net._cache and ("planarity", i, j) in net._cache for i, j in pairs)
         build_q_form(net, Tolerances(incidence=1e-10))  # a form at other tolerances builds a frame again
-        assert len(calls) == 2 * len(pairs)
+        assert len(calls) == (3 if again else 2) * len(pairs)
+
+
+def test_one_frame_per_axis_pair_on_the_recovery_path(monkeypatch):
+    # christoffel and the light-cone lift of a vertex-only net: the labels read the frame, the metric takes it
+    calls = []
+    run = qnet._diagonal_frame
+    monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd) or run(abcd))
+    net = QNet(generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(5)).net.vertices)
+    calls.clear()
+    isothermic.recover_labels(net)
+    isothermic.recover_metric(net)
+    assert len(calls) == 1 and ("frame", 0, 1) not in net._cache
+    check_closedness(net)
+    isothermic.check_circular(net)  # the circles' own memo, at the same tolerances: nothing new
+    assert len(calls) == 1
+    report = QNet(net.vertices)  # the order of the CLI report: the circles after closedness build one more
+    check_qnet(report)
+    check_closedness(report)
+    isothermic.check_circular(report)
+    assert len(calls) == 3
 
 
 def test_nan_planarity_fails_the_guards(iso_net, monkeypatch):
@@ -427,8 +451,8 @@ def test_checks_on_one_net_build_the_form_once(koenigs_net_3d, monkeypatch):
 def test_circularity_checks_share_one_circles_run(iso_net, monkeypatch):
     net = QNet(iso_net.net.vertices)
     calls = []
-    run = isothermic.quad_circles
-    monkeypatch.setattr(isothermic, "quad_circles", lambda *args: calls.append(args) or run(*args))
+    run = isothermic._frame_circles
+    monkeypatch.setattr(isothermic, "_frame_circles", lambda *args: calls.append(args) or run(*args))
     assert isothermic.check_circular(net).passed
     assert isothermic.check_isothermic(net).passed
     isothermic.quad_cross_ratios(net)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_planar_quad
 from koenigsnets import qnet
 from koenigsnets.errors import (
+    CoincidentPoints,
+    CollinearTriple,
     DegenerateQuad,
     GeneralPositionViolated,
     NotConcircular,
@@ -281,7 +283,8 @@ class TestCrossRatio:
 
 def _mp_circle(quad):
     """50-digit reference: (circularity residual, real cross-ratio) of one
-    planar quad, from the same double inputs."""
+    planar quad, from the same double inputs, in the frame of a, b and the
+    later corner farthest from the line ab."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         pts = [[mpmath.mpf(float(x)) for x in p] for p in quad]
@@ -291,7 +294,8 @@ def _mp_circle(quad):
             return mpmath.fsum(x * y for x, y in zip(a, b))
 
         u = [x / mpmath.sqrt(dot(rel[1], rel[1])) for x in rel[1]]
-        w = [x - dot(rel[2], u) * y for x, y in zip(rel[2], u)]
+        rests = [[x - dot(p, u) * y for x, y in zip(p, u)] for p in rel[2:]]
+        w = max(rests, key=lambda r: dot(r, r))  # from c, or from d where c lies on the line ab
         v = [x / mpmath.sqrt(dot(w, w)) for x in w]
         z = [mpmath.mpc(dot(p, u), dot(p, v)) for p in rel]
         rows = mpmath.matrix([[c.real, c.imag, abs(c) ** 2, 1] for c in z])
@@ -332,6 +336,47 @@ class TestQuadCircles:
         assert np.all(ref > 1e-6)
         assert np.all(np.abs(out.residual - ref) <= 1e-12 * ref)
         assert np.all(out.error == 4)  # not concircular
+
+
+def _placements(quad, rng):
+    """A quad (4, 2) of the plane as it is, and moved into R^3 by a random rotation and translation."""
+    flat = np.asarray(quad, dtype=float)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return [flat, np.pad(flat, ((0, 0), (0, 1))) @ rot.T + rng.uniform(-10.0, 10.0, 3)]
+
+
+class TestFrameDegeneracies:
+    """quad_circles where a quad's diagonal frame degenerates: its e_2 where the diagonals are parallel,
+    its e_1 where a == c; each quad in the plane and moved into R^3."""
+
+    def test_parallel_diagonals_on_a_circle(self, rng):
+        for quad in _placements([[-0.6, 0.8], [0.8, -0.6], [0.6, 0.8], [-0.8, -0.6]], rng):
+            out = quad_circles(quad[None])
+            residual, cr = _mp_circle(quad)
+            assert out.error[0] == 0 and out.residual[0] <= 1e-12 and residual <= 1e-12
+            assert cr == pytest.approx(1.96, rel=1e-12)
+            assert abs(out.cross_ratio[0] - cr) <= 1e-12 * cr
+
+    CASES = {
+        "a == c": ([[0.3, 0.7], [1.1, 0.2], [0.3, 0.7], [0.1, -0.9]], 2, CoincidentPoints, "coincident points"),
+        "c == d": ([[0.1, 0.2], [1.3, 0.7], [0.7, 1.9], [0.7, 1.9]], 5, CoincidentPoints, "consecutive points"),
+        "collinear": ([[0.1, 0.3], [0.52, 0.86], [1.24, 1.82], [0.88, 1.34]], 3, CollinearTriple, "collinear"),
+        "b on ac": ([[0.1, 0.3], [0.52, 0.86], [1.24, 1.82], [-0.4, 1.1]], 4, NotConcircular, "not concircular"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_first_failing_predicate(self, case, rng):
+        quad, error, cls, message = self.CASES[case]
+        for pts in _placements(quad, rng):
+            assert quad_circles(pts[None]).error[0] == error
+            with pytest.raises(cls, match=message):
+                _one_quad(pts, 6)
+
+    def test_b_on_ac_reads_its_residual(self, rng):
+        # the frame's line is ac, so b on it leaves the frame well defined
+        for pts in _placements(self.CASES["b on ac"][0], rng):
+            ref = _mp_circle(pts)[0]
+            assert abs(quad_circles(pts[None]).residual[0] - ref) <= 1e-12 * ref
 
 
 def test_quad_circles_round_the_same_in_any_layout(iso_net, rng):

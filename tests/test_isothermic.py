@@ -101,6 +101,8 @@ class TestDegenerateQuads:
         # f_i == f at (1, 1); at (1, 0) the last two corners coincide, which is still concircular
         "coincident": ({(2, 1): (1.0, 1.0, 0.0)}, (CoincidentPoints, "(1, 1)"), (CoincidentPoints, "(1, 0)")),
         "not concircular": ({(2, 2): (2.2, 2.0, 0.0)}, None, (NotConcircular, "(1, 1)")),
+        # f_ij == f at (1, 1): its diagonal ac has no direction, so the quad has no frame
+        "a == c": ({(2, 2): (1.0, 1.0, 0.0)}, (CoincidentPoints, "(1, 1)"), (CoincidentPoints, "(1, 1)")),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -112,8 +112,8 @@ NAN_CASES = {
     "closedness": ("closedness-3d", koenigs, "_diagonals", "q_bd"),
     "geometric-2d": ("geometric-2d", koenigs, "quad_planarity", None),
     "geometric-3d": ("geometric-3d", koenigs, "quad_planarity", None),
-    "circular": ("circular-iso", isothermic, "quad_circles", "residual"),
-    "isothermic": ("isothermic-lightcone-3d", isothermic, "quad_circles", "cross_ratio"),
+    "circular": ("circular-iso", isothermic, "_frame_circles", "residual"),
+    "isothermic": ("isothermic-lightcone-3d", isothermic, "_frame_circles", "cross_ratio"),
     "moebius-sphere": ("moebius-sphere", isothermic, "_span_fit", "residual"),
     "moebius-hexahedra": ("moebius-hexahedra", isothermic, "span_residual", None),
 }
@@ -133,7 +133,7 @@ def test_nan_residual_fails(case, request, monkeypatch):
 
 
 def test_nan_circularity_is_not_circular(iso_net, monkeypatch):
-    monkeypatch.setattr(isothermic, "quad_circles", _nan_first(isothermic.quad_circles, "residual"))
+    monkeypatch.setattr(isothermic, "_frame_circles", _nan_first(isothermic._frame_circles, "residual"))
     with pytest.raises(NotCircular, match="max residual nan"):
         check_isothermic(QNet(iso_net.net.vertices))
 
