@@ -96,14 +96,11 @@ def quad_diagonals(pts: np.ndarray, tol: Tolerances = DEFAULT_TOL, where=lambda 
     return _diagonals(abcd, _diagonal_frame(abcd), tol, where)
 
 
-def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where) -> Diagonals:
-    """:func:`quad_diagonals` of the quads abcd (4, N, Q) from their :func:`_diagonal_frame`."""
+def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where, starts=(0,)) -> Diagonals:
+    """:func:`quad_diagonals` of quads abcd (4, N, Q) from their frame, the guards by :func:`_raise_in_turn`."""
     exp, lu, uu, vv, v1, v2, w1, w2, off, rho = frame
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         parallel = ~(v2 * v2 > tol.incidence * vv)
-        _raise_first([(parallel, DegenerateQuad, "diagonals are parallel (intersection at infinity)")], where)
-        skew = ~(rho <= tol.incidence)
-        _raise_first([(skew, DegenerateQuad, "skew diagonals: residual {:.3e} exceeds tolerance", rho)], where)
         # the heights of A, C, A - C over BD (times |v|), of B, D, B - D over AC,
         # each rough where its square is below _EXACT_BELOW**2 of the squared sizes of the terms it sums
         h_a, h_ac, ww = w1 * v2 - w2 * v1, lu * v2, w1 * w1 + w2 * w2
@@ -119,7 +116,10 @@ def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where) -> Diagonals:
         a, c = abcd[0], abcd[2]
         point = a + t * (c - a) + 0.5 * np.ldexp(off, exp)  # off: from the line AC to the line BD
         diag = Diagonals(point.T, t, s, h_c / h_a, h_d / h_b)
-    _raise_first([(~(near > tol.incidence), VertexOnDiagonal, "diagonal intersection coincides with a vertex")], where)
+    _raise_in_turn([(parallel, DegenerateQuad, "diagonals are parallel (intersection at infinity)"),
+                    (~(rho <= tol.incidence), DegenerateQuad, "skew diagonals: residual {:.3e} exceeds tolerance", rho),
+                    (~(near > tol.incidence), VertexOnDiagonal, "diagonal intersection coincides with a vertex")],
+                   where, starts)
     return diag
 
 
@@ -155,7 +155,7 @@ def _diagonal_frame(abcd: np.ndarray) -> _Frame:
     u = 0 and where |^2 A| = 0; NaN where a coordinate is.  The stack is read in equal blocks of at most
     ``_BLOCK`` quads.
     """
-    n_blocks = -(-abcd.shape[2] // _BLOCK)  # equal blocks: einsum would round a block of one quad otherwise
+    n_blocks = -(-abcd.shape[2] // _BLOCK)  # a quad reads alike in a block of any size (_dot)
     if n_blocks <= 1:
         return _frame_block(abcd)
     blocks = [_frame_block(part) for part in np.array_split(abcd, n_blocks, axis=2)]
@@ -170,10 +170,10 @@ def _frame_block(abcd: np.ndarray) -> _Frame:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         exp = np.frexp(np.abs(rows).max(axis=(0, 1)))[1]
         u, v, w = np.ldexp(rows, -exp, out=rows)
-        uu, vv = np.einsum("kiq,kiq->kq", rows[:2], rows[:2])
+        uu, vv = np.add.reduce(rows[:2] * rows[:2], axis=1)
         lu = np.sqrt(uu)
         e1 = u / lu
-        on_e1 = np.einsum("kiq,iq->kq", rows[1:], e1)  # v and w on e_1, then each rest on e_1 and e_2 in turn
+        on_e1 = np.add.reduce(rows[1:] * e1, axis=1)  # v and w on e_1, then each rest on e_1 and e_2 in turn
         v, w = rows[1:] - on_e1[:, None] * e1
         again = _dot(v, e1)
         v1, v = on_e1[0] + again, v - again * e1
@@ -307,9 +307,18 @@ def _raise_first(checks, where) -> None:
         raise cls(where(k) + message.format(*(v[k] for v in values)))
 
 
+def _raise_in_turn(guards, where, starts) -> None:
+    """:func:`_raise_first` of ``guards`` in turn over each part of a stack, part by part, the parts starting at the
+    elements ``starts``: the error of the first guard that fails in the first part where one fails."""
+    hits = [(np.searchsorted(starts, np.argmax(failed), side="right"), g)
+            for g, (failed, *_) in enumerate(guards) if failed.any()]
+    if hits:
+        _raise_first([guards[min(hits)[1]]], where)
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of vectors stored along the first axis."""
-    return np.einsum("i...,i...->...", x, y)
+    """Dot products of vectors stored along the first axis, summed in coordinate order for any number of them."""
+    return np.add.reduce(x * y, axis=0)
 
 
 def _exact_heights(a, b, c, d) -> np.ndarray:

@@ -60,6 +60,7 @@ from .qnet import (
     _net_frame,
     _quad_at,
     _raise_first_row,
+    _stack_at,
     _star,
     _wavefront,
 )
@@ -89,44 +90,29 @@ class IsothermicNet:
 
 
 def _circles(net: QNet, tol: Tolerances) -> tuple:
-    """:func:`geom.quad_circles` on the quads of every axis pair in the frame :func:`qnet._net_frame` reads, once
-    per net and tolerances: ((i, j, base grid shape, read-only QuadCircles), ...), the cross-ratios shaped like
-    the base grid."""
+    """:func:`geom.quad_circles` of the quads of every axis pair in one pass over the stack and frame that
+    :func:`qnet._net_frame` reads, once per net and tolerances: (its pairs, read-only QuadCircles of the stack)."""
 
     def build():
-        return tuple(_pair_circles(net, i, j, tol) for i, j in combinations(range(net.m), 2))
+        abcd, pairs, frame = _net_frame(net, take=False)
+        return pairs, QuadCircles(*(_frozen(a) for a in _frame_circles(abcd, frame, tol)))
 
     return net._memo(("circles", tol), build)
-
-
-def _pair_circles(net: QNet, i: int, j: int, tol: Tolerances) -> tuple:
-    abcd, shape, frame = _net_frame(net, i, j, take=False)
-    qc = _frame_circles(abcd, frame, tol)
-    return i, j, shape, QuadCircles(*(_frozen(a) for a in qc._replace(cross_ratio=qc.cross_ratio.reshape(shape))))
-
-
-def _raise_quad_errors(circles: tuple, upto: int) -> None:
-    """Raise the error of the first quad, in axis-pair and base order, that
-    fails one of the predicates 1..``upto`` of the kernel."""
-    for i, j, shape, qc in circles:
-        raise_quad_error(qc, upto, _quad_at(shape, i, j))
 
 
 def check_circular(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Per-quad concircularity residuals, one part per axis pair, each quad
     at its base; passes iff all are <= tol.incidence."""
-    circles = _circles(net, tol)
-    _raise_quad_errors(circles, 3)
-    parts = {(i, j): (qc.residual, _grid(shape)) for i, j, shape, qc in circles}
-    return CheckReport("circular", tol.incidence, parts)
+    pairs, qc = _circles(net, tol)
+    raise_quad_error(qc, 3, _stack_at(pairs))  # the first quad that fails, in axis-pair and base order
+    return CheckReport("circular", tol.incidence, {key: (qc.residual[at], _grid(shape)) for key, shape, at in pairs})
 
 
 def quad_cross_ratios(net: QNet, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Cross-ratio q(f, f_i, f_ij, f_j) of every elementary quad, keyed by
-    axis pair, as arrays over the quad base grid."""
-    circles = _circles(net, tol)
-    _raise_quad_errors(circles, 6)
-    return {(i, j): qc.cross_ratio for i, j, _, qc in circles}
+    """Cross-ratio q(f, f_i, f_ij, f_j) of every elementary quad, keyed by axis pair, as arrays over the base grid."""
+    pairs, qc = _circles(net, tol)
+    raise_quad_error(qc, 6, _stack_at(pairs))
+    return {key: qc.cross_ratio[at].reshape(shape) for key, shape, at in pairs}
 
 
 def check_isothermic(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -443,9 +429,8 @@ def _moebius_hexahedra(net: QNet, tol: Tolerances) -> CheckReport:
     parts = {}
     for axes in combinations(range(net.m), 3):
         cube, shape = _cubes(net, axes)
-        diam = np.linalg.norm(cube[:, :, None] - cube[:, None], axis=-1).max(axis=(1, 2))
-        lifted = _similar_lift(cube, cube[:, :1], diam[:, None, None])
-        at = _grid(shape)
-        parts[("black", axes)] = span_residual(lifted[:, [0, 4, 5, 6]], 3), at  # f, f_ij, f_ik, f_jk
-        parts[("white", axes)] = span_residual(lifted[:, [1, 2, 3, 7]], 3), at  # f_i, f_j, f_k, f_ijk
+        flat = cube.reshape(len(cube), 8, -1)
+        diam = np.linalg.norm(flat[:, :, None] - flat[:, None], axis=-1).max(axis=(1, 2))
+        lifted = _similar_lift(cube, flat[:, None, :1], diam[:, None, None, None])
+        parts[("black", axes)], parts[("white", axes)] = ((res, _grid(shape)) for res in span_residual(lifted, 3).T)
     return CheckReport("moebius_hexahedra", tol.product, parts)

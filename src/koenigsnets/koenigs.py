@@ -34,6 +34,7 @@ from .qnet import (
     _grid,
     _net_frame,
     _quad_at,
+    _stack_at,
     _star,
     _vertex_at,
     _wavefront,
@@ -73,15 +74,6 @@ class DiagonalForm:
     m_points: dict
 
 
-def _diag_data(net: QNet, i: int, j: int, tol: Tolerances):
-    """Diagonal intersections of all quads in the (i, j) plane, by
-    :func:`quad_diagonals` in the frame :func:`qnet._net_frame` hands over: (m, q_main, q_cross) shaped
-    like the base grid."""
-    abcd, shape, frame = _net_frame(net, i, j, take=True)
-    diag = _diagonals(abcd, frame, tol, _quad_at(shape, i, j))
-    return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
-
-
 def build_q_form(net: QNet, tol: Tolerances = DEFAULT_TOL) -> DiagonalForm:
     """The multiplicative one-form q on the diagonals of all elementary quads,
     built once per net and tolerances and kept by the net, read-only."""
@@ -89,10 +81,13 @@ def build_q_form(net: QNet, tol: Tolerances = DEFAULT_TOL) -> DiagonalForm:
 
 
 def _build_q_form(net: QNet, tol: Tolerances) -> DiagonalForm:
-    q_main, q_cross, m_points = {}, {}, {}
-    for i, j in combinations(range(net.m), 2):
-        m_points[(i, j)], q_main[(i, j)], q_cross[(i, j)] = (_frozen(a) for a in _diag_data(net, i, j, tol))
-    return DiagonalForm(q_main=q_main, q_cross=q_cross, m_points=m_points)
+    """:func:`quad_diagonals` of the quads of every axis pair in one pass over the stack and frame that
+    :func:`qnet._net_frame` hands over, its guards pair by pair; each pair's arrays are views over its base grid."""
+    abcd, pairs, frame = _net_frame(net, take=True)
+    diag = _diagonals(abcd, frame, tol, _stack_at(pairs), [at.start for *_, at in pairs])
+    per_pair = ({key: a[at].reshape(shape + a.shape[1:]) for key, shape, at in pairs}
+                for a in (_frozen(diag.q_ac), _frozen(diag.q_bd), _frozen(diag.point)))
+    return DiagonalForm(*per_pair)
 
 
 def check_closedness(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -458,11 +453,10 @@ def check_koenigs_2d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
 
 
 def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """Per-hexahedron Koenigs tests for m >= 3, three parts per axis triple:
-    coplanarity of the four black ("black") and of the four white ("white")
-    vertices of each cube, at its base, and collinearity of the three
-    adjacent-face diagonal intersection points at every corner ("corners"),
-    at the cube's base followed by the corner's number in ``_CORNERS``."""
+    """Per-hexahedron Koenigs tests for m >= 3, three parts per axis triple: coplanarity of the four black ("black")
+    and of the four white ("white") vertices of each cube, at its base, in one call of the planarity kernel, and
+    collinearity of the three adjacent-face diagonal intersection points at every corner ("corners"), at the cube's
+    base followed by the corner's number in ``_CORNERS``."""
     if net.m < 3:
         raise DimensionTooLow("3d characterization needs m >= 3")
     form = build_q_form(net, tol)
@@ -475,8 +469,7 @@ def check_koenigs_3d_geometric(net: QNet, tol: Tolerances = DEFAULT_TOL) -> Chec
         ms = [[_crop(form.m_points[pair], (r,), (bits[b],)) for pair, r, b in faces] for bits in _CORNERS]
         ms = np.array(ms).reshape(8, 3, -1, net.ambient_dim).transpose(2, 0, 1, 3)
         at = _grid(shape)
-        parts[("black", axes)] = quad_planarity(cube[:, [0, 4, 5, 6]]), at  # f, f_ij, f_ik, f_jk
-        parts[("white", axes)] = quad_planarity(cube[:, [1, 2, 3, 7]]), at  # f_i, f_j, f_k, f_ijk
+        parts[("black", axes)], parts[("white", axes)] = ((rho, at) for rho in quad_planarity(cube).T)
         ms = ms - ms.mean(axis=2, keepdims=True)
         parts[("corners", axes)] = span_residual(ms, 1).reshape(-1), _grid(shape + (8,))  # collinear triples
     return CheckReport("koenigs_3d_geometric", tol.product, parts)

@@ -50,7 +50,7 @@ class QNet:
 
     def _memo(self, key, build):
         """``build()``, computed on the first call for ``key`` and kept by the net unless it raises; a
-        key names the Tolerances its result depends on, if any: ("q_form", tol), ("planarity", i, j)."""
+        key names the Tolerances its result depends on, if any: ("q_form", tol), "planarity"."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -133,31 +133,33 @@ class CheckReport:
 def check_qnet(net: QNet, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Per-quad :func:`geom.quad_planarity` residuals, one part per axis pair,
     each quad at its base; passes iff all are <= tol.incidence."""
-    rho = {(i, j): _planarity(net, i, j) for i, j in combinations(range(net.m), 2)}
-    return CheckReport("qnet", tol.incidence, {key: (r.ravel(), _grid(r.shape)) for key, r in rho.items()})
+    return CheckReport("qnet", tol.incidence, {key: (r.ravel(), _grid(r.shape)) for key, r in _planarity(net).items()})
 
 
-def _planarity(net: QNet, i: int, j: int) -> np.ndarray:
-    """:func:`geom.quad_planarity` of the (i, j) quads over their base grid, read-only: the rho of their
-    :func:`geom._diagonal_frame`, built once per net and axis pair and kept by the net.  The circles read the
-    rest of the frame on the net, and the diagonal form takes it (:func:`_net_frame`)."""
+def _net_stack(net: QNet) -> tuple:
+    abcd, pairs = _stack_quads(net)
+    return abcd, pairs, _diagonal_frame(abcd)
+
+
+def _planarity(net: QNet) -> dict:
+    """:func:`geom.quad_planarity` of the quads of every axis pair, {(i, j): rho over their base grid}: read-only
+    views of the rho of the frame of the net's quad stack, built once per net and kept by it.  The net keeps the
+    stack and frame (40 N + 68 bytes per quad) for the circles until the diagonal form takes them
+    (:func:`_net_frame`)."""
 
     def build():
-        pts, shape = _gather_quads(net, i, j)
-        net._cache[("frame", i, j)] = frame = _diagonal_frame(np.moveaxis(pts, 0, -1))
-        return _frozen(frame.rho.reshape(shape))
+        net._cache["stack"] = (_, pairs, frame) = _net_stack(net)
+        return {key: _frozen(frame.rho)[at].reshape(shape) for key, shape, at in pairs}
 
-    return net._memo(("planarity", i, j), build)
+    return net._memo("planarity", build)
 
 
-def _net_frame(net: QNet, i: int, j: int, take: bool) -> tuple:
-    """The (i, j) quads abcd (4, N, Q), their base grid shape and :func:`geom._diagonal_frame`: the one that
-    :func:`_planarity` left on the net, dropped from it if ``take`` (the diagonal form), or a new one once taken."""
-    pts, shape = _gather_quads(net, i, j)
-    abcd = np.moveaxis(pts, 0, -1)
-    _planarity(net, i, j)
-    frame = (net._cache.pop if take else net._cache.get)(("frame", i, j), None)
-    return abcd, shape, _diagonal_frame(abcd) if frame is None else frame
+def _net_frame(net: QNet, take: bool) -> tuple:
+    """The net's quad stack, its pairs (:func:`_stack_quads`) and its :func:`geom._diagonal_frame`: those that
+    :func:`_planarity` left on the net, dropped from it if ``take`` (the diagonal form), or new ones once taken."""
+    _planarity(net)
+    stack = (net._cache.pop if take else net._cache.get)("stack", None)
+    return _net_stack(net) if stack is None else stack
 
 
 @lru_cache(maxsize=16)
@@ -171,12 +173,18 @@ def _ints(u) -> tuple:
     return tuple(int(x) for x in u)
 
 
-def _gather_quads(net: QNet, i: int, j: int):
-    """Stacked quad vertex arrays (Q, 4, N), bases in C order, a view of a (4, N, Q) array (the
-    kernels' layout, so they copy nothing), plus the shape of the base grid (see :func:`_base`)."""
-    crops = _corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1)
-    corners = np.stack(crops, out=np.empty((4,) + crops[0].shape))
-    return np.moveaxis(corners.reshape(4, net.ambient_dim, -1), -1, 0), corners.shape[2:]
+def _stack_quads(net: QNet) -> tuple:
+    """The quads abcd (4, N, Q) of every axis pair (i, j) of a net, pair after pair in combinations order, bases in
+    C order (the kernels' layout, so they copy nothing), and the pairs: ((i, j), base grid shape, slice of abcd), ..."""
+    located, start = [], 0
+    for key in combinations(range(net.m), 2):
+        shape = tuple(n - (ax in key) for ax, n in enumerate(net.extents))
+        located.append((key, shape, slice(start, start := start + int(np.prod(shape)))))
+    abcd = np.empty((4, net.ambient_dim, start))
+    coords = np.moveaxis(net.vertices, -1, 0)
+    for (i, j), shape, at in located:
+        np.stack(_corners(coords, i + 1, j + 1), out=abcd[:, :, at].reshape(abcd.shape[:2] + shape))
+    return abcd, tuple(located)
 
 
 def _base(shape: tuple, k: int) -> tuple:
@@ -187,6 +195,11 @@ def _base(shape: tuple, k: int) -> tuple:
 def _quad_at(shape: tuple, i: int, j: int):
     """The locator of :func:`geom._raise_first` for the (i, j) quads over a base grid ``shape``."""
     return lambda k: f"quad base {_base(shape, k)} (axes {i},{j}): "
+
+
+def _stack_at(pairs: tuple):
+    """The locator of :func:`geom._raise_first` for a stack of the quads of axis ``pairs`` (:func:`_stack_quads`)."""
+    return lambda k: next(_quad_at(shape, *key)(k - at.start) for key, shape, at in pairs if k < at.stop)
 
 
 def _vertex_at(shape: tuple):
@@ -230,15 +243,15 @@ def _worst(residuals) -> float:
     return float(np.max([res.max(initial=0.0) for res in residuals], initial=0.0))
 
 
-# vertex offsets of a cube along its axes (i, j, k): f, f_i, f_j, f_k, f_ij, f_ik, f_jk, f_ijk
-_CUBE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+# vertex offsets of a cube along its axes (i, j, k): the black f, f_ij, f_ik, f_jk, then the white f_i, f_j, f_k, f_ijk
+_CUBE = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
 def _cubes(net: QNet, axes):
-    """The vertices (W, 8, N) of every cube spanned by ``axes``, bases in C
-    order, each cube in ``_CUBE`` order, plus the shape of the base grid."""
+    """The black and the white quad (W, 2, 4, N) of every cube spanned by ``axes``, bases in C order, in ``_CUBE``
+    order, plus the shape of the base grid: one kernel call reads both colours."""
     cube = np.stack([_crop(net.vertices, axes, bits) for bits in _CUBE], axis=net.m)
-    return cube.reshape(-1, 8, net.ambient_dim), cube.shape[:net.m]
+    return cube.reshape(-1, 2, 4, net.ambient_dim), cube.shape[:net.m]
 
 
 def _star(values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from koenigsnets import generate
 from koenigsnets.geom import DEFAULT_TOL, lift_to_lightcone, minkowski_dot
 from koenigsnets.koenigs import KoenigsData, MoutardNet, _moutard_coeffs, _propagate_nu, build_q_form
-from koenigsnets.qnet import VertexScalar, _corners, _crop
+from koenigsnets.qnet import VertexScalar, _corners, _crop, _stack_quads
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,14 @@ def iso_net():
 def iso_lightcone_3d():
     mn, iso = generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(104))
     return mn, iso
+
+
+def gather_quads(net, i, j):
+    """The (i, j) quads (Q, 4, N) of a net, bases in C order, and the shape of their base grid: their part of
+    the net's quad stack (qnet._stack_quads), in the layout of the public kernels."""
+    abcd, pairs = _stack_quads(net)
+    (shape, at), = [(shape, at) for key, shape, at in pairs if key == (i, j)]
+    return np.moveaxis(abcd[:, :, at], -1, 0), shape
 
 
 def unchecked_nu(net):

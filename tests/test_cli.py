@@ -296,10 +296,10 @@ class TestPipelines:
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
                      "--seed", "3", outname="net.json")
         # build_q_form calls include memo hits: count the computations of the
-        # form, one _diag_data per axis pair of this 2d net
+        # form, one per net and tolerances
         calls = []
-        diag_data = koenigs._diag_data
-        monkeypatch.setattr(koenigs, "_diag_data", lambda *args: calls.append(args) or diag_data(*args))
+        build = koenigs._build_q_form
+        monkeypatch.setattr(koenigs, "_build_q_form", lambda *args: calls.append(args) or build(*args))
         assert cli(tmp_path, "report", infile=net, outname="report.json")[0] == 0
         assert len(calls) == 1
 

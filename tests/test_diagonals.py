@@ -8,11 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import gather_quads
 from koenigsnets import generate, geom, isothermic, koenigs, qnet
-from koenigsnets.errors import DegenerateQuad, NotPlanar, VertexOnDiagonal
-from koenigsnets.geom import Tolerances, _diagonals, _frame_circles, quad_circles, quad_diagonals
-from koenigsnets.koenigs import _build_q_form, _diag_data, build_q_form, check_closedness
-from koenigsnets.qnet import QNet, _base, _gather_quads, check_qnet
+from koenigsnets.errors import DegenerateQuad, GeometryError, NotPlanar, VertexOnDiagonal
+from koenigsnets.geom import Tolerances, _diagonals, _frame_circles, quad_circles, quad_diagonals, quad_planarity
+from koenigsnets.koenigs import _build_q_form, build_q_form, check_closedness
+from koenigsnets.qnet import QNet, _base, _quad_at, check_qnet
 
 TOL = Tolerances()
 
@@ -22,7 +23,7 @@ TOL = Tolerances()
 def longdouble_diag_data(net, i, j, tol):
     """The diagonal intersections as computed before the float64 kernel:
     normal equations in np.longdouble.  Returns (m, q_main, q_cross)."""
-    pts, shape = _gather_quads(net, i, j)
+    pts, shape = gather_quads(net, i, j)
     bases = [_base(shape, k) for k in range(len(pts))]
     pts = pts.astype(np.longdouble)
     a, b, c, d = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
@@ -58,6 +59,13 @@ def longdouble_diag_data(net, i, j, tol):
     return (0.5 * (p1 + p2)).reshape(shape + (net.ambient_dim,)).astype(float), q_main, q_cross
 
 
+def diag_data(net, i, j, tol):
+    """(m, q_main, q_cross) of the (i, j) quads by geom.quad_diagonals, shaped like their base grid."""
+    pts, shape = gather_quads(net, i, j)
+    diag = quad_diagonals(pts, tol, _quad_at(shape, i, j))
+    return diag.point.reshape(shape + (net.ambient_dim,)), diag.q_ac.reshape(shape), diag.q_bd.reshape(shape)
+
+
 def oracle(quad):
     """(q_ac, q_bd, t, s, m) of one quad (4, N) from its float coordinates,
     with 40 significant digits; m is the midpoint of the closest points of
@@ -80,9 +88,10 @@ def oracle(quad):
 
 
 def outcome(fn, *args):
+    """fn(*args), or the class and message of the library error it raises."""
     try:
         return fn(*args)
-    except (DegenerateQuad, VertexOnDiagonal) as exc:
+    except GeometryError as exc:
         return type(exc), str(exc)
 
 
@@ -97,8 +106,8 @@ def assert_matches_reference(net):
     oracle."""
     for i, j in combinations(range(net.m), 2):
         ref = outcome(longdouble_diag_data, net, i, j, TOL)
-        got = outcome(_diag_data, net, i, j, TOL)
-        pts = _gather_quads(net, i, j)[0]
+        got = outcome(diag_data, net, i, j, TOL)
+        pts = gather_quads(net, i, j)[0]
         if isinstance(ref[0], type) and "skew" in ref[1] and not isinstance(got[0], type):
             for k in range(len(pts)):
                 assert_matches_oracle(pts[k], got[1].flat[k], got[2].flat[k], got[0].reshape(len(pts), -1)[k])
@@ -295,86 +304,145 @@ def test_reference_on_koenigs_3d_nets():
         assert_matches_reference(net)
 
 
-def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenigs_net_3d, iso_net, iso_lightcone_3d):
-    nets = [koenigs_net_2d, koenigs_net_3d[0], iso_net.net, iso_lightcone_3d[1].net]
+def nets_of_every_m(koenigs_net_2d, koenigs_net_3d, iso_net, iso_lightcone_3d):
+    """m = 2, 3 and 4 nets that pass, and nets with degenerate quads: light-cone 4^3 nets of seeds 0-39 (some
+    raise DegenerateQuad in the diagonal form), a random 2 x 2 x 2 net (skew) and a 2 x 2 x 2 grid."""
+    nets = [koenigs_net_2d, koenigs_net_3d[0], iso_net.net, iso_lightcone_3d[1].net, generate.grid((2, 2, 2)),
+            QNet(np.random.default_rng(3).normal(size=(2, 2, 2, 3))),
+            generate.random_koenigs_nd((3, 3, 3, 3), rng=np.random.default_rng(1), noise=0.03)[0]]
     for seed in range(40):
         try:
             nets.append(generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(seed))[1].net)
-        except Exception:
+        except GeometryError:
             continue
-    for net in nets:
-        for i, j in combinations(range(net.m), 2):
-            pts = _gather_quads(net, i, j)[0]
-            abcd, _, frame = qnet._net_frame(QNet(net.vertices), i, j, take=False)  # the frame the checks read
-            own, given = outcome(quad_diagonals, pts), outcome(lambda: _diagonals(abcd, frame, TOL, lambda k: ""))
+    return nets
+
+
+def test_kernels_given_the_planarity_agree_with_their_own(koenigs_net_2d, koenigs_net_3d, iso_net, iso_lightcone_3d):
+    # rho, the diagonal form and the circles of the one stack of a net, against the public kernels run on each
+    # axis pair alone, bit for bit; the errors of the stack are those of the first pair that raises
+    for net in nets_of_every_m(koenigs_net_2d, koenigs_net_3d, iso_net, iso_lightcone_3d):
+        rho = qnet._planarity(QNet(net.vertices))
+        form = outcome(build_q_form, QNet(net.vertices))
+        pairs, circles = isothermic._circles(QNet(net.vertices), TOL)
+        assert [key for key, _, _ in pairs] == list(combinations(range(net.m), 2))
+        first = {"form": None, 3: None, 6: None}
+        for (i, j), _, at in pairs:
+            pts, shape = gather_quads(net, i, j)
+            assert np.array_equal(rho[(i, j)], quad_planarity(pts).reshape(shape))
+            own = outcome(diag_data, net, i, j, TOL)
             if isinstance(own[0], type):
-                assert given == own
-            else:
-                assert all(np.array_equal(a, b) for a, b in zip(own, given))
-            assert all(np.array_equal(a, b) for a, b in zip(quad_circles(pts), _frame_circles(abcd, frame, TOL)))
+                first["form"] = first["form"] or own
+            elif not isinstance(form, tuple):
+                stacked = form.m_points[(i, j)], form.q_main[(i, j)], form.q_cross[(i, j)]
+                assert all(np.array_equal(a, b) for a, b in zip(own, stacked))
+            alone = quad_circles(pts)
+            assert all(np.array_equal(a, b[at]) for a, b in zip(alone, circles))
+            for upto in (3, 6):
+                first[upto] = first[upto] or outcome(geom.raise_quad_error, alone, upto, _quad_at(shape, i, j))
+        assert form == first["form"] if first["form"] else not isinstance(form, tuple)
+        for upto in (3, 6):
+            assert outcome(geom.raise_quad_error, circles, upto, qnet._stack_at(pairs)) == first[upto]
+
+
+def test_a_skew_quad_of_the_first_pair_raises_before_a_parallel_one_of_the_last():
+    # the guards run in turn pair by pair: a stack-wide parallel guard would name the quads of (0, 2) and (1, 2)
+    f = generate.grid((3, 3, 3)).vertices.copy()
+    f[1, 1, 1, 2] += 0.01  # the four (0, 1) quads around it are skew; in the (0, 2) and (1, 2) planes it stays
+    f[0, 2, 2, 2] = 0.0  # the (1, 2) quad at (0, 1, 1), and the (0, 2) quad at (0, 2, 1), get parallel diagonals
+    net = QNet(f)
+    assert "parallel" in outcome(diag_data, net, 1, 2, TOL)[1]
+    assert "parallel" in outcome(quad_diagonals, np.concatenate([gather_quads(net, i, j)[0] for i, j in
+                                                                combinations(range(3), 2)]))[1]
+    message = r"quad base \(0, 0, 1\) \(axes 0,1\): skew diagonals: residual 3\.535e-03 exceeds tolerance"
+    with pytest.raises(DegenerateQuad, match=message):
+        build_q_form(net)
+
+
+def test_a_failing_quad_of_the_third_pair_is_named_by_its_own_axes_and_base():
+    f = generate.grid((3, 3, 3)).vertices.copy()
+    f[1, 1, 1, 0] += 0.01  # off the plane of the four (1, 2) quads around it, in those of the (0, 1) and (0, 2) quads
+    net = QNet(f)
+    rep = check_qnet(net)
+    assert rep.n_failed == 4 and rep.worst_at[0] == (1, 2) and rep.offenders(1)[0][:2] == ((1, 2), (1, 0, 0))
+    with pytest.raises(DegenerateQuad, match=r"^quad base \(1, 0, 0\) \(axes 1,2\): skew diagonals"):
+        build_q_form(net)
+    with pytest.raises(NotPlanar, match=r"^quad base \(1, 0, 0\) \(axes 1,2\): points are not coplanar"):
+        isothermic.check_circular(net)
 
 
 @pytest.mark.parametrize("n_quads", [4097, 9000])
 def test_the_blocks_of_a_frame_leave_its_bits(n_quads, monkeypatch):
-    # equal blocks: einsum would round the dot products of a block of one quad otherwise
     abcd = np.random.default_rng(36).standard_normal((4, 3, n_quads))
     blocked = geom._diagonal_frame(abcd)
     monkeypatch.setattr(geom, "_BLOCK", n_quads)
     assert all(np.array_equal(a, b) for a, b in zip(blocked, geom._diagonal_frame(abcd)))
 
 
+def test_a_quad_reads_alike_alone_and_in_its_stack():
+    # the dot products sum one coordinate after the other for any number of quads (einsum did not for one)
+    nets = [generate.random_isothermic_2d((12, 12), rng=np.random.default_rng(2)).net]
+    nets.append(generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(0))[1].net)
+    for net in nets:
+        for i, j in combinations(range(net.m), 2):
+            pts = gather_quads(net, i, j)[0]
+            rho, diag = quad_planarity(pts), quad_diagonals(pts)
+            for k, quad in enumerate(pts):
+                assert quad_planarity(quad) == rho[k]
+                assert all(np.array_equal(a[0], b[k]) for a, b in zip(quad_diagonals(quad[None]), diag))
+
+
 # --- the memo ---------------------------------------------------------------------
 
 
-def test_planarity_is_computed_once_per_axis_pair(iso_net, koenigs_net_3d, monkeypatch):
-    calls = []
-    for module in (qnet, geom):  # the net's frames, and the kernels' own
-        run = module._diagonal_frame
-        monkeypatch.setattr(module, "_diagonal_frame", lambda abcd, run=run: calls.append(abcd) or run(abcd))
+def count_calls(monkeypatch, module, name):
+    """The arguments of every call of ``module.name`` from here on."""
+    calls, run = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or run(*args))
+    return calls
+
+
+def test_planarity_is_computed_once_per_net(iso_net, koenigs_net_3d, monkeypatch):
+    # the net's frames, and the kernels' own
+    calls = [count_calls(monkeypatch, module, "_diagonal_frame") for module in (qnet, geom)]
     for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
-        calls.clear()
+        for c in calls:
+            c.clear()
         net = QNet(vertices)
-        pairs = list(combinations(range(net.m), 2))
-        n_pairs = len(pairs)
         check_qnet(net)
-        rho = [net._cache[("planarity", i, j)] for i, j in pairs]
+        rho = net._cache["planarity"]
         for check, built in ((check_closedness, 1), (isothermic.check_circular, 2), (check_qnet, 2)):
             check(net)
-            assert len(calls) == built * n_pairs  # the diagonal form took the frame: the circles build their own
-        assert all(net._cache[("planarity", i, j)] is r for (i, j), r in zip(pairs, rho))
+            assert sum(map(len, calls)) == built  # the diagonal form took the frame: the circles build their own
+        assert net._cache["planarity"] is rho
         isothermic.check_circular(QNet(vertices))  # a new net of the same vertices computes its own
-        assert len(calls) == 3 * n_pairs
+        assert sum(map(len, calls)) == 3
 
 
 @pytest.mark.parametrize("order", list(permutations([check_qnet, check_closedness, isothermic.check_circular])))
 def test_the_frame_is_built_once_in_any_order(iso_net, koenigs_net_3d, order, monkeypatch):
-    # the diagonal form takes the frame off the net, which keeps rho; circles after it build a frame again
-    calls = []
-    run = qnet._diagonal_frame
-    monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd) or run(abcd))
+    # the diagonal form takes the stack and its frame off the net, which keeps rho; circles after it build a frame again
+    calls = count_calls(monkeypatch, qnet, "_diagonal_frame")
     again = order.index(check_closedness) < order.index(isothermic.check_circular)
     for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
         calls.clear()
         net = QNet(vertices)
         for check in order:
             check(net)
-        pairs = list(combinations(range(net.m), 2))
-        assert len(calls) == (2 if again else 1) * len(pairs)
-        assert all(("frame", i, j) not in net._cache and ("planarity", i, j) in net._cache for i, j in pairs)
+        assert len(calls) == (2 if again else 1)
+        assert "stack" not in net._cache and "planarity" in net._cache
         build_q_form(net, Tolerances(incidence=1e-10))  # a form at other tolerances builds a frame again
-        assert len(calls) == (3 if again else 2) * len(pairs)
+        assert len(calls) == (3 if again else 2)
 
 
-def test_one_frame_per_axis_pair_on_the_recovery_path(monkeypatch):
+def test_one_frame_per_net_on_the_recovery_path(monkeypatch):
     # christoffel and the light-cone lift of a vertex-only net: the labels read the frame, the metric takes it
-    calls = []
-    run = qnet._diagonal_frame
-    monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd) or run(abcd))
-    net = QNet(generate.random_isothermic_2d((48, 48), rng=np.random.default_rng(5)).net.vertices)
+    calls = count_calls(monkeypatch, qnet, "_diagonal_frame")
+    net = QNet(generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(0))[1].net.vertices)
     calls.clear()
     isothermic.recover_labels(net)
     isothermic.recover_metric(net)
-    assert len(calls) == 1 and ("frame", 0, 1) not in net._cache
+    assert len(calls) == 1 and "stack" not in net._cache
     check_closedness(net)
     isothermic.check_circular(net)  # the circles' own memo, at the same tolerances: nothing new
     assert len(calls) == 1
@@ -382,6 +450,20 @@ def test_one_frame_per_axis_pair_on_the_recovery_path(monkeypatch):
     check_qnet(report)
     check_closedness(report)
     isothermic.check_circular(report)
+    assert len(calls) == 3
+
+
+def test_one_gather_per_net(koenigs_net_3d, monkeypatch):
+    # the stack the planarity gathers is the one the diagonal form and the circles read
+    calls = count_calls(monkeypatch, qnet, "_stack_quads")
+    check_closedness(QNet(koenigs_net_3d[0].vertices))
+    net = QNet(koenigs_net_3d[0].vertices)
+    check_qnet(net)
+    check_closedness(net)
+    assert len(calls) == 2
+    net = QNet(generate.random_isothermic_lightcone((4, 4, 4), rng=np.random.default_rng(0))[1].net.vertices)
+    isothermic.recover_labels(net)
+    isothermic.recover_metric(net)
     assert len(calls) == 3
 
 
@@ -403,23 +485,23 @@ def test_one_form_per_net_and_tolerances(koenigs_net_2d):
     assert np.array_equal(other.q_main[(0, 1)], form.q_main[(0, 1)])
 
 
-def test_memoized_arrays_are_read_only(iso_net):
-    net = QNet(iso_net.net.vertices)
-    form = build_q_form(net)
-    for arrays in (form.q_main, form.q_cross, form.m_points):
-        with pytest.raises(ValueError):
-            arrays[(0, 1)][0, 0] = 1.0
-    isothermic.check_circular(net)
-    for _, _, _, circles in isothermic._circles(net, TOL):
-        for values in circles:
+def test_memoized_arrays_are_read_only(iso_net, koenigs_net_3d):
+    for vertices in (iso_net.net.vertices, koenigs_net_3d[0].vertices):
+        net = QNet(vertices)
+        isothermic.check_circular(net)
+        form = build_q_form(net)
+        for arrays in (form.q_main, form.q_cross, form.m_points, qnet._planarity(net)):
+            for values in arrays.values():
+                with pytest.raises(ValueError):
+                    values.flat[0] = 1.0
+        for values in isothermic._circles(net, TOL)[1]:
             assert not values.flags.writeable
 
 
 def test_a_failed_build_is_not_kept(monkeypatch):
     # one quad (f, f_1, f_12, f_2) whose diagonals are parallel
     net = QNet(np.array([[[0.0, 0.0], [-0.5, 1.0]], [[0.5, 1.0], [1.0, 0.0]]]))
-    calls = []
-    monkeypatch.setattr(koenigs, "_diag_data", lambda *args: calls.append(args) or _diag_data(*args))
+    calls = count_calls(monkeypatch, koenigs, "_build_q_form")
     first = outcome(build_q_form, net)
     second = outcome(build_q_form, net)
     assert isinstance(first[0], type) and first == second
@@ -440,19 +522,16 @@ def test_short_lived_nets_do_not_share_forms():
 
 def test_checks_on_one_net_build_the_form_once(koenigs_net_3d, monkeypatch):
     net = QNet(koenigs_net_3d[0].vertices)
-    calls = []
-    monkeypatch.setattr(koenigs, "_diag_data", lambda *args: calls.append(args) or _diag_data(*args))
+    calls = count_calls(monkeypatch, koenigs, "_build_q_form")
     check_closedness(net)
     koenigs.integrate_nu(net)
     koenigs.check_koenigs_3d_geometric(net)
-    assert len(calls) == 3  # one per axis pair
+    assert len(calls) == 1  # one per net and tolerances, every axis pair in it
 
 
 def test_circularity_checks_share_one_circles_run(iso_net, monkeypatch):
     net = QNet(iso_net.net.vertices)
-    calls = []
-    run = isothermic._frame_circles
-    monkeypatch.setattr(isothermic, "_frame_circles", lambda *args: calls.append(args) or run(*args))
+    calls = count_calls(monkeypatch, isothermic, "_frame_circles")
     assert isothermic.check_circular(net).passed
     assert isothermic.check_isothermic(net).passed
     isothermic.quad_cross_ratios(net)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_planar_quad
+from conftest import gather_quads, random_planar_quad
 from koenigsnets import qnet
 from koenigsnets.errors import (
     CoincidentPoints,
@@ -33,7 +33,7 @@ from koenigsnets.geom import (
 )
 from koenigsnets.isothermic import project_lightcone_net
 from koenigsnets.koenigs import MoutardNet, dual_quad_residual, dualize_quad
-from koenigsnets.qnet import QNet, _gather_quads, check_qnet
+from koenigsnets.qnet import QNet, check_qnet
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 ASYMMETRIC = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.25, 1.0]])
@@ -381,7 +381,7 @@ class TestFrameDegeneracies:
 
 def test_quad_circles_round_the_same_in_any_layout(iso_net, rng):
     # the same quads stored as (4, N, Q) and as (Q, 4, N) memory
-    quads = np.concatenate([_gather_quads(iso_net.net, 0, 1)[0], _random_circle_quads(rng, 40, True),
+    quads = np.concatenate([gather_quads(iso_net.net, 0, 1)[0], _random_circle_quads(rng, 40, True),
                             _random_circle_quads(rng, 40, False)])
     coordinate_major = np.ascontiguousarray(np.moveaxis(quads, 0, -1))
     one, other = quad_circles(np.ascontiguousarray(quads)), quad_circles(np.moveaxis(coordinate_major, -1, 0))
@@ -458,8 +458,8 @@ class TestQuadPlanarity:
         quads = unit * np.array([2.0**500, 2.0**-500, 1.0] * 10)[:, None, None]
         rho = quad_planarity(quads)
         assert np.array_equal(rho, quad_planarity(unit)) and np.all(np.isfinite(rho))
-        alone = np.array([quad_planarity(q) for q in quads])  # einsum sums a lone quad's coordinates in another order
-        assert rho == pytest.approx(alone, rel=1e-14, abs=0)
+        alone = np.array([quad_planarity(q) for q in quads])  # a lone quad sums its coordinates in the same order
+        assert np.array_equal(rho, alone)
 
     def test_coplanar_diagonals_read_zero(self):
         quads = np.array([
@@ -470,15 +470,15 @@ class TestQuadPlanarity:
         assert np.array_equal(quad_planarity(quads), [0.0, 0.0, 0.0])
 
     def test_nan_reaches_check_qnet_at_its_quad(self, iso_net, monkeypatch):
-        gather = qnet._gather_quads
+        gather = qnet._stack_quads
 
-        def with_nan(net, i, j):  # one coordinate of the vertex C of quad 7 is NaN
-            pts, shape = gather(net, i, j)
-            pts[7, 2, 1] = np.nan
-            return pts, shape
+        def with_nan(net):  # one coordinate of the vertex C of quad 7 is NaN
+            abcd, pairs = gather(net)
+            abcd[2, 1, 7] = np.nan
+            return abcd, pairs
 
         clean = check_qnet(QNet(iso_net.net.vertices))
-        monkeypatch.setattr(qnet, "_gather_quads", with_nan)
+        monkeypatch.setattr(qnet, "_stack_quads", with_nan)
         rep = check_qnet(QNet(iso_net.net.vertices))
         (res, at), (ref, _) = rep.parts[(0, 1)], clean.parts[(0, 1)]
         assert not rep.passed and np.isnan(rep.max_residual) and rep.worst_at == ((0, 1), tuple(at[7]))

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import lightcone_labels
+from conftest import gather_quads, lightcone_labels
 from koenigsnets import generate, isothermic
 from koenigsnets.errors import (
     CoincidentPoints,
@@ -622,7 +622,6 @@ class TestMetricCaveat:
     def test_embedded_sufficiency(self, iso_net):
         # with all quads embedded, the metric property implies isothermic
         from koenigsnets.geom import is_convex
-        from koenigsnets.qnet import _gather_quads
 
-        assert is_convex(_gather_quads(iso_net.net, 0, 1)[0]).all()
+        assert is_convex(gather_quads(iso_net.net, 0, 1)[0]).all()
         assert check_isothermic(iso_net.net).passed

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import switched_defects, unchecked_homogeneous_lift, unchecked_nu
+from conftest import gather_quads, switched_defects, unchecked_homogeneous_lift, unchecked_nu
 from koenigsnets import generate, koenigs, qnet
 from koenigsnets.errors import (
     DegenerateQuad,
@@ -27,7 +27,7 @@ from koenigsnets.koenigs import (
     moutard_lift,
     normalize_nu_for_limit,
 )
-from koenigsnets.qnet import QNet, _gather_quads, check_qnet
+from koenigsnets.qnet import QNet, check_qnet
 
 
 def _directed(form, base, i, j, frm, to) -> float:
@@ -264,7 +264,7 @@ class TestDualizeNet:
     def test_per_quad_duality(self, koenigs_net_2d):
         kd = integrate_nu(koenigs_net_2d)
         dual = dualize_net(koenigs_net_2d, kd)
-        quads, duals = _gather_quads(koenigs_net_2d, 0, 1)[0], _gather_quads(dual, 0, 1)[0]
+        quads, duals = gather_quads(koenigs_net_2d, 0, 1)[0], gather_quads(dual, 0, 1)[0]
         assert dual_quad_residual(quads, duals).max() <= 1e-9
 
     def test_involution(self, koenigs_net_2d):

@@ -3,20 +3,22 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from conftest import gather_quads
 from koenigsnets import generate
 from koenigsnets.errors import DimensionTooLow
 from koenigsnets.qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
-    _gather_quads,
+    _corners,
+    _stack_quads,
     check_qnet,
 )
 
 
 def _n_quads(net):
-    """Elementary quads of a net, counted from the stacks the checks gather."""
-    return sum(len(_gather_quads(net, i, j)[0]) for i, j in combinations(range(net.m), 2))
+    """Elementary quads of a net, counted from the stack the checks gather."""
+    return _stack_quads(net)[0].shape[2]
 
 
 class TestQNetConstruction:
@@ -55,17 +57,21 @@ class TestIterators:
         net = generate.grid((4, 3))
         assert _n_quads(net) == 6
         # in C order of their bases, each (f, f_1, f_12, f_2)
-        pts, shape = _gather_quads(net, 0, 1)
+        pts, shape = gather_quads(net, 0, 1)
         assert shape == (3, 2)
         assert np.array_equal(pts[3], net.vertices[[1, 2, 2, 1], [1, 1, 2, 2]])
 
     @pytest.mark.parametrize("m, n", list(product((2, 3), (2, 3, 4, 5))))
     def test_quads_are_gathered_in_kernel_layout(self, m, n):
-        # the kernels read (4, N, Q) memory: moving Q last must copy nothing
+        # the kernels read (4, N, Q) memory, every axis pair after the last, each a slice of it
         net = QNet(np.random.default_rng(m * n).normal(size=(4,) * m + (n,)))
-        for i, j in combinations(range(m), 2):
-            pts, shape = _gather_quads(net, i, j)
-            assert np.moveaxis(pts, 0, -1).flags.c_contiguous and pts.shape == (np.prod(shape), 4, n)
+        abcd, pairs = _stack_quads(net)
+        assert abcd.flags.c_contiguous and [key for key, _, _ in pairs] == list(combinations(range(m), 2))
+        ends = [0] + [at.stop for _, _, at in pairs]
+        assert [at.start for _, _, at in pairs] == ends[:-1] and ends[-1] == abcd.shape[2]
+        for (i, j), shape, at in pairs:  # each pair's corners (f, f_i, f_ij, f_j), coordinates, bases in C order
+            corners = np.stack(_corners(np.moveaxis(net.vertices, -1, 0), i + 1, j + 1))
+            assert corners.shape[2:] == shape and np.array_equal(corners.reshape(4, n, -1), abcd[:, :, at])
 
     def test_quad_count_cube(self):
         assert _n_quads(generate.grid((2, 2, 2))) == 6
