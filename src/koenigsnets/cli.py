@@ -32,6 +32,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERACY = 3
 
+# (error base, exit code, "passed" of its report entry): an error takes the first row whose base it is an instance of
+_OUTCOMES = (
+    (CheckFailure, EXIT_CHECK_FAILED, False),
+    (DegeneracyError, EXIT_DEGENERACY, None),
+    (GeometryError, EXIT_INPUT_ERROR, None),  # InputError; in a report, a check that does not apply to the net
+)
+
+# The stages of check and report, in report's order: (check kind, report key, the check of a net, looked up at
+# call time so that a wrapper put on its module is called, and the report entry that must have passed first).
+# The circles run before the diagonal form, which takes the net's quad stack and frame (qnet._net_frame).
+_STAGES = (
+    ("qnet", "qnet", lambda net: qnet.check_qnet, None),
+    ("circular", "circular", lambda net: iso_mod.check_circular, None),
+    ("koenigs", "koenigs_closedness", lambda net: koenigs.check_closedness, None),
+    ("geometric", "koenigs_geometric",
+     lambda net: koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric, None),
+    ("isothermic", "isothermic", lambda net: iso_mod.check_isothermic, "circular"),
+    ("moebius", "moebius", lambda net: iso_mod.check_moebius_characterizations, "circular"),
+)
+
 
 @functools.cache  # argparse builds a fresh Namespace per parse_args; nothing of one run stays
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=float, default=0.05, help="coefficient spread")
 
     c = sub.add_parser("check", parents=[common], help="verify a property, exit 0 iff it holds")
-    c.add_argument("kind", choices=("qnet", "koenigs", "circular", "isothermic", "geometric"))
+    c.add_argument("kind", choices=tuple(kind for kind, *_ in _STAGES))
 
     d = sub.add_parser("dualize", parents=[common], help="Koenigs dual net")
     d.add_argument("--base-black", type=float, default=1.0, help="nu at the black base vertex")
@@ -132,14 +152,8 @@ def _cmd_generate(args) -> int:
 def _cmd_check(args) -> int:
     tol = _tol(args)
     net = _read_doc(args).to_net()
-    checks = {
-        "qnet": qnet.check_qnet,
-        "koenigs": koenigs.check_closedness,
-        "circular": iso_mod.check_circular,
-        "isothermic": iso_mod.check_isothermic,
-        "geometric": koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric,
-    }
-    rep = checks[args.kind](net, tol)
+    check = next(check for kind, _, check, _ in _STAGES if kind == args.kind)
+    rep = check(net)(net, tol)
     _emit_report(args, f"check_{args.kind}", rep.summary())
     return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
 
@@ -211,23 +225,12 @@ def _cmd_report(args) -> int:
     tol = _tol(args)
     net = _read_doc(args).to_net()
     report = {}
-
-    def record(name, check):
-        try:
-            report[name] = check(net, tol).summary()
-        except CheckFailure as exc:
-            report[name] = {"passed": False, "category": type(exc).__name__, "message": str(exc)}
-        except DegeneracyError as exc:
-            report[name] = {"passed": None, "category": type(exc).__name__, "message": str(exc)}
-
-    record("qnet", qnet.check_qnet)
-    record("koenigs_closedness", koenigs.check_closedness)
-    geometric = koenigs.check_koenigs_2d_geometric if net.m == 2 else koenigs.check_koenigs_3d_geometric
-    record("koenigs_geometric", geometric)
-    record("circular", iso_mod.check_circular)
-    if report["circular"].get("passed"):
-        record("isothermic", iso_mod.check_isothermic)
-        record("moebius", iso_mod.check_moebius_characterizations)
+    for _, key, check, needs in _STAGES:
+        if needs is None or report[needs].get("passed"):
+            try:
+                report[key] = check(net)(net, tol).summary()
+            except GeometryError as exc:
+                report[key] = {"passed": _outcome(exc)[1], "category": type(exc).__name__, "message": str(exc)}
     _write_text(args, json.dumps(report, sort_keys=True) + "\n")
     return EXIT_PASS
 
@@ -243,22 +246,17 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CheckFailure as exc:
-        _emit_error(args, exc)
-        return EXIT_CHECK_FAILED
-    except InputError as exc:
-        _emit_error(args, exc)
-        return EXIT_INPUT_ERROR
-    except DegeneracyError as exc:
-        _emit_error(args, exc)
-        return EXIT_DEGENERACY
     except GeometryError as exc:
         _emit_error(args, exc)
-        return EXIT_INPUT_ERROR
+        return _outcome(exc)[0]
+
+
+def _outcome(exc: GeometryError) -> tuple:
+    """The exit code and the report's "passed" of an error, from ``_OUTCOMES``."""
+    return next((code, passed) for base, code, passed in _OUTCOMES if isinstance(exc, base))
 
 
 def _emit_error(args, exc: GeometryError) -> None:

@@ -3,7 +3,8 @@
 Three bases, matching the CLI exit-code contract: ``InputError`` (malformed
 documents / unsupported dimensions, exit 2), ``DegeneracyError`` (numerical
 degeneracies such as parallel diagonals, exit 3) and ``CheckFailure``
-(a verified property does not hold, exit 1).
+(a verified property does not hold, exit 1).  ``cli._OUTCOMES`` maps each
+base to its exit code and to the ``passed`` of its ``report`` entry.
 """
 
 

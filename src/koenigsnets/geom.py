@@ -108,7 +108,7 @@ def _diagonals(abcd: np.ndarray, frame, tol: Tolerances, where, starts=(0,)) -> 
         rough = np.flatnonzero(functools.reduce(np.logical_or, (x * x < _EXACT_BELOW**2 * z for x, z in zip(h, sizes))))
         if len(rough):
             h[3], quads = w2.copy(), abcd[:, :, rough]  # not into the frame's w2
-            for x, exact in zip(h, _exact_heights(*(quads * _unit(quads)))):
+            for x, exact in zip(h, _exact_heights(*(quads * _unit(quads, (0, 1))))):  # each quad at its own scale
                 x[rough] = exact
         h_a, h_c, h_ac, h_b, h_d, h_bd = h
         t, s = h_a / h_ac, h_b / h_bd
@@ -289,12 +289,12 @@ def _laplace(k: int, n: int, s: int) -> tuple:
             (row_drop[0][:, None] * comb(n, s - 1) + col_drop[:, None]).reshape(s, -1))
 
 
-def _unit(x: np.ndarray) -> float:
+def _unit(x: np.ndarray, axis=None):
     """1, or for coordinates x far from 1 the power of two that scales them
     exactly to below 1, so that no fourth power of a length overflows or
-    underflows."""
-    big = max(x.max(initial=0.0), -x.min(initial=0.0))
-    return 1.0 if 2.0**-200 < big < 2.0**200 else 0.5 ** np.frexp(big)[1]
+    underflows; with ``axis``, one for each of the rest of x's axes."""
+    big = np.maximum(x.max(axis, initial=0.0), -x.min(axis, initial=0.0))
+    return np.where((2.0**-200 < big) & (big < 2.0**200), 1.0, 0.5 ** np.frexp(big)[1])[()]
 
 
 def _raise_first(checks, where) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import koenigsnets
-from koenigsnets import koenigs, netio
-from koenigsnets.cli import run
+from koenigsnets import generate, koenigs, netio, qnet
+from koenigsnets.cli import _STAGES, _build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,8 +76,6 @@ class TestCheck:
     @pytest.mark.parametrize("argv", [("check", "isothermic"), ("christoffel",), ("lift", "lightcone")])
     def test_non_circular_net_exits_1(self, tmp_path, capsys, argv):
         # a vertex-only Koenigs net, circularity residual 8.1e-2: a property that does not hold, not a degeneracy
-        from koenigsnets import generate
-
         net = tmp_path / "net.json"
         netio.save(netio.NetDocument.from_net(generate.random_koenigs_2d((8, 8), rng=3)), net)
         assert cli(tmp_path, *argv, infile=net)[0] == 1
@@ -97,14 +96,26 @@ class TestCheck:
         assert code == 0
 
     def test_failing_check_exits_1(self, tmp_path, koenigs_net_2d):
-        from koenigsnets import generate
-
         bad = generate.perturb_in_plane(koenigs_net_2d, rng=np.random.default_rng(13))
         net = tmp_path / "bad.json"
         netio.save(netio.NetDocument.from_net(bad), net)
         code, out = cli(tmp_path, "check", "koenigs", infile=net)
         assert code == 1
         assert out.read_text().startswith("FAIL")
+
+    def test_kinds_are_those_of_the_stage_table(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices["check"]._actions if a.dest == "kind")
+        assert list(action.choices) == [kind for kind, *_ in _STAGES]
+
+    def test_moebius(self, tmp_path):
+        # the three-leg generator's net, and the same net with its last corner moved along its circle
+        iso = generate.random_isothermic_2d((6, 6), rng=np.random.default_rng(103))
+        flipped = generate.flip_corner_cross_ratio(iso)[0]
+        for name, net, code in (("iso.json", iso.net, 0), ("flipped.json", flipped, 1)):
+            netio.save(netio.NetDocument.from_net(net), tmp_path / name)
+            assert cli(tmp_path, "check", "moebius", "--format", "json", infile=tmp_path / name)[0] == code
+            assert json.loads((tmp_path / "out.json").read_text())["check_moebius"]["passed"] == (code == 0)
 
     def test_parse_error_exits_2(self, tmp_path):
         net = tmp_path / "bad.json"
@@ -292,6 +303,36 @@ class TestPipelines:
         assert all(entry["passed"] for entry in json.loads(out.read_text()).values())
         assert cli(tmp_path, "check", "geometric", infile=net)[0] == 0
 
+    @pytest.mark.parametrize("argv", [("three-leg", "5", "5"), ("moutard", "5", "5"), ("lightcone", "3", "3", "3")])
+    def test_report_runs_the_stages_whose_needs_passed(self, tmp_path, argv):
+        _, net = cli(tmp_path, "generate", argv[0], "--extents", *argv[1:], outname="net.json")
+        code, out = cli(tmp_path, "report", infile=net, outname="report.json")
+        report = json.loads(out.read_text())
+        assert code == 0
+        assert set(report) == {key for _, key, _, needs in _STAGES if needs is None or report[needs]["passed"]}
+
+    @pytest.mark.parametrize("kind", ["three-leg", "grid", "lightcone"])
+    def test_report_on_a_net_in_the_plane(self, tmp_path, kind):
+        # the vertex characterization of a 2d net needs N >= 3: its entry does not apply, the others pass
+        _, net = cli(tmp_path, "generate", kind, "--extents", "6", "6", "--ambient-dim", "2", outname="net.json")
+        code, out = cli(tmp_path, "report", infile=net, outname="report.json")
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report.pop("koenigs_geometric") == {"passed": None, "category": "DimensionTooLow",
+                                                   "message": "vertex characterizations need N >= 3"}
+        assert len(report) == 5 and all(entry["passed"] for entry in report.values())
+        assert cli(tmp_path, "check", "geometric", infile=net)[0] == 2
+
+    @pytest.mark.parametrize("argv", [("three-leg", "5", "5"), ("lightcone", "3", "3", "3")])
+    def test_report_builds_one_diagonal_frame(self, tmp_path, monkeypatch, argv):
+        # the circles read the frame before the diagonal form takes it; after, they would build it again
+        _, net = cli(tmp_path, "generate", argv[0], "--extents", *argv[1:], outname="net.json")
+        calls = []
+        frame = qnet._diagonal_frame
+        monkeypatch.setattr(qnet, "_diagonal_frame", lambda abcd: calls.append(abcd.shape) or frame(abcd))
+        assert cli(tmp_path, "report", infile=net, outname="report.json")[0] == 0
+        assert len(calls) == 1
+
     def test_report_builds_the_diagonal_form_once(self, tmp_path, monkeypatch):
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
                      "--seed", "3", outname="net.json")
@@ -311,7 +352,7 @@ class TestPipelines:
         report = json.loads(out.read_text())
         assert len(report) == 6 and all(set(entry) == keys for entry in report.values())
         assert report["moebius"]["n_checked"] == 9 and report["qnet"]["worst_at"][0] == [0, 1]
-        for kind in ("qnet", "koenigs", "circular", "isothermic", "geometric"):
+        for kind, *_ in _STAGES:
             _, out = cli(tmp_path, "check", kind, "--format", "json", infile=net, outname=f"{kind}.json")
             assert set(json.loads(out.read_text())[f"check_{kind}"]) == keys
 

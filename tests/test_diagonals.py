@@ -227,6 +227,17 @@ def test_rough_quads_read_alike_in_a_stack_of_any_scale(scale):
     assert all(np.array_equal(a, b[:len(rough)]) for a, b in zip(alone, mixed))
 
 
+def test_rough_quads_of_scales_far_apart_read_alike_in_one_stack():
+    # each rough quad's exact heights are scaled by its own power of two; by one for all rough quads of the
+    # stack, those at 1e-100 underflowed beside those at 1e100 and raised VertexOnDiagonal
+    rng = np.random.default_rng(10)
+    rough = np.array([planar_quad(rng, **kwargs) for kwargs in CASES["near a vertex"] for _ in range(5)])
+    small, big = rough * 1e-100, rough * 1e100
+    mixed = quad_diagonals(np.concatenate([small, big]))
+    for alone, at in ((quad_diagonals(small), slice(0, len(rough))), (quad_diagonals(big), slice(len(rough), None))):
+        assert all(np.array_equal(a, b[at]) for a, b in zip(alone, mixed))
+
+
 def test_guards_in_order_over_the_whole_stack():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     parallel = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0], [-0.5, 1.0]])
