@@ -9,9 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (CoincidentPoints, CollinearTriple, DegenerateQuad, DimensionTooLow, InvalidValue,
-                     UnsupportedDimension, VanishingLastComponent)
-from .geom import DEFAULT_TOL, Tolerances, _plane_frames, lift_to_lightcone
+from .errors import DegenerateQuad, DimensionTooLow, InvalidValue, UnsupportedDimension, VanishingLastComponent
+from .geom import DEFAULT_TOL, Tolerances, _diagonal_frame, _frame_circles, lift_to_lightcone, raise_quad_error
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
 from .qnet import EdgeLabelling, QNet, VertexScalar, _chart, _corners, _frozen, _raise_first_row, _wavefront
@@ -44,9 +43,11 @@ def grid(extents, ambient_dim: int = 3) -> QNet:
 
 
 def _random_axis_curve(n: int, axis: int, ambient_dim: int, rng, noise: float) -> np.ndarray:
-    """Near-straight polyline along a coordinate axis with bounded noise."""
+    """Near-straight polyline along a coordinate axis with bounded, finite noise."""
     if n < 2:
         raise InvalidValue("every axis needs at least 2 vertices")
+    if not np.isfinite(noise):
+        raise InvalidValue("noise must be finite")
     pts = np.zeros((n, ambient_dim))
     pts[:, axis % ambient_dim] = np.arange(n)
     pts += noise * rng.standard_normal((n, ambient_dim))
@@ -81,6 +82,8 @@ def _homogeneous_axis(n: int, axis: int, ambient_dim: int, rng, noise: float) ->
 
 def random_koenigs_3d(extents, ambient_dim: int = 3, rng=None, noise: float = 0.04):
     """Random 3d Koenigs net; see :func:`random_koenigs_nd`."""
+    if len(extents) != 3:
+        raise ValueError("random_koenigs_3d needs three extents")
     return random_koenigs_nd(extents, ambient_dim, rng, noise)
 
 
@@ -275,17 +278,17 @@ def flip_corner_cross_ratio(iso: IsothermicNet):
         raise ValueError("corner construction is for m == 2")
     corner = tuple(e - 1 for e in net.extents)
     pts = net.vertices[-2:, -2:].reshape(4, -1)[[0, 2, 3, 1]]  # (f, f_1, f_12, f_2)
-    u, v, z, nu, spans = (a[0] for a in _plane_frames(pts[None]))
-    if nu == 0.0:
-        raise CoincidentPoints("cannot build a frame from coincident points")
-    if not spans.any():
-        raise CollinearTriple("all points are collinear; no plane frame")
-    _, zi, zij, zj = z.view(complex)[:, 0].tolist()
+    frame = _diagonal_frame(pts[..., None])
+    raise_quad_error(_frame_circles(pts[..., None], frame, DEFAULT_TOL), 3)
+    lu, v1, v2, w1, w2 = (float(x[0]) for x in (frame.lu, frame.v1, frame.v2, frame.w1, frame.w2))
+    if v2 == 0.0:  # no e_2
+        raise DegenerateQuad("diagonals are parallel (intersection at infinity)")
+    zi, zij, zj = complex(w1, w2), complex(lu, 0.0), complex(w1 + v1, w2 + v2)  # f_1, f_12, f_2, f at 0
     w = (zij - zi) / (zij - zj) if zij != zj else complex("inf")
     if not np.isfinite(w) or 1.0 + w == 0.0:
         raise DegenerateQuad("the corner has no second point at its distance ratio")
-    new = (zi + w * zj) / (1.0 + w)
-    new_pt = pts[0] + new.real * u + new.imag * v
+    new = (zi + w * zj) / (1.0 + w)  # x e_1 + y e_2, e_1 = (f_12 - f) / lu, e_2 = (f_2 - f_1 - v1 e_1) / v2
+    new_pt = pts[0] + (new.real - new.imag * v1 / v2) / lu * (pts[2] - pts[0]) + new.imag / v2 * (pts[3] - pts[1])
     verts = net.vertices.copy()
     verts[corner] = new_pt
     s = iso.metric.values.copy()

@@ -57,8 +57,8 @@ class Tolerances:
     product: float = 1e-8
 
     def __post_init__(self):
-        if self.incidence <= 0 or self.product <= 0:
-            raise InvalidValue("tolerances must be strictly positive")
+        if not (0.0 < self.incidence < np.inf and 0.0 < self.product < np.inf):  # also false for NaN
+            raise InvalidValue("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -356,68 +356,64 @@ def _two_prod(x, y):
 
 
 def is_convex(quads) -> np.ndarray:
-    """Whether each quad of a stack (..., 4, N) is convex (embedded, no crossing): in the plane frame of
-    :func:`_plane_frames`, its four corners turn the same way, each strictly.  A quad without one is not convex."""
+    """Whether each quad of a stack (..., 4, N) is convex (embedded): each diagonal separates the ends of the
+    other, h_A h_C < 0 and h_B h_D < 0 with the heights of :func:`quad_diagonals` in the quads'
+    :func:`_diagonal_frame`.  A skew quad is read in the plane of its diagonals' directions (the plane of A, B
+    and C gives the same verdict for 97 % of random quads lifted out of a plane by 0.1 of their size, 90 % at
+    0.3, 82 % of Gaussian quads in R^3).  A quad with a vertex on the other diagonal or no frame is not convex."""
     pts = np.asarray(quads, dtype=float)
-    z = _plane_frames(pts.reshape(-1, 4, pts.shape[-1]))[2]
+    _, lu, _, _, v1, v2, w1, w2, _, _ = _diagonal_frame(pts.reshape(-1, 4, pts.shape[-1]).transpose(1, 2, 0))
     with np.errstate(invalid="ignore"):
-        side = np.roll(z, -1, axis=1) - z  # B - A, C - B, D - C, A - D
-        nxt = np.roll(side, -1, axis=1)
-        turn = side[..., 0] * nxt[..., 1] - side[..., 1] * nxt[..., 0]
-    return ((turn > 0).all(axis=1) | (turn < 0).all(axis=1)).reshape(pts.shape[:-2])
+        h_a = w1 * v2 - w2 * v1  # h_C = h_A - lu v2, h_B = w2, h_D = w2 + v2; their signs, so that nothing underflows
+        convex = (np.sign(h_a) * np.sign(h_a - lu * v2) < 0) & (np.sign(w2) * np.sign(w2 + v2) < 0)
+    return convex.reshape(pts.shape[:-2])
 
 
-def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Product of ratios of directed lengths for n+1 points dividing the
-    sides of an n-simplex cycle.
-
-    ``vertices`` are n+1 points in general position in R^n, and
-    ``division_points[i]`` lies on the line (P_i, P_{i+1}).  The product
-    equals (-1)^(n+1) iff the division points lie in an (n-1)-dimensional
-    affine subspace.
-    """
-    verts = [np.asarray(p, dtype=float) for p in vertices]
-    divs = [np.asarray(p, dtype=float) for p in division_points]
-    n = len(verts) - 1
-    if len(divs) != n + 1:
+def menelaus_product(vertices, division_points, tol: Tolerances = DEFAULT_TOL):
+    """The product of xi_i / (1 - xi_i), D_i = P_i + xi_i (P_{i+1} - P_i), of each cycle P_0, ..., P_n of a stack
+    (..., n+1, N) of n-simplices, with division points D (..., n+1, N) on the lines of its sides; a scalar for
+    one cycle, which reads alike alone and in any stack.  It equals (-1)^(n+1) iff the D_i lie in an
+    (n-1)-dimensional affine subspace.  GeneralPositionViolated unless the P_i span n dimensions, PointOffLine
+    for a D_i off its line or at an endpoint, each for the first failing cycle and point (:func:`_raise_first`)."""
+    verts, divs = np.asarray(vertices, dtype=float), np.asarray(division_points, dtype=float)
+    if verts.ndim < 2 or verts.shape != divs.shape:
         raise DimensionMismatch("need as many division points as vertices")
-    if not span_residual(np.subtract(verts, np.mean(verts, axis=0)), n - 1) > tol.incidence:
-        raise GeneralPositionViolated("vertices do not span an n-dimensional affine space")
-    scale = max(np.linalg.norm(p - verts[0]) for p in verts[1:])
-    product = 1.0
-    for i in range(n + 1):
-        p, pn = verts[i], verts[(i + 1) % (n + 1)]
-        edge = pn - p
-        w = divs[i] - p
-        xi = float(np.dot(w, edge) / np.dot(edge, edge))
-        off = np.linalg.norm(w - xi * edge)
-        if off > tol.incidence * scale:
-            raise PointOffLine(f"division point {i} is off its line by {off:.3e}")
-        if abs(xi) <= tol.incidence or abs(1.0 - xi) <= tol.incidence:
-            raise PointOffLine(f"division point {i} coincides with an endpoint")
-        product *= xi / (1.0 - xi)
-    return product
+    n = verts.shape[-2] - 1
+    general = span_residual(verts - verts.mean(axis=-2, keepdims=True), n - 1) > tol.incidence
+    p, d = np.moveaxis(verts, -1, 0), np.moveaxis(divs, -1, 0)  # coordinates first, for _dot
+    edge, w, rel = np.roll(p, -1, axis=-1) - p, d - p, p - p[..., :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = _dot(w, edge) / _dot(edge, edge)
+        off = np.sqrt(_dot(w - xi * edge, w - xi * edge))
+    point = np.broadcast_to(np.arange(n + 1), xi.shape).ravel()
+    _raise_first([(np.broadcast_to(~general[..., None], xi.shape).ravel(), GeneralPositionViolated,
+                   "vertices do not span an n-dimensional affine space"),
+                  ((off > tol.incidence * np.sqrt(_dot(rel, rel)).max(axis=-1)[..., None]).ravel(), PointOffLine,
+                   "division point {} is off its line by {:.3e}", point, off.ravel()),
+                  ((np.minimum(np.abs(xi), np.abs(1.0 - xi)) <= tol.incidence).ravel(), PointOffLine,
+                   "division point {} coincides with an endpoint", point)],
+                 (lambda k: f"cycle {k // (n + 1)}: ") if verts.ndim > 2 else (lambda k: ""))
+    return np.prod(xi / (1.0 - xi), axis=-1)[()]
 
 
 def _plane_frames(pts: np.ndarray):
-    """An orthonormal frame (u, v) of the plane of each point set of a stack (Q, k, N), k >= 3: u along
-    points[1] - points[0], v from the first later point that leaves the line by more than 1e-13 of its distance.
-    For :func:`is_convex`, :func:`isothermic._three_leg_steps` and :func:`generate.flip_corner_cross_ratio`.
+    """An orthonormal frame (u, v) of the plane of each point triple of a stack (Q, 3, N): u along
+    points[1] - points[0], v along the rest of points[2] - points[0].  For :func:`isothermic._three_leg_steps`.
 
-    Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane coordinates z (Q, k, 2) of every point
-    relative to points[0], the length nu (Q,) of points[1] - points[0], and whether each later point spans the
-    plane (Q, k - 2).  A set with nu == 0 or no spanning point (as when its lengths overflow) has no frame; its
-    u, v and z are then meaningless.
+    Returns (u, v, z, nu, spans): the unit vectors (Q, N), the plane coordinates z (Q, 3, 2) of every point
+    relative to points[0], the length nu (Q,) of points[1] - points[0], and whether points[2] leaves the line
+    by more than 1e-13 of its distance (Q,).  A triple with nu == 0 or not spanning (as when its lengths
+    overflow) has no frame; its u, v and z are then meaningless.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rel = pts - pts[:, :1]
         nu = _length(rel[:, 1])
         u = rel[:, 1] / nu[:, None]
-        w = rel[:, 2:] - (rel[:, 2:] @ u[..., None]) * u[:, None]
+        x = rel[:, 2:]  # (Q, 1, N): the products batch as for k points, so the bits stay
+        w = (x - (x @ u[..., None]) * u[:, None])[:, 0]
         nw = _length(w)
-        spans = nw > 1e-13 * np.maximum(nu[:, None], _length(rel[:, 2:]))
-        pick = np.arange(len(pts)), np.argmax(spans, axis=1)
-        v = w[pick] / nw[pick][:, None]
+        spans = nw > 1e-13 * np.maximum(nu, _length(x[:, 0]))
+        v = w / nw[:, None]
         z = np.stack([(rel @ u[..., None])[..., 0], (rel @ v[..., None])[..., 0]], axis=-1)
     return u, v, z, nu, spans
 

@@ -279,7 +279,7 @@ def _three_leg_steps(f, level, a1, a2):
     _raise_first_row(level.u, [
         (alpha_i == alpha_j, EqualLabels, "alpha_i == alpha_j: fourth vertex at infinity"),
         (nu == 0.0, CoincidentPoints, "cannot build a frame from coincident points"),
-        (~spans[:, 0], CollinearTriple, "all points are collinear; no plane frame"),
+        (~spans, CollinearTriple, "all points are collinear; no plane frame"),
         ((zi == 0) | (zj == 0) | (w == 0), ZeroLeg, "degenerate three-leg step: fourth vertex at infinity"),
     ])
     return pts[:, 0] + zij.real[:, None] * e1 + zij.imag[:, None] * e2

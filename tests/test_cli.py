@@ -158,6 +158,11 @@ BAD_INPUT = {
        for kind in ("three-leg", "moutard", "lightcone") for n in ("0", "-2")},
     "moutard-power-overflow": (["generate", "moutard", "--extents", "3", "1100"], None, 3, "VanishingLastComponent"),
     "zero-tolerance": (["check", "qnet", "--tol-incidence", "0"], ("grid", lambda raw: None), 2, "InvalidValue"),
+    "nan-tolerance": (["check", "koenigs", "--tol-product", "nan"], ("moutard", lambda raw: None), 2, "InvalidValue"),
+    "infinite-tolerance": (["check", "koenigs", "--tol-incidence", "inf"], ("grid", lambda raw: None), 2,
+                           "InvalidValue"),
+    **{f"{kind}-noise-{noise}": (["generate", kind, "--extents", "4", "4", "--noise", noise], None, 2, "InvalidValue")
+       for kind in ("three-leg", "moutard", "lightcone") for noise in ("nan", "inf")},
     "nan-vertex": (["check", "qnet"], ("grid", lambda raw: raw["vertices"].__setitem__(0, float("nan"))), 2,
                    "InvalidValue"),
     "m-not-a-number": (["check", "qnet"], ("grid", lambda raw: raw.__setitem__("m", "two")), 2, "ParseError"),

@@ -2,14 +2,16 @@
 deleted scalar layer and report types are exported nowhere (a stale name in
 ``__all__`` only breaks a star-import); no module of the package imports a
 name it never uses or defines a private name nothing in the package reads,
-no function has a parameter its body never reads, and every check failure
-leaves through one of two raise sites."""
+no function has a parameter its body never reads, every public name has a
+caller outside the tests or is listed in the README as a paper-level helper,
+and every check failure leaves through one of two raise sites."""
 import ast
 import builtins
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,29 @@ def test_every_private_name_is_referenced():
                 if defined.startswith("_") and not defined.startswith("__") and defined not in referenced:
                     unused.append((name, defined))
     assert unused == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _readme_helpers() -> set:
+    """(module, name) of each `module.name` listed in the README's section on the helpers only tests call."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Paper-level helpers\n", 1)[1].split("\n## ", 1)[0]
+    return {tuple(ref.split(".")) for ref in re.findall(r"`(\w+\.\w+)`", section)}
+
+
+def test_every_public_name_has_a_caller_or_is_listed():
+    # a public name is run by the package, the CLI, the benchmark or a demo, or it is a paper-level
+    # helper the README lists as called by tests only
+    trees = list(TREES.values()) + [ast.parse(path.read_text()) for folder in ("bench", "demos")
+                                    for path in sorted((ROOT / folder).glob("*.py"))]
+    called = set().union(*(_loaded_names(tree) for tree in trees))
+    listed = _readme_helpers()
+    exported = {(name[:-3], n) for name, tree in TREES.items() for n in _exported(tree)}
+    assert sorted(listed - exported) == []  # the list names only public names
+    assert sorted((m, n) for m, n in exported if n not in called and (m, n) not in listed) == []
+    assert sorted((m, n) for m, n in listed if n in called) == []  # and only those without a caller
 
 
 def test_every_parameter_is_read():

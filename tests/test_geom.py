@@ -14,6 +14,7 @@ from koenigsnets.errors import (
     CollinearTriple,
     DegenerateQuad,
     GeneralPositionViolated,
+    InvalidValue,
     NotConcircular,
     PointOffLine,
     VertexOnDiagonal,
@@ -126,11 +127,12 @@ class TestIsConvex:
             [[0, 0], [0, 0], [1, 1], [0, 1]],  # coincident first vertices: no frame
             [[0, 0], [1, 0], [2, 0], [3, 0]],  # all collinear: no frame
             [[0, 0], [1, 0], [2, 0], [0, 1]],  # a straight corner
-            [[0, 0], [1e-200, 1e-200], [1, 2], [0, 1]],  # the first side's length underflows: no frame
         ], dtype=float)
+        tiny_side = np.array([[0, 0], [1e-200, 1e-200], [1, 2], [0, 1]], dtype=float)  # turns left at every corner
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert not is_convex(quads).any()
+            assert is_convex(tiny_side)  # the frame is scaled, so the tiny first side does not underflow
 
 
 def _affine_rank(points, tol=1e-9):
@@ -202,6 +204,56 @@ class TestMenelaus:
         divs = [[0.5, 0.3], [0.5, 0.5], [0, 0.5]]
         with pytest.raises(PointOffLine):
             menelaus_product(verts, divs)
+
+    @staticmethod
+    def _cycles(rng, n, count):
+        """``count`` simplices (count, n + 1, n) cut by random hyperplanes, and their division points,
+        each at least 0.05 of its edge away from both endpoints."""
+        verts, divs = [], []
+        while len(verts) < count:
+            v = rng.standard_normal((n + 1, n))
+            normal, edge = rng.standard_normal(n), np.roll(v, -1, axis=0) - v
+            t = (normal @ v.mean(axis=0) - v @ normal) / (edge @ normal)
+            if _affine_rank(v) == n and np.all(np.minimum(np.abs(t), np.abs(1 - t)) > 0.05):
+                verts.append(v)
+                divs.append(v + t[:, None] * edge)
+        return np.array(verts), np.array(divs)
+
+    @staticmethod
+    def _loop(verts, divs):
+        """The product of the ratios, point by point."""
+        product = 1.0
+        for i, (p, d) in enumerate(zip(verts, divs)):
+            edge = verts[(i + 1) % len(verts)] - p
+            xi = float(np.dot(d - p, edge) / np.dot(edge, edge))
+            product *= xi / (1.0 - xi)
+        return product
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_reads_each_cycle_alone(self, rng, n):
+        verts, divs = self._cycles(rng, n, 40)
+        stacked = menelaus_product(verts.reshape(5, 8, n + 1, n), divs.reshape(5, 8, n + 1, n))
+        alone = [menelaus_product(v, d) for v, d in zip(verts, divs)]
+        assert stacked.shape == (5, 8) and all(np.ndim(p) == 0 for p in alone)
+        assert np.array_equal(stacked.ravel(), alone)
+        assert np.allclose(alone, [self._loop(v, d) for v, d in zip(verts, divs)], rtol=1e-12, atol=0.0)
+        assert np.allclose(alone, (-1.0) ** (n + 1), rtol=1e-8, atol=0.0)
+
+    def test_stack_names_the_first_failing_cycle(self, rng):
+        verts, divs = self._cycles(rng, 2, 4)
+        divs[1, 2] += [0.0, 0.5] if abs(verts[1, 0, 0] - verts[1, 2, 0]) > 0.1 else [0.5, 0.0]  # off its line
+        verts[2, 1] = verts[2, 0]  # degenerate, later
+        with pytest.raises(PointOffLine, match=r"^cycle 1: division point 2 is off its line by "):
+            menelaus_product(verts, divs)
+        with pytest.raises(GeneralPositionViolated, match=r"^cycle 0: vertices do not span"):
+            menelaus_product(verts[2:], divs[2:])
+
+    def test_one_cycle_messages(self):
+        verts = [[0, 0], [1, 0], [0, 1]]
+        with pytest.raises(PointOffLine, match=r"^division point 0 is off its line by 3\.000e-01$"):
+            menelaus_product(verts, [[0.5, 0.3], [0.5, 0.5], [0, 0.5]])
+        with pytest.raises(PointOffLine, match=r"^division point 1 coincides with an endpoint$"):
+            menelaus_product(verts, [[0.5, 0], [1, 0], [0, 0.5]])
 
 
 def _one_quad(quad, upto):
@@ -650,3 +702,7 @@ def test_tolerances_validation():
         Tolerances(incidence=-1.0)
     with pytest.raises(ValueError):
         Tolerances(product=0.0)
+    for field in ("incidence", "product"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidValue, match="finite and strictly positive"):
+                Tolerances(**{field: value})

@@ -9,6 +9,7 @@ from koenigsnets import generate, isothermic
 from koenigsnets.errors import (
     CoincidentPoints,
     CollinearTriple,
+    DegenerateQuad,
     DimensionTooLow,
     EqualLabels,
     FormNotClosed,
@@ -592,14 +593,16 @@ class TestMoebiusInvariance:
 
 
 class TestMetricCaveat:
-    @pytest.mark.parametrize("error", [CoincidentPoints, CollinearTriple])
+    @pytest.mark.parametrize("error", [CoincidentPoints, CollinearTriple, DegenerateQuad])
     def test_degenerate_corner_quad_rejected(self, iso_net, error):
         v = iso_net.net.vertices.copy()
         f, f2 = v[-2, -2].copy(), v[-2, -1].copy()
         if error is CoincidentPoints:
             v[-1, -2] = f  # f_1 onto f
-        else:  # f_1 and f_12 onto the line of f and f_2
+        elif error is CollinearTriple:  # f_1 and f_12 onto the line of f and f_2
             v[-1, -2], v[-1, -1] = 2 * f - f2, 3 * f2 - 2 * f
+        else:  # f_2 - f_1 = 2 (f_12 - f), exactly: parallel diagonals
+            v[-2, -2], v[-1, -2], v[-1, -1], v[-2, -1] = [0, 0, 0], [0, 1, 0], [1, 0, 0], [2, 1, 0]
         bad = IsothermicNet(net=QNet(v), labels=iso_net.labels, metric=iso_net.metric)
         with pytest.raises(error):
             generate.flip_corner_cross_ratio(bad)

@@ -642,8 +642,18 @@ class TestGeneratorArguments:
 
     @pytest.mark.parametrize("extents", [(3, 3), (3, 3, 3, 3)])
     def test_qnet_3d_needs_three_extents(self, extents):
-        with pytest.raises(ValueError, match="three extents"):
-            generate.random_qnet_3d(extents)
+        for make in (generate.random_qnet_3d, generate.random_koenigs_3d):
+            with pytest.raises(ValueError, match="three extents"):
+                make(extents)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("make, extents", [
+        ("random_isothermic_2d", (4, 4)), ("random_koenigs_2d", (4, 4)), ("random_isothermic_lightcone", (3, 3, 3)),
+        ("random_koenigs_3d", (3, 3, 3)), ("random_qnet_3d", (3, 3, 3)),
+    ])
+    def test_noise_must_be_finite(self, make, extents, noise):
+        with pytest.raises(InvalidValue, match="noise must be finite"):
+            getattr(generate, make)(extents, rng=np.random.default_rng(0), noise=noise)
 
 
 # --- degenerate steps -------------------------------------------------------------
