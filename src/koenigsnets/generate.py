@@ -13,7 +13,10 @@ from .errors import DegenerateQuad, DimensionTooLow, InvalidValue, UnsupportedDi
 from .geom import DEFAULT_TOL, Tolerances, _diagonal_frame, _frame_circles, lift_to_lightcone, raise_quad_error
 from .isothermic import IsothermicNet, lightcone_evolve, three_leg_evolve
 from .koenigs import MoutardNet, moutard_evolve
-from .qnet import EdgeLabelling, QNet, VertexScalar, _chart, _corners, _frozen, _raise_first_row, _wavefront
+from .qnet import EdgeLabelling, QNet, VertexScalar, _QUAD, _chart, _corners, _frozen, _raise_first_row, _wavefront
+
+_HEXAHEDRON = np.array([3, 6, 2, 1, 4])  # rows of _Level.below: the hexahedron y_k, y_i, y_ik, y_jk, y_ij
+_FACES = np.array([[6, 4, 2], [5, 4, 1], [3, 2, 1]])  # rows of _Level.below: (f_i, f_ij, f_ik) of each face i
 
 __all__ = [
     "grid",
@@ -122,17 +125,16 @@ def random_koenigs_nd(extents, ambient_dim: int = 3, rng=None, noise: float = 0.
 
 
 def _hexahedron_steps(y, level):
-    """y_ijk on the hexahedron (i, j, k) below each vertex of a level, as the
-    common point of the lines y_ijk - y_k || y_jk - y_ik and y_ijk - y_i ||
+    """y_ijk on the hexahedron (i, j, k) of the first three positive axes below each vertex of a level,
+    gathered at once, as the common point of the lines y_ijk - y_k || y_jk - y_ik and y_ijk - y_i ||
     y_ik - y_ij, by least squares (SVD, with the rank numpy.linalg.lstsq would find)."""
-    i, j, k = level.axes[:3]
-    p, q, yik, yi, yk = y[np.stack([level.back(i, j), level.back(j, k), level.back(j), level.back(i), level.back(k)])]
-    d1, d2 = yi - yik, yik - yk
-    w, sv, vt = np.linalg.svd(np.stack([d1, -d2], axis=-1), full_matrices=False)
-    rank1 = sv[:, 1] <= np.finfo(float).eps * max(d1.shape[1], 2) * sv[:, 0]
+    yk, yi, yik, yjk, yij = y[level.below[_HEXAHEDRON]]
+    lines = np.stack([yjk, yij], axis=-1) - yik[..., None]  # (n, N, 2); y_ij - y_ik is -(y_ik - y_ij) exactly
+    w, sv, vt = np.linalg.svd(lines, full_matrices=False)
+    rank1 = sv[:, 1] <= np.finfo(float).eps * max(lines.shape[1], 2) * sv[:, 0]
     _raise_first_row(level.u, [(rank1, DegenerateQuad, "parallel Moutard lines in hexahedron fill")])
-    t = (vt[:, :, 0] * np.einsum("nik,ni->nk", w, q - p) / sv).sum(axis=-1)
-    return p + t[:, None] * d1
+    t = (vt[:, :, 0] * np.einsum("nik,ni->nk", w, yi - yk) / sv).sum(axis=-1)
+    return yk + t[:, None] * lines[..., 0]
 
 
 def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
@@ -153,9 +155,9 @@ def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
         lam_mu = np.zeros((extents[i], extents[j], 2))
         lam_mu[1:, 1:] = 1.0 + noise * rng.standard_normal((extents[i] - 1, extents[j] - 1, 2))
 
-        def step(p, level, lam_mu=lam_mu.reshape(-1, 2)):
-            b, (lam, mu) = level.back(0, 1), lam_mu[level.k].T
-            return p[b] + lam[:, None] * (p[level.back(1)] - p[b]) + mu[:, None] * (p[level.back(0)] - p[b])
+        def step(p, level, lam_mu=lam_mu.reshape(-1, 2)):  # the quad (p, p_i, p_j) below, in one gather
+            (pb, pi, pj), (lam, mu) = p[level.below[_QUAD]], lam_mu[level.below[0]].T
+            return pb + lam[:, None] * (pi - pb) + mu[:, None] * (pj - pb)
 
         planes[(i, j)] = _wavefront({(0,): axis_curves[i], (1,): axis_curves[j]}, step)
     return QNet(_wavefront(planes, _q_cube_steps))
@@ -164,9 +166,7 @@ def random_qnet_3d(extents, rng=None, noise: float = 0.08) -> QNet:
 def _q_cube_steps(f, level):
     """f_ijk at each vertex of a level: the common point of the face planes
     through (f_i, f_ij, f_ik) for each axis i of the cube below it."""
-    s0, s1, s2 = level.strides
-    back = [[s1 + s2, s2, s1], [s0 + s2, s2, s0], [s0 + s1, s1, s0]]  # f_ijk to (f_i, f_ij, f_ik) of face i
-    p0, p1, p2 = np.moveaxis(f[level.k[:, None, None] - back], 2, 0)
+    p0, p1, p2 = np.moveaxis(f[level.below.T[:, _FACES]], 2, 0)
     (a0, a1, a2), (b0, b1, b2) = np.moveaxis(p1 - p0, -1, 0), np.moveaxis(p2 - p0, -1, 0)
     normals = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)  # np.cross, bit for bit
     return np.linalg.solve(normals, (normals * p0).sum(axis=-1)[..., None])[..., 0]

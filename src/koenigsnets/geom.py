@@ -50,15 +50,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative tolerances: ``incidence`` for point/line/plane predicates,
-    ``product`` for multiplicative-cycle residuals."""
+    """Relative tolerances: ``incidence`` for point/line/plane predicates, below 1 (at 1 or more no quad passes, as
+    sin^2 of an angle is at most 1), ``product`` for multiplicative-cycle residuals."""
 
     incidence: float = 1e-9
     product: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.incidence < np.inf and 0.0 < self.product < np.inf):  # also false for NaN
-            raise InvalidValue("tolerances must be finite and strictly positive")
+        if not (0.0 < self.incidence < 1.0 and 0.0 < self.product < np.inf):  # also false for NaN
+            raise InvalidValue("tolerances must be finite and strictly positive, and incidence below 1")
 
 
 DEFAULT_TOL = Tolerances()

@@ -51,6 +51,7 @@ from .qnet import (
     EdgeLabelling,
     QNet,
     VertexScalar,
+    _QUAD,
     _chart,
     _corners,
     _crop,
@@ -268,9 +269,8 @@ def three_leg_evolve(axes_data, labels: EdgeLabelling, tol: Tolerances = DEFAULT
 
 def _three_leg_steps(f, level, a1, a2):
     """Fourth vertices f_ij of the quads (f, f_i, f_ij, f_j) below the vertices of a level, with labels a1, a2."""
-    s0, s1 = level.strides
     alpha_i, alpha_j = a1[level.u[:, 0] - 1], a2[level.u[:, 1] - 1]
-    pts = f[level.k[:, None] - [s0 + s1, s1, s0]]
+    pts = f[level.below.T[:, _QUAD]]
     e1, e2, z, nu, spans = _plane_frames(pts)
     zi, zj = np.moveaxis(z.view(complex)[:, 1:, 0], 1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -26,6 +26,7 @@ from .qnet import (
     CheckReport,
     QNet,
     VertexScalar,
+    _QUAD,
     _chart,
     _corners,
     _crop,
@@ -390,10 +391,9 @@ def _moutard_fill(pieces: dict, coeff, tol: Tolerances) -> np.ndarray:
     """The Cauchy problem of the minus-sign Moutard equation at any m: :func:`qnet._wavefront` of
     ``pieces`` with the step y_ij = y + a (y_j - y_i) on the quad of the first two positive axes (i, j) of
     each vertex, where ``coeff(y, y_j - y_i, level)`` gives a at the quad bases y of a level's vertices."""
-    def step(y, level):  # y_i at base + e_i and y_j at base + e_j, for the quad below each vertex
-        s_i, s_j = level.strides[level.axes[:2]]
-        base = level.k - s_i - s_j
-        yb, d = y[base], y[base + s_j] - y[base + s_i]
+    def step(y, level):  # the quad (y, y_i, y_j) below each vertex, in one gather
+        yb, yi, yj = y[level.below[_QUAD]]
+        d = yj - yi
         return yb + coeff(yb, d, level)[:, None] * d
     return _wavefront(pieces, step, tol)
 
@@ -418,7 +418,7 @@ def moutard_evolve(pieces: dict, coeffs) -> MoutardNet:
         rest = tuple(0 if ax < j and ax != i else slice(None) for ax in range(len(shape)))
         at[tuple(slice(1, None) if ax in (i, j) else r for ax, r in enumerate(rest))] = np.asarray(a)[rest]
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected below
-        y = _moutard_fill(pieces, lambda yb, d, level: at.reshape(-1)[level.k], DEFAULT_TOL)
+        y = _moutard_fill(pieces, lambda yb, d, level: at.reshape(-1)[level.below[0]], DEFAULT_TOL)
     if not np.all(np.isfinite(y)):
         raise VanishingLastComponent("Moutard evolution produced non-finite values: "
                                      "it overflows, or coeffs lacks an axis pair the fill needs")

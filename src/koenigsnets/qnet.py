@@ -245,6 +245,7 @@ def _worst(residuals) -> float:
 
 # vertex offsets of a cube along its axes (i, j, k): the black f, f_ij, f_ik, f_jk, then the white f_i, f_j, f_k, f_ijk
 _CUBE = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+_QUAD = np.array([3, 2, 1])  # rows of _Level.below: the quad (f, f_i, f_j) below each vertex f_ij
 
 
 def _cubes(net: QNet, axes):
@@ -265,32 +266,30 @@ def _star(values: np.ndarray) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """One hyperplane of a wavefront schedule, read-only: its vertices u (n, m) in C order, their flat
-    indices k, the lattice strides (m,) in vertices, and the axes (m, n) of each vertex, positive first."""
+    """One hyperplane of a wavefront schedule, read-only: its vertices u (n, m) in C order and their neighbour
+    table ``below`` (2^r, n), r = min(m, 3).  Row b is each vertex moved back by one along those of its first r
+    positive axes that the bits of b select (bit 0 the first): row 0 its flat index, row 3 its quad's base."""
 
     u: np.ndarray
-    k: np.ndarray
-    strides: np.ndarray
-    axes: np.ndarray
-
-    def back(self, *axes) -> np.ndarray:
-        """Flat indices of the vertices moved back by one along each of ``axes`` (ints or (n,) arrays)."""
-        return self.k - sum(self.strides[ax] for ax in axes)
+    below: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _levels(extents: tuple, spans: tuple) -> tuple:
-    """The ``_Level`` of every hyperplane u_1 + ... + u_m = k, in increasing k, of the vertices of a
-    lattice block ``extents`` off the coordinate subspaces spanned by each axis tuple in ``spans``."""
+    """The ``_Level`` of every hyperplane u_1 + ... + u_m = k, in increasing k, of the vertices of a lattice block
+    ``extents`` off the coordinate subspaces spanned by each axis tuple in ``spans``; int32 where the block fits."""
     known = np.zeros(extents, dtype=bool)
     for axes in spans:
         known[tuple(slice(None) if ax in axes else 0 for ax in range(len(extents)))] = True
     todo = np.argwhere(~known)
     todo = todo[np.argsort(todo.sum(axis=1), kind="stable")]  # by hyperplane, C order within one
-    strides = _frozen(np.cumprod((1,) + extents[:0:-1])[::-1])
-    return tuple(_Level(_frozen(u), _frozen(u @ strides), strides,
-                        _frozen(np.argsort(u <= 0, axis=1, kind="stable").T.astype(np.int8)))
-                 for u in np.split(todo, np.flatnonzero(np.diff(todo.sum(axis=1))) + 1) if len(u))
+    strides = np.cumprod((1,) + extents[:0:-1])[::-1]
+    positive = todo > 0  # row b moves along the positive axes whose rank among the vertex's positive ones is a bit of b
+    sel = (np.arange(2 ** min(len(extents), 3))[:, None, None] >> (np.cumsum(positive, axis=1) - 1)) & positive
+    below = (todo @ strides - sel @ strides).astype(np.int32 if known.size < 2**31 else np.intp)
+    cuts = np.flatnonzero(np.diff(todo.sum(axis=1))) + 1
+    return tuple(_Level(_frozen(u.astype(below.dtype)), _frozen(np.ascontiguousarray(b)))
+                 for u, b in zip(np.split(todo, cuts), np.split(below, cuts, axis=1)) if len(u))
 
 
 def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -303,8 +302,9 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     times the largest in the data (NaN does), else ValueError.  Every other
     vertex is computed by ``step(flat, level)``, which gets the (V, ...) view
     of the output and the ``_Level`` of one hyperplane, and returns the values
-    of its vertices from those on lower hyperplanes, raising the typed error
-    of its first degenerate vertex (:func:`_raise_first_row`).
+    of its vertices from those on lower hyperplanes, gathered at once through
+    rows of ``level.below`` (cached per block by :func:`_levels`), raising the
+    typed error of its first degenerate vertex (:func:`_raise_first_row`).
     """
     m = 1 + max(ax for axes in pieces for ax in axes)
     extents = [0] * m
@@ -325,7 +325,7 @@ def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"initial data disagree where they meet (by {gap:.3e} at scale {scale:.3e})")
     flat = y.reshape((-1,) + tail)
     for level in _levels(tuple(extents), tuple(pieces)):
-        flat[level.k] = step(flat, level)
+        flat[level.below[0]] = step(flat, level)
     return y
 
 

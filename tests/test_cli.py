@@ -161,6 +161,8 @@ BAD_INPUT = {
     "nan-tolerance": (["check", "koenigs", "--tol-product", "nan"], ("moutard", lambda raw: None), 2, "InvalidValue"),
     "infinite-tolerance": (["check", "koenigs", "--tol-incidence", "inf"], ("grid", lambda raw: None), 2,
                            "InvalidValue"),
+    **{f"incidence-tolerance-{tol}": (["check", "koenigs", "--tol-incidence", tol], ("grid", lambda raw: None), 2,
+                                      "InvalidValue") for tol in ("1", "2", "1e300")},
     **{f"{kind}-noise-{noise}": (["generate", kind, "--extents", "4", "4", "--noise", noise], None, 2, "InvalidValue")
        for kind in ("three-leg", "moutard", "lightcone") for noise in ("nan", "inf")},
     "nan-vertex": (["check", "qnet"], ("grid", lambda raw: raw["vertices"].__setitem__(0, float("nan"))), 2,

@@ -39,7 +39,8 @@ DELETED = (
     "circularity_residual", "cross_ratio", "_one_quad", "_as_point",
     # the sines' own pass over the in-sphere minors, now shared with the residual in geom._span_fit
     "_span_distances",
-    # the per-level index tuples of the fills, replaced by qnet._levels and _Level.back; single-use helpers
+    # the per-level index tuples of the fills, replaced by the neighbour tables of qnet._levels (_Level.below, which
+    # replaced the per-step index arithmetic of _Level.back in turn); single-use helpers
     "_back", "_first_positive_axes", "_lightcone_fill", "_fit_moutard_coeffs",
     # the message lambdas of quad_diagonals, replaced by one locator through geom._raise_first
     "_ONE_QUAD",
@@ -75,6 +76,7 @@ def test_deleted_names_are_gone():
     assert not hasattr(koenigsnets.qnet.VertexScalar, "__getitem__")
     assert not hasattr(koenigsnets.qnet.EdgeLabelling, "label")
     assert not hasattr(koenigsnets.koenigs.MoutardNet, "moutard_residual")
+    assert koenigsnets.qnet._Level._fields == ("u", "below") and not hasattr(koenigsnets.qnet._Level, "back")
     assert tuple(f.name for f in dataclasses.fields(koenigsnets.koenigs.KoenigsData)) == ("nu",)
 
 

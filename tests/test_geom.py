@@ -706,3 +706,8 @@ def test_tolerances_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidValue, match="finite and strictly positive"):
                 Tolerances(**{field: value})
+    # sin^2 of the diagonals' angle is at most 1, so at incidence >= 1 no quad could pass
+    for value in (1.0, 2.0, 1e300):
+        with pytest.raises(InvalidValue, match="incidence below 1"):
+            Tolerances(incidence=value)
+    Tolerances(incidence=0.999, product=1e300)

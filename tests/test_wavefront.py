@@ -552,10 +552,11 @@ class TestLevelSchedule:
                                 -1.0 + 0.05 * rng.standard_normal(extents[1] - 1)))
         assert np.array_equal(three_leg_evolve((f1, f2), labels).net.vertices, ref_three_leg(f1, f2, labels))
 
-    @pytest.mark.parametrize("extents", [(6, 7), (16, 16), (4, 5, 4)])
+    @pytest.mark.parametrize("extents", [(6, 7), (16, 16), (4, 5, 4), (4, 4, 4)])
     def test_lightcone(self, extents):
-        axes = _lightcone_axes(extents, np.random.default_rng(11))
-        assert np.array_equal(lightcone_evolve(axes)[0].points, ref_lightcone(axes))
+        for seed in (11, 0, 1, 2, 3, 4):
+            axes = _lightcone_axes(extents, np.random.default_rng(seed))
+            assert np.array_equal(lightcone_evolve(axes)[0].points, ref_lightcone(axes))
 
     def test_moutard_2d(self, rng):
         y1, y2 = rng.standard_normal((9, 4)), rng.standard_normal((7, 4))
@@ -598,28 +599,38 @@ class TestLevelSchedule:
         _levels.cache_clear()
         levels = _levels((4, 5, 3), ((0, 1), (0, 2), (1, 2)))
         for level in levels:
-            for arr in (level.u, level.k, level.strides, level.axes):
+            for arr in (level.u, level.below):
                 assert not arr.flags.writeable
         assert _levels((4, 5, 3), ((0, 1), (0, 2), (1, 2))) is levels
         assert _levels.cache_info().hits == 1
 
+    def test_the_160_schedule_takes_at_most_1_mb(self):
+        # the schedule of the 160 x 160 Moutard fill is cached beside the nets it fills
+        levels = _levels((160, 160), ((0,), (1,)))
+        assert sum(level.u.nbytes + level.below.nbytes for level in levels) <= 2**20
+
     @pytest.mark.parametrize("extents, spans", [
         ((4, 5, 3), ((0, 1), (0, 2), (1, 2))),
         ((3, 4, 2, 3), ((0,), (1,), (2,), (3,))),
+        ((6, 6), ((0,), (1,))),
     ])
     def test_levels_sweep_the_hyperplanes_in_c_order(self, extents, spans):
-        # every vertex off the data has at least two positive axes, so each can move back along two
-        levels = _levels(extents, spans)
-        eye = np.eye(len(extents), dtype=int)
+        # row b of the neighbour table: each vertex moved back by one along those of its first min(m, 3) positive
+        # axes that the bits of b select; a vertex off the data has at least two positive axes
+        levels, r = _levels(extents, spans), min(len(extents), 3)
         off = [u for u in product(*map(range, extents)) if not any(set(np.flatnonzero(u)) <= set(sp) for sp in spans)]
         assert [tuple(u) for level in levels for u in level.u] == sorted(off, key=sum)
         for level in levels:
             assert len(set(level.u.sum(axis=1))) == 1
-            assert np.array_equal(level.k, np.ravel_multi_index(tuple(level.u.T), extents))
-            i, j = level.axes[:2]
-            assert np.all(level.u[np.arange(len(i)), i] > 0) and np.all(level.u[np.arange(len(j)), j] > 0)
-            back = np.ravel_multi_index(tuple((level.u - eye[i] - eye[j]).T), extents)
-            assert np.array_equal(level.back(i, j), back)
+            assert level.below.shape == (2**r, len(level.u))
+            for n, u in enumerate(level.u):
+                positive = [ax for ax in range(len(extents)) if u[ax] > 0][:r]
+                assert len(positive) >= 2
+                for b in range(2**r):
+                    v = list(u)
+                    for bit, ax in enumerate(positive):
+                        v[ax] -= (b >> bit) & 1
+                    assert level.below[b, n] == np.ravel_multi_index(v, extents)
 
     def test_the_cache_is_bounded(self):
         _levels.cache_clear()
@@ -729,6 +740,19 @@ class TestDegenerateSteps:
                           lambda: ref_wavefront(planes, ref_hexahedron_steps))
         assert isinstance(err, DegenerateQuad) and "(1, 1, 1)" in str(err)
 
+    def test_parallel_hexahedron_lines_at_m4(self):
+        # integer data, exact: y_jk - y_ik = 2 (y_ij - y_ik) on the hexahedron (0, 2, 3) below (1, 0, 1, 1),
+        # whose third positive axis is 3; (0, 1, 1, 1), first on its hyperplane, is not degenerate
+        y = np.random.default_rng(5).integers(-9, 10, (3, 3, 3, 3, 4)).astype(float)
+        y[0, 0, 1, 1] = 2 * y[1, 0, 1, 0] - y[1, 0, 0, 1]
+        planes, data = {}, np.full_like(y, np.nan)
+        for i, j in combinations(range(4), 2):
+            idx = tuple(slice(None) if ax in (i, j) else 0 for ax in range(4))
+            planes[(i, j)] = data[idx] = y[idx]
+        err = _same_error(lambda: _wavefront(planes, _hexahedron_steps), lambda: loop_hexahedra(data),
+                          lambda: ref_wavefront(planes, ref_hexahedron_steps))
+        assert isinstance(err, DegenerateQuad) and "(1, 0, 1, 1)" in str(err)
+
 
 # --- relative guards ----------------------------------------------------------------
 
@@ -754,7 +778,7 @@ class TestRelativeGuards:
         f1, f2 = _grid_axes()
         f2[0] = np.nan
         with pytest.raises(ValueError, match="disagree .* nan"):
-            _wavefront({(0,): f1, (1,): f2}, lambda y, level: np.zeros((len(level.k), 3)))
+            _wavefront({(0,): f1, (1,): f2}, lambda y, level: np.zeros((len(level.u), 3)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evolutions_reject_non_finite_data(self):
