@@ -7,6 +7,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -143,8 +144,7 @@ def _cmd_generate(args) -> int:
         doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis)
     else:  # lightcone
         mn, iso = gen.random_isothermic_lightcone(extents, args.ambient_dim, rng, args.noise)
-        doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis,
-                                         moutard=_moutard_doc(mn))
+        doc = netio.NetDocument.from_net(iso.net, s=iso.metric.values, labels=iso.labels.per_axis, moutard=mn)
     _write_doc(args, doc)
     return EXIT_PASS
 
@@ -165,19 +165,17 @@ def _cmd_dualize(args) -> int:
     white = (tuple(1 if ax == 0 else 0 for ax in range(net.m)), args.base_white)
     kd = koenigs.integrate_nu(net, black, white, tol)
     dual = koenigs.dualize_net(net, kd, tol=tol)
-    _write_doc(args, netio.NetDocument.from_net(dual, nu=kd.nu.values))
+    # the dual's own vertex function nu* = 1 / nu: delta_i f = delta_i f* / (nu* nu*_i)
+    _write_doc(args, netio.NetDocument.from_net(dual, nu=1.0 / kd.nu.values))
     return EXIT_PASS
 
 
 def _doc_to_isothermic(doc: netio.NetDocument, tol: Tolerances) -> iso_mod.IsothermicNet:
     net = doc.to_net()
     if doc.labels is not None and doc.s is not None:
-        return iso_mod.IsothermicNet(
-            net=net, labels=EdgeLabelling(doc.labels), metric=VertexScalar(doc.s_grid())
-        )
-    labels = iso_mod.recover_labels(net, tol)
-    metric = iso_mod.recover_metric(net, tol=tol)
-    return iso_mod.IsothermicNet(net=net, labels=labels, metric=metric)
+        return iso_mod.IsothermicNet(net=net, labels=EdgeLabelling(doc.labels), metric=VertexScalar(doc.s))
+    return iso_mod.IsothermicNet(net=net, labels=iso_mod.recover_labels(net, tol),
+                                 metric=iso_mod.recover_metric(net, tol=tol))
 
 
 def _cmd_christoffel(args) -> int:
@@ -196,29 +194,14 @@ def _cmd_lift(args) -> int:
     doc = _read_doc(args)
     net = doc.to_net()
     if args.kind == "homogeneous":
-        nu = doc.nu_grid()
-        if nu is None:
-            kd = koenigs.integrate_nu(net, tol=tol)
-        else:
-            kd = koenigs.KoenigsData(nu=VertexScalar(nu))
-        mn = koenigs.moutard_lift(net, kd, tol)
-        doc.nu = kd.nu.values.reshape(-1)
+        kd = koenigs.integrate_nu(net, tol=tol) if doc.nu is None else koenigs.KoenigsData(nu=VertexScalar(doc.nu))
+        lifted = dataclasses.replace(doc, nu=kd.nu.values, moutard=koenigs.moutard_lift(net, kd, tol))
     else:
         iso = _doc_to_isothermic(doc, tol)
-        mn = iso_mod.lightcone_lift(iso, tol)
-        doc.s = iso.metric.values.reshape(-1)
-        doc.labels = iso.labels.per_axis
-    doc.moutard = _moutard_doc(mn)
-    _write_doc(args, doc)
+        lifted = dataclasses.replace(doc, s=iso.metric.values, labels=iso.labels.per_axis,
+                                     moutard=iso_mod.lightcone_lift(iso, tol))
+    _write_doc(args, lifted)
     return EXIT_PASS
-
-
-def _moutard_doc(mn) -> dict:
-    return {
-        "dim": mn.points.shape[-1],
-        "points": mn.points.reshape(-1),
-        "coeffs": {k: v.reshape(-1) for k, v in mn.coeffs.items()},
-    }
 
 
 def _cmd_report(args) -> int:

@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsothermicNet:
     """Circular Koenigs net together with its labels and discrete metric."""
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionTooLow,
     EqualNuOnWhiteDiagonal,
+    InvalidValue,
     NotAlternating,
     NotKoenigs,
     VanishingLastComponent,
@@ -27,6 +28,7 @@ from .qnet import (
     QNet,
     VertexScalar,
     _QUAD,
+    _base,
     _chart,
     _corners,
     _crop,
@@ -60,19 +62,20 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalForm:
     """Ratios of directed diagonal segments for every elementary quad.
 
     Canonical orientations: ``q_main[(i,j)][u]`` is q(f -> f_ij), taken from
     the lexicographically smaller corner; ``q_cross[(i,j)][u]`` is
     q(f_i -> f_j).  Reversing an orientation inverts the value.  ``m_points``
-    holds the diagonal intersection points.
+    holds the diagonal intersection points.  Each is a read-only mapping by
+    axis pair of read-only arrays.
     """
 
-    q_main: dict
-    q_cross: dict
-    m_points: dict
+    q_main: MappingProxyType
+    q_cross: MappingProxyType
+    m_points: MappingProxyType
 
 
 def build_q_form(net: QNet, tol: Tolerances = DEFAULT_TOL) -> DiagonalForm:
@@ -86,7 +89,7 @@ def _build_q_form(net: QNet, tol: Tolerances) -> DiagonalForm:
     :func:`qnet._net_frame` hands over, its guards pair by pair; each pair's arrays are views over its base grid."""
     abcd, pairs, frame = _net_frame(net, take=True)
     diag = _diagonals(abcd, frame, tol, _stack_at(pairs), [at.start for *_, at in pairs])
-    per_pair = ({key: a[at].reshape(shape + a.shape[1:]) for key, shape, at in pairs}
+    per_pair = (MappingProxyType({key: a[at].reshape(shape + a.shape[1:]) for key, shape, at in pairs})
                 for a in (_frozen(diag.q_ac), _frozen(diag.q_bd), _frozen(diag.point)))
     return DiagonalForm(*per_pair)
 
@@ -144,7 +147,7 @@ def _opposite_diagonal(form: DiagonalForm, pair, r, bp, bq, br, forward):
     return val if forward == (bq == 0) else 1.0 / val
 
 
-@dataclass
+@dataclass(frozen=True)
 class KoenigsData:
     """The vertex function nu of a Koenigs net, as :func:`integrate_nu` returns it."""
 
@@ -177,6 +180,8 @@ def _propagate_nu(net: QNet, form: DiagonalForm, base_black, base_white) -> np.n
     for (u, value), color in ((base_black, 0), (base_white, 1)):
         if sum(u) % 2 != color:
             raise ValueError(f"base vertex {tuple(u)} has the wrong parity")
+        if not np.isfinite(value):
+            raise InvalidValue(f"base value of nu must be finite, not {value}")
         if value == 0.0:
             raise ZeroNu("base value of nu must be nonzero")
     nu = np.empty(net.extents)
@@ -249,8 +254,9 @@ def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QN
     """Integrate the edge one-form delta_i f* = delta_i f / (nu nu_i) from 0
     at the origin.
 
-    Returns the dual net; raises NotKoenigs unless the form closes within
-    tol.product (a NaN residual does not).
+    Returns the dual net, whose vertex function is 1 / nu; raises ZeroNu
+    where the form is not finite (:func:`_dual_edge_forms`), and NotKoenigs
+    unless it closes within tol.product.
     """
     forms = _dual_edge_forms(net, kd.nu.values)
     _closure_report("dual_closure", net, forms, tol).require(NotKoenigs)
@@ -258,10 +264,19 @@ def dualize_net(net: QNet, kd: KoenigsData, tol: Tolerances = DEFAULT_TOL) -> QN
 
 
 def _dual_edge_forms(net: QNet, nu: np.ndarray):
-    """Edge arrays G_i = delta_i f / (nu nu_i), not finite where nu nu_i underflows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return {i: np.diff(net.vertices, axis=i) / (_crop(nu, (i,), (0,)) * _crop(nu, (i,), (1,)))[..., None]
-                for i in range(net.m)}
+    """Edge arrays G_i = delta_i f / (nu nu_i); ZeroNu at the first edge, axis by axis, where nu nu_i leaves the
+    finite nonzero numbers or G_i overflows."""
+    forms = {}
+    with np.errstate(all="ignore"):  # what leaves the finite numbers is rejected below
+        for i in range(net.m):
+            prod = _crop(nu, (i,), (0,)) * _crop(nu, (i,), (1,))
+            forms[i] = g = np.diff(net.vertices, axis=i) / prod[..., None]
+            if not (np.isfinite(prod).all() and np.isfinite(g).all()):  # a flat test first: it is 25x faster
+                _raise_first([(~(np.isfinite(prod) & (prod != 0.0)).ravel(), ZeroNu,
+                               "nu nu_i leaves the finite nonzero numbers"),
+                              (~np.isfinite(g).all(axis=-1).ravel(), ZeroNu, "delta_i f / (nu nu_i) overflows")],
+                             lambda k: f"edge base {_base(prod.shape, k)} (axis {i}): ")
+    return forms
 
 
 def _closure_report(name: str, net: QNet, forms, tol: Tolerances) -> CheckReport:
@@ -314,15 +329,18 @@ def _integrate_one_form(net: QNet, forms) -> QNet:
 class MoutardNet:
     """Lattice map into R^{N+1} (homogeneous chart) or R^{N+1,1} (flat light-cone layout [spatial..., e0,
     einf]) with per-quad Moutard coefficients satisfying tau_i tau_j y - y = a_ij (tau_j y - tau_i y); keeps
-    read-only ``points`` and a read-only mapping ``coeffs`` of read-only arrays, copies of those still writable."""
+    read-only ``points`` and a read-only mapping ``coeffs`` of read-only arrays: an array as given if neither it
+    nor any array it views is writable, else a read-only copy."""
 
     points: np.ndarray
     coeffs: MappingProxyType
 
     def __post_init__(self):
         def read_only(a):
-            a = np.asarray(a, dtype=float)
-            return _frozen(a.copy()) if a.flags.writeable else a
+            a = base = np.asarray(a, dtype=float)
+            while isinstance(base, np.ndarray) and not base.flags.writeable:
+                base = base.base
+            return _frozen(a.copy()) if isinstance(base, np.ndarray) else a
         object.__setattr__(self, "points", read_only(self.points))
         object.__setattr__(self, "coeffs", MappingProxyType({key: read_only(a) for key, a in self.coeffs.items()}))
 

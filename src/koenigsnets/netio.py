@@ -1,64 +1,74 @@
 """Net document serialization (JSON schema v1) and OBJ export.
 
-Documents are written canonically: fixed key order, one block per line,
-floats with 17 significant digits.  ``save(load(path))`` reproduces the
-file byte for byte.
+A :class:`NetDocument` holds lattice-shaped, read-only values: vertices
+(extents..., N), nu and s (extents...), one label array (extents[i] - 1,)
+per axis and a :class:`koenigs.MoutardNet`.  The JSON layout is known here
+alone: :func:`saves` writes every float block flat in C order, and every
+block read, from a file or given to the constructor, passes through
+:func:`_block`.  Documents are written canonically: fixed key order, one
+block per line, floats with 17 significant digits.  ``save(load(path))``
+reproduces the file byte for byte.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParseError, SchemaMismatch, UnsupportedDimension
-from .qnet import QNet
+from .koenigs import MoutardNet
+from .qnet import QNet, _frozen
 
 __all__ = ["NetDocument", "load", "loads", "save", "saves", "export_obj"]
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
+def _block(value, shape: tuple, what: str) -> np.ndarray:
+    """A read-only float copy of ``value`` in ``shape``; SchemaMismatch unless it holds that many values."""
+    arr = np.array(value, dtype=float)
+    if arr.size != int(np.prod(shape)):
+        raise SchemaMismatch(f"{what} has {arr.size} values for shape {shape}")
+    return _frozen(arr.reshape(shape))
+
+
+@dataclass(frozen=True)
 class NetDocument:
-    """Serializable net with optional scalar decorations."""
+    """Serializable net with optional scalar decorations, each block read through :func:`_block`."""
 
     m: int
     extents: tuple
     ambient_dim: int
-    vertices: np.ndarray  # flat, row-major multi-index, coordinate-major
-    nu: np.ndarray | None = None
-    s: np.ndarray | None = None
-    labels: tuple | None = None  # per-axis 1d arrays
-    moutard: dict | None = None  # {"dim": int, "points": flat, "coeffs": {(i,j): flat}}
-    schema_version: int = SCHEMA_VERSION
+    vertices: np.ndarray  # (extents..., ambient_dim)
+    nu: np.ndarray | None = None  # (extents...)
+    s: np.ndarray | None = None  # (extents...)
+    labels: tuple | None = None  # (extents[i] - 1,) per axis i
+    moutard: MoutardNet | None = None
+
+    def __post_init__(self):
+        extents = tuple(self.extents)
+        if len(extents) != self.m or min(extents, default=0) < 0:
+            raise SchemaMismatch(f"extents must be m = {self.m} vertex counts >= 0, not {list(extents)}")
+        blocks = {"extents": extents, "vertices": _block(self.vertices, extents + (self.ambient_dim,), "vertices")}
+        for key in ("nu", "s"):
+            if getattr(self, key) is not None:
+                blocks[key] = _block(getattr(self, key), extents, key)
+        if self.labels is not None:
+            if len(self.labels) != self.m:
+                raise SchemaMismatch(f"labels must hold one array per axis, not {len(self.labels)}")
+            blocks["labels"] = tuple(_block(a, (e - 1,), f"labels of axis {i}")
+                                     for i, (a, e) in enumerate(zip(self.labels, extents)))
+        for key, value in blocks.items():
+            object.__setattr__(self, key, value)
 
     @classmethod
     def from_net(cls, net: QNet, nu=None, s=None, labels=None, moutard=None) -> "NetDocument":
-        return cls(
-            m=net.m,
-            extents=tuple(net.extents),
-            ambient_dim=net.ambient_dim,
-            vertices=net.vertices.reshape(-1).copy(),
-            nu=None if nu is None else np.asarray(nu).reshape(-1),
-            s=None if s is None else np.asarray(s).reshape(-1),
-            labels=None if labels is None else tuple(np.asarray(a) for a in labels),
-            moutard=moutard,
-        )
+        return cls(m=net.m, extents=net.extents, ambient_dim=net.ambient_dim, vertices=net.vertices,
+                   nu=nu, s=s, labels=labels, moutard=moutard)
 
     def to_net(self) -> QNet:
-        shape = tuple(self.extents) + (self.ambient_dim,)
-        return QNet(np.asarray(self.vertices, dtype=float).reshape(shape))
-
-    def nu_grid(self) -> np.ndarray | None:
-        if self.nu is None:
-            return None
-        return np.asarray(self.nu, dtype=float).reshape(tuple(self.extents))
-
-    def s_grid(self) -> np.ndarray | None:
-        if self.s is None:
-            return None
-        return np.asarray(self.s, dtype=float).reshape(tuple(self.extents))
+        return QNet(self.vertices)
 
 
 def _fmt(values, sep: str = ", ") -> str:
@@ -75,9 +85,9 @@ def _fmt_list(values) -> str:
 
 
 def saves(doc: NetDocument) -> str:
-    """Canonical JSON text of a document."""
+    """Canonical JSON text of a document, each float block flat in C order."""
     lines = ["{"]
-    lines.append(f'  "schema_version": {int(doc.schema_version)},')
+    lines.append(f'  "schema_version": {SCHEMA_VERSION},')
     lines.append(f'  "m": {int(doc.m)},')
     lines.append('  "extents": [' + ", ".join(str(int(e)) for e in doc.extents) + "],")
     lines.append(f'  "ambient_dim": {int(doc.ambient_dim)},')
@@ -90,15 +100,10 @@ def saves(doc: NetDocument) -> str:
         inner = ", ".join(_fmt_list(a) for a in doc.labels)
         body.append(f'  "labels": [{inner}]')
     if doc.moutard is not None:
-        m = doc.moutard
-        coeffs = m.get("coeffs", {})
-        coeff_items = ", ".join(
-            f'"{i},{j}": {_fmt_list(arr)}' for (i, j), arr in sorted(coeffs.items())
-        )
-        body.append(
-            '  "moutard": {"dim": %d, "points": %s, "coeffs": {%s}}'
-            % (int(m["dim"]), _fmt_list(m["points"]), coeff_items)
-        )
+        mn = doc.moutard
+        coeff_items = ", ".join(f'"{i},{j}": {_fmt_list(a)}' for (i, j), a in sorted(mn.coeffs.items()))
+        body.append('  "moutard": {"dim": %d, "points": %s, "coeffs": {%s}}'
+                    % (mn.points.shape[-1], _fmt_list(mn.points), coeff_items))
     lines.append(",\n".join(body))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -111,7 +116,7 @@ def save(doc: NetDocument, path) -> None:
 
 def loads(text: str) -> NetDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=float)  # "-0", as "%.17g" writes -0.0, reads back as -0.0
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -122,56 +127,28 @@ def loads(text: str) -> NetDocument:
     if raw["schema_version"] != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema_version {raw['schema_version']} != {SCHEMA_VERSION}")
     try:
-        return _from_raw(raw)
-    except (TypeError, ValueError) as exc:  # int() or float() of a value of the wrong type or form
+        doc = NetDocument(m=int(raw["m"]), extents=tuple(int(e) for e in raw["extents"]),
+                          ambient_dim=int(raw["ambient_dim"]), vertices=raw["vertices"], nu=raw.get("nu"),
+                          s=raw.get("s"), labels=raw.get("labels"))
+        return doc if raw.get("moutard") is None else replace(doc, moutard=_moutard(raw["moutard"], doc.extents))
+    except (TypeError, ValueError, OverflowError) as exc:  # int() or float() of a value of the wrong type or form
         raise ParseError(f"malformed value: {exc}") from exc
 
 
-def _from_raw(raw: dict) -> NetDocument:
-    m = int(raw["m"])
-    extents = tuple(int(e) for e in raw["extents"])
-    ambient_dim = int(raw["ambient_dim"])
-    if len(extents) != m or min(extents, default=0) < 0:
-        raise SchemaMismatch(f"extents must be m = {m} vertex counts >= 0, not {list(extents)}")
-    n_vertices = int(np.prod(extents))
-    vertices = np.asarray(raw["vertices"], dtype=float)
-    if vertices.size != n_vertices * ambient_dim:
-        raise SchemaMismatch(
-            f"vertex count {vertices.size} != extents product {n_vertices} * ambient_dim {ambient_dim}"
-        )
-    doc = NetDocument(m=m, extents=extents, ambient_dim=ambient_dim, vertices=vertices)
-    for key in ("nu", "s"):
-        if raw.get(key) is not None:
-            arr = np.asarray(raw[key], dtype=float)
-            if arr.size != n_vertices:
-                raise SchemaMismatch(f"{key} has {arr.size} values for {n_vertices} vertices")
-            setattr(doc, key, arr)
-    if raw.get("labels") is not None:
-        labels = tuple(np.asarray(a, dtype=float) for a in raw["labels"])
-        if len(labels) != m or any(len(a) != e - 1 for a, e in zip(labels, extents)):
-            raise SchemaMismatch("labels must hold extents[i] - 1 values per axis")
-        doc.labels = labels
-    if raw.get("moutard") is not None:
-        blk = raw["moutard"]
-        if "dim" not in blk or "points" not in blk:
-            raise ParseError("moutard block needs 'dim' and 'points'")
-        dim = int(blk["dim"])
-        pts = np.asarray(blk["points"], dtype=float)
-        if pts.size != n_vertices * dim:
-            raise SchemaMismatch("moutard point count inconsistent with extents")
-        if not isinstance(blk.get("coeffs", {}), dict):
-            raise ParseError("moutard coeffs must be an object")
-        coeffs = {}
-        for key, arr in blk.get("coeffs", {}).items():
-            i, j = (int(x) for x in key.split(","))
-            if not 0 <= i < j < m:
-                raise SchemaMismatch(f"coefficient axes {key!r} outside 0 <= i < j < {m}")
-            coeffs[(i, j)] = np.asarray(arr, dtype=float)
-            n_quads = int(np.prod([e - (ax in (i, j)) for ax, e in enumerate(extents)]))
-            if coeffs[(i, j)].size != n_quads:
-                raise SchemaMismatch(f"coefficient block {key!r} has {coeffs[(i, j)].size} values for {n_quads} quads")
-        doc.moutard = {"dim": dim, "points": pts, "coeffs": coeffs}
-    return doc
+def _moutard(blk, extents: tuple) -> MoutardNet:
+    """The Moutard net of a document's "moutard" block: points (extents..., dim), coefficients over quad bases."""
+    if "dim" not in blk or "points" not in blk:
+        raise ParseError("moutard block needs 'dim' and 'points'")
+    if not isinstance(blk.get("coeffs", {}), dict):
+        raise ParseError("moutard coeffs must be an object")
+    coeffs = {}
+    for key, arr in blk.get("coeffs", {}).items():
+        i, j = (int(x) for x in key.split(","))
+        if not 0 <= i < j < len(extents):
+            raise SchemaMismatch(f"coefficient axes {key!r} outside 0 <= i < j < {len(extents)}")
+        shape = tuple(e - (ax in (i, j)) for ax, e in enumerate(extents))
+        coeffs[(i, j)] = _block(arr, shape, f"coefficient block {key!r}")
+    return MoutardNet(_block(blk["points"], extents + (int(blk["dim"]),), "moutard points"), coeffs)
 
 
 def load(path) -> NetDocument:
@@ -190,7 +167,7 @@ def export_obj(doc: NetDocument, path) -> None:
     if doc.ambient_dim > 3:
         raise UnsupportedDimension("OBJ export needs ambient dimension <= 3")
     n1, n2 = doc.extents
-    pts = np.asarray(doc.vertices, dtype=float).reshape(n1 * n2, doc.ambient_dim)
+    pts = doc.vertices.reshape(n1 * n2, doc.ambient_dim)
     if doc.ambient_dim < 3:
         pts = np.concatenate([pts, np.zeros((len(pts), 3 - doc.ambient_dim))], axis=1)
     lines = ["v " + _fmt(p, " ") for p in pts]

@@ -281,15 +281,29 @@ def _levels(extents: tuple, spans: tuple) -> tuple:
     known = np.zeros(extents, dtype=bool)
     for axes in spans:
         known[tuple(slice(None) if ax in axes else 0 for ax in range(len(extents)))] = True
-    todo = np.argwhere(~known)
-    todo = todo[np.argsort(todo.sum(axis=1), kind="stable")]  # by hyperplane, C order within one
-    strides = np.cumprod((1,) + extents[:0:-1])[::-1]
-    positive = todo > 0  # row b moves along the positive axes whose rank among the vertex's positive ones is a bit of b
-    sel = (np.arange(2 ** min(len(extents), 3))[:, None, None] >> (np.cumsum(positive, axis=1) - 1)) & positive
-    below = (todo @ strides - sel @ strides).astype(np.int32 if known.size < 2**31 else np.intp)
-    cuts = np.flatnonzero(np.diff(todo.sum(axis=1))) + 1
-    return tuple(_Level(_frozen(u.astype(below.dtype)), _frozen(np.ascontiguousarray(b)))
-                 for u, b in zip(np.split(todo, cuts), np.split(below, cuts, axis=1)) if len(u))
+    strides = [int(np.prod(extents[ax + 1:])) for ax in range(len(extents))]
+    flat = np.flatnonzero(~known).astype(np.int32 if known.size < 2**31 else np.intp)
+
+    def coords(ix):  # the multi-index of flat indices, axis by axis, in their dtype
+        return [ix // stride % e for stride, e in zip(strides, extents)]
+
+    k = sum(coords(flat))  # the hyperplane of each vertex
+    flat = flat[np.argsort(k, kind="stable")]  # by hyperplane, C order within one
+    k.sort()
+    u = np.stack(coords(flat), axis=1)
+    r = min(len(extents), 3)
+    below = np.empty((2**r, len(flat)), flat.dtype)
+    below[0] = flat
+    for t in range(r):  # bit t moves each vertex back along its (t + 1)-th positive axis, if it has one
+        step, rank = np.zeros_like(flat), np.zeros_like(flat)
+        for ax, stride in enumerate(strides):
+            positive = u[:, ax] > 0
+            rank += positive
+            step[positive & (rank == t + 1)] = stride
+        np.subtract(below[:2**t], step, out=below[2**t:2**(t + 1)])
+    cuts = np.flatnonzero(np.diff(k)) + 1
+    _frozen(u), _frozen(below)  # each level's tables are views of these
+    return tuple(_Level(lu, lb) for lu, lb in zip(np.split(u, cuts), np.split(below, cuts, axis=1)) if len(lu))
 
 
 def _wavefront(pieces: dict, step, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -190,6 +190,11 @@ BAD_INPUT = {
         "0,1", [0.5, 0.5])), 2, "SchemaMismatch"),
     **{f"moutard-m-{len(ext)}": (["generate", "moutard", "--extents", *ext], None, 2, "UnsupportedDimension")
        for ext in (["5"], ["3"] * 5)},
+    **{f"dual-base-{base}": (["dualize", "--base-black", base], ("moutard", lambda raw: None), 2, "InvalidValue")
+       for base in ("inf", "nan")},
+    # nu nu_i overflows or underflows on every edge, or (at 1e-160) the dual edge form overflows
+    **{f"dual-bases-{base}": (["dualize", "--base-black", base, "--base-white", base], ("moutard", lambda raw: None), 3,
+                              "ZeroNu") for base in ("1e300", "1e-300", "1e-160")},
     "coefficient-axes-out-of-range": (["check", "qnet"], ("lightcone", lambda raw: raw["moutard"]["coeffs"].__setitem__(
         "0,2", [0.5] * 4)), 2, "SchemaMismatch"),
 }
@@ -245,6 +250,15 @@ class TestPipelines:
         code, _ = cli(tmp_path, "check", "koenigs", infile=dual)
         assert code == 0
 
+    @pytest.mark.parametrize("extents", [("30", "30"), ("3", "4", "3", "3")])
+    def test_dual_lifts_with_its_own_nu(self, tmp_path, extents):
+        # the dual document carries nu* = 1 / nu, so the homogeneous lift of the dual passes its Moutard gate
+        _, net = cli(tmp_path, "generate", "moutard", "--extents", *extents, outname="net.json")
+        code, dual = cli(tmp_path, "dualize", infile=net, outname="dual.json")
+        assert code == 0
+        assert np.array_equal(netio.load(dual).nu, 1.0 / koenigs.integrate_nu(netio.load(net).to_net()).nu.values)
+        assert cli(tmp_path, "lift", "homogeneous", infile=dual, outname="lift.json")[0] == 0
+
     def test_christoffel(self, tmp_path):
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
                      "--seed", "3", outname="net.json")
@@ -260,7 +274,7 @@ class TestPipelines:
         assert code == 0
         doc = netio.load(lifted)
         assert doc.moutard is not None
-        assert doc.moutard["dim"] == doc.ambient_dim + 1
+        assert doc.moutard.points.shape[-1] == doc.ambient_dim + 1
 
     def test_lift_lightcone(self, tmp_path):
         _, net = cli(tmp_path, "generate", "three-leg", "--extents", "5", "5",
@@ -268,7 +282,7 @@ class TestPipelines:
         code, lifted = cli(tmp_path, "lift", "lightcone", infile=net, outname="lift.json")
         assert code == 0
         doc = netio.load(lifted)
-        assert doc.moutard["dim"] == doc.ambient_dim + 2
+        assert doc.moutard.points.shape[-1] == doc.ambient_dim + 2
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_lightcone_4d(self, tmp_path, seed):

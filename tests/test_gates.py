@@ -297,3 +297,32 @@ def test_moutard_net_copies_only_what_its_caller_can_write():
     assert points.flags.writeable and a.flags.writeable and list(own.coeffs) == [(0, 1)]
     assert np.array_equal(own.points, mn.points) and np.array_equal(own.coeffs[(0, 1)], mn.coeffs[(0, 1)])
     assert koenigs.check_moutard(own).passed
+    # a read-only view of a writable array is copied too: a write to the array must not reach the net
+    view = points.view()
+    view.setflags(write=False)
+    through = koenigs.MoutardNet(view, {(0, 1): a.reshape(-1).reshape(a.shape)})
+    assert through.points is not view and through.points.base is None
+    before = through.points.copy()
+    points[0, 0, 0] += 1.0
+    assert np.array_equal(through.points, before)
+
+
+def test_frozen_values(iso_net):
+    # writes to every field of the pipeline's values, to every mapping and to every array they hold raise
+    net = _k2()
+    kd, form = koenigs.integrate_nu(net), koenigs.build_q_form(net)
+    closed = koenigs.check_closedness(net)
+    for value, fields in ((kd, ("nu",)), (form, ("q_main", "q_cross", "m_points")),
+                          (iso_net, ("net", "labels", "metric"))):
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+    for mapping in (form.q_main, form.q_cross, form.m_points):
+        with pytest.raises(TypeError):
+            mapping[(0, 1)] = np.ones(1)
+        with pytest.raises(ValueError):
+            mapping[(0, 1)].flat[0] = 1.0
+    for arr in (kd.nu.values, iso_net.metric.values, *iso_net.labels.per_axis, iso_net.net.vertices):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert koenigs.build_q_form(net) is form and koenigs.check_closedness(net).passed == closed.passed

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koenigsnets import generate, netio
+from koenigsnets import generate, koenigs, netio
 from koenigsnets.errors import ParseError, SchemaMismatch, UnsupportedDimension
 from koenigsnets.koenigs import integrate_nu
 
@@ -25,25 +25,49 @@ class TestRoundTrip:
             iso_net.net, s=iso_net.metric.values, labels=iso_net.labels.per_axis
         )
         back = netio.loads(netio.saves(doc))
-        assert np.array_equal(back.s_grid(), iso_net.metric.values)
+        assert np.array_equal(back.s, iso_net.metric.values)
         for a, b in zip(back.labels, iso_net.labels.per_axis):
             assert np.array_equal(a, b)
 
     def test_moutard_block(self, koenigs_net_3d):
         net, nu, mn = koenigs_net_3d
-        doc = netio.NetDocument.from_net(
-            net,
-            nu=nu.values,
-            moutard={
-                "dim": mn.points.shape[-1],
-                "points": mn.points.reshape(-1),
-                "coeffs": {k: v.reshape(-1) for k, v in mn.coeffs.items()},
-            },
-        )
+        doc = netio.NetDocument.from_net(net, nu=nu.values, moutard=mn)
         back = netio.loads(netio.saves(doc))
-        assert back.moutard["dim"] == mn.points.shape[-1]
-        assert np.array_equal(back.moutard["points"], mn.points.reshape(-1))
-        assert set(back.moutard["coeffs"]) == set(mn.coeffs)
+        assert back.moutard.points.shape[-1] == mn.points.shape[-1]
+        assert np.array_equal(back.moutard.points, mn.points)
+        assert set(back.moutard.coeffs) == set(mn.coeffs)
+
+    def test_lattice_shaped_and_frozen(self, koenigs_net_3d):
+        net, nu, mn = koenigs_net_3d
+        labels = tuple(np.ones(e - 1) for e in net.extents)
+        doc = netio.loads(netio.saves(netio.NetDocument.from_net(net, nu=nu.values, s=nu.values, labels=labels,
+                                                                 moutard=mn)))
+        assert doc.vertices.shape == net.vertices.shape and doc.nu.shape == doc.s.shape == net.extents
+        assert [a.shape for a in doc.labels] == [(e - 1,) for e in net.extents]
+        assert all(np.array_equal(doc.moutard.coeffs[key], a) for key, a in mn.coeffs.items())
+        for key in ("m", "extents", "ambient_dim", "vertices", "nu", "s", "labels", "moutard"):
+            with pytest.raises(AttributeError):
+                setattr(doc, key, None)
+        for arr in (doc.vertices, doc.nu, doc.s, *doc.labels, doc.moutard.points, *doc.moutard.coeffs.values()):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        # a flat vertex block is read in C order, and a caller's array is copied, not frozen
+        flat = net.vertices.reshape(-1).copy()
+        doc = netio.NetDocument(m=net.m, extents=net.extents, ambient_dim=net.ambient_dim, vertices=flat)
+        assert np.array_equal(doc.vertices, net.vertices) and flat.flags.writeable
+
+    def test_negative_zero_round_trips(self, tmp_path):
+        # "%.17g" writes -0.0 as "-0", which JSON reads as the integer 0 unless integers read as floats
+        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, vertices=[-0.0, 1, 2, 3, 4, 5, 6, 7],
+                                nu=[-0.0, 1, 1, 1])
+        path = tmp_path / "net.json"
+        netio.save(doc, path)
+        first = path.read_bytes()
+        assert b'"vertices": [-0, 1, ' in first
+        back = netio.load(path)
+        assert np.signbit(back.vertices[0, 0, 0]) and np.signbit(back.nu[0, 0])
+        netio.save(back, path)
+        assert path.read_bytes() == first
 
     def test_nonfinite_rejected(self):
         doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2,
@@ -72,15 +96,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("block", ["vertices", "nu", "s", "labels", "moutard points", "moutard coeffs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected_in_every_block(self, block, bad, tmp_path):
-        fields = dict(
-            vertices=np.zeros(8), nu=np.ones(4), s=np.ones(4), labels=(np.ones(1), np.ones(1)),
-            moutard={"dim": 3, "points": np.ones(12), "coeffs": {(0, 1): np.ones(1)}},
-        )
-        target = {"labels": fields["labels"][1], "moutard points": fields["moutard"]["points"],
-                  "moutard coeffs": fields["moutard"]["coeffs"][(0, 1)]}.get(block, fields.get(block))
-        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, **fields)
+        def fields(last):  # every block finite, but the last value of ``block``
+            blocks = {key: np.ones(n) for key, n in
+                      (("vertices", 8), ("nu", 4), ("s", 4), ("labels", 1), ("moutard points", 12),
+                       ("moutard coeffs", 1))}
+            blocks[block][-1] = last
+            return dict(vertices=blocks["vertices"], nu=blocks["nu"], s=blocks["s"],
+                        labels=(np.ones(1), blocks["labels"]),
+                        moutard=koenigs.MoutardNet(blocks["moutard points"].reshape(2, 2, 3),
+                                                   {(0, 1): blocks["moutard coeffs"].reshape(1, 1)}))
+
+        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, **fields(1.0))
         assert netio.loads(netio.saves(doc)).labels is not None  # finite: it round-trips
-        target[-1] = bad
+        doc = netio.NetDocument(m=2, extents=(2, 2), ambient_dim=2, **fields(bad))
         with pytest.raises(ValueError, match="non-finite"):
             netio.saves(doc)
         if block == "vertices":
@@ -131,10 +159,11 @@ class TestLoadErrors:
             )
 
     def test_bad_label_lengths(self, koenigs_net_2d):
-        doc = netio.NetDocument.from_net(koenigs_net_2d)
-        doc.labels = (np.ones(2), np.ones(2))
+        text = netio.saves(netio.NetDocument.from_net(koenigs_net_2d))
         with pytest.raises(SchemaMismatch):
-            netio.loads(netio.saves(doc))
+            netio.loads(text.replace('\n}', ',\n  "labels": [[1, 1], [1, 1]]\n}'))
+        with pytest.raises(SchemaMismatch):
+            netio.NetDocument.from_net(koenigs_net_2d, labels=(np.ones(2), np.ones(2)))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

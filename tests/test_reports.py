@@ -9,7 +9,7 @@ import pytest
 
 from conftest import unchecked_nu
 from koenigsnets import generate, isothermic, koenigs, qnet
-from koenigsnets.errors import EqualNuOnWhiteDiagonal, FormNotClosed, NotCircular, NotKoenigs
+from koenigsnets.errors import EqualNuOnWhiteDiagonal, FormNotClosed, NotCircular, NotKoenigs, ZeroNu
 from koenigsnets.geom import DEFAULT_TOL, _unit
 from koenigsnets.isothermic import check_circular, check_isothermic, check_moebius_characterizations
 from koenigsnets.koenigs import (
@@ -219,12 +219,12 @@ def _dual_report(net, kd):
 
 
 def test_underflowing_dual_form_fails_its_gate(koenigs_net_2d):
-    # two rows: the only quad that touches the two tiny values of nu is the first
+    # two rows: nu nu_1 underflows on the first axis-0 edge, a degeneracy named at that edge
     net = QNet(koenigs_net_2d.vertices[:2])
     nu = koenigs.integrate_nu(net).nu.values.copy()
     nu[0, 0], nu[1, 0] = np.copysign(1e-200, nu[0, 0]), np.copysign(1e-200, nu[1, 0])  # nu nu_1 underflows
     kd = koenigs.KoenigsData(nu=VertexScalar(nu))
-    with pytest.raises(NotKoenigs, match="residual nan"):
+    with pytest.raises(ZeroNu, match=r"^edge base \(0, 0\) \(axis 0\): nu nu_i leaves the finite nonzero numbers$"):
         koenigs.dualize_net(net, kd)
 
 

@@ -1,6 +1,7 @@
 """The layer-sweep integrators and the wavefront fills against the
 vertex-by-vertex loops they replace, kept here as references."""
 import hashlib
+import tracemalloc
 from collections import deque
 from itertools import combinations, product
 
@@ -608,6 +609,17 @@ class TestLevelSchedule:
         # the schedule of the 160 x 160 Moutard fill is cached beside the nets it fills
         levels = _levels((160, 160), ((0,), (1,)))
         assert sum(level.u.nbytes + level.below.nbytes for level in levels) <= 2**20
+
+    def test_the_160_schedule_builds_within_1_5_mb(self):
+        # the neighbour table is built one bit at a time, without a (2^r, n, m) selection tensor
+        _levels.cache_clear()
+        tracemalloc.start()
+        try:
+            _levels((160, 160), ((0,), (1,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
     @pytest.mark.parametrize("extents, spans", [
         ((4, 5, 3), ((0, 1), (0, 2), (1, 2))),
